@@ -25,7 +25,7 @@ namespace {
 namespace fs = std::filesystem;
 using namespace anycast;
 
-std::size_t detected_anycast(const census::CensusMatrix& data,
+std::size_t detected_anycast(const census::ShardedCensusMatrix& data,
                              const census::Hitlist& hitlist,
                              std::span<const net::VantagePoint> vps) {
   const analysis::CensusAnalyzer analyzer(vps, geo::world_index());
@@ -76,9 +76,9 @@ int main() {
     const net::FaultPlan plan(spec);
 
     census::Greylist blacklist;
-    const census::CensusOutput output =
-        run_census(internet, vps, hitlist, blacklist, fastping,
-                   rate > 0.0 ? &plan : nullptr);
+    const census::ShardedCensusOutput output = census::run_census_sharded(
+        internet, vps, hitlist, blacklist, fastping, {},
+        rate > 0.0 ? &plan : nullptr);
     const std::size_t detected =
         detected_anycast(output.data, hitlist, vps);
     if (baseline == 0.0) baseline = static_cast<double>(detected);
@@ -116,8 +116,8 @@ int main() {
   census::Greylist blacklist;
   census::FastPingConfig clean_config;
   clean_config.seed = 1;
-  resume_census(internet, vps, hitlist, blacklist, clean_config, dir,
-                /*census_id=*/7);
+  census::resume_census_sharded(internet, vps, hitlist, blacklist,
+                                clean_config, dir, /*census_id=*/7);
 
   std::vector<fs::path> files;
   for (const net::VantagePoint& vp : vps) {
@@ -139,11 +139,14 @@ int main() {
   }
 
   census::CollateStats salvage_stats;
-  const census::CensusMatrix salvaged =
-      census::collate_census_files(files, hitlist.size(), &salvage_stats);
-  std::size_t strict_skipped = 0;
-  const census::CensusMatrix strict =
-      census::collate_census_files(files, hitlist.size(), &strict_skipped);
+  const census::ShardedCensusMatrix salvaged =
+      census::collate_census_files_sharded(files, hitlist.size(), {},
+                                           &salvage_stats);
+  census::CollateStats strict_stats;
+  const census::ShardedCensusMatrix strict =
+      census::collate_census_files_sharded(files, hitlist.size(), {},
+                                           &strict_stats, /*salvage=*/false);
+  const std::size_t strict_skipped = strict_stats.files_skipped;
 
   print_subtitle("corrupted-checkpoint salvage");
   std::printf("  damaged %zu of %zu uploads (truncated, bit-flipped, "

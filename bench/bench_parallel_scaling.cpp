@@ -26,7 +26,7 @@
 #include <malloc.h>
 #endif
 
-#include "anycast/census/legacy_census.hpp"
+#include "legacy_census.hpp"
 #include "anycast/obs/journal.hpp"
 #include "anycast/obs/metrics.hpp"
 #include "anycast/obs/progress.hpp"
@@ -198,7 +198,7 @@ struct Fingerprint {
 /// the census reduction feeds the data plane — so the columnar and legacy
 /// layouts can be timed assembling identical input.
 std::vector<std::vector<census::TargetRtt>> fragments_of(
-    const census::CensusMatrix& data, std::size_t vp_count) {
+    const census::ShardedCensusMatrix& data, std::size_t vp_count) {
   std::vector<std::vector<census::TargetRtt>> fragments(vp_count);
   for (std::uint32_t t = 0; t < data.target_count(); ++t) {
     for (const census::VpRtt& sample : data.measurements(t)) {
@@ -258,11 +258,13 @@ int main() {
     fastping.seed = config.seed ^ 0xC0;
     fastping.probe_rate_pps = config.probe_rate_pps;
     fastping.vp_availability = config.vp_availability;
-    const census::CensusMatrix first =
-        run_census(internet, vps, hitlist, scratch, fastping).data;
+    const census::ShardedCensusMatrix first =
+        census::run_census_sharded(internet, vps, hitlist, scratch, fastping)
+            .data;
     fastping.seed = config.seed ^ 0xC1;
-    const census::CensusMatrix second =
-        run_census(internet, vps, hitlist, scratch, fastping).data;
+    const census::ShardedCensusMatrix second =
+        census::run_census_sharded(internet, vps, hitlist, scratch, fastping)
+            .data;
     first_fragments = fragments_of(first, vps.size());
     second_fragments = fragments_of(second, vps.size());
     // The source matrices die here: only the fragment inputs stay live.
@@ -367,10 +369,11 @@ int main() {
     fastping.seed = config.seed;
     fastping.probe_rate_pps = config.probe_rate_pps;
     fastping.vp_availability = config.vp_availability;
-    census::CensusOutput output;
+    census::ShardedCensusOutput output;
     const Cost census_cost = measure([&] {
-      output = run_census(internet, vps, hitlist, blacklist, fastping,
-                          /*faults=*/nullptr, &pool);
+      output = census::run_census_sharded(internet, vps, hitlist, blacklist,
+                                          fastping, {}, /*faults=*/nullptr,
+                                          &pool);
     });
 
     // Analysis phase: detection sweep + iGreedy over the census rows.
@@ -454,8 +457,8 @@ int main() {
         fastping.probe_rate_pps = config.probe_rate_pps;
         fastping.vp_availability = config.vp_availability;
         const auto start = Clock::now();
-        const census::CensusOutput output = run_census(
-            internet, vps, hitlist, blacklist, fastping,
+        const census::ShardedCensusOutput output = census::run_census_sharded(
+            internet, vps, hitlist, blacklist, fastping, {},
             /*faults=*/nullptr, &pool);
         const double seconds = seconds_since(start);
         double& best = enabled ? best_instrumented : best_uninstrumented;
@@ -534,8 +537,8 @@ int main() {
         fastping.probe_rate_pps = config.probe_rate_pps;
         fastping.vp_availability = config.vp_availability;
         const double cpu_start = cpu_seconds();
-        const census::CensusOutput output = run_census(
-            internet, vps, hitlist, blacklist, fastping,
+        const census::ShardedCensusOutput output = census::run_census_sharded(
+            internet, vps, hitlist, blacklist, fastping, {},
             /*faults=*/nullptr, &pool);
         const double cpu = cpu_seconds() - cpu_start;
         pool.stop_heartbeat();

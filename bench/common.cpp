@@ -19,7 +19,7 @@ BenchWorld::BenchWorld(const BenchConfig& config)
            .seed = config.seed ^ 0xF1E1D})),
       full_hitlist(census::Hitlist::from_world(internet)),
       hitlist(full_hitlist.without_dead()) {
-  combined = census::CensusMatrix(hitlist.size());
+  combined = census::ShardedCensusMatrix(hitlist.size(), {});
   concurrency::ThreadPool pool(
       static_cast<std::size_t>(std::max(0, config.threads)));
   for (int c = 0; c < config.census_count; ++c) {
@@ -27,8 +27,8 @@ BenchWorld::BenchWorld(const BenchConfig& config)
     fastping.seed = config.seed + static_cast<std::uint64_t>(c) * 101;
     fastping.probe_rate_pps = config.probe_rate_pps;
     fastping.vp_availability = config.vp_availability;
-    census::CensusOutput output = run_census(
-        internet, vps, hitlist, blacklist, fastping, /*faults=*/nullptr,
+    census::ShardedCensusOutput output = census::run_census_sharded(
+        internet, vps, hitlist, blacklist, fastping, {}, /*faults=*/nullptr,
         &pool);
     summaries.push_back(std::move(output.summary));
     combined.combine_min(output.data);
@@ -57,7 +57,7 @@ analysis::CensusReport analyze_combined(const BenchWorld& world,
 }
 
 std::vector<analysis::TargetOutcome> analyze_data(
-    const BenchWorld& world, const census::CensusMatrix& data,
+    const BenchWorld& world, const census::ShardedCensusMatrix& data,
     concurrency::ThreadPool* pool) {
   const analysis::CensusAnalyzer analyzer(world.vps, geo::world_index());
   return analyzer.analyze(data, world.hitlist, /*min_vps=*/2, pool);

@@ -15,7 +15,7 @@
 
 #include "anycast/analysis/analyzer.hpp"
 #include "anycast/analysis/report.hpp"
-#include "anycast/census/census.hpp"
+#include "anycast/census/sharded.hpp"
 #include "anycast/concurrency/thread_pool.hpp"
 #include "anycast/geo/city_index.hpp"
 #include "anycast/net/internet.hpp"
@@ -49,9 +49,9 @@ struct BenchWorld {
   census::Hitlist full_hitlist;  // including dead space
   census::Hitlist hitlist;       // probed targets
   census::Greylist blacklist;
-  std::vector<census::CensusMatrix> censuses;
+  std::vector<census::ShardedCensusMatrix> censuses;
   std::vector<census::CensusSummary> summaries;
-  census::CensusMatrix combined;
+  census::ShardedCensusMatrix combined;
 
   explicit BenchWorld(const BenchConfig& config = {});
 
@@ -80,7 +80,7 @@ analysis::CensusReport analyze_combined(const BenchWorld& world,
                                         concurrency::ThreadPool* pool =
                                             nullptr);
 std::vector<analysis::TargetOutcome> analyze_data(
-    const BenchWorld& world, const census::CensusMatrix& data,
+    const BenchWorld& world, const census::ShardedCensusMatrix& data,
     concurrency::ThreadPool* pool = nullptr);
 
 // ---- Table rendering -------------------------------------------------------

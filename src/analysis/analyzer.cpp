@@ -177,15 +177,22 @@ core::Result CensusAnalyzer::analyze_row(
   return igreedy_.analyze(measurements);
 }
 
-std::vector<TargetOutcome> CensusAnalyzer::analyze_block(
-    const census::CensusMatrix& data, std::size_t base, std::size_t targets,
-    const census::Hitlist& hitlist, std::size_t min_vps,
-    concurrency::ThreadPool* pool) const {
+namespace {
+
+/// One shard's rows [0, targets), whose first global target is `base`:
+/// min-VP gate, detection, iGreedy, semantic tallies — no summary event
+/// (the caller emits exactly one per sweep).
+std::vector<TargetOutcome> analyze_shard(const CensusAnalyzer& analyzer,
+                                         const census::CensusMatrix& data,
+                                         std::size_t base, std::size_t targets,
+                                         const census::Hitlist& hitlist,
+                                         std::size_t min_vps,
+                                         concurrency::ThreadPool* pool) {
   if (targets == 0) return {};
 
   // The per-target work (detection pre-filter, then iGreedy on the few
-  // detected rows) only reads `this`, `data`, and `hitlist`, so a range
-  // of targets is an independent task. Indices are local to `data`;
+  // detected rows) only reads `analyzer`, `data`, and `hitlist`, so a
+  // range of targets is an independent task. Indices are local to `data`;
   // outcomes carry the global index `base + t`.
   const auto analyze_range = [&](std::size_t begin, std::size_t end) {
     const obs::Span range_span("analysis_range", base + begin);
@@ -196,13 +203,13 @@ std::vector<TargetOutcome> CensusAnalyzer::analyze_block(
       const auto row = data.measurements(static_cast<std::uint32_t>(t));
       if (row.size() < min_vps) continue;
       ++considered;
-      if (!detect(row)) continue;
+      if (!analyzer.detect(row)) continue;
       ++detected;
       TargetOutcome outcome;
       outcome.target_index = static_cast<std::uint32_t>(base + t);
       outcome.slash24_index =
           hitlist[base + t].representative.slash24_index();
-      outcome.result = analyze_row(row);
+      outcome.result = analyzer.analyze_row(row);
       if (outcome.result.anycast) out.push_back(std::move(outcome));
     }
     const AnalysisInstruments& in = analysis_instruments();
@@ -216,27 +223,25 @@ std::vector<TargetOutcome> CensusAnalyzer::analyze_block(
   if (pool == nullptr || pool->thread_count() <= 1) {
     out = analyze_range(0, targets);
   } else {
-    // Shard into contiguous row ranges balanced by stored-measurement
+    // Split into contiguous row ranges balanced by stored-measurement
     // weight via the CSR offset array (several per lane, so a dense range
-    // cannot straggle the whole sweep) and concatenate the per-shard
+    // cannot straggle the whole sweep) and concatenate the per-range
     // outcomes in index order: element-identical to the serial sweep.
     const auto ranges = concurrency::shard_ranges_weighted(
         data.row_offsets().subspan(0, targets + 1),
         pool->thread_count() * 8);
-    auto shards = pool->parallel_map(ranges.size(), [&](std::size_t s) {
-      return analyze_range(ranges[s].first, ranges[s].second);
+    auto parts = pool->parallel_map(ranges.size(), [&](std::size_t r) {
+      return analyze_range(ranges[r].first, ranges[r].second);
     });
     std::size_t total = 0;
-    for (const auto& shard : shards) total += shard.size();
+    for (const auto& part : parts) total += part.size();
     out.reserve(total);
-    for (auto& shard : shards) {
-      for (auto& outcome : shard) out.push_back(std::move(outcome));
+    for (auto& part : parts) {
+      for (auto& outcome : part) out.push_back(std::move(outcome));
     }
   }
   return out;
 }
-
-namespace {
 
 void emit_analysis_summary(std::size_t targets, std::size_t min_vps,
                            std::size_t anycast) {
@@ -253,38 +258,25 @@ void emit_analysis_summary(std::size_t targets, std::size_t min_vps,
 }  // namespace
 
 std::vector<TargetOutcome> CensusAnalyzer::analyze(
-    const census::CensusMatrix& data, const census::Hitlist& hitlist,
+    const census::ShardedCensusMatrix& data, const census::Hitlist& hitlist,
     std::size_t min_vps, concurrency::ThreadPool* pool) const {
   const std::size_t targets = std::min(data.target_count(), hitlist.size());
   if (targets == 0) return {};
   // Adoption point: range spans on worker threads attach here.
   const obs::Span sweep_span(obs::Span::Root::kAdoptionPoint, "analysis",
                              targets);
-  std::vector<TargetOutcome> out =
-      analyze_block(data, 0, targets, hitlist, min_vps, pool);
-  emit_analysis_summary(targets, min_vps, out.size());
-  return out;
-}
-
-std::vector<TargetOutcome> CensusAnalyzer::analyze(
-    const census::ShardedCensusMatrix& data, const census::Hitlist& hitlist,
-    std::size_t min_vps, concurrency::ThreadPool* pool) const {
-  const std::size_t targets = std::min(data.target_count(), hitlist.size());
-  if (targets == 0) return {};
-  const obs::Span sweep_span(obs::Span::Root::kAdoptionPoint, "analysis",
-                             targets);
-  // Shards in index order, each swept exactly like a monolithic matrix
-  // over its local range; the semantic tallies are integer sums that
-  // commute across blocks, and exactly one summary event closes the
-  // sweep — so shard size cannot leak into the semantic stream.
+  // Shards in index order, each swept over its local range; the semantic
+  // tallies are integer sums that commute across shards, and exactly one
+  // summary event closes the sweep — so shard size cannot leak into the
+  // semantic stream.
   std::vector<TargetOutcome> out;
   for (std::size_t s = 0; s < data.shard_count(); ++s) {
     const std::size_t base = data.shard_base(s);
     if (base >= targets) break;
     const std::size_t local =
         std::min(data.shard(s).target_count(), targets - base);
-    auto block =
-        analyze_block(data.shard(s), base, local, hitlist, min_vps, pool);
+    auto block = analyze_shard(*this, data.shard(s), base, local, hitlist,
+                               min_vps, pool);
     out.insert(out.end(), std::make_move_iterator(block.begin()),
                std::make_move_iterator(block.end()));
   }

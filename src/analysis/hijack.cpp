@@ -7,44 +7,23 @@ HijackMonitor::HijackMonitor(std::span<const net::VantagePoint> vps,
                              core::Options options)
     : analyzer_(vps, cities, options) {}
 
-namespace {
-
-/// Baseline classification, parameterized over the matrix type: both data
-/// planes answer measurements(global index) in O(1), so the learned set
-/// is identical whatever the physical layout of `reference`.
-template <typename MatrixT>
-void learn_reference(const CensusAnalyzer& analyzer, const MatrixT& reference,
-                     const census::Hitlist& hitlist, std::size_t min_vps,
-                     std::unordered_set<std::uint32_t>& unicast) {
-  unicast.clear();
+void HijackMonitor::set_reference(const census::ShardedCensusMatrix& reference,
+                                  const census::Hitlist& hitlist,
+                                  std::size_t min_vps) {
+  unicast_reference_.clear();
   const std::size_t targets =
       std::min(reference.target_count(), hitlist.size());
   for (std::uint32_t t = 0; t < targets; ++t) {
     const auto row = reference.measurements(t);
     if (row.size() < min_vps) continue;
-    if (!analyzer.detect(row)) {
-      unicast.insert(hitlist[t].representative.slash24_index());
+    if (!analyzer_.detect(row)) {
+      unicast_reference_.insert(hitlist[t].representative.slash24_index());
     }
   }
 }
 
-}  // namespace
-
-void HijackMonitor::set_reference(const census::CensusMatrix& reference,
-                                  const census::Hitlist& hitlist,
-                                  std::size_t min_vps) {
-  learn_reference(analyzer_, reference, hitlist, min_vps, unicast_reference_);
-}
-
-void HijackMonitor::set_reference(const census::ShardedCensusMatrix& reference,
-                                  const census::Hitlist& hitlist,
-                                  std::size_t min_vps) {
-  learn_reference(analyzer_, reference, hitlist, min_vps, unicast_reference_);
-}
-
-template <typename MatrixT>
 std::optional<HijackAlarm> HijackMonitor::scan_one(
-    const MatrixT& data, const census::Hitlist& hitlist,
+    const census::ShardedCensusMatrix& data, const census::Hitlist& hitlist,
     std::uint32_t target_index, std::size_t min_vps) const {
   const std::uint32_t slash24 =
       hitlist[target_index].representative.slash24_index();
@@ -60,38 +39,11 @@ std::optional<HijackAlarm> HijackMonitor::scan_one(
 }
 
 std::vector<HijackAlarm> HijackMonitor::scan(
-    const census::CensusMatrix& data, const census::Hitlist& hitlist,
-    std::size_t min_vps) const {
-  std::vector<HijackAlarm> alarms;
-  const std::size_t targets = std::min(data.target_count(), hitlist.size());
-  for (std::uint32_t t = 0; t < targets; ++t) {
-    if (auto alarm = scan_one(data, hitlist, t, min_vps)) {
-      alarms.push_back(std::move(*alarm));
-    }
-  }
-  return alarms;
-}
-
-std::vector<HijackAlarm> HijackMonitor::scan(
     const census::ShardedCensusMatrix& data, const census::Hitlist& hitlist,
     std::size_t min_vps) const {
   std::vector<HijackAlarm> alarms;
   const std::size_t targets = std::min(data.target_count(), hitlist.size());
   for (std::uint32_t t = 0; t < targets; ++t) {
-    if (auto alarm = scan_one(data, hitlist, t, min_vps)) {
-      alarms.push_back(std::move(*alarm));
-    }
-  }
-  return alarms;
-}
-
-std::vector<HijackAlarm> HijackMonitor::scan_targets(
-    const census::CensusMatrix& data, const census::Hitlist& hitlist,
-    std::span<const std::uint32_t> targets, std::size_t min_vps) const {
-  std::vector<HijackAlarm> alarms;
-  const std::size_t limit = std::min(data.target_count(), hitlist.size());
-  for (const std::uint32_t t : targets) {
-    if (t >= limit) continue;
     if (auto alarm = scan_one(data, hitlist, t, min_vps)) {
       alarms.push_back(std::move(*alarm));
     }

@@ -40,24 +40,15 @@ class CensusAnalyzer {
 
   /// Detection sweep + full iGreedy on detected targets. Only targets with
   /// at least `min_vps` echo replies are considered (a single disk can
-  /// never violate the speed of light). With a multi-lane `pool`, targets
-  /// are sharded into contiguous row ranges over the matrix's CSR offset
-  /// array — balanced by stored measurements, not row count — analysed
-  /// concurrently, and the per-shard outcomes are concatenated in index
-  /// order: the result is element-identical to the serial sweep for any
-  /// thread count.
-  [[nodiscard]] std::vector<TargetOutcome> analyze(
-      const census::CensusMatrix& data, const census::Hitlist& hitlist,
-      std::size_t min_vps = 2, concurrency::ThreadPool* pool = nullptr) const;
-
-  /// The same sweep over the sharded data plane: shards are analysed in
-  /// index order (each sharded internally exactly like the monolithic
-  /// sweep) and outcomes carry global target indices, so the result —
-  /// and the single semantic analysis.summary event — is
-  /// element-identical to analyzing the equivalent monolithic matrix,
-  /// for any shard size and thread count. Reads work on spilled shards;
-  /// their pages fault back from the spill files as the sweep touches
-  /// them.
+  /// never violate the speed of light). Shards are swept in index order;
+  /// with a multi-lane `pool`, each shard's targets are split into
+  /// contiguous row ranges over its CSR offset array — balanced by stored
+  /// measurements, not row count — analysed concurrently, and the
+  /// per-range outcomes are concatenated in index order. Outcomes carry
+  /// global target indices, so the result — and the single semantic
+  /// analysis.summary event — is element-identical for any shard size
+  /// and thread count. Reads work on spilled shards; their pages fault
+  /// back from the spill files as the sweep touches them.
   [[nodiscard]] std::vector<TargetOutcome> analyze(
       const census::ShardedCensusMatrix& data, const census::Hitlist& hitlist,
       std::size_t min_vps = 2, concurrency::ThreadPool* pool = nullptr) const;
@@ -80,14 +71,6 @@ class CensusAnalyzer {
   [[nodiscard]] std::size_t vp_count() const { return vps_.size(); }
 
  private:
-  /// One contiguous block of rows starting at global target `base`:
-  /// min-VP gate, detection, iGreedy, semantic tallies — no summary
-  /// event (callers emit exactly one per sweep).
-  [[nodiscard]] std::vector<TargetOutcome> analyze_block(
-      const census::CensusMatrix& data, std::size_t base, std::size_t targets,
-      const census::Hitlist& hitlist, std::size_t min_vps,
-      concurrency::ThreadPool* pool) const;
-
   std::span<const net::VantagePoint> vps_;
   const geo::CityIndex* cities_;
   core::Options options_;

@@ -20,18 +20,12 @@ bool rows_equal(std::span<const census::VpRtt> a,
   return true;
 }
 
-}  // namespace
-
-std::vector<std::uint32_t> dirty_rows(const census::CensusMatrix& prev,
-                                      const census::CensusMatrix& next,
-                                      concurrency::ThreadPool* pool) {
+/// Dirty rows of one shard pair of equal target count (local indices,
+/// ascending).
+std::vector<std::uint32_t> dirty_shard_rows(const census::CensusMatrix& prev,
+                                            const census::CensusMatrix& next,
+                                            concurrency::ThreadPool* pool) {
   const std::size_t targets = next.target_count();
-  if (prev.target_count() != targets) {
-    std::vector<std::uint32_t> all(targets);
-    std::iota(all.begin(), all.end(), 0u);
-    return all;
-  }
-
   const auto scan = [&](std::size_t begin, std::size_t end) {
     std::vector<std::uint32_t> out;
     for (std::size_t t = begin; t < end; ++t) {
@@ -50,18 +44,20 @@ std::vector<std::uint32_t> dirty_rows(const census::CensusMatrix& prev,
   // concatenated in index order: identical to the serial scan.
   const auto ranges = concurrency::shard_ranges_weighted(
       next.row_offsets().subspan(0, targets + 1), pool->thread_count() * 8);
-  auto shards = pool->parallel_map(ranges.size(), [&](std::size_t s) {
-    return scan(ranges[s].first, ranges[s].second);
+  auto parts = pool->parallel_map(ranges.size(), [&](std::size_t r) {
+    return scan(ranges[r].first, ranges[r].second);
   });
   std::vector<std::uint32_t> out;
   std::size_t total = 0;
-  for (const auto& shard : shards) total += shard.size();
+  for (const auto& part : parts) total += part.size();
   out.reserve(total);
-  for (const auto& shard : shards) {
-    out.insert(out.end(), shard.begin(), shard.end());
+  for (const auto& part : parts) {
+    out.insert(out.end(), part.begin(), part.end());
   }
   return out;
 }
+
+}  // namespace
 
 std::vector<std::uint32_t> dirty_rows(const census::ShardedCensusMatrix& prev,
                                       const census::ShardedCensusMatrix& next,
@@ -73,29 +69,24 @@ std::vector<std::uint32_t> dirty_rows(const census::ShardedCensusMatrix& prev,
     return all;
   }
   // Shard pairs in index order, local diffs lifted to global indices:
-  // exactly the rows (and order) the monolithic diff would produce.
+  // ascending, and the same rows for any shard size.
   std::vector<std::uint32_t> out;
   for (std::size_t s = 0; s < next.shard_count(); ++s) {
     const auto base = static_cast<std::uint32_t>(next.shard_base(s));
     for (const std::uint32_t local :
-         dirty_rows(prev.shard(s), next.shard(s), pool)) {
+         dirty_shard_rows(prev.shard(s), next.shard(s), pool)) {
       out.push_back(base + local);
     }
   }
   return out;
 }
 
-namespace {
-
-/// The incremental pass, parameterized over the matrix type: both data
-/// planes expose target_count() and O(1) measurements(global index), and
-/// dirty_rows overloads handle the layout-specific diff.
-template <typename MatrixT>
-IncrementalResult incremental_analyze_impl(
+IncrementalResult incremental_analyze(
     const CensusAnalyzer& analyzer,
-    std::span<const TargetOutcome> prev_outcomes, const MatrixT& prev,
-    const MatrixT& next, const census::Hitlist& hitlist, std::size_t min_vps,
-    concurrency::ThreadPool* pool) {
+    std::span<const TargetOutcome> prev_outcomes,
+    const census::ShardedCensusMatrix& prev,
+    const census::ShardedCensusMatrix& next, const census::Hitlist& hitlist,
+    std::size_t min_vps, concurrency::ThreadPool* pool) {
   IncrementalResult result;
   const std::size_t targets = std::min(next.target_count(), hitlist.size());
   result.dirty = dirty_rows(prev, next, pool);
@@ -171,28 +162,6 @@ IncrementalResult incremental_analyze_impl(
           {"anycast", result.outcomes.size()}});
   j.commit();
   return result;
-}
-
-}  // namespace
-
-IncrementalResult incremental_analyze(
-    const CensusAnalyzer& analyzer,
-    std::span<const TargetOutcome> prev_outcomes,
-    const census::CensusMatrix& prev, const census::CensusMatrix& next,
-    const census::Hitlist& hitlist, std::size_t min_vps,
-    concurrency::ThreadPool* pool) {
-  return incremental_analyze_impl(analyzer, prev_outcomes, prev, next,
-                                  hitlist, min_vps, pool);
-}
-
-IncrementalResult incremental_analyze(
-    const CensusAnalyzer& analyzer,
-    std::span<const TargetOutcome> prev_outcomes,
-    const census::ShardedCensusMatrix& prev,
-    const census::ShardedCensusMatrix& next, const census::Hitlist& hitlist,
-    std::size_t min_vps, concurrency::ThreadPool* pool) {
-  return incremental_analyze_impl(analyzer, prev_outcomes, prev, next,
-                                  hitlist, min_vps, pool);
 }
 
 }  // namespace anycast::analysis

@@ -24,8 +24,8 @@
 namespace anycast::census {
 namespace {
 
-/// Census-level instruments, fed on the reduction thread (run_census and
-/// resume_census) — see flush_census_summary_metrics.
+/// Census-level instruments, fed on the reduction thread (run_census_sharded
+/// and resume_census_sharded) — see flush_census_summary_metrics.
 struct CensusInstruments {
   obs::Counter runs = obs::metrics().counter(
       "census_runs", obs::MetricClass::kSemantic,
@@ -223,9 +223,10 @@ void flush_census_summary_metrics(const CensusSummary& summary) {
           {"retry_probes", summary.retry_probes},
           {"retry_recovered", summary.retry_recovered},
           {"greylist_new", summary.greylist_new}});
-  // This is the deterministic boundary both run_census and resume_census
-  // end their reduction on: cut the semantic batch here and fsync, so the
-  // journal becomes durable alongside this census's checkpoints.
+  // This is the deterministic boundary both run_census_sharded and
+  // resume_census_sharded end their reduction on: cut the semantic batch
+  // here and fsync, so the journal becomes durable alongside this census's
+  // checkpoints.
   j.commit();
 }
 
@@ -498,22 +499,24 @@ struct VpWork {
   std::vector<TargetRtt> fragment; // per-target minima, merged in VP order
 };
 
-/// The whole census flow, parameterized over the matrix builder so the
-/// monolithic and sharded data planes share one code path: map VPs
-/// (possibly on the pool), reduce in VP order, build, merge greylists,
-/// flush metrics. Every step runs in exactly the same sequence for both
-/// builders, so the summary, greylist, journal stream, and semantic
-/// metrics are identical whatever the data plane.
-template <typename Builder>
-auto run_census_reduce(const net::SimulatedInternet& internet,
-                       std::span<const net::VantagePoint> vps,
-                       const Hitlist& hitlist, Greylist& blacklist,
-                       const FastPingConfig& config,
-                       const net::FaultPlan* faults,
-                       concurrency::ThreadPool* pool, Builder& builder,
-                       CensusSummary& summary) {
+}  // namespace
+
+ShardedCensusOutput run_census_sharded(
+    const net::SimulatedInternet& internet,
+    std::span<const net::VantagePoint> vps, const Hitlist& hitlist,
+    Greylist& blacklist, const FastPingConfig& config,
+    const DataPlaneConfig& plane, const net::FaultPlan* faults,
+    concurrency::ThreadPool* pool) {
+  // One flow whatever the plane's shape: map VPs (possibly on the pool),
+  // reduce in VP order, build, merge greylists, flush metrics. The shard
+  // size and spill budget only change where the matrix lives, so the
+  // summary, greylist, journal stream, and semantic metrics never depend
+  // on them.
+  ShardedCensusOutput out;
+  ShardedCensusMatrixBuilder builder(hitlist.size(), plane);
   // Adoption point: per-VP walk spans on worker threads attach here.
   const obs::Span census_span(obs::Span::Root::kAdoptionPoint, "census");
+  CensusSummary& summary = out.summary;
   summary.vp_duration_hours.reserve(vps.size());
   summary.vp_outcomes.reserve(vps.size());
 
@@ -583,38 +586,10 @@ auto run_census_reduce(const net::SimulatedInternet& internet,
     builder.add_fragment(static_cast<std::uint16_t>(vp.id),
                          std::move(work.fragment));
   }
-  auto data = builder.build();
+  out.data = builder.build();
   summary.greylist_new = census_greylist.size();
   blacklist.merge(census_greylist);
   flush_census_summary_metrics(summary);
-  return data;
-}
-
-}  // namespace
-
-CensusOutput run_census(const net::SimulatedInternet& internet,
-                        std::span<const net::VantagePoint> vps,
-                        const Hitlist& hitlist, Greylist& blacklist,
-                        const FastPingConfig& config,
-                        const net::FaultPlan* faults,
-                        concurrency::ThreadPool* pool) {
-  CensusOutput out;
-  CensusMatrixBuilder builder(hitlist.size());
-  out.data = run_census_reduce(internet, vps, hitlist, blacklist, config,
-                               faults, pool, builder, out.summary);
-  return out;
-}
-
-ShardedCensusOutput run_census_sharded(
-    const net::SimulatedInternet& internet,
-    std::span<const net::VantagePoint> vps, const Hitlist& hitlist,
-    Greylist& blacklist, const FastPingConfig& config,
-    const DataPlaneConfig& plane, const net::FaultPlan* faults,
-    concurrency::ThreadPool* pool) {
-  ShardedCensusOutput out;
-  ShardedCensusMatrixBuilder builder(hitlist.size(), plane);
-  out.data = run_census_reduce(internet, vps, hitlist, blacklist, config,
-                               faults, pool, builder, out.summary);
   return out;
 }
 

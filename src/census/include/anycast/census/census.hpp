@@ -34,10 +34,6 @@
 #include "anycast/census/hitlist.hpp"
 #include "anycast/net/internet.hpp"
 
-namespace anycast::concurrency {
-class ThreadPool;
-}
-
 namespace anycast::census {
 
 /// One RTT sample: which VP, and the minimum RTT it saw to the target.
@@ -377,8 +373,9 @@ struct CensusSummary {
 
 /// Flushes one census's reduction-level tallies (active/skipped VPs,
 /// per-outcome counts, newly greylisted /24s) into obs::metrics(). Runs on
-/// the reduction thread; run_census and resume_census both call it, so a
-/// live census and its resumed twin report identical semantics.
+/// the reduction thread; run_census_sharded and resume_census_sharded both
+/// call it, so a live census and its resumed twin report identical
+/// semantics.
 void flush_census_summary_metrics(const CensusSummary& summary);
 
 /// Deterministic per-census availability coin: whether `vp` is up for the
@@ -390,30 +387,5 @@ bool vp_available(const net::VantagePoint& vp, const FastPingConfig& config);
 /// quarantine drop-rate check on top of the prober-reported outcome.
 VpOutcome census_vp_outcome(const FastPingResult& result,
                             const FastPingConfig& config);
-
-/// Runs one full census: every VP probes every non-blacklisted target,
-/// new offenders land in the greylist which is merged into `blacklist`
-/// afterwards (the Sec. 3.3 workflow). Deterministic in config.seed; when
-/// `faults` is non-null, also deterministic in the plan's seed (VPs may
-/// crash, straggle, or get quarantined — see `VpOutcome`). Quarantined
-/// VPs keep their summary counters but contribute no rows to `data`.
-///
-/// When `pool` is non-null with more than one lane, the per-VP walks run
-/// concurrently (each with a private greylist) and their results are
-/// reduced in VP order on the calling thread into a `CensusMatrixBuilder`,
-/// so the output — rows, summary counters, outcome order, greylist
-/// membership and per-code counters — is byte-identical to the serial run
-/// for any thread count.
-struct CensusOutput {
-  CensusMatrix data;
-  CensusSummary summary;
-};
-
-CensusOutput run_census(const net::SimulatedInternet& internet,
-                        std::span<const net::VantagePoint> vps,
-                        const Hitlist& hitlist, Greylist& blacklist,
-                        const FastPingConfig& config,
-                        const net::FaultPlan* faults = nullptr,
-                        concurrency::ThreadPool* pool = nullptr);
 
 }  // namespace anycast::census

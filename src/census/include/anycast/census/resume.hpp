@@ -3,9 +3,9 @@
 // A census is hours of paid-for probing; a killed run must not forfeit
 // it. Every VP's observation stream is a checkpoint file (storage.hpp):
 // complete walks carry the kCensusFileComplete flag, crashed or cut-off
-// walks do not. `resume_census` collates whatever checkpoints a directory
-// holds — salvaging truncated ones down to their valid prefix — and
-// re-runs only the VPs whose walks are missing or incomplete. Because
+// walks do not. `resume_census_sharded` collates whatever checkpoints a
+// directory holds — salvaging truncated ones down to their valid prefix —
+// and re-runs only the VPs whose walks are missing or incomplete. Because
 // every VP's walk is deterministic in (config.seed, vp.id) alone, the
 // resumed run's files are byte-identical to an uninterrupted census on
 // the same seed.
@@ -20,8 +20,8 @@
 namespace anycast::census {
 
 /// Accounting for one resume pass.
-struct ResumeReport {
-  CensusOutput output;         // collated data + reconstructed summary
+struct ShardedResumeReport {
+  ShardedCensusOutput output;  // collated data + reconstructed summary
   std::size_t vps_reused = 0;  // complete checkpoints kept as-is
   std::size_t vps_rerun = 0;   // missing/partial/corrupt, re-probed
   std::size_t vps_skipped = 0; // down for this census (availability coin)
@@ -40,35 +40,15 @@ std::filesystem::path census_checkpoint_path(const std::filesystem::path& dir,
 /// timestamps); any other VP is re-probed with `run_fastping` (under
 /// `faults`, when given) and its checkpoint rewritten. Greylist feeding,
 /// blacklist merging, quarantine, and per-VP outcomes behave exactly as
-/// in `run_census`. The returned data collates the final on-disk state,
-/// so RTTs carry the binary format's 1/50 ms quantisation.
+/// in `run_census_sharded`. The returned data collates the final on-disk
+/// state, so RTTs carry the binary format's 1/50 ms quantisation; the
+/// recovered fragments stream through a ShardedCensusMatrixBuilder under
+/// `plane`'s budgets.
 ///
 /// With a multi-lane `pool`, VPs recover concurrently (each touches only
 /// its own checkpoint file) and are reduced in VP order, so the report,
 /// the collated data, and the rewritten files are byte-identical to a
 /// serial resume — and therefore to an uninterrupted census.
-ResumeReport resume_census(const net::SimulatedInternet& internet,
-                           std::span<const net::VantagePoint> vps,
-                           const Hitlist& hitlist, Greylist& blacklist,
-                           const FastPingConfig& config,
-                           const std::filesystem::path& dir,
-                           std::uint32_t census_id,
-                           const net::FaultPlan* faults = nullptr,
-                           concurrency::ThreadPool* pool = nullptr);
-
-/// Accounting for one sharded resume pass (same fields, sharded data).
-struct ShardedResumeReport {
-  ShardedCensusOutput output;
-  std::size_t vps_reused = 0;
-  std::size_t vps_rerun = 0;
-  std::size_t vps_skipped = 0;
-  std::size_t files_salvaged = 0;
-};
-
-/// resume_census over the sharded data plane: identical recovery
-/// decisions, checkpoint writes, summary, greylist, and journal/metric
-/// semantics — the recovered fragments just stream through a
-/// ShardedCensusMatrixBuilder under `plane`'s budgets.
 ShardedResumeReport resume_census_sharded(
     const net::SimulatedInternet& internet,
     std::span<const net::VantagePoint> vps, const Hitlist& hitlist,

@@ -1,18 +1,20 @@
 // Sharded census data plane: the paper-scale continuation of the CSR
-// matrix story (census.hpp). One monolithic arena for 6.6M targets x
-// 1000 VPs is ~50 GB resident — so the matrix is split into fixed-size
-// target-range shards, each its own CSR arena, assembled by streaming
-// per-VP row fragments through a bounded-memory combine that finalizes
-// one shard at a time, and kept under an explicit RSS budget by spilling
-// frozen shards to checksummed disk files ("ANCS") whose pages the
-// kernel faults back transparently on access.
+// matrix story (census.hpp), and the one matrix type every public API
+// takes. One arena for 6.6M targets x 1000 VPs is ~50 GB resident — so
+// the matrix is split into fixed-size target-range shards, each its own
+// CSR arena (a CensusMatrix), assembled by streaming per-VP row fragments
+// through a bounded-memory combine that finalizes one shard at a time,
+// and kept under an explicit RSS budget by spilling frozen shards to
+// checksummed disk files ("ANCS") whose pages the kernel faults back
+// transparently on access. The default DataPlaneConfig is one shard
+// spanning the whole hitlist, never spilled.
 //
 // Invariants:
 //  - Element identity: for ANY shard size and flush/spill schedule, the
-//    assembled matrix is element-identical to the monolithic
-//    CensusMatrixBuilder fed the same fragments. Both paths canonicalise
-//    per-(vp, target) minima, and combine_min is associative, so the
-//    staged partial builds commute with the one-shot build.
+//    assembled matrix is element-identical to a single CensusMatrixBuilder
+//    fed the same fragments. Both canonicalise per-(vp, target) minima,
+//    and combine_min is associative, so the staged partial builds commute
+//    with the one-shot build.
 //  - Semantic invariance: the sharded path bumps the kSemantic matrix
 //    counters exactly once per assembled matrix (note_matrix_build) and
 //    emits only kTiming shard/spill events, so the semantic metric
@@ -37,8 +39,8 @@ class ThreadPool;
 namespace anycast::census {
 
 /// Data-plane shape knobs, threaded from the CLI (`--shard-targets`,
-/// `--rss-budget-mb`) down to the builder. The defaults reproduce the
-/// monolithic plane exactly: one shard, no spilling.
+/// `--rss-budget-mb`) down to the builder. The defaults are one shard, no
+/// spilling; any other shape yields element-identical output.
 struct DataPlaneConfig {
   /// Targets per shard; 0 = a single shard spanning the whole hitlist.
   std::size_t shard_targets = 0;
@@ -122,10 +124,6 @@ class ShardedCensusMatrix {
   /// Total value bytes across all shards, resident or spilled.
   [[nodiscard]] std::size_t total_value_bytes() const;
 
-  /// Flattens into one monolithic CensusMatrix (cross-check scale only —
-  /// this materializes everything resident).
-  [[nodiscard]] CensusMatrix to_monolithic() const;
-
  private:
   friend class ShardedCensusMatrixBuilder;
   [[nodiscard]] std::string spill_path(std::size_t s) const;
@@ -179,9 +177,20 @@ class ShardedCensusMatrixBuilder {
   std::vector<bool> has_frozen_;
 };
 
-/// run_census with the sharded data plane: identical map/reduce flow,
-/// summary, greylist, journal stream, and semantic metrics — only the
-/// matrix layout (and its kTiming shard/spill telemetry) differs.
+/// Runs one full census: every VP probes every non-blacklisted target,
+/// new offenders land in the greylist which is merged into `blacklist`
+/// afterwards (the Sec. 3.3 workflow). Deterministic in config.seed; when
+/// `faults` is non-null, also deterministic in the plan's seed (VPs may
+/// crash, straggle, or get quarantined — see `VpOutcome`). Quarantined
+/// VPs keep their summary counters but contribute no rows to `data`.
+///
+/// When `pool` is non-null with more than one lane, the per-VP walks run
+/// concurrently (each with a private greylist) and their results are
+/// reduced in VP order on the calling thread, so the output — rows,
+/// summary counters, outcome order, greylist membership and per-code
+/// counters — is byte-identical to the serial run for any thread count.
+/// `plane` shapes only the matrix layout (and its kTiming shard/spill
+/// telemetry); everything else is identical for any plane.
 struct ShardedCensusOutput {
   ShardedCensusMatrix data;
   CensusSummary summary;

@@ -4,7 +4,7 @@
 // (Fig. 1). Because of the LFSR probing order, "the order of the target
 // IPs in all files is not the same, meaning that an on-the-fly sorting of
 // about 300 lists containing millions of targets is needed" (Sec. 3.5) —
-// `collate_census_files` performs exactly that step, producing the
+// `collate_census_files_sharded` performs exactly that step, producing the
 // per-target RTT rows the analyzer consumes.
 //
 // Files double as checkpoints for crash recovery (see resume.hpp): they
@@ -27,7 +27,7 @@ namespace anycast::census {
 
 /// Header flag: the VP finished its walk before this file was written.
 /// Absent on the checkpoint of a crashed or cut-off VP, which tells
-/// `resume_census` to re-run it.
+/// `resume_census_sharded` to re-run it.
 inline constexpr std::uint32_t kCensusFileComplete = 1u;
 
 /// Identity of one VP's census upload.
@@ -73,31 +73,23 @@ std::optional<CensusFile> salvage_census_file(
 struct CollateStats {
   std::size_t files_ok = 0;        // read back intact
   std::size_t files_salvaged = 0;  // damaged; valid prefix used
-  std::size_t files_skipped = 0;   // unreadable beyond salvage
+  std::size_t files_skipped = 0;   // unreadable beyond salvage, or VP id
+                                   // beyond the 16-bit row format
   std::uint64_t observations = 0;  // echo-reply rows recorded
+  std::uint32_t max_vp_id = 0;     // highest header vp_id collated
 };
 
-/// Collates per-VP census files into the per-target CSR matrix: the
-/// on-the-fly sort across LFSR-ordered lists. Each file reduces to its
-/// VP's row fragment, and a `CensusMatrixBuilder` assembles the frozen
-/// matrix in two passes. `target_count` sizes the result (hitlist size).
-/// When `salvage` is true, damaged files contribute their valid record
-/// prefix; otherwise they are skipped whole.
-CensusMatrix collate_census_files(
-    std::span<const std::filesystem::path> paths, std::size_t target_count,
-    CollateStats* stats, bool salvage = true);
-
-/// Legacy strict collation: damaged files are skipped whole and counted
-/// in `skipped_files` (when non-null).
-CensusMatrix collate_census_files(
-    std::span<const std::filesystem::path> paths, std::size_t target_count,
-    std::size_t* skipped_files = nullptr);
-
-/// Sharded collation: identical file walk and accounting, but the
-/// fragments stream through a ShardedCensusMatrixBuilder — one file in
-/// memory at a time, staged shards flushed under the plane's budgets —
-/// so a paper-scale repository collates in bounded RSS. The result is
-/// element-identical to the monolithic collation for any shard size.
+/// Collates per-VP census files into the per-target sharded CSR matrix:
+/// the on-the-fly sort across LFSR-ordered lists. Each file reduces to
+/// its VP's row fragment and streams through a ShardedCensusMatrixBuilder
+/// — one file in memory at a time, staged shards flushed under the
+/// plane's budgets — so a paper-scale repository collates in bounded RSS;
+/// the result is element-identical for any shard size. `target_count`
+/// sizes the result (hitlist size). When `salvage` is true, damaged files
+/// contribute their valid record prefix; otherwise they are skipped
+/// whole. A file whose header vp_id does not fit a row's 16-bit VP field
+/// is skipped rather than aliased onto another VP; callers that index a
+/// platform by VP id check `max_vp_id` against its size.
 ShardedCensusMatrix collate_census_files_sharded(
     std::span<const std::filesystem::path> paths, std::size_t target_count,
     const DataPlaneConfig& plane, CollateStats* stats, bool salvage = true);

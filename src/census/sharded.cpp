@@ -177,21 +177,6 @@ std::size_t ShardedCensusMatrix::enforce_rss_budget() {
   return resident;
 }
 
-CensusMatrix ShardedCensusMatrix::to_monolithic() const {
-  CensusMatrixBuilder builder(target_count_);
-  for (std::size_t s = 0; s < shards_.size(); ++s) {
-    const CensusMatrix& shard = shards_[s];
-    const std::size_t base = shard_base(s);
-    for (std::uint32_t t = 0; t < shard.target_count(); ++t) {
-      for (const VpRtt& sample : shard.measurements(t)) {
-        builder.add(static_cast<std::uint32_t>(base + t), sample.vp,
-                    sample.rtt_ms);
-      }
-    }
-  }
-  return builder.build_uncounted();
-}
-
 ShardedCensusMatrixBuilder::ShardedCensusMatrixBuilder(
     std::size_t target_count, const DataPlaneConfig& plane)
     : target_count_(target_count),
@@ -213,7 +198,7 @@ ShardedCensusMatrixBuilder::ShardedCensusMatrixBuilder(
 
 void ShardedCensusMatrixBuilder::add(std::uint32_t target_index,
                                      std::uint16_t vp, float rtt_ms) {
-  if (target_index >= target_count_) return;  // damaged record, as monolithic
+  if (target_index >= target_count_) return;  // damaged record
   const std::size_t s = target_index / shard_targets_;
   stage_[s].add(static_cast<std::uint32_t>(target_index - s * shard_targets_),
                 vp, rtt_ms);
@@ -224,8 +209,8 @@ void ShardedCensusMatrixBuilder::add(std::uint32_t target_index,
 void ShardedCensusMatrixBuilder::add_fragment(std::uint16_t vp,
                                               std::vector<TargetRtt> fragment) {
   // Split by target range. Entries may arrive in any order (the builder
-  // canonicalises), so route one by one; out-of-range entries are
-  // dropped exactly as the monolithic builder drops them.
+  // canonicalises), so route one by one; out-of-range entries (damaged
+  // records) are dropped.
   std::vector<std::vector<TargetRtt>> split(shard_count_);
   for (const TargetRtt& entry : fragment) {
     if (entry.target_index >= target_count_) continue;
@@ -331,8 +316,10 @@ std::optional<SpillFileContents> read_spill_file(const std::string& path,
   SpillFileContents out;
   out.salvaged = !intact;
   out.values.resize(records);
-  std::memcpy(out.values.data(), buffer.data() + detail::kSpillHeaderBytes,
-              records * sizeof(VpRtt));
+  if (records != 0) {  // an empty vector's data() may be null
+    std::memcpy(out.values.data(), buffer.data() + detail::kSpillHeaderBytes,
+                records * sizeof(VpRtt));
+  }
   if (out.salvaged) {
     data_plane_instruments().spill_salvages.inc();
     obs::journal().emit(obs::MetricClass::kTiming, obs::Severity::kWarn,

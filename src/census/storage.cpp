@@ -1,7 +1,9 @@
 #include "anycast/census/storage.hpp"
 
+#include <algorithm>
 #include <array>
 #include <cstdio>
+#include <limits>
 #include <stdexcept>
 
 #include "anycast/obs/journal.hpp"
@@ -234,21 +236,16 @@ std::optional<CensusFile> salvage_census_file(
   return out;
 }
 
-namespace {
-
-/// The collation walk, parameterized over the matrix builder so the
-/// monolithic and sharded planes share one code path (identical file
-/// order, salvage decisions, and accounting).
-template <typename Builder>
-auto collate_into(Builder& builder,
-                  std::span<const std::filesystem::path> paths,
-                  std::size_t target_count, CollateStats* stats,
-                  bool salvage) {
+ShardedCensusMatrix collate_census_files_sharded(
+    std::span<const std::filesystem::path> paths, std::size_t target_count,
+    const DataPlaneConfig& plane, CollateStats* stats, bool salvage) {
+  ShardedCensusMatrixBuilder builder(target_count, plane);
   CollateStats local;
   for (const std::filesystem::path& path : paths) {
     const auto file =
         salvage ? salvage_census_file(path) : read_census_file(path);
-    if (!file.has_value()) {
+    if (!file.has_value() ||
+        file->header.vp_id > std::numeric_limits<std::uint16_t>::max()) {
       ++local.files_skipped;
       continue;
     }
@@ -257,8 +254,9 @@ auto collate_into(Builder& builder,
     } else {
       ++local.files_ok;
     }
+    local.max_vp_id = std::max(local.max_vp_id, file->header.vp_id);
     // One upload becomes one row fragment; the builder places all
-    // fragments into the contiguous matrix in two passes.
+    // fragments into the contiguous shards.
     std::size_t echo_in_range = 0;
     builder.add_fragment(
         static_cast<std::uint16_t>(file->header.vp_id),
@@ -268,32 +266,6 @@ auto collate_into(Builder& builder,
   }
   if (stats != nullptr) *stats = local;
   return builder.build();
-}
-
-}  // namespace
-
-CensusMatrix collate_census_files(
-    std::span<const std::filesystem::path> paths, std::size_t target_count,
-    CollateStats* stats, bool salvage) {
-  CensusMatrixBuilder builder(target_count);
-  return collate_into(builder, paths, target_count, stats, salvage);
-}
-
-ShardedCensusMatrix collate_census_files_sharded(
-    std::span<const std::filesystem::path> paths, std::size_t target_count,
-    const DataPlaneConfig& plane, CollateStats* stats, bool salvage) {
-  ShardedCensusMatrixBuilder builder(target_count, plane);
-  return collate_into(builder, paths, target_count, stats, salvage);
-}
-
-CensusMatrix collate_census_files(
-    std::span<const std::filesystem::path> paths, std::size_t target_count,
-    std::size_t* skipped_files) {
-  CollateStats stats;
-  CensusMatrix data =
-      collate_census_files(paths, target_count, &stats, /*salvage=*/false);
-  if (skipped_files != nullptr) *skipped_files = stats.files_skipped;
-  return data;
 }
 
 }  // namespace anycast::census

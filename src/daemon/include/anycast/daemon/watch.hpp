@@ -64,7 +64,7 @@ struct WatchConfig {
   SupervisorConfig supervisor;
 
   /// Data-plane shape for every round's matrix (shard size, RSS budget,
-  /// spill directory). The defaults reproduce the monolithic plane; any
+  /// spill directory). The defaults are one unspilled shard; any
   /// setting leaves the committed journal stream and semantic metrics
   /// byte-identical (DESIGN.md §15).
   census::DataPlaneConfig data_plane;

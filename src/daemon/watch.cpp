@@ -126,9 +126,10 @@ void WatchDaemon::apply_churn(int round) {
 census::ShardedCensusMatrix WatchDaemon::collate_round(
     int round, std::span<const std::uint32_t> quarantined) const {
   // A committed round's matrix is exactly the collation of its checkpoint
-  // files minus the quarantined VPs' — the same reduction resume_census
-  // performed when the round ran, so no re-probing (and no fault-plan or
-  // blacklist-history replay) is needed to reconstruct it.
+  // files minus the quarantined VPs' — the same reduction
+  // resume_census_sharded performed when the round ran, so no re-probing
+  // (and no fault-plan or blacklist-history replay) is needed to
+  // reconstruct it.
   std::vector<std::filesystem::path> paths;
   paths.reserve(vps_.size());
   for (const net::VantagePoint& vp : vps_) {
@@ -351,7 +352,7 @@ WatchResult WatchDaemon::run(concurrency::ThreadPool* pool) {
       // Watchdog abort drill: probe and checkpoint half the platform
       // exactly as the round would have, then die without committing —
       // the deterministic stand-in for kill -9 mid-round. The restart's
-      // resume_census inherits these checkpoints verbatim.
+      // resume_census_sharded inherits these checkpoints verbatim.
       std::size_t checkpointed = 0;
       for (std::size_t i = 0; i < vps_.size() / 2; ++i) {
         const net::VantagePoint& vp = vps_[i];

@@ -52,19 +52,6 @@ SnapshotView SnapshotView::build(census::ShardedCensusMatrix matrix,
   return view;
 }
 
-SnapshotView SnapshotView::build(census::CensusMatrix matrix,
-                                 std::vector<analysis::TargetOutcome> outcomes,
-                                 std::uint64_t id,
-                                 const census::Hitlist* hitlist) {
-  // Wrap the monolithic matrix into a single-shard plane (shard_targets 0
-  // means "one shard spanning everything"), so every downstream consumer
-  // sees one matrix type.
-  census::ShardedCensusMatrix sharded(matrix.target_count(),
-                                      census::DataPlaneConfig{});
-  if (sharded.shard_count() > 0) sharded.shard(0) = std::move(matrix);
-  return build(std::move(sharded), std::move(outcomes), id, hitlist);
-}
-
 std::optional<std::uint32_t> SnapshotView::target_of_address(
     std::uint32_t slash24_index) const {
   const auto it = std::lower_bound(

@@ -7,7 +7,7 @@
 #include "anycast/analysis/report.hpp"
 #include "anycast/analysis/stats.hpp"
 #include "anycast/analysis/validation.hpp"
-#include "anycast/census/census.hpp"
+#include "anycast/census/sharded.hpp"
 #include "anycast/geo/city_index.hpp"
 #include "anycast/net/platform.hpp"
 
@@ -84,7 +84,7 @@ struct Pipeline {
   net::SimulatedInternet internet;
   std::vector<net::VantagePoint> vps;
   census::Hitlist hitlist;
-  census::CensusMatrix data;
+  census::ShardedCensusMatrix data;
   std::vector<TargetOutcome> outcomes;
 
   explicit Pipeline(std::uint64_t seed, int vp_count = 120)
@@ -101,7 +101,7 @@ struct Pipeline {
     census::Greylist blacklist;
     census::FastPingConfig config;
     config.seed = seed + 2;
-    data = run_census(internet, vps, hitlist, blacklist, config).data;
+    data = run_census_sharded(internet, vps, hitlist, blacklist, config).data;
     const CensusAnalyzer analyzer(vps, geo::world_index());
     outcomes = analyzer.analyze(data, hitlist);
   }

@@ -127,6 +127,29 @@ if(NOT err MATCHES "serve: answered 4 queries from snapshot 1")
   message(FATAL_ERROR "serve missing summary line: ${err}")
 endif()
 
+# Platform mismatch: c1 holds checkpoints from VPs 0..11, so reading it
+# with a 4-VP platform must fail cleanly with exit 2 and name the --vps
+# it needs — never index past the platform (exit by signal) or answer
+# from the wrong VPs (exit 0).
+foreach(verb analyze serve report)
+  set(extra)
+  if(verb STREQUAL "serve")
+    set(extra --queries ${WORK_DIR}/queries.txt)
+  endif()
+  execute_process(
+    COMMAND ${ANYCASTD} ${verb} --in ${WORK_DIR}/c1 --vps 4 --unicast 400
+            ${extra}
+    RESULT_VARIABLE rc OUTPUT_VARIABLE mismatch_out
+    ERROR_VARIABLE mismatch_err)
+  if(NOT rc STREQUAL "2")
+    message(FATAL_ERROR "${verb} --vps 4 on a 12-VP census: expected exit 2, "
+                        "got '${rc}': ${mismatch_out}${mismatch_err}")
+  endif()
+  if(NOT mismatch_err MATCHES "rerun with --vps 12")
+    message(FATAL_ERROR "${verb} mismatch diagnostic missing: ${mismatch_err}")
+  endif()
+endforeach()
+
 # The same answers must be byte-identical on a second run.
 execute_process(
   COMMAND ${ANYCASTD} serve --in ${WORK_DIR}/c1 --vps 12 --unicast 400

@@ -34,13 +34,13 @@ namespace anycast {
 namespace {
 
 namespace fs = std::filesystem;
-using census::CensusMatrix;
-using census::CensusOutput;
 using census::CensusSummary;
 using census::FastPingConfig;
 using census::Greylist;
 using census::Hitlist;
-using census::ResumeReport;
+using census::ShardedCensusMatrix;
+using census::ShardedCensusOutput;
+using census::ShardedResumeReport;
 using concurrency::ThreadPool;
 
 // --- ThreadPool --------------------------------------------------------------
@@ -214,7 +214,8 @@ net::FaultPlan stormy_plan() {
   return net::FaultPlan(spec);
 }
 
-void expect_same_data(const CensusMatrix& a, const CensusMatrix& b) {
+void expect_same_data(const ShardedCensusMatrix& a,
+                      const ShardedCensusMatrix& b) {
   ASSERT_EQ(a.target_count(), b.target_count());
   for (std::uint32_t t = 0; t < a.target_count(); ++t) {
     const auto ra = a.measurements(t);
@@ -257,11 +258,12 @@ void expect_same_greylist_counters(const Greylist& a, const Greylist& b) {
   EXPECT_EQ(a.net_prohibited_count(), b.net_prohibited_count());
 }
 
-CensusOutput census_with(ThreadPool* pool, const net::FaultPlan* plan,
-                         Greylist& blacklist) {
+ShardedCensusOutput census_with(ThreadPool* pool, const net::FaultPlan* plan,
+                                Greylist& blacklist) {
   const auto vps = net::make_planetlab({.node_count = 12, .seed = 91});
-  return run_census(tiny_world(), vps, tiny_hitlist(), blacklist,
-                    loaded_config(), plan, pool);
+  return run_census_sharded(
+      tiny_world(), vps, tiny_hitlist(), blacklist, loaded_config(), {}, plan,
+      pool);
 }
 
 // --- Pinned output digests ---------------------------------------------------
@@ -285,8 +287,8 @@ void put64(std::vector<std::uint8_t>& out, std::uint64_t v) {
   put32(out, static_cast<std::uint32_t>(v >> 32));
 }
 
-template <typename OutputT>  // CensusOutput or ShardedCensusOutput
-std::uint32_t census_digest(const OutputT& out, const Greylist& blacklist) {
+std::uint32_t census_digest(const ShardedCensusOutput& out,
+                            const Greylist& blacklist) {
   std::vector<std::uint8_t> bytes;
   const auto& data = out.data;
   put64(bytes, data.target_count());
@@ -360,14 +362,16 @@ TEST(PinnedDigests, CensusMatchesPreRefactorEngineForAnyThreadCount) {
         chaos ? kCensusDigestChaos : kCensusDigestClean;
     {
       Greylist blacklist;
-      const CensusOutput serial = census_with(nullptr, faults, blacklist);
+      const ShardedCensusOutput serial =
+          census_with(nullptr, faults, blacklist);
       EXPECT_EQ(census_digest(serial, blacklist), expected)
           << "serial chaos=" << chaos;
     }
     for (const std::size_t threads : {1u, 2u, 8u}) {
       ThreadPool pool(threads);
       Greylist blacklist;
-      const CensusOutput parallel = census_with(&pool, faults, blacklist);
+      const ShardedCensusOutput parallel =
+          census_with(&pool, faults, blacklist);
       EXPECT_EQ(census_digest(parallel, blacklist), expected)
           << "chaos=" << chaos << " threads=" << threads;
     }
@@ -408,8 +412,8 @@ TEST(PinnedDigests, AnalysisMatchesPreRefactorEngineForAnyThreadCount) {
   Greylist blacklist;
   FastPingConfig config;
   config.seed = 92;
-  const CensusOutput output =
-      run_census(tiny_world(), vps, tiny_hitlist(), blacklist, config);
+  const ShardedCensusOutput output =
+      run_census_sharded(tiny_world(), vps, tiny_hitlist(), blacklist, config);
   const analysis::CensusAnalyzer analyzer(vps, geo::world_index());
   EXPECT_EQ(outcome_digest(analyzer.analyze(output.data, tiny_hitlist())),
             kAnalysisDigest)
@@ -429,13 +433,14 @@ TEST(ParallelCensus, OutputIsIdenticalForAnyThreadCount) {
     const net::FaultPlan* faults = chaos ? &plan : nullptr;
 
     Greylist serial_blacklist;
-    const CensusOutput serial =
+    const ShardedCensusOutput serial =
         census_with(nullptr, faults, serial_blacklist);
 
     for (const std::size_t threads : {1u, 2u, 8u}) {
       ThreadPool pool(threads);
       Greylist blacklist;
-      const CensusOutput parallel = census_with(&pool, faults, blacklist);
+      const ShardedCensusOutput parallel =
+          census_with(&pool, faults, blacklist);
       SCOPED_TRACE("chaos=" + std::to_string(chaos) +
                    " threads=" + std::to_string(threads));
       expect_same_summary(parallel.summary, serial.summary);
@@ -450,9 +455,11 @@ TEST(ParallelCensus, SerialPathIsExactlyTheLegacyLoop) {
   // and a null pool take the same inline path and agree bit-for-bit.
   Greylist blacklist_null;
   Greylist blacklist_one;
-  const CensusOutput with_null = census_with(nullptr, nullptr, blacklist_null);
+  const ShardedCensusOutput with_null =
+      census_with(nullptr, nullptr, blacklist_null);
   ThreadPool one(1);
-  const CensusOutput with_one = census_with(&one, nullptr, blacklist_one);
+  const ShardedCensusOutput with_one =
+      census_with(&one, nullptr, blacklist_one);
   expect_same_summary(with_one.summary, with_null.summary);
   expect_same_data(with_one.data, with_null.data);
   expect_same_greylist_counters(blacklist_one, blacklist_null);
@@ -463,8 +470,8 @@ TEST(ParallelAnalysis, OutcomesAndReportAreIdenticalForAnyThreadCount) {
   Greylist blacklist;
   FastPingConfig config;
   config.seed = 92;
-  const CensusOutput output = run_census(tiny_world(), vps, tiny_hitlist(),
-                                         blacklist, config);
+  const ShardedCensusOutput output =
+      run_census_sharded(tiny_world(), vps, tiny_hitlist(), blacklist, config);
   const analysis::CensusAnalyzer analyzer(vps, geo::world_index());
 
   const auto serial = analyzer.analyze(output.data, tiny_hitlist());
@@ -535,17 +542,17 @@ TEST_F(ParallelResumeTest, ResumeOutputIsIdenticalForAnyThreadCount) {
   config.seed = 93;
 
   Greylist serial_blacklist;
-  const ResumeReport serial =
-      resume_census(tiny_world(), vps, tiny_hitlist(), serial_blacklist,
-                    config, dir_ / "serial", /*census_id=*/1);
+  const ShardedResumeReport serial = resume_census_sharded(
+      tiny_world(), vps, tiny_hitlist(), serial_blacklist, config,
+      dir_ / "serial", /*census_id=*/1);
 
   for (const std::size_t threads : {2u, 8u}) {
     ThreadPool pool(threads);
     const fs::path sub = dir_ / ("threads" + std::to_string(threads));
     Greylist blacklist;
-    const ResumeReport parallel = resume_census(
+    const ShardedResumeReport parallel = resume_census_sharded(
         tiny_world(), vps, tiny_hitlist(), blacklist, config, sub,
-        /*census_id=*/1, /*faults=*/nullptr, &pool);
+        /*census_id=*/1, {}, /*faults=*/nullptr, &pool);
     SCOPED_TRACE("threads=" + std::to_string(threads));
     EXPECT_EQ(parallel.vps_reused, serial.vps_reused);
     EXPECT_EQ(parallel.vps_rerun, serial.vps_rerun);
@@ -577,9 +584,9 @@ TEST_F(ParallelResumeTest, ResumeMatchesPreRefactorEngineForAnyThreadCount) {
       const fs::path sub =
           dir_ / (std::string("serial_chaos") + (chaos ? "1" : "0"));
       Greylist blacklist;
-      const ResumeReport report =
-          resume_census(tiny_world(), vps, tiny_hitlist(), blacklist, config,
-                        sub, /*census_id=*/1, faults);
+      const ShardedResumeReport report = resume_census_sharded(
+          tiny_world(), vps, tiny_hitlist(), blacklist, config, sub,
+          /*census_id=*/1, {}, faults);
       EXPECT_EQ(census_digest(report.output, blacklist), expected)
           << "serial chaos=" << chaos;
     }
@@ -588,9 +595,9 @@ TEST_F(ParallelResumeTest, ResumeMatchesPreRefactorEngineForAnyThreadCount) {
       const fs::path sub = dir_ / (std::string("chaos") + (chaos ? "1" : "0") +
                                    "_threads" + std::to_string(threads));
       Greylist blacklist;
-      const ResumeReport report =
-          resume_census(tiny_world(), vps, tiny_hitlist(), blacklist, config,
-                        sub, /*census_id=*/1, faults, &pool);
+      const ShardedResumeReport report = resume_census_sharded(
+          tiny_world(), vps, tiny_hitlist(), blacklist, config, sub,
+          /*census_id=*/1, {}, faults, &pool);
       EXPECT_EQ(census_digest(report.output, blacklist), expected)
           << "chaos=" << chaos << " threads=" << threads;
     }
@@ -605,9 +612,9 @@ TEST_F(ParallelResumeTest, ChaosCrashThenParallelResumeEqualsUninterrupted) {
   // Baseline: an uninterrupted fault-free *serial* census.
   const fs::path clean_dir = dir_ / "clean";
   Greylist blacklist_clean;
-  const ResumeReport clean =
-      resume_census(tiny_world(), vps, tiny_hitlist(), blacklist_clean,
-                    config, clean_dir, /*census_id=*/1);
+  const ShardedResumeReport clean = resume_census_sharded(
+      tiny_world(), vps, tiny_hitlist(), blacklist_clean, config, clean_dir,
+      /*census_id=*/1);
 
   // The same census with 8 threads, under a crashy plan...
   net::FaultSpec spec;
@@ -616,9 +623,9 @@ TEST_F(ParallelResumeTest, ChaosCrashThenParallelResumeEqualsUninterrupted) {
   const fs::path crash_dir = dir_ / "crashed";
   ThreadPool pool(8);
   Greylist blacklist_crash;
-  const ResumeReport crashed = resume_census(
+  const ShardedResumeReport crashed = resume_census_sharded(
       tiny_world(), vps, tiny_hitlist(), blacklist_crash, config, crash_dir,
-      /*census_id=*/1, &plan, &pool);
+      /*census_id=*/1, {}, &plan, &pool);
   const std::size_t crashes =
       crashed.output.summary.outcome_count(census::VpOutcome::kCrashed);
   ASSERT_GT(crashes, 0u) << "plan should crash at least one of 8 VPs";
@@ -626,9 +633,9 @@ TEST_F(ParallelResumeTest, ChaosCrashThenParallelResumeEqualsUninterrupted) {
   // ...then a fault-free resume, still at 8 threads, re-runs exactly the
   // crashed VPs and reproduces the uninterrupted census byte-for-byte.
   Greylist blacklist_resume;
-  const ResumeReport resumed = resume_census(
+  const ShardedResumeReport resumed = resume_census_sharded(
       tiny_world(), vps, tiny_hitlist(), blacklist_resume, config, crash_dir,
-      /*census_id=*/1, /*faults=*/nullptr, &pool);
+      /*census_id=*/1, {}, /*faults=*/nullptr, &pool);
   EXPECT_EQ(resumed.vps_rerun, crashes);
   EXPECT_EQ(resumed.vps_reused, vps.size() - crashes);
   // Funnel counters, rows, and files match the uninterrupted census.
@@ -702,9 +709,9 @@ TEST_F(ParallelResumeTest, SemanticSnapshotSurvivesCrashAndResume) {
 
   obs::metrics().reset();
   Greylist blacklist_clean;
-  const ResumeReport clean =
-      resume_census(tiny_world(), vps, tiny_hitlist(), blacklist_clean,
-                    config, dir_ / "clean", /*census_id=*/1);
+  const ShardedResumeReport clean = resume_census_sharded(
+      tiny_world(), vps, tiny_hitlist(), blacklist_clean, config,
+      dir_ / "clean", /*census_id=*/1);
   const std::string clean_snapshot = obs::metrics().semantic_snapshot();
   ASSERT_NE(clean_snapshot.find("census_rtt_ms"), std::string::npos);
 
@@ -714,17 +721,17 @@ TEST_F(ParallelResumeTest, SemanticSnapshotSurvivesCrashAndResume) {
   const fs::path crash_dir = dir_ / "crashed";
   ThreadPool pool(8);
   Greylist blacklist_crash;
-  const ResumeReport crashed = resume_census(
+  const ShardedResumeReport crashed = resume_census_sharded(
       tiny_world(), vps, tiny_hitlist(), blacklist_crash, config, crash_dir,
-      /*census_id=*/1, &plan, &pool);
+      /*census_id=*/1, {}, &plan, &pool);
   ASSERT_GT(
       crashed.output.summary.outcome_count(census::VpOutcome::kCrashed), 0u);
 
   obs::metrics().reset();
   Greylist blacklist_resume;
-  const ResumeReport resumed = resume_census(
+  const ShardedResumeReport resumed = resume_census_sharded(
       tiny_world(), vps, tiny_hitlist(), blacklist_resume, config, crash_dir,
-      /*census_id=*/1, /*faults=*/nullptr, &pool);
+      /*census_id=*/1, {}, /*faults=*/nullptr, &pool);
   EXPECT_GT(resumed.vps_reused, 0u);
   EXPECT_EQ(obs::metrics().semantic_snapshot(), clean_snapshot);
 }
@@ -740,9 +747,9 @@ TEST_F(ParallelResumeTest, TimingMetricsAreExactlyTheDeclaredAllowlist) {
   config.seed = 90;
   ThreadPool pool(2);
   Greylist blacklist;
-  const ResumeReport report =
-      resume_census(tiny_world(), vps, tiny_hitlist(), blacklist, config,
-                    dir_, /*census_id=*/1, /*faults=*/nullptr, &pool);
+  const ShardedResumeReport report = resume_census_sharded(
+      tiny_world(), vps, tiny_hitlist(), blacklist, config, dir_,
+      /*census_id=*/1, {}, /*faults=*/nullptr, &pool);
   const analysis::CensusAnalyzer analyzer(vps, geo::world_index());
   (void)analyzer.analyze(report.output.data, tiny_hitlist(), 2, &pool);
   const portscan::PortScanner scanner(tiny_world());
@@ -767,9 +774,9 @@ TEST_F(ParallelResumeTest, TimingMetricsAreExactlyTheDeclaredAllowlist) {
   {
     serving::SnapshotStore store;
     store.publish(
-        serving::SnapshotView::build(census::CensusMatrix(4), {}, 1));
+        serving::SnapshotView::build(ShardedCensusMatrix(4, {}), {}, 1));
     store.publish(
-        serving::SnapshotView::build(census::CensusMatrix(4), {}, 2));
+        serving::SnapshotView::build(ShardedCensusMatrix(4, {}), {}, 2));
     serving::ReadGuard guard = store.acquire();
     ASSERT_TRUE(guard.valid());
     std::string out;

@@ -11,7 +11,7 @@ struct Setup {
   net::SimulatedInternet internet;
   std::vector<net::VantagePoint> vps;
   census::Hitlist hitlist;
-  census::CensusMatrix reference;
+  census::ShardedCensusMatrix reference;
 
   Setup()
       : internet([] {
@@ -27,7 +27,8 @@ struct Setup {
     census::Greylist blacklist;
     census::FastPingConfig config;
     config.seed = 103;
-    reference = run_census(internet, vps, hitlist, blacklist, config).data;
+    reference =
+        run_census_sharded(internet, vps, hitlist, blacklist, config).data;
   }
 };
 
@@ -81,7 +82,7 @@ TEST(HijackMonitor, SplicedHijackRaisesAlarmAndGeolocatesImpostor) {
   // replaces the real one).
   const geo::City* tokyo = geo::world_index().by_name("Tokyo");
   const std::uint32_t victim = pick_unicast_target(tokyo->location());
-  census::CensusMatrixBuilder hijack_builder(setup().hitlist.size());
+  census::ShardedCensusMatrixBuilder hijack_builder(setup().hitlist.size());
   for (std::uint32_t t = 0; t < setup().hitlist.size(); ++t) {
     for (const census::VpRtt& sample : setup().reference.measurements(t)) {
       const bool diverted =
@@ -99,7 +100,7 @@ TEST(HijackMonitor, SplicedHijackRaisesAlarmAndGeolocatesImpostor) {
       }
     }
   }
-  const census::CensusMatrix hijacked = hijack_builder.build();
+  const census::ShardedCensusMatrix hijacked = hijack_builder.build();
 
   const auto alarms = monitor.scan(hijacked, setup().hitlist);
   ASSERT_EQ(alarms.size(), 1u);

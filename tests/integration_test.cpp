@@ -8,7 +8,7 @@
 
 #include "anycast/analysis/analyzer.hpp"
 #include "anycast/analysis/report.hpp"
-#include "anycast/census/census.hpp"
+#include "anycast/census/sharded.hpp"
 #include "anycast/geo/city_index.hpp"
 #include "anycast/net/platform.hpp"
 
@@ -29,17 +29,17 @@ struct MultiCensus {
       net::make_planetlab({.node_count = 100, .seed = 62});
   census::Hitlist hitlist =
       census::Hitlist::from_world(internet).without_dead();
-  std::vector<census::CensusMatrix> censuses;
-  census::CensusMatrix combined;
+  std::vector<census::ShardedCensusMatrix> censuses;
+  census::ShardedCensusMatrix combined;
   census::Greylist blacklist;
 
   MultiCensus() {
-    combined = census::CensusMatrix(hitlist.size());
+    combined = census::ShardedCensusMatrix(hitlist.size(), {});
     for (int c = 0; c < 3; ++c) {
       census::FastPingConfig config;
       config.seed = 100 + static_cast<std::uint64_t>(c);
       censuses.push_back(
-          run_census(internet, vps, hitlist, blacklist, config).data);
+          run_census_sharded(internet, vps, hitlist, blacklist, config).data);
       combined.combine_min(censuses.back());
     }
   }
@@ -50,14 +50,14 @@ const MultiCensus& multi() {
   return instance;
 }
 
-std::size_t anycast_count(const census::CensusMatrix& data) {
+std::size_t anycast_count(const census::ShardedCensusMatrix& data) {
   const analysis::CensusAnalyzer analyzer(multi().vps, geo::world_index());
   return analyzer.analyze(data, multi().hitlist).size();
 }
 
 TEST(Integration, CombinationNeverLosesMeasurements) {
   for (std::uint32_t t = 0; t < multi().combined.target_count(); t += 13) {
-    for (const census::CensusMatrix& single : multi().censuses) {
+    for (const census::ShardedCensusMatrix& single : multi().censuses) {
       EXPECT_GE(multi().combined.measurements(t).size(),
                 single.measurements(t).size());
     }
@@ -69,7 +69,7 @@ TEST(Integration, CombinationRttIsPointwiseMinimum) {
     const auto combined_row = multi().combined.measurements(t);
     for (const census::VpRtt& sample : combined_row) {
       float expected = 1e30F;
-      for (const census::CensusMatrix& single : multi().censuses) {
+      for (const census::ShardedCensusMatrix& single : multi().censuses) {
         for (const census::VpRtt& other : single.measurements(t)) {
           if (other.vp == sample.vp) expected = std::min(expected,
                                                          other.rtt_ms);
@@ -83,7 +83,7 @@ TEST(Integration, CombinationRttIsPointwiseMinimum) {
 TEST(Integration, CombinationFindsAtLeastAsManyAnycastPrefixes) {
   // Fig. 12: combining censuses raises detection recall.
   const std::size_t combined_count = anycast_count(multi().combined);
-  for (const census::CensusMatrix& single : multi().censuses) {
+  for (const census::ShardedCensusMatrix& single : multi().censuses) {
     EXPECT_GE(combined_count, anycast_count(single));
   }
 }
@@ -92,7 +92,7 @@ TEST(Integration, IndividualCensusesAreConsistent) {
   // "Results are quite consistent across censuses" (Sec. 4.1): per-census
   // anycast counts differ by at most ~10%.
   std::vector<std::size_t> counts;
-  for (const census::CensusMatrix& single : multi().censuses) {
+  for (const census::ShardedCensusMatrix& single : multi().censuses) {
     counts.push_back(anycast_count(single));
   }
   const auto [min_it, max_it] =
@@ -142,9 +142,11 @@ TEST(Integration, GreylistOnlyGrowsAndStabilizes) {
       census::Hitlist::from_world(internet).without_dead();
   census::Greylist blacklist;
   census::FastPingConfig config;
-  const auto first = run_census(internet, vps, hitlist, blacklist, config);
+  const auto first =
+      run_census_sharded(internet, vps, hitlist, blacklist, config);
   const std::size_t after_first = blacklist.size();
-  const auto second = run_census(internet, vps, hitlist, blacklist, config);
+  const auto second =
+      run_census_sharded(internet, vps, hitlist, blacklist, config);
   EXPECT_GT(after_first, 0u);
   EXPECT_EQ(blacklist.size(), after_first);
   EXPECT_EQ(second.summary.greylist_new, 0u);
@@ -206,13 +208,13 @@ TEST(Integration, OverdrivenCensusDetectsFewerPrefixes) {
   census::Greylist blacklist_slow;
   census::Greylist blacklist_fast;
   const auto slow_data =
-      run_census(internet, vps, hitlist, blacklist_slow, slow).data;
+      run_census_sharded(internet, vps, hitlist, blacklist_slow, slow).data;
   const auto fast_data =
-      run_census(internet, vps, hitlist, blacklist_fast, fast).data;
+      run_census_sharded(internet, vps, hitlist, blacklist_fast, fast).data;
   const auto slow_outcomes = analyzer.analyze(slow_data, hitlist);
   const auto fast_outcomes = analyzer.analyze(fast_data, hitlist);
   // Reply volume drops measurably at 10k pps...
-  const auto total_measurements = [](const census::CensusMatrix& data) {
+  const auto total_measurements = [](const census::ShardedCensusMatrix& data) {
     std::uint64_t total = 0;
     for (std::uint32_t t = 0; t < data.target_count(); ++t) {
       total += data.measurements(t).size();

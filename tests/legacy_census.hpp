@@ -4,8 +4,8 @@
 // vector per hitlist target), kept verbatim so tests can cross-check
 // `CensusMatrix`/`CensusMatrixBuilder` against the original semantics and
 // so the columnar bench can measure the layout win instead of asserting
-// it. Nothing in the library links against this header; new code must use
-// `CensusMatrix`.
+// it. It lives under tests/ so nothing in the library can link against
+// it; new code must use `CensusMatrix`.
 #pragma once
 
 #include <algorithm>

@@ -2,7 +2,7 @@
 //
 // The contracts under test:
 //  - Answer fidelity: every point/batch/address/nearest answer equals what
-//    the analyzer's own output says, for monolithic and sharded matrices.
+//    the analyzer's own output says, for one-shard and many-shard planes.
 //  - Swap atomicity: under N concurrent reader threads (1/2/8, with and
 //    without chaos delays) every answer is internally consistent with ONE
 //    published snapshot — no torn views — while a writer swaps epochs as
@@ -82,12 +82,12 @@ const analysis::CensusAnalyzer& small_analyzer() {
   return analyzer;
 }
 
-census::CensusOutput run_small_census() {
+census::ShardedCensusOutput run_small_census() {
   census::Greylist blacklist;
   census::FastPingConfig config;
   config.seed = 91;
-  return census::run_census(small_world(), small_vps(), small_hitlist(),
-                            blacklist, config);
+  return census::run_census_sharded(
+      small_world(), small_vps(), small_hitlist(), blacklist, config);
 }
 
 /// Synthetic matrix whose rows are a pure function of (seed, target, vp):
@@ -96,11 +96,10 @@ census::CensusOutput run_small_census() {
 /// bit-identical. ~1/13 of rows get a tight low-RTT lattice that the
 /// analyzer reads as anycast; verdict realism is irrelevant to the diff
 /// oracle — only determinism is.
-census::CensusMatrix synthetic_matrix(std::size_t targets, std::size_t vps,
-                                      std::uint64_t seed,
-                                      const std::vector<std::uint32_t>& fresh,
-                                      std::uint64_t fresh_seed) {
-  census::CensusMatrixBuilder builder(targets);
+census::ShardedCensusMatrix synthetic_matrix(
+    std::size_t targets, std::size_t vps, std::uint64_t seed,
+    const std::vector<std::uint32_t>& fresh, std::uint64_t fresh_seed) {
+  census::ShardedCensusMatrixBuilder builder(targets);
   std::size_t fresh_at = 0;
   for (std::uint32_t t = 0; t < targets; ++t) {
     std::uint64_t row_seed = seed;
@@ -124,7 +123,7 @@ census::CensusMatrix synthetic_matrix(std::size_t targets, std::size_t vps,
 // --- Answer fidelity --------------------------------------------------------
 
 TEST(ServingSnapshot, PointBatchAndAddressLookupsMatchAnalyzer) {
-  const census::CensusOutput output = run_small_census();
+  const census::ShardedCensusOutput output = run_small_census();
   const census::Hitlist& hitlist = small_hitlist();
   std::vector<analysis::TargetOutcome> outcomes =
       small_analyzer().analyze(output.data, hitlist);
@@ -189,7 +188,7 @@ TEST(ServingSnapshot, PointBatchAndAddressLookupsMatchAnalyzer) {
 }
 
 TEST(ServingSnapshot, ShardedAndMonolithicViewsAnswerIdentically) {
-  const census::CensusOutput output = run_small_census();
+  const census::ShardedCensusOutput output = run_small_census();
   const census::Hitlist& hitlist = small_hitlist();
   std::vector<analysis::TargetOutcome> outcomes =
       small_analyzer().analyze(output.data, hitlist);
@@ -203,7 +202,8 @@ TEST(ServingSnapshot, ShardedAndMonolithicViewsAnswerIdentically) {
       sharded_builder.add(t, m.vp, m.rtt_ms);
     }
   }
-  const serving::SnapshotView mono = serving::SnapshotView::build(
+  // output.data is the default plane: one shard spanning the hitlist.
+  const serving::SnapshotView one_shard = serving::SnapshotView::build(
       output.data, outcomes, /*id=*/1, &hitlist);
   const serving::SnapshotView sharded = serving::SnapshotView::build(
       sharded_builder.build(), outcomes, /*id=*/1, &hitlist);
@@ -212,7 +212,7 @@ TEST(ServingSnapshot, ShardedAndMonolithicViewsAnswerIdentically) {
   for (std::uint32_t t = 0; t < all.size(); ++t) all[t] = t;
   std::vector<serving::PointAnswer> a(all.size());
   std::vector<serving::PointAnswer> b(all.size());
-  mono.lookup_batch(all, a.data());
+  one_shard.lookup_batch(all, a.data());
   sharded.lookup_batch(all, b.data());
   for (std::size_t i = 0; i < all.size(); ++i) {
     EXPECT_EQ(a[i].anycast, b[i].anycast) << i;
@@ -223,7 +223,7 @@ TEST(ServingSnapshot, ShardedAndMonolithicViewsAnswerIdentically) {
 }
 
 TEST(ServingSnapshot, NearestReplicaMatchesBruteForceHaversine) {
-  const census::CensusOutput output = run_small_census();
+  const census::ShardedCensusOutput output = run_small_census();
   std::vector<analysis::TargetOutcome> outcomes =
       small_analyzer().analyze(output.data, small_hitlist());
   const std::vector<analysis::TargetOutcome> oracle = outcomes;
@@ -264,7 +264,7 @@ TEST(ServingSnapshot, NearestReplicaMatchesBruteForceHaversine) {
 /// mismatched element in a batch proves a torn view (adjacent ids always
 /// differ in both codes).
 serving::SnapshotView coded_snapshot(std::uint64_t id, std::size_t targets) {
-  census::CensusMatrixBuilder builder(targets);
+  census::ShardedCensusMatrixBuilder builder(targets);
   const std::uint16_t row_vps = static_cast<std::uint16_t>(id % 13 + 1);
   for (std::uint32_t t = 0; t < targets; ++t) {
     for (std::uint16_t vp = 0; vp < row_vps; ++vp) {
@@ -444,7 +444,7 @@ TEST(ServingDiff, ChangedSinceMatchesFullDiffOracleOnRandomizedChurn) {
   const analysis::CensusAnalyzer& analyzer = small_analyzer();
 
   std::uint64_t seed = 0xA11CAFEULL;
-  census::CensusMatrix prev_matrix =
+  census::ShardedCensusMatrix prev_matrix =
       synthetic_matrix(kTargets, kVps, seed, {}, 0);
   std::vector<analysis::TargetOutcome> prev_outcomes =
       analyzer.analyze(prev_matrix, hitlist);
@@ -457,7 +457,7 @@ TEST(ServingDiff, ChangedSinceMatchesFullDiffOracleOnRandomizedChurn) {
     const std::uint64_t fresh_seed = seed + static_cast<std::uint64_t>(round);
     const std::vector<std::uint32_t> fresh =
         churn_rows(kTargets, 0xC0FFEE ^ round);
-    census::CensusMatrix next_matrix =
+    census::ShardedCensusMatrix next_matrix =
         synthetic_matrix(kTargets, kVps, seed, fresh, fresh_seed);
     std::vector<analysis::TargetOutcome> next_outcomes =
         analyzer.analyze(next_matrix, hitlist);
@@ -490,8 +490,8 @@ TEST(ServingDiff, IncomparableLayoutsFallBackToEveryPrefix) {
   const census::Hitlist& hitlist = small_hitlist();
   const analysis::CensusAnalyzer& analyzer = small_analyzer();
 
-  census::CensusMatrix big = synthetic_matrix(400, kVps, 11, {}, 0);
-  census::CensusMatrix small = synthetic_matrix(260, kVps, 12, {}, 0);
+  census::ShardedCensusMatrix big = synthetic_matrix(400, kVps, 11, {}, 0);
+  census::ShardedCensusMatrix small = synthetic_matrix(260, kVps, 12, {}, 0);
   std::vector<analysis::TargetOutcome> big_outcomes =
       analyzer.analyze(big, hitlist);
   std::vector<analysis::TargetOutcome> small_outcomes =

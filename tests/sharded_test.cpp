@@ -2,9 +2,12 @@
 //
 // The contract under test: for ANY shard size (1, odd, huge, default),
 // ANY flush schedule, and ANY spill state, the sharded matrix is
-// element-identical to the monolithic CensusMatrixBuilder fed the same
-// input — and the spill tier's durability boundary (atomic publish,
-// checksummed payload, whole-record-prefix salvage) holds.
+// element-identical to a single CensusMatrixBuilder (the oracle) fed the
+// same input; every pipeline entry point (census, resume, collate,
+// analysis, dirty rows) gives the default one-shard plane and an N-shard
+// plane the same answers; and the spill tier's durability boundary
+// (atomic publish, checksummed payload, whole-record-prefix salvage)
+// holds.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -60,12 +63,15 @@ std::vector<std::tuple<std::uint32_t, std::uint16_t, float>> sample_adds(
   return adds;
 }
 
-template <typename MatrixT>
-void expect_rows_equal(const MatrixT& sharded, const CensusMatrix& mono) {
-  ASSERT_EQ(sharded.target_count(), mono.target_count());
-  for (std::uint32_t t = 0; t < mono.target_count(); ++t) {
+/// Element-wise row equality: a sharded matrix against the CensusMatrix
+/// oracle or against another plane's matrix.
+template <typename ExpectedT>
+void expect_rows_equal(const ShardedCensusMatrix& sharded,
+                       const ExpectedT& expected) {
+  ASSERT_EQ(sharded.target_count(), expected.target_count());
+  for (std::uint32_t t = 0; t < expected.target_count(); ++t) {
     const auto a = sharded.measurements(t);
-    const auto b = mono.measurements(t);
+    const auto b = expected.measurements(t);
     ASSERT_EQ(a.size(), b.size()) << "target " << t;
     for (std::size_t i = 0; i < a.size(); ++i) {
       EXPECT_EQ(a[i].vp, b[i].vp) << "target " << t;
@@ -301,10 +307,12 @@ FastPingConfig tiny_config() {
 }
 
 TEST_F(ShardedTest, RunCensusShardedMatchesMonolithic) {
+  // The default plane (one shard, never spilled) against 37-target shards
+  // under a spill budget: same rows, summary and greylist.
   const auto vps = net::make_planetlab({.node_count = 10, .seed = 55});
-  Greylist blacklist_mono;
-  const CensusOutput mono = run_census(tiny_world(), vps, tiny_hitlist(),
-                                       blacklist_mono, tiny_config());
+  Greylist blacklist_single;
+  const ShardedCensusOutput single = run_census_sharded(
+      tiny_world(), vps, tiny_hitlist(), blacklist_single, tiny_config());
   DataPlaneConfig plane;
   plane.shard_targets = 37;
   plane.rss_budget_mb = 1;
@@ -313,25 +321,26 @@ TEST_F(ShardedTest, RunCensusShardedMatchesMonolithic) {
   const ShardedCensusOutput sharded =
       run_census_sharded(tiny_world(), vps, tiny_hitlist(), blacklist_sharded,
                          tiny_config(), plane);
-  expect_rows_equal(sharded.data, mono.data);
-  EXPECT_EQ(sharded.summary.probes_sent, mono.summary.probes_sent);
-  EXPECT_EQ(sharded.summary.echo_replies, mono.summary.echo_replies);
-  EXPECT_EQ(sharded.summary.greylist_new, mono.summary.greylist_new);
-  EXPECT_EQ(blacklist_sharded.size(), blacklist_mono.size());
+  expect_rows_equal(sharded.data, single.data);
+  EXPECT_EQ(sharded.summary.probes_sent, single.summary.probes_sent);
+  EXPECT_EQ(sharded.summary.echo_replies, single.summary.echo_replies);
+  EXPECT_EQ(sharded.summary.greylist_new, single.summary.greylist_new);
+  EXPECT_EQ(blacklist_sharded.size(), blacklist_single.size());
 }
 
 TEST_F(ShardedTest, CrashResumeSalvageMatchesMonolithic) {
-  // A census dies mid-campaign: checkpoints exist, one is truncated. Both
-  // planes must salvage the same prefix, re-run the same VPs, and land on
-  // element-identical matrices.
+  // A census dies mid-campaign: checkpoints exist, one is truncated. The
+  // default plane and a spilling 53-target plane must salvage the same
+  // prefix, re-run the same VPs, and land on element-identical matrices.
   const auto vps = net::make_planetlab({.node_count = 8, .seed = 56});
-  const fs::path mono_dir = dir_ / "mono";
+  const fs::path single_dir = dir_ / "single";
   const fs::path sharded_dir = dir_ / "sharded";
 
   const auto seed_checkpoints = [&](const fs::path& out) {
     Greylist blacklist;
-    (void)resume_census(tiny_world(), vps, tiny_hitlist(), blacklist,
-                        tiny_config(), out, /*census_id=*/1);
+    (void)resume_census_sharded(
+        tiny_world(), vps, tiny_hitlist(), blacklist, tiny_config(), out,
+        /*census_id=*/1);
     // Fault injection: truncate one complete checkpoint mid-record and
     // delete another, forcing one salvage + one full re-walk.
     const auto victim = census_checkpoint_path(out, 1, vps[2].id);
@@ -339,13 +348,13 @@ TEST_F(ShardedTest, CrashResumeSalvageMatchesMonolithic) {
     fs::resize_file(victim, fs::file_size(victim) / 2 + 1);
     fs::remove(census_checkpoint_path(out, 1, vps[5].id));
   };
-  seed_checkpoints(mono_dir);
+  seed_checkpoints(single_dir);
   seed_checkpoints(sharded_dir);
 
-  Greylist blacklist_mono;
-  const ResumeReport mono =
-      resume_census(tiny_world(), vps, tiny_hitlist(), blacklist_mono,
-                    tiny_config(), mono_dir, 1);
+  Greylist blacklist_single;
+  const ShardedResumeReport single = resume_census_sharded(
+      tiny_world(), vps, tiny_hitlist(), blacklist_single, tiny_config(),
+      single_dir, 1);
   DataPlaneConfig plane;
   plane.shard_targets = 53;
   plane.rss_budget_mb = 1;
@@ -355,31 +364,32 @@ TEST_F(ShardedTest, CrashResumeSalvageMatchesMonolithic) {
       tiny_world(), vps, tiny_hitlist(), blacklist_sharded, tiny_config(),
       sharded_dir, 1, plane);
 
-  EXPECT_EQ(sharded.files_salvaged, mono.files_salvaged);
+  EXPECT_EQ(sharded.files_salvaged, single.files_salvaged);
   EXPECT_GE(sharded.files_salvaged, 1u);
-  EXPECT_EQ(sharded.vps_rerun, mono.vps_rerun);
-  EXPECT_EQ(sharded.vps_reused, mono.vps_reused);
-  expect_rows_equal(sharded.output.data, mono.output.data);
+  EXPECT_EQ(sharded.vps_rerun, single.vps_rerun);
+  EXPECT_EQ(sharded.vps_reused, single.vps_reused);
+  expect_rows_equal(sharded.output.data, single.output.data);
 }
 
 TEST_F(ShardedTest, CollateShardedMatchesMonolithic) {
   const auto vps = net::make_planetlab({.node_count = 6, .seed = 57});
   Greylist blacklist;
-  (void)resume_census(tiny_world(), vps, tiny_hitlist(), blacklist,
-                      tiny_config(), dir_, /*census_id=*/2);
+  (void)resume_census_sharded(
+      tiny_world(), vps, tiny_hitlist(), blacklist, tiny_config(), dir_,
+      /*census_id=*/2);
   std::vector<fs::path> files;
   for (const auto& entry : fs::directory_iterator(dir_)) {
     if (entry.path().extension() == ".anc") files.push_back(entry.path());
   }
   std::sort(files.begin(), files.end());
   ASSERT_FALSE(files.empty());
-  const CensusMatrix mono = collate_census_files(
-      files, tiny_hitlist().size(), static_cast<CollateStats*>(nullptr));
+  const ShardedCensusMatrix single =
+      collate_census_files_sharded(files, tiny_hitlist().size(), {}, nullptr);
   DataPlaneConfig plane;
   plane.shard_targets = 41;
   const ShardedCensusMatrix sharded = collate_census_files_sharded(
       files, tiny_hitlist().size(), plane, nullptr);
-  expect_rows_equal(sharded, mono);
+  expect_rows_equal(sharded, single);
 }
 
 TEST_F(ShardedTest, CombineMinMatchesMonolithic) {
@@ -417,8 +427,8 @@ TEST_F(ShardedTest, CombineMinMatchesMonolithic) {
 TEST_F(ShardedTest, AnalysisAndDirtyRowsMatchMonolithic) {
   const auto vps = net::make_planetlab({.node_count = 10, .seed = 58});
   Greylist blacklist;
-  const CensusOutput mono = run_census(tiny_world(), vps, tiny_hitlist(),
-                                       blacklist, tiny_config());
+  const ShardedCensusOutput single = run_census_sharded(
+      tiny_world(), vps, tiny_hitlist(), blacklist, tiny_config());
   DataPlaneConfig plane;
   plane.shard_targets = 29;
   Greylist blacklist2;
@@ -426,30 +436,31 @@ TEST_F(ShardedTest, AnalysisAndDirtyRowsMatchMonolithic) {
       tiny_world(), vps, tiny_hitlist(), blacklist2, tiny_config(), plane);
 
   const analysis::CensusAnalyzer analyzer(vps, geo::world_index());
-  const auto mono_outcomes =
-      analyzer.analyze(mono.data, tiny_hitlist(), /*min_vps=*/2);
+  const auto single_outcomes =
+      analyzer.analyze(single.data, tiny_hitlist(), /*min_vps=*/2);
   const auto sharded_outcomes =
       analyzer.analyze(sharded.data, tiny_hitlist(), /*min_vps=*/2);
-  ASSERT_EQ(sharded_outcomes.size(), mono_outcomes.size());
-  for (std::size_t i = 0; i < mono_outcomes.size(); ++i) {
-    EXPECT_EQ(sharded_outcomes[i].target_index, mono_outcomes[i].target_index);
+  ASSERT_EQ(sharded_outcomes.size(), single_outcomes.size());
+  for (std::size_t i = 0; i < single_outcomes.size(); ++i) {
+    EXPECT_EQ(sharded_outcomes[i].target_index,
+              single_outcomes[i].target_index);
     EXPECT_EQ(sharded_outcomes[i].result.replicas.size(),
-              mono_outcomes[i].result.replicas.size());
+              single_outcomes[i].result.replicas.size());
   }
 
-  // A second epoch with a different seed: the sharded diff finds exactly
-  // the rows the monolithic diff finds, at the same global indices.
+  // A second epoch with a different seed: the 29-target diff finds exactly
+  // the rows the single-shard diff finds, at the same global indices.
   FastPingConfig epoch2 = tiny_config();
   epoch2.seed = 78;
   Greylist b3, b4;
-  const CensusOutput mono2 =
-      run_census(tiny_world(), vps, tiny_hitlist(), b3, epoch2);
+  const ShardedCensusOutput single2 =
+      run_census_sharded(tiny_world(), vps, tiny_hitlist(), b3, epoch2);
   const ShardedCensusOutput sharded2 = run_census_sharded(
       tiny_world(), vps, tiny_hitlist(), b4, epoch2, plane);
-  const auto mono_dirty = analysis::dirty_rows(mono.data, mono2.data);
+  const auto single_dirty = analysis::dirty_rows(single.data, single2.data);
   const auto sharded_dirty =
       analysis::dirty_rows(sharded.data, sharded2.data);
-  EXPECT_EQ(sharded_dirty, mono_dirty);
+  EXPECT_EQ(sharded_dirty, single_dirty);
 
   // Different layouts are incomparable: every row dirty.
   DataPlaneConfig other_plane;

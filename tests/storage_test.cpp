@@ -124,10 +124,10 @@ TEST_F(StorageTest, CollationMatchesDirectCensus) {
   }
   const CensusMatrix direct = direct_builder.build();
 
-  std::size_t skipped = 0;
-  const CensusMatrix collated =
-      collate_census_files(paths, hitlist.size(), &skipped);
-  EXPECT_EQ(skipped, 0u);
+  CollateStats stats;
+  const ShardedCensusMatrix collated = collate_census_files_sharded(
+      paths, hitlist.size(), {}, &stats, /*salvage=*/false);
+  EXPECT_EQ(stats.files_skipped, 0u);
   ASSERT_EQ(collated.target_count(), direct.target_count());
   for (std::uint32_t t = 0; t < direct.target_count(); ++t) {
     const auto a = direct.measurements(t);
@@ -150,9 +150,10 @@ TEST_F(StorageTest, CollationSkipsDamagedUploads) {
   fs::resize_file(bad, fs::file_size(bad) / 2);
 
   const std::vector<fs::path> paths{good, bad, dir_ / "missing.anc"};
-  std::size_t skipped = 0;
-  const CensusMatrix data = collate_census_files(paths, 400, &skipped);
-  EXPECT_EQ(skipped, 2u);
+  CollateStats stats;
+  const ShardedCensusMatrix data = collate_census_files_sharded(
+      paths, 400, {}, &stats, /*salvage=*/false);
+  EXPECT_EQ(stats.files_skipped, 2u);
   std::size_t total = 0;
   for (std::uint32_t t = 0; t < data.target_count(); ++t) {
     total += data.measurements(t).size();
@@ -287,17 +288,17 @@ TEST_F(StorageTest, CollateStatsSeparateSalvagedFromSkipped) {
 
   const std::vector<fs::path> paths{good, chopped, garbage};
   CollateStats stats;
-  const CensusMatrix data = collate_census_files(paths, 400, &stats);
+  (void)collate_census_files_sharded(paths, 400, {}, &stats);
   EXPECT_EQ(stats.files_ok, 1u);
   EXPECT_EQ(stats.files_salvaged, 1u);
   EXPECT_EQ(stats.files_skipped, 1u);
   EXPECT_GT(stats.observations, 0u);
 
-  // The legacy strict overload refuses the salvageable file too.
-  std::size_t skipped = 0;
-  collate_census_files(paths, 400, &skipped);
-  EXPECT_EQ(skipped, 2u);
-  (void)data;
+  // Strict collation refuses the salvageable file too.
+  CollateStats strict;
+  (void)collate_census_files_sharded(paths, 400, {}, &strict,
+                                     /*salvage=*/false);
+  EXPECT_EQ(strict.files_skipped, 2u);
 }
 
 TEST_F(StorageTest, OutOfRangeTargetsDropped) {
@@ -308,13 +309,40 @@ TEST_F(StorageTest, OutOfRangeTargetsDropped) {
   const fs::path path = dir_ / "range.anc";
   write_census_file(path, {1, 1}, stream);
   const std::vector<fs::path> paths{path};
-  const CensusMatrix data = collate_census_files(paths, 400);
+  const ShardedCensusMatrix data =
+      collate_census_files_sharded(paths, 400, {}, nullptr, /*salvage=*/false);
   EXPECT_EQ(data.measurements(399).size(), 1u);
   std::size_t total = 0;
   for (std::uint32_t t = 0; t < data.target_count(); ++t) {
     total += data.measurements(t).size();
   }
   EXPECT_EQ(total, 1u);
+}
+
+TEST_F(StorageTest, VpIdBeyondSixteenBitsSkippedNotAliased) {
+  // Rows store the VP as 16 bits; header vp_id 70000 would truncate onto
+  // VP 4464 (70000 - 65536). Collation must skip the file instead.
+  const auto stream = sample_stream();
+  const fs::path real = dir_ / "real.anc";
+  const fs::path alias = dir_ / "alias.anc";
+  write_census_file(real, {12, 1, kCensusFileComplete}, stream);
+  write_census_file(alias, {70000, 1, kCensusFileComplete}, stream);
+  const std::vector<fs::path> paths{real, alias};
+  CollateStats stats;
+  const ShardedCensusMatrix data =
+      collate_census_files_sharded(paths, 400, {}, &stats);
+  EXPECT_EQ(stats.files_ok, 1u);
+  EXPECT_EQ(stats.files_skipped, 1u);
+  EXPECT_EQ(stats.max_vp_id, 12u);
+  std::size_t rows = 0;
+  for (std::uint32_t t = 0; t < data.target_count(); ++t) {
+    for (const VpRtt& sample : data.measurements(t)) {
+      EXPECT_NE(sample.vp, 70000 % 65536) << "target " << t;
+      EXPECT_EQ(sample.vp, 12u) << "target " << t;
+      ++rows;
+    }
+  }
+  EXPECT_GT(rows, 0u);
 }
 
 TEST_F(StorageTest, OversizedIndexDroppedCountedAndJournaled) {
@@ -529,10 +557,12 @@ TEST_F(StorageTest, SpilledSnapshotServesWhileFaultCorpusRuns) {
   // must never observe a wrong row; the corpus must behave exactly as it
   // does with no load.
   constexpr std::size_t kTargets = 400;
-  CensusMatrix matrix = spillable_matrix(kTargets);
+  ShardedCensusMatrix matrix(kTargets, {});  // one shard
+  CensusMatrix& shard = matrix.shard(0);
+  shard = spillable_matrix(kTargets);
   const fs::path path = dir_ / "snapshot.ancs";
-  if (!matrix.spill_values(path.string())) GTEST_SKIP() << "no spill tier";
-  matrix.drop_resident_values();
+  if (!shard.spill_values(path.string())) GTEST_SKIP() << "no spill tier";
+  shard.drop_resident_values();
 
   const serving::SnapshotView view = serving::SnapshotView::build(
       std::move(matrix), {}, /*id=*/1);

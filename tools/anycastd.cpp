@@ -129,7 +129,7 @@ constexpr tools::FlagHelp kCensusFlags[] = {
 
 constexpr tools::FlagHelp kDataPlaneFlags[] = {
     {"shard-targets", "N",
-     "targets per census shard (0 = one monolithic shard); any value "
+     "targets per census shard (0 = one shard); any value "
      "yields identical output"},
     {"rss-budget-mb", "MB",
      "resident-value budget; frozen shards beyond it spill to "
@@ -338,6 +338,44 @@ census::DataPlaneConfig data_plane_from(const Flags& flags,
       std::max<std::int64_t>(0, flags.get_int("rss-budget-mb", 0)));
   plane.spill_dir = (base_dir / "spill").string();
   return plane;
+}
+
+/// One census directory collated into a matrix.
+struct CollatedDir {
+  census::ShardedCensusMatrix data;
+  census::CollateStats stats;
+  std::size_t files = 0;
+};
+
+/// Collates DIR's `.anc` checkpoints in path order. Returns 0, or the exit
+/// code after a diagnostic prefixed by `command`: 1 when DIR holds no
+/// checkpoints, 2 when one names a VP beyond the `vp_count`-VP platform
+/// (the analysis indexes the platform by VP id).
+int collate_dir(const char* command, const std::string& dir,
+                std::size_t target_count, std::size_t vp_count,
+                const census::DataPlaneConfig& plane, bool salvage,
+                CollatedDir& out) {
+  std::vector<fs::path> files;
+  for (const auto& entry : fs::directory_iterator(dir)) {
+    if (entry.path().extension() == ".anc") files.push_back(entry.path());
+  }
+  std::sort(files.begin(), files.end());
+  if (files.empty()) {
+    std::fprintf(stderr, "%s: no .anc files in %s\n", command, dir.c_str());
+    return 1;
+  }
+  out.files = files.size();
+  out.data = census::collate_census_files_sharded(files, target_count, plane,
+                                                  &out.stats, salvage);
+  if (out.stats.max_vp_id >= vp_count) {
+    std::fprintf(stderr,
+                 "%s: %s holds checkpoints from VP %u, beyond the %zu-VP "
+                 "platform; rerun with --vps %u (the census's --vps)\n",
+                 command, dir.c_str(), out.stats.max_vp_id, vp_count,
+                 out.stats.max_vp_id + 1);
+    return 2;
+  }
+  return 0;
 }
 
 /// The classic four-fault spec from the kChaosFlags knobs.
@@ -646,24 +684,18 @@ int cmd_analyze(const Flags& flags) {
   const census::Hitlist hitlist =
       census::Hitlist::from_world(internet).without_dead();
 
-  std::vector<fs::path> files;
-  for (const auto& entry : fs::directory_iterator(*in_dir)) {
-    if (entry.path().extension() == ".anc") files.push_back(entry.path());
+  CollatedDir collated;
+  if (const int rc = collate_dir("analyze", *in_dir, hitlist.size(),
+                                 vps.size(), data_plane_from(flags, *in_dir),
+                                 /*salvage=*/true, collated)) {
+    return rc;
   }
-  std::sort(files.begin(), files.end());
-  if (files.empty()) {
-    std::fprintf(stderr, "analyze: no .anc files in %s\n", in_dir->c_str());
-    return 1;
-  }
-
-  census::CollateStats stats;
-  const census::ShardedCensusMatrix data = census::collate_census_files_sharded(
-      files, hitlist.size(), data_plane_from(flags, *in_dir), &stats);
+  const census::ShardedCensusMatrix& data = collated.data;
   std::printf(
       "collated %zu files (%zu salvaged, %zu skipped), %zu responsive "
       "targets\n",
-      files.size(), stats.files_salvaged, stats.files_skipped,
-      data.responsive_targets(2));
+      collated.files, collated.stats.files_salvaged,
+      collated.stats.files_skipped, data.responsive_targets(2));
 
   concurrency::ThreadPool pool = pool_from(flags);
   const analysis::CensusAnalyzer analyzer(vps, geo::world_index());
@@ -705,38 +737,34 @@ int cmd_analyze(const Flags& flags) {
 /// Loads one checkpoint directory into a served snapshot: collate,
 /// analyze, freeze. Strict by default — a serving plane must not silently
 /// answer from a snapshot whose files failed their checksums; pass
-/// `allow_salvage` to serve the recovered prefix anyway.
-std::optional<serving::SnapshotView> load_snapshot(
-    const census::DataPlaneConfig& plane, const std::string& dir,
-    std::uint64_t id, bool allow_salvage,
-    std::span<const net::VantagePoint> vps, const census::Hitlist& hitlist,
-    concurrency::ThreadPool* pool) {
-  std::vector<fs::path> files;
-  for (const auto& entry : fs::directory_iterator(dir)) {
-    if (entry.path().extension() == ".anc") files.push_back(entry.path());
+/// `allow_salvage` to serve the recovered prefix anyway. Returns 0, or
+/// the exit code after a diagnostic.
+int load_snapshot(const census::DataPlaneConfig& plane, const std::string& dir,
+                  std::uint64_t id, bool allow_salvage,
+                  std::span<const net::VantagePoint> vps,
+                  const census::Hitlist& hitlist,
+                  concurrency::ThreadPool* pool, serving::SnapshotView& out) {
+  CollatedDir collated;
+  if (const int rc = collate_dir("serve", dir, hitlist.size(), vps.size(),
+                                 plane, allow_salvage, collated)) {
+    return rc;
   }
-  std::sort(files.begin(), files.end());
-  if (files.empty()) {
-    std::fprintf(stderr, "serve: no .anc files in %s\n", dir.c_str());
-    return std::nullopt;
-  }
-  census::CollateStats stats;
-  census::ShardedCensusMatrix data = census::collate_census_files_sharded(
-      files, hitlist.size(), plane, &stats, /*salvage=*/allow_salvage);
+  const census::CollateStats& stats = collated.stats;
   if (!allow_salvage && (stats.files_salvaged > 0 || stats.files_skipped > 0)) {
     std::fprintf(stderr,
                  "serve: refusing snapshot %s: %zu of %zu files failed "
                  "checksum validation (--allow-salvage serves the "
                  "recoverable prefix)\n",
                  dir.c_str(), stats.files_salvaged + stats.files_skipped,
-                 files.size());
-    return std::nullopt;
+                 collated.files);
+    return 1;
   }
   const analysis::CensusAnalyzer analyzer(vps, geo::world_index());
   std::vector<analysis::TargetOutcome> outcomes =
-      analyzer.analyze(data, hitlist, /*min_vps=*/2, pool);
-  return serving::SnapshotView::build(std::move(data), std::move(outcomes),
-                                      id, &hitlist);
+      analyzer.analyze(collated.data, hitlist, /*min_vps=*/2, pool);
+  out = serving::SnapshotView::build(std::move(collated.data),
+                                     std::move(outcomes), id, &hitlist);
+  return 0;
 }
 
 int cmd_serve(const Flags& flags) {
@@ -775,21 +803,26 @@ int cmd_serve(const Flags& flags) {
   const census::DataPlaneConfig plane = data_plane_from(flags, *in_dir);
   if (const int rc = reject_unknown(flags)) return rc;
 
-  auto current = load_snapshot(plane, *in_dir, /*id=*/1, allow_salvage, vps,
-                               hitlist, &pool);
-  if (!current.has_value()) return 1;
+  serving::SnapshotView current;
+  if (const int rc = load_snapshot(plane, *in_dir, /*id=*/1, allow_salvage,
+                                   vps, hitlist, &pool, current)) {
+    return rc;
+  }
   std::optional<serving::SnapshotView> previous;
   if (against.has_value()) {
-    previous = load_snapshot(data_plane_from(flags, *against), *against,
-                             /*id=*/0, allow_salvage, vps, hitlist, &pool);
-    if (!previous.has_value()) return 1;
+    previous.emplace();
+    if (const int rc = load_snapshot(data_plane_from(flags, *against),
+                                     *against, /*id=*/0, allow_salvage, vps,
+                                     hitlist, &pool, *previous)) {
+      return rc;
+    }
   }
 
   // Queries go through the real publication path — publish + pinned
   // guard — not a bare view, so the one-shot CLI exercises exactly what
   // a long-lived server would.
   serving::SnapshotStore store;
-  store.publish(std::move(*current));
+  store.publish(std::move(current));
   serving::ReadGuard guard = store.acquire();
   serving::QueryContext context{&guard.view(),
                                 previous.has_value() ? &*previous : nullptr};
@@ -1022,8 +1055,9 @@ int cmd_diff(const Flags& flags) {
     census::FastPingConfig fastping;
     fastping.seed = 5000 + static_cast<std::uint64_t>(epoch);
     fastping.vp_availability = availability;
-    const auto output = run_census(internet, vps, hitlist, blacklist,
-                                   fastping, /*faults=*/nullptr, &pool);
+    const auto output = census::run_census_sharded(
+        internet, vps, hitlist, blacklist, fastping,
+        census::DataPlaneConfig{}, /*faults=*/nullptr, &pool);
     analysis::CensusSnapshot snapshot(
         analyzer.analyze(output.data, hitlist, /*min_vps=*/2, &pool));
     std::printf("epoch %d: %zu anycast /24\n", epoch, snapshot.size());
@@ -1096,21 +1130,17 @@ int cmd_report(const Flags& flags) {
   const auto vps = platform_from(flags);
   const census::Hitlist hitlist =
       census::Hitlist::from_world(internet).without_dead();
-  std::vector<fs::path> files;
-  for (const auto& entry : fs::directory_iterator(*in_dir)) {
-    if (entry.path().extension() == ".anc") files.push_back(entry.path());
+  CollatedDir collated;
+  if (const int rc = collate_dir("report", *in_dir, hitlist.size(),
+                                 vps.size(), census::DataPlaneConfig{},
+                                 /*salvage=*/true, collated)) {
+    return rc;
   }
-  std::sort(files.begin(), files.end());
-  if (files.empty()) {
-    std::fprintf(stderr, "report: no .anc files in %s\n", in_dir->c_str());
-    return 1;
-  }
-  const census::CensusMatrix data = census::collate_census_files(
-      files, hitlist.size(), static_cast<census::CollateStats*>(nullptr));
   concurrency::ThreadPool pool = pool_from(flags);
   const analysis::CensusAnalyzer analyzer(vps, geo::world_index());
   const analysis::CensusReport census_report(
-      internet, analyzer.analyze(data, hitlist, /*min_vps=*/2, &pool));
+      internet,
+      analyzer.analyze(collated.data, hitlist, /*min_vps=*/2, &pool));
 
   analysis::JournalSummary journal_summary;
   bool have_journal = false;
