@@ -1,29 +1,34 @@
-// Analysis-kernel duel: pre-kernel scalar pipeline vs the vectorized
-// geodesy + bitset-MIS kernel, on identical inputs.
+// Analysis-kernel duel: the scalar oracle pipeline vs the shipped
+// chord-space/bitset kernel, on identical inputs.
 //
-// Both sides run the SAME driver code — `Options::reference_kernel` routes
-// every geometry step (measurement collapse, pairwise disk tests, MIS,
-// city queries, the detect prefilter) through the original scalar
-// implementations, which the kernel retains verbatim as oracles. The duel
-// therefore measures exactly the change under test and can assert the
-// contract that makes it safe: byte-identical output, checked here with a
-// CRC over every field of every outcome (disk geometry, verdicts, replica
-// coordinates at full bit width). Per-phase timings separate the detect
-// sweep (the bulk of a census analysis: ~97% unicast rows) from iGreedy on
-// detected rows, and a thread-scaling sweep records how the kernel shards.
-// Machine-readable results go to BENCH_kernel.json; CI fails the bench if
-// outputs_identical is false or the single-threaded speedup misses 4x.
+// The reference side is the test-only oracle library (tests/oracle): the
+// pre-kernel scalar code for every geometry step — full pairwise detect
+// sweep, hash-map measurement collapse, haversine pair tests,
+// vector<vector<bool>> MIS, latitude-band city scans — driven by a serial
+// census sweep (oracle::analyze). The kernel side is the library's one
+// analysis path (CensusAnalyzer, IGreedy, core::*_mis). The duel asserts
+// the contract that makes the kernel safe: byte-identical output, checked
+// here with a CRC over every field of every outcome (disk geometry,
+// verdicts, replica coordinates at full bit width). Per-phase timings
+// separate the detect sweep (the bulk of a census analysis: ~97% unicast
+// rows) from iGreedy on detected rows, and a thread-scaling sweep records
+// how the kernel shards. Machine-readable results go to BENCH_kernel.json;
+// the exit code is nonzero unless outputs are identical and the
+// single-threaded speedup reaches 4x.
 #include <algorithm>
 #include <bit>
 #include <chrono>
 #include <cstdio>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "anycast/census/storage.hpp"
 #include "anycast/concurrency/thread_pool.hpp"
 #include "anycast/core/mis.hpp"
+#include "anycast/geo/city_data.hpp"
 #include "common.hpp"
+#include "oracle.hpp"
 
 namespace {
 
@@ -106,13 +111,12 @@ int main() {
   config.census_count = 2;
   const bench::BenchWorld world(config);
 
-  core::Options reference_options;
-  reference_options.reference_kernel = true;
-  const analysis::CensusAnalyzer reference(world.vps, geo::world_index(),
-                                           reference_options);
-  const analysis::CensusAnalyzer kernel(world.vps, geo::world_index());
+  const core::Options options;
+  const oracle::CityScan scan(geo::world_cities());
+  const analysis::CensusAnalyzer kernel(world.vps, geo::world_index(),
+                                        options);
 
-  bench::print_title("Analysis kernel duel: scalar reference vs "
+  bench::print_title("Analysis kernel duel: scalar oracle vs "
                      "chord-space/bitset kernel");
   bench::warn_if_scaling_invalid("bench_analysis_kernel");
   std::printf("  world: %zu targets x %zu vps, best of %d runs\n\n",
@@ -121,43 +125,59 @@ int main() {
   // ---- Phase 1: detection sweep (every row) -------------------------------
   std::vector<std::uint32_t> detected_reference;
   std::vector<std::uint32_t> detected_kernel;
-  const auto sweep = [&](const analysis::CensusAnalyzer& analyzer,
-                         std::vector<std::uint32_t>& out) {
+  const auto sweep = [&](auto&& detect, std::vector<std::uint32_t>& out) {
     out.clear();
     for (std::uint32_t t = 0; t < world.combined.target_count(); ++t) {
       const auto row = world.combined.measurements(t);
       if (row.size() < 2) continue;
-      if (analyzer.detect(row)) out.push_back(t);
+      if (detect(row)) out.push_back(t);
     }
   };
   PhaseRow detect_phase{"detect_sweep"};
-  detect_phase.reference_s =
-      time_best([&] { sweep(reference, detected_reference); });
-  detect_phase.kernel_s = time_best([&] { sweep(kernel, detected_kernel); });
+  detect_phase.reference_s = time_best([&] {
+    sweep(
+        [&](std::span<const census::VpRtt> row) {
+          return oracle::detect_scan(world.vps, row, options.max_rtt_ms);
+        },
+        detected_reference);
+  });
+  detect_phase.kernel_s = time_best([&] {
+    sweep(
+        [&](std::span<const census::VpRtt> row) { return kernel.detect(row); },
+        detected_kernel);
+  });
   detect_phase.identical = detected_reference == detected_kernel;
 
   // ---- Phase 2: iGreedy on detected rows ----------------------------------
-  const auto igreedy_all = [&](const analysis::CensusAnalyzer& analyzer,
+  const auto igreedy_all = [&](auto&& analyze_row,
                                const std::vector<std::uint32_t>& rows) {
-    std::uint32_t digest = 0;
     std::vector<analysis::TargetOutcome> outcomes;
     for (const std::uint32_t t : rows) {
       analysis::TargetOutcome outcome;
       outcome.target_index = t;
-      outcome.result = analyzer.analyze_row(world.combined.measurements(t));
+      outcome.result = analyze_row(world.combined.measurements(t));
       outcomes.push_back(std::move(outcome));
     }
-    digest = outcome_digest(outcomes);
-    return digest;
+    return outcome_digest(outcomes);
   };
   PhaseRow igreedy_phase{"igreedy_detected"};
   std::uint32_t igreedy_reference_digest = 0;
   std::uint32_t igreedy_kernel_digest = 0;
   igreedy_phase.reference_s = time_best([&] {
-    igreedy_reference_digest = igreedy_all(reference, detected_reference);
+    igreedy_reference_digest = igreedy_all(
+        [&](std::span<const census::VpRtt> row) {
+          return oracle::igreedy_analyze(
+              scan, options, oracle::row_measurements(world.vps, row));
+        },
+        detected_reference);
   });
-  igreedy_phase.kernel_s = time_best(
-      [&] { igreedy_kernel_digest = igreedy_all(kernel, detected_kernel); });
+  igreedy_phase.kernel_s = time_best([&] {
+    igreedy_kernel_digest = igreedy_all(
+        [&](std::span<const census::VpRtt> row) {
+          return kernel.analyze_row(row);
+        },
+        detected_kernel);
+  });
   igreedy_phase.identical = igreedy_reference_digest == igreedy_kernel_digest;
 
   // ---- Phase 3: full single-threaded analyze (the headline number) --------
@@ -166,7 +186,8 @@ int main() {
   std::uint32_t analyze_kernel_digest = 0;
   analyze_phase.reference_s = time_best([&] {
     analyze_reference_digest = outcome_digest(
-        reference.analyze(world.combined, world.hitlist, 2, nullptr));
+        oracle::analyze(world.vps, scan, options, world.combined,
+                        world.hitlist, 2));
   });
   analyze_phase.kernel_s = time_best([&] {
     analyze_kernel_digest = outcome_digest(
@@ -187,7 +208,7 @@ int main() {
     std::vector<geodesy::Disk> disks;
     disks.reserve(row.size());
     for (const census::VpRtt& s : row) {
-      if (s.rtt_ms <= 0.0 || s.rtt_ms > 600.0) continue;
+      if (s.rtt_ms <= 0.0 || s.rtt_ms > options.max_rtt_ms) continue;
       disks.push_back(geodesy::Disk::from_rtt(
           world.vps[s.vp].believed_location, s.rtt_ms));
     }
@@ -204,13 +225,13 @@ int main() {
   PhaseRow greedy_phase{"greedy_mis"};
   bool greedy_identical = true;
   greedy_phase.reference_s = time_best([&] {
-    for (const auto& disks : mis_inputs) core::reference::greedy_mis(disks);
+    for (const auto& disks : mis_inputs) oracle::greedy_mis(disks);
   });
   greedy_phase.kernel_s = time_best([&] {
     for (const auto& disks : mis_inputs) core::greedy_mis(disks);
   });
   for (const auto& disks : mis_inputs) {
-    if (core::reference::greedy_mis(disks) != core::greedy_mis(disks)) {
+    if (oracle::greedy_mis(disks) != core::greedy_mis(disks)) {
       greedy_identical = false;
     }
   }
@@ -219,13 +240,13 @@ int main() {
   PhaseRow exact_phase{"exact_mis"};
   bool exact_identical = true;
   exact_phase.reference_s = time_best([&] {
-    for (const auto& disks : exact_inputs) core::reference::exact_mis(disks);
+    for (const auto& disks : exact_inputs) oracle::exact_mis(disks);
   });
   exact_phase.kernel_s = time_best([&] {
     for (const auto& disks : exact_inputs) core::exact_mis(disks);
   });
   for (const auto& disks : exact_inputs) {
-    if (core::reference::exact_mis(disks) != core::exact_mis(disks)) {
+    if (oracle::exact_mis(disks) != core::exact_mis(disks)) {
       exact_identical = false;
     }
   }

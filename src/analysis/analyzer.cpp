@@ -52,32 +52,6 @@ CensusAnalyzer::CensusAnalyzer(std::span<const net::VantagePoint> vps,
   }
 }
 
-bool CensusAnalyzer::detect_scan(std::span<const census::VpRtt> row) const {
-  // Radii from the per-VP minimum RTTs; a pair of VPs whose mutual
-  // distance exceeds the radius sum cannot both contain the target.
-  // Row entries are vp-sorted and unique; all arithmetic is precomputed
-  // distances, no trigonometry on the hot path.
-  thread_local std::vector<double> radii;
-  radii.clear();
-  radii.reserve(row.size());
-  for (const census::VpRtt& sample : row) {
-    radii.push_back(sample.rtt_ms <= options_.max_rtt_ms
-                        ? geodesy::rtt_to_radius_km(sample.rtt_ms)
-                        : -1.0);
-  }
-  const std::size_t n = row.size();
-  for (std::size_t i = 0; i < n; ++i) {
-    if (radii[i] < 0.0) continue;
-    const std::size_t vi = row[i].vp;
-    const double* distance_row = &vp_distance_km_[vi * vps_.size()];
-    for (std::size_t j = i + 1; j < n; ++j) {
-      if (radii[j] < 0.0) continue;
-      if (distance_row[row[j].vp] > radii[i] + radii[j]) return true;
-    }
-  }
-  return false;
-}
-
 namespace {
 
 /// Slack for the witness-point bound, far above the floating-point error
@@ -89,7 +63,6 @@ constexpr double kWitnessSlackKm = 1e-3;
 }  // namespace
 
 bool CensusAnalyzer::detect(std::span<const census::VpRtt> row) const {
-  if (options_.reference_kernel) return detect_scan(row);
   // Witness-point prefilter in front of the exact test. Pick the witness
   // P = centre of the smallest valid disk and define each disk's excess
   //     e_i = d(vp_i, P) - r_i.
@@ -103,7 +76,8 @@ bool CensusAnalyzer::detect(std::span<const census::VpRtt> row) const {
   // so nearly all excesses are <= 0 and the typical row costs one sort
   // and no pair tests, instead of the full O(n^2) sweep. Only provably
   // intersecting pairs are skipped and the surviving pairs run the exact
-  // comparison, so the verdict is identical to detect_scan for every row.
+  // comparison, so the verdict is identical to the full sweep for every
+  // row.
   thread_local std::vector<double> radii;
   thread_local std::vector<double> excess;
   thread_local std::vector<std::uint32_t> order;

@@ -56,12 +56,9 @@ class CensusAnalyzer {
   /// The cheap detection predicate on one target row. Runs a witness-point
   /// prefilter (O(n log n) for the typical unicast row) in front of the
   /// exact pairwise test; the verdict is identical to the full O(n^2)
-  /// sweep, which `detect_scan` retains as the oracle.
+  /// sweep over the same distance matrix (the test-only oracle in
+  /// tests/oracle, which kernel_test pins this to).
   [[nodiscard]] bool detect(std::span<const census::VpRtt> row) const;
-
-  /// Pre-kernel full pairwise detection sweep (oracle for property tests
-  /// and the scalar side of the bench_analysis_kernel duel).
-  [[nodiscard]] bool detect_scan(std::span<const census::VpRtt> row) const;
 
   /// Full iGreedy on one target row (used for detected targets and for
   /// focused studies like the Fig. 5 platform comparison).

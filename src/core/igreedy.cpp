@@ -1,7 +1,6 @@
 #include "anycast/core/igreedy.hpp"
 
 #include <algorithm>
-#include <limits>
 #include <unordered_map>
 #include <utility>
 
@@ -105,8 +104,8 @@ bool collapse_dense(std::span<const Measurement> measurements,
   return true;
 }
 
-/// Pre-kernel collapse (hash map + sort), kept verbatim as the
-/// reference-kernel path and the sparse-VP-id fallback.
+/// Sparse-VP-id fallback collapse (hash map + sort): the same ascending
+/// (vp, min-rtt, location) sequence the dense arena produces.
 std::vector<geodesy::Disk> make_disks_map(
     std::span<const Measurement> measurements, double max_rtt_ms,
     std::vector<std::uint32_t>* vp_ids) {
@@ -146,21 +145,19 @@ std::vector<geodesy::Disk> IGreedy::make_disks(
   // Output is ascending by VP id on both paths: the dense arena sorts its
   // touched list, the map path sorts its collapsed entries — identical
   // (vp, min-rtt, location) sequences, hence identical disks.
-  if (!options_.reference_kernel) {
-    CollapseScratch& s = collapse_scratch();
-    if (collapse_dense(measurements, options_.max_rtt_ms, s)) {
-      std::vector<geodesy::Disk> disks;
-      disks.reserve(s.touched.size());
-      vp_ids->clear();
-      vp_ids->reserve(s.touched.size());
-      for (const std::uint32_t vp : s.touched) {
-        disks.push_back(geodesy::Disk::from_rtt(s.location[vp], s.min_rtt[vp]));
-        vp_ids->push_back(vp);
-      }
-      return disks;
-    }
+  CollapseScratch& s = collapse_scratch();
+  if (!collapse_dense(measurements, options_.max_rtt_ms, s)) {
+    return make_disks_map(measurements, options_.max_rtt_ms, vp_ids);
   }
-  return make_disks_map(measurements, options_.max_rtt_ms, vp_ids);
+  std::vector<geodesy::Disk> disks;
+  disks.reserve(s.touched.size());
+  vp_ids->clear();
+  vp_ids->reserve(s.touched.size());
+  for (const std::uint32_t vp : s.touched) {
+    disks.push_back(geodesy::Disk::from_rtt(s.location[vp], s.min_rtt[vp]));
+    vp_ids->push_back(vp);
+  }
+  return disks;
 }
 
 Replica IGreedy::geolocate(const geodesy::Disk& disk,
@@ -169,15 +166,12 @@ Replica IGreedy::geolocate(const geodesy::Disk& disk,
   replica.disk = disk;
   replica.vp_id = vp_id;
   replica.location = disk.center();
-  const bool reference = options_.reference_kernel;
   switch (options_.city_policy) {
     case CityPolicy::kLargestPopulation:
-      replica.city = reference ? cities_->most_populated_in_scan(disk)
-                               : cities_->most_populated_in(disk);
+      replica.city = cities_->most_populated_in(disk);
       break;
     case CityPolicy::kNearestToCenter: {
-      const geo::City* nearest = reference ? cities_->nearest_scan(disk.center())
-                                           : cities_->nearest(disk.center());
+      const geo::City* nearest = cities_->nearest(disk.center());
       if (nearest != nullptr && disk.contains(nearest->location())) {
         replica.city = nearest;
       }
@@ -194,36 +188,16 @@ bool IGreedy::detect(std::span<const Measurement> measurements,
                      double max_rtt_ms) {
   // Cheapest form: disks per VP-minimum, pairwise disjointness.
   CollapseScratch& s = collapse_scratch();
-  if (collapse_dense(measurements, max_rtt_ms, s)) {
-    s.disks.clear();
-    s.disks.reserve(s.touched.size());
-    for (const std::uint32_t vp : s.touched) {
-      s.disks.push_back(geodesy::Disk::from_rtt(s.location[vp], s.min_rtt[vp]));
-    }
-    return has_disjoint_pair(s.disks);
+  if (!collapse_dense(measurements, max_rtt_ms, s)) {
+    std::vector<std::uint32_t> vp_ids;
+    return has_disjoint_pair(make_disks_map(measurements, max_rtt_ms, &vp_ids));
   }
-  // Sparse-VP-id fallback: a single map holding (min RTT, location) per VP
-  // — the RTT and the location that produced it are one fact and travel
-  // together. The map iterates in hash order, but the verdict is an
-  // existential over UNORDERED pairs of disks ("does any disjoint pair
-  // exist?"), and each pair's test depends only on the two disks' centres
-  // and radii — so no iteration order can change the boolean.
-  std::unordered_map<std::uint32_t, std::pair<double, geodesy::GeoPoint>> best;
-  best.reserve(measurements.size());
-  for (const Measurement& m : measurements) {
-    if (m.rtt_ms <= 0.0 || m.rtt_ms > max_rtt_ms) continue;
-    const auto [it, inserted] =
-        best.emplace(m.vp_id, std::make_pair(m.rtt_ms, m.vp_location));
-    if (!inserted && m.rtt_ms < it->second.first) {
-      it->second = {m.rtt_ms, m.vp_location};
-    }
+  s.disks.clear();
+  s.disks.reserve(s.touched.size());
+  for (const std::uint32_t vp : s.touched) {
+    s.disks.push_back(geodesy::Disk::from_rtt(s.location[vp], s.min_rtt[vp]));
   }
-  std::vector<geodesy::Disk> disks;
-  disks.reserve(best.size());
-  for (const auto& [id, entry] : best) {
-    disks.push_back(geodesy::Disk::from_rtt(entry.second, entry.first));
-  }
-  return has_disjoint_pair(disks);
+  return has_disjoint_pair(s.disks);
 }
 
 Result IGreedy::analyze(std::span<const Measurement> measurements) const {
@@ -233,15 +207,13 @@ Result IGreedy::analyze(std::span<const Measurement> measurements) const {
   std::vector<geodesy::Disk> disks = make_disks(measurements, &vp_ids);
   result.usable_measurements = disks.size();
   if (disks.empty()) return result;
-  const bool reference = options_.reference_kernel;
 
   // Detection is the strict speed-of-light criterion: at least one pair of
   // disjoint disks. The collapse-and-resolve iteration below raises
   // enumeration recall but must not drive detection — an overlapping disk
   // whose city classification happens to fall outside a neighbour is not
   // evidence of anycast.
-  result.anycast = reference ? reference::has_disjoint_pair(disks)
-                             : has_disjoint_pair(disks);
+  result.anycast = has_disjoint_pair(disks);
   if (!result.anycast) {
     // Unicast (or undetectable): classic latency geolocation in the
     // smallest disk.
@@ -260,13 +232,11 @@ Result IGreedy::analyze(std::span<const Measurement> measurements) const {
   // Disk::contains) makes each of those tests one dot product.
   thread_local std::vector<geodesy::Unit3> disk_units;
   thread_local std::vector<geodesy::CapTrig> disk_caps;
-  if (!reference) {
-    disk_units.resize(disks.size());
-    disk_caps.resize(disks.size());
-    for (std::size_t i = 0; i < disks.size(); ++i) {
-      disk_units[i] = geodesy::unit_vector(disks[i].center());
-      disk_caps[i] = geodesy::cap_trig(disks[i].radius_km());
-    }
+  disk_units.resize(disks.size());
+  disk_caps.resize(disks.size());
+  for (std::size_t i = 0; i < disks.size(); ++i) {
+    disk_units[i] = geodesy::unit_vector(disks[i].center());
+    disk_caps[i] = geodesy::cap_trig(disks[i].radius_km());
   }
 
   // Working state: `fixed` holds replicas already geolocated (their disks
@@ -278,12 +248,6 @@ Result IGreedy::analyze(std::span<const Measurement> measurements) const {
   std::vector<char> consumed(disks.size(), 0);
 
   const auto explained_by_fixed = [&](std::size_t idx) {
-    if (reference) {
-      return std::any_of(fixed.begin(), fixed.end(),
-                         [&](const Replica& replica) {
-                           return disks[idx].contains(replica.location);
-                         });
-    }
     for (std::size_t f = 0; f < fixed.size(); ++f) {
       if (geodesy::cap_contains(disk_units[idx], fixed_units[f],
                                 disk_caps[idx], disks[idx].center(),
@@ -311,11 +275,8 @@ Result IGreedy::analyze(std::span<const Measurement> measurements) const {
       candidate_disks.push_back(disks[idx]);
     }
     const std::vector<std::size_t> picked =
-        options_.exact_enumeration
-            ? (reference ? reference::exact_mis(candidate_disks)
-                         : exact_mis(candidate_disks))
-            : (reference ? reference::greedy_mis(candidate_disks)
-                         : greedy_mis(candidate_disks));
+        options_.exact_enumeration ? exact_mis(candidate_disks)
+                                   : greedy_mis(candidate_disks);
     if (picked.empty()) break;
     if (round == 0) result.first_round_replicas = picked.size();
 
@@ -331,9 +292,7 @@ Result IGreedy::analyze(std::span<const Measurement> measurements) const {
             return existing.city != nullptr && existing.city == replica.city;
           });
       if (!duplicate || replica.city == nullptr) {
-        if (!reference) {
-          fixed_units.push_back(geodesy::unit_vector(replica.location));
-        }
+        fixed_units.push_back(geodesy::unit_vector(replica.location));
         fixed.push_back(replica);
         progress = true;
       }

@@ -73,18 +73,15 @@ struct Options {
   /// 5-approximation (validation/ablation only — exponential worst case).
   bool exact_enumeration = false;
   CityPolicy city_policy = CityPolicy::kLargestPopulation;
-  /// Route every geometry step through the pre-kernel scalar
-  /// implementations (hash-map measurement collapse, haversine pair
-  /// tests, vector<vector<bool>> MIS, latitude-band city scans). The
-  /// output is byte-identical either way — that equality is what the
-  /// bench_analysis_kernel duel and the kernel property tests assert —
-  /// so this exists for benchmarking and validation only.
-  bool reference_kernel = false;
 };
 
 /// The analysis engine. Stateless apart from configuration; one instance
 /// can process millions of targets (the paper: ~0.1 s per target, ~3 h for
-/// a census).
+/// a census). Every geometry step runs on the chord-space/bitset kernel
+/// (dense per-VP collapse, chord-space containment, mis.hpp solvers,
+/// grid-indexed city queries). The pre-kernel scalar driver is the
+/// test-only oracle::igreedy_analyze (tests/oracle); kernel_test pins
+/// analyze() to it field for field, coordinates bit for bit.
 class IGreedy {
  public:
   explicit IGreedy(const geo::CityIndex& cities, Options options = {})

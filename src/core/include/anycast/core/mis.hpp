@@ -8,6 +8,11 @@
 // results very close to the optimum provided by a prohibitively more
 // costly brute force solution" — both are implemented here so the claim is
 // testable (see bench_mis_ablation).
+//
+// Pairwise disk tests run in chord space (geodesy/chord.hpp) with a
+// guard-banded scalar fallback; the plain scalar solvers they replaced
+// live in the test-only oracle library (tests/oracle), which kernel_test
+// and bench_analysis_kernel pin these functions to bit for bit.
 #pragma once
 
 #include <cstddef>
@@ -23,7 +28,7 @@ namespace anycast::core {
 /// order picked (i.e. by increasing radius). Pairwise tests run in chord
 /// space (precomputed unit vectors + cap trig, no libm per pair) with a
 /// guard-banded scalar fallback, so the result is byte-identical to the
-/// reference implementation.
+/// scalar oracle.
 std::vector<std::size_t> greedy_mis(std::span<const geodesy::Disk> disks);
 
 /// Exact maximum independent set by branch-and-bound over the intersection
@@ -34,22 +39,12 @@ std::vector<std::size_t> greedy_mis(std::span<const geodesy::Disk> disks);
 /// large instances. Exponential in the worst case; intended for
 /// validation on instances up to a few dozen disks (the paper's
 /// 10^3-seconds-per-target brute force). Returns indices in increasing
-/// order — the exact same set the reference implementation returns (the
-/// branching order is replicated, see mis.cpp).
+/// order — the exact same set the scalar oracle returns (the branching
+/// order is replicated, see mis.cpp).
 std::vector<std::size_t> exact_mis(std::span<const geodesy::Disk> disks);
 
 /// Convenience: true when at least two disks are disjoint, i.e. the
 /// measurements are geo-inconsistent (speed-of-light violation, Fig. 3b).
 bool has_disjoint_pair(std::span<const geodesy::Disk> disks);
-
-/// The pre-kernel scalar implementations, kept verbatim as test oracles
-/// and as the "scalar" side of the bench_analysis_kernel duel. Property
-/// tests pin the fast paths above to these bit for bit; do not use them
-/// on hot paths.
-namespace reference {
-std::vector<std::size_t> greedy_mis(std::span<const geodesy::Disk> disks);
-std::vector<std::size_t> exact_mis(std::span<const geodesy::Disk> disks);
-bool has_disjoint_pair(std::span<const geodesy::Disk> disks);
-}  // namespace reference
 
 }  // namespace anycast::core

@@ -11,121 +11,6 @@
 
 namespace anycast::core {
 
-// ---- Reference implementations ---------------------------------------------
-//
-// The pre-kernel scalar code, verbatim. These are the oracles the property
-// tests pin the bitset/chord kernel against, and the "scalar" side of the
-// bench_analysis_kernel duel. Any change here invalidates both.
-
-namespace reference {
-namespace {
-
-/// Adjacency as vector<vector<bool>>; instances beyond a few hundred
-/// disks never reach the exact solver.
-std::vector<std::vector<bool>> intersection_matrix(
-    std::span<const geodesy::Disk> disks) {
-  const std::size_t n = disks.size();
-  std::vector<std::vector<bool>> adj(n, std::vector<bool>(n, false));
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = i + 1; j < n; ++j) {
-      const bool overlap = disks[i].intersects(disks[j]);
-      adj[i][j] = overlap;
-      adj[j][i] = overlap;
-    }
-  }
-  return adj;
-}
-
-struct BranchState {
-  const std::vector<std::vector<bool>>* adj;
-  std::vector<std::size_t> best;
-  std::vector<std::size_t> current;
-
-  void branch(std::vector<std::size_t>& candidates) {
-    if (current.size() + candidates.size() <= best.size()) return;  // bound
-    if (candidates.empty()) {
-      if (current.size() > best.size()) best = current;
-      return;
-    }
-    // Branch on the candidate with the most remaining conflicts first —
-    // resolves dense cores early and tightens the bound.
-    std::size_t pick_pos = 0;
-    std::size_t max_degree = 0;
-    for (std::size_t p = 0; p < candidates.size(); ++p) {
-      std::size_t degree = 0;
-      for (const std::size_t other : candidates) {
-        if ((*adj)[candidates[p]][other]) ++degree;
-      }
-      if (degree >= max_degree) {
-        max_degree = degree;
-        pick_pos = p;
-      }
-    }
-    const std::size_t pick = candidates[pick_pos];
-
-    // Include `pick`.
-    std::vector<std::size_t> reduced;
-    reduced.reserve(candidates.size());
-    for (const std::size_t other : candidates) {
-      if (other != pick && !(*adj)[pick][other]) reduced.push_back(other);
-    }
-    current.push_back(pick);
-    branch(reduced);
-    current.pop_back();
-
-    // Exclude `pick`.
-    candidates.erase(candidates.begin() +
-                     static_cast<std::ptrdiff_t>(pick_pos));
-    branch(candidates);
-  }
-};
-
-}  // namespace
-
-std::vector<std::size_t> greedy_mis(std::span<const geodesy::Disk> disks) {
-  std::vector<std::size_t> order(disks.size());
-  std::iota(order.begin(), order.end(), std::size_t{0});
-  std::stable_sort(order.begin(), order.end(),
-                   [&](std::size_t a, std::size_t b) {
-                     return disks[a].radius_km() < disks[b].radius_km();
-                   });
-  std::vector<std::size_t> kept;
-  for (const std::size_t candidate : order) {
-    const bool clear = std::none_of(
-        kept.begin(), kept.end(), [&](std::size_t held) {
-          return disks[candidate].intersects(disks[held]);
-        });
-    if (clear) kept.push_back(candidate);
-  }
-  return kept;
-}
-
-std::vector<std::size_t> exact_mis(std::span<const geodesy::Disk> disks) {
-  const auto adj = intersection_matrix(disks);
-  BranchState state;
-  state.adj = &adj;
-  // Seed the bound with the greedy solution: exact can only improve on it.
-  state.best = greedy_mis(disks);
-  std::vector<std::size_t> candidates(disks.size());
-  std::iota(candidates.begin(), candidates.end(), std::size_t{0});
-  state.branch(candidates);
-  std::sort(state.best.begin(), state.best.end());
-  return state.best;
-}
-
-bool has_disjoint_pair(std::span<const geodesy::Disk> disks) {
-  for (std::size_t i = 0; i < disks.size(); ++i) {
-    for (std::size_t j = i + 1; j < disks.size(); ++j) {
-      if (!disks[i].intersects(disks[j])) return true;
-    }
-  }
-  return false;
-}
-
-}  // namespace reference
-
-// ---- Chord/bitset kernel ---------------------------------------------------
-
 namespace {
 
 /// Per-thread scratch reused across every MIS call on the analyzer's
@@ -207,13 +92,13 @@ void build_adjacency(std::span<const geodesy::Disk> disks,
   }
 }
 
-/// Branch-and-bound over bitset candidate sets. Replicates the reference
-/// BranchState traversal exactly: the reference candidate list is always
-/// sorted ascending (iota start, order-preserving erase/filter), its pick
-/// is the LAST max-degree candidate in that order (>= comparison), and
-/// the exclude branch re-enters with the pick removed — here the
-/// enclosing loop. Same traversal, same first-found optimum, same
-/// returned set.
+/// Branch-and-bound over bitset candidate sets. Replicates the scalar
+/// oracle's (tests/oracle) vector-list traversal exactly: its candidate
+/// list is always sorted ascending (iota start, order-preserving
+/// erase/filter), its pick is the LAST max-degree candidate in that order
+/// (>= comparison), and the exclude branch re-enters with the pick
+/// removed — here the enclosing loop. Same traversal, same first-found
+/// optimum, same returned set.
 struct BitsetBranch {
   std::span<const std::uint64_t> adj;
   std::size_t words = 0;
@@ -238,7 +123,7 @@ struct BitsetBranch {
         return;
       }
       // Pick the last max-degree candidate in ascending order (the
-      // reference's `>=` scan).
+      // oracle's `>=` scan).
       std::size_t pick = 0;
       std::size_t max_degree = 0;
       for (std::size_t w = 0; w < words; ++w) {

@@ -1,7 +1,6 @@
 #include "anycast/geo/city_index.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
 
 #include "anycast/geo/city_data.hpp"
@@ -57,22 +56,6 @@ CityIndex::CityIndex(std::span<const City> cities) {
       slot_lat_deg_[base + k] = by_latitude_[row_positions[k]]->latitude_deg;
       slot_lon_deg_[base + k] = by_latitude_[row_positions[k]]->longitude_deg;
     }
-  }
-}
-
-template <typename Visitor>
-void CityIndex::visit_band(const geodesy::Disk& disk, Visitor&& visit) const {
-  // A disk of radius r km can only contain cities within r/111 degrees of
-  // latitude of its centre; binary-search that band, then test exactly.
-  const double band_deg = disk.radius_km() / kKmPerLatDegree;
-  const double lo = disk.center().latitude() - band_deg;
-  const double hi = disk.center().latitude() + band_deg;
-  auto first = std::lower_bound(
-      by_latitude_.begin(), by_latitude_.end(), lo,
-      [](const City* c, double v) { return c->latitude_deg < v; });
-  for (; first != by_latitude_.end() && (*first)->latitude_deg <= hi;
-       ++first) {
-    if (disk.contains((*first)->location())) visit(**first);
   }
 }
 
@@ -216,52 +199,6 @@ const City* CityIndex::nearest(const geodesy::GeoPoint& point) const {
 const City* CityIndex::by_name(std::string_view name) const {
   const auto it = name_map_.find(name);
   return it == name_map_.end() ? nullptr : it->second;
-}
-
-// ---- Reference implementations (pre-kernel originals, kept as oracles) -----
-
-std::vector<const City*> CityIndex::cities_in_scan(
-    const geodesy::Disk& disk) const {
-  std::vector<const City*> out;
-  visit_band(disk, [&](const City& city) { out.push_back(&city); });
-  std::sort(out.begin(), out.end(), [](const City* a, const City* b) {
-    return a->population > b->population;
-  });
-  return out;
-}
-
-const City* CityIndex::most_populated_in_scan(
-    const geodesy::Disk& disk) const {
-  const City* best = nullptr;
-  visit_band(disk, [&](const City& city) {
-    if (best == nullptr || city.population > best->population) best = &city;
-  });
-  return best;
-}
-
-const City* CityIndex::nearest_scan(const geodesy::GeoPoint& point) const {
-  const City* best = nullptr;
-  double best_km = std::numeric_limits<double>::infinity();
-  for (const City* city : by_latitude_) {
-    // Latitude pruning: if even the latitude difference alone exceeds the
-    // best distance so far, the city cannot win.
-    const double lat_gap_km =
-        std::abs(city->latitude_deg - point.latitude()) * kKmPerLatDegree;
-    if (lat_gap_km >= best_km) continue;
-    const double km = geodesy::distance_km(city->location(), point);
-    if (km < best_km) {
-      best_km = km;
-      best = city;
-    }
-  }
-  return best;
-}
-
-const City* CityIndex::by_name_scan(std::string_view name) const {
-  for (const City* city : by_latitude_) {
-    if (city->name == name) return city;
-  }
-  return nullptr;
 }
 
 const CityIndex& world_index() {

@@ -10,9 +10,9 @@
 // the grid scored with the batch haversine.
 //
 // Every query keeps the exact semantics of the original latitude-band
-// scan (including its tie-breaking and its band arithmetic), which is
-// retained verbatim as the `*_scan` methods — the property-test oracles
-// and the scalar side of the bench_analysis_kernel duel.
+// scan, including its tie-breaking and its band arithmetic. That scan
+// lives on as the test-only oracle::CityScan (tests/oracle), which
+// kernel_test and bench_analysis_kernel pin these queries to.
 #pragma once
 
 #include <cstdint>
@@ -59,23 +59,7 @@ class CityIndex {
 
   [[nodiscard]] std::size_t size() const { return by_latitude_.size(); }
 
-  // ---- Reference implementations (oracles; see header comment) ----------
-
-  /// Original latitude-band scan of cities_in.
-  [[nodiscard]] std::vector<const City*> cities_in_scan(
-      const geodesy::Disk& disk) const;
-  /// Original latitude-band scan of most_populated_in.
-  [[nodiscard]] const City* most_populated_in_scan(
-      const geodesy::Disk& disk) const;
-  /// Original latitude-pruned linear scan of nearest.
-  [[nodiscard]] const City* nearest_scan(const geodesy::GeoPoint& point) const;
-  /// Original linear scan of by_name.
-  [[nodiscard]] const City* by_name_scan(std::string_view name) const;
-
  private:
-  template <typename Visitor>  // Visitor(const City&)
-  void visit_band(const geodesy::Disk& disk, Visitor&& visit) const;
-
   /// Grid-pruned candidate sweep with the band scan's exact membership
   /// test (band arithmetic + chord-space contains with scalar fallback).
   /// Visits positions into by_latitude_, unordered.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "anycast/core/igreedy.hpp"
@@ -307,6 +308,62 @@ TEST(IGreedy, ExactEnumerationOptionNeverWorse) {
     EXPECT_GE(exact.replicas.size() * 5 + 5, greedy.replicas.size());
     EXPECT_EQ(greedy.anycast, exact.anycast);
   }
+}
+
+TEST(IGreedy, SparseVpIdsMatchDenseIds) {
+  // VP ids at or above 2^20 skip the dense per-VP collapse arena and take
+  // the hash-map fallback. Offsetting every id must change nothing but
+  // the replicas' vp_id: same verdicts, same iterations and counts, same
+  // cities, bitwise-equal coordinates and radii.
+  constexpr std::uint32_t kOffset = 1u << 20;
+  rng::Xoshiro256 gen(1048576);
+  const auto vps = global_vps();
+  const auto all = geo::world_cities();
+  const IGreedy igreedy(cities());
+  int anycast = 0;
+  for (int trial = 0; trial < 40; ++trial) {
+    std::vector<GeoPoint> replicas;
+    const int count = 1 + static_cast<int>(rng::uniform_index(gen, 5));
+    for (int i = 0; i < count; ++i) {
+      replicas.push_back(all[rng::uniform_index(gen, 200)].location());
+    }
+    std::vector<Measurement> dense = anycast_measurements(vps, replicas);
+    // Duplicate VPs, some with tied RTTs, so the collapse has work to do.
+    for (std::size_t i = 0; i < vps.size(); i += 3) {
+      Measurement dup = dense[i];
+      dup.rtt_ms += (i % 2 == 0) ? 0.0 : 7.5;
+      dense.push_back(dup);
+    }
+    std::vector<Measurement> sparse = dense;
+    for (Measurement& m : sparse) m.vp_id += kOffset;
+
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    ASSERT_EQ(IGreedy::detect(sparse), IGreedy::detect(dense));
+    const Result a = igreedy.analyze(dense);
+    const Result b = igreedy.analyze(sparse);
+    ASSERT_EQ(b.anycast, a.anycast);
+    ASSERT_EQ(b.iterations, a.iterations);
+    ASSERT_EQ(b.usable_measurements, a.usable_measurements);
+    ASSERT_EQ(b.first_round_replicas, a.first_round_replicas);
+    ASSERT_EQ(b.replicas.size(), a.replicas.size());
+    for (std::size_t r = 0; r < a.replicas.size(); ++r) {
+      ASSERT_EQ(b.replicas[r].vp_id, a.replicas[r].vp_id + kOffset);
+      ASSERT_EQ(b.replicas[r].city, a.replicas[r].city);
+      ASSERT_EQ(b.replicas[r].location.latitude(),
+                a.replicas[r].location.latitude());
+      ASSERT_EQ(b.replicas[r].location.longitude(),
+                a.replicas[r].location.longitude());
+      ASSERT_EQ(b.replicas[r].disk.center().latitude(),
+                a.replicas[r].disk.center().latitude());
+      ASSERT_EQ(b.replicas[r].disk.center().longitude(),
+                a.replicas[r].disk.center().longitude());
+      ASSERT_EQ(b.replicas[r].disk.radius_km(), a.replicas[r].disk.radius_km());
+    }
+    anycast += a.anycast ? 1 : 0;
+  }
+  // Both verdicts must occur for the comparison to mean anything.
+  EXPECT_GT(anycast, 5);
+  EXPECT_LT(anycast, 35);
 }
 
 }  // namespace

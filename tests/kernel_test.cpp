@@ -3,34 +3,52 @@
 // randomized inputs.
 //
 // The kernel's contract is not "approximately equal" — it is byte-for-byte
-// equality with the pre-kernel implementations, which the code retains as
-// oracles (geodesy scalar predicates, core::reference MIS solvers, the
-// CityIndex *_scan queries, CensusAnalyzer::detect_scan). Inputs here are
-// chosen to stress the places where that contract could crack: distances
-// at the decision boundary (forcing the guard-band fallback), radius sums
-// near the maximum great-circle distance (where the angle-sum identity
-// stops being monotone), cities straddling the latitude band edge, tied
-// populations, tied RTTs, duplicate VPs, and antimeridian/pole geometry.
+// equality with the pre-kernel implementations: the geodesy scalar
+// predicates the chord-space tests fall back to, and the test-only oracle
+// library (tests/oracle: oracle::*_mis, oracle::CityScan,
+// oracle::detect_scan, oracle::igreedy_analyze, oracle::analyze). Inputs
+// here are chosen to stress the places where that contract could crack:
+// distances at the decision boundary (forcing the guard-band fallback),
+// radius sums near the maximum great-circle distance (where the angle-sum
+// identity stops being monotone), cities straddling the latitude band
+// edge, tied populations, tied RTTs, duplicate VPs, antimeridian/pole
+// geometry, and whole census sweeps over any shard plane and lane count.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <string>
 #include <vector>
 
 #include "anycast/analysis/analyzer.hpp"
+#include "anycast/census/fastping.hpp"
+#include "anycast/census/greylist.hpp"
+#include "anycast/census/hitlist.hpp"
+#include "anycast/census/sharded.hpp"
+#include "anycast/concurrency/thread_pool.hpp"
 #include "anycast/core/igreedy.hpp"
 #include "anycast/core/mis.hpp"
+#include "anycast/geo/city_data.hpp"
 #include "anycast/geo/city_index.hpp"
 #include "anycast/geodesy/chord.hpp"
 #include "anycast/geodesy/disk.hpp"
 #include "anycast/geodesy/geopoint.hpp"
+#include "anycast/net/internet.hpp"
 #include "anycast/net/platform.hpp"
 #include "anycast/rng/distributions.hpp"
+#include "oracle.hpp"
 
 namespace anycast {
 namespace {
 
 using geodesy::Disk;
 using geodesy::GeoPoint;
+
+/// Band-scan oracle over the same city span world_index() indexes.
+const oracle::CityScan& world_scan() {
+  static const oracle::CityScan scan(geo::world_cities());
+  return scan;
+}
 
 GeoPoint random_point(rng::Xoshiro256& gen) {
   return GeoPoint(rng::uniform(gen, -90.0, 90.0),
@@ -170,7 +188,7 @@ TEST(ChordKernel, GridVisitIsSupersetOfWithinRadius) {
   }
 }
 
-// ---- Bitset MIS vs reference solvers ----------------------------------------
+// ---- Bitset MIS vs oracle solvers -------------------------------------------
 
 std::vector<Disk> random_disks(rng::Xoshiro256& gen, int count,
                                double max_radius) {
@@ -189,7 +207,7 @@ TEST(MisKernel, GreedyMatchesReferenceExactly) {
     const int count = 1 + static_cast<int>(rng::uniform_index(gen, 180));
     auto disks = random_disks(gen, count, round % 2 ? 600.0 : 6000.0);
     if (round % 5 == 0 && disks.size() > 2) disks[1] = disks[0];
-    ASSERT_EQ(core::greedy_mis(disks), core::reference::greedy_mis(disks))
+    ASSERT_EQ(core::greedy_mis(disks), oracle::greedy_mis(disks))
         << "round " << round << " n=" << disks.size();
   }
 }
@@ -200,7 +218,7 @@ TEST(MisKernel, ExactMatchesReferenceExactly) {
     const int count = 1 + static_cast<int>(rng::uniform_index(gen, 26));
     auto disks = random_disks(gen, count, round % 2 ? 800.0 : 5000.0);
     if (round % 7 == 0 && disks.size() > 2) disks[2] = disks[0];
-    ASSERT_EQ(core::exact_mis(disks), core::reference::exact_mis(disks))
+    ASSERT_EQ(core::exact_mis(disks), oracle::exact_mis(disks))
         << "round " << round << " n=" << disks.size();
   }
 }
@@ -211,7 +229,7 @@ TEST(MisKernel, HasDisjointPairMatchesReference) {
     const int count = 2 + static_cast<int>(rng::uniform_index(gen, 150));
     const auto disks = random_disks(gen, count, round % 2 ? 300.0 : 9000.0);
     ASSERT_EQ(core::has_disjoint_pair(disks),
-              core::reference::has_disjoint_pair(disks))
+              oracle::has_disjoint_pair(disks))
         << "round " << round;
   }
 }
@@ -220,6 +238,7 @@ TEST(MisKernel, HasDisjointPairMatchesReference) {
 
 TEST(CityKernel, DiskQueriesMatchScanOracles) {
   const geo::CityIndex& index = geo::world_index();
+  const oracle::CityScan& scan = world_scan();
   rng::Xoshiro256 gen(4096);
   for (int q = 0; q < 4000; ++q) {
     const GeoPoint center = random_point(gen);
@@ -227,9 +246,9 @@ TEST(CityKernel, DiskQueriesMatchScanOracles) {
     // the disk ON a known city so the band edge cuts through real entries.
     double radius = rng::uniform(gen, 5.0, 9000.0);
     const Disk disk(center, radius);
-    ASSERT_EQ(index.most_populated_in(disk), index.most_populated_in_scan(disk))
+    ASSERT_EQ(index.most_populated_in(disk), scan.most_populated_in(disk))
         << "query " << q << " r=" << radius;
-    ASSERT_EQ(index.cities_in(disk), index.cities_in_scan(disk))
+    ASSERT_EQ(index.cities_in(disk), scan.cities_in(disk))
         << "query " << q << " r=" << radius;
   }
   // Boundary radii: the disk's edge exactly on a city.
@@ -242,9 +261,9 @@ TEST(CityKernel, DiskQueriesMatchScanOracles) {
          {d, std::nextafter(d, 0.0), std::nextafter(d, 1e9)}) {
       const Disk disk(center, radius);
       ASSERT_EQ(index.most_populated_in(disk),
-                index.most_populated_in_scan(disk))
+                scan.most_populated_in(disk))
           << "boundary query " << q;
-      ASSERT_EQ(index.cities_in(disk), index.cities_in_scan(disk))
+      ASSERT_EQ(index.cities_in(disk), scan.cities_in(disk))
           << "boundary query " << q;
     }
   }
@@ -252,38 +271,40 @@ TEST(CityKernel, DiskQueriesMatchScanOracles) {
 
 TEST(CityKernel, NearestMatchesScanOracle) {
   const geo::CityIndex& index = geo::world_index();
+  const oracle::CityScan& scan = world_scan();
   rng::Xoshiro256 gen(777);
   for (int q = 0; q < 5000; ++q) {
     const GeoPoint point = random_point(gen);
-    ASSERT_EQ(index.nearest(point), index.nearest_scan(point))
+    ASSERT_EQ(index.nearest(point), scan.nearest(point))
         << "query " << q << " at " << point.latitude() << ","
         << point.longitude();
   }
   // On-city queries (distance 0) and pole/antimeridian corners.
   const geo::City* tokyo = index.by_name("Tokyo");
   ASSERT_NE(tokyo, nullptr);
-  EXPECT_EQ(index.nearest(tokyo->location()), index.nearest_scan(tokyo->location()));
+  EXPECT_EQ(index.nearest(tokyo->location()), scan.nearest(tokyo->location()));
   for (const GeoPoint corner :
        {GeoPoint(90.0, 0.0), GeoPoint(-90.0, 0.0), GeoPoint(0.0, 180.0),
         GeoPoint(0.0, -180.0), GeoPoint(51.5, -0.1)}) {
-    EXPECT_EQ(index.nearest(corner), index.nearest_scan(corner));
+    EXPECT_EQ(index.nearest(corner), scan.nearest(corner));
   }
 }
 
 TEST(CityKernel, ByNameMatchesScanOracle) {
   const geo::CityIndex& index = geo::world_index();
+  const oracle::CityScan& scan = world_scan();
   // Every indexed name resolves to the scan's winner (first in ascending
   // latitude for duplicates), and a miss stays a miss.
   rng::Xoshiro256 gen(1);
   for (int q = 0; q < 200; ++q) {
     const Disk everywhere(random_point(gen), 20100.0);
     for (const geo::City* city : index.cities_in(everywhere)) {
-      ASSERT_EQ(index.by_name(city->name), index.by_name_scan(city->name));
+      ASSERT_EQ(index.by_name(city->name), scan.by_name(city->name));
     }
     break;  // one covering disk enumerates every city
   }
   EXPECT_EQ(index.by_name("Atlantis"), nullptr);
-  EXPECT_EQ(index.by_name(""), index.by_name_scan(""));
+  EXPECT_EQ(index.by_name(""), scan.by_name(""));
 }
 
 // ---- Analyzer detect prefilter vs full pairwise sweep -----------------------
@@ -311,7 +332,8 @@ TEST(DetectKernel, WitnessPrefilterMatchesFullSweep) {
       row.push_back(sample);
     }
     const bool fast = analyzer.detect(row);
-    const bool full = analyzer.detect_scan(row);
+    const bool full =
+        oracle::detect_scan(vps, row, core::Options{}.max_rtt_ms);
     ASSERT_EQ(fast, full) << "round " << round;
     detected += fast ? 1 : 0;
   }
@@ -320,14 +342,32 @@ TEST(DetectKernel, WitnessPrefilterMatchesFullSweep) {
   EXPECT_LT(detected, 2950);
 }
 
-// ---- Whole-pipeline equality: reference_kernel routing ----------------------
+// ---- Whole-pipeline equality: kernel vs oracle iGreedy and sweep ------------
+
+/// Field-for-field equality of two iGreedy results, coordinates and radii
+/// bitwise (not within tolerance).
+void expect_identical(const core::Result& a, const core::Result& b) {
+  ASSERT_EQ(a.anycast, b.anycast);
+  ASSERT_EQ(a.iterations, b.iterations);
+  ASSERT_EQ(a.usable_measurements, b.usable_measurements);
+  ASSERT_EQ(a.first_round_replicas, b.first_round_replicas);
+  ASSERT_EQ(a.replicas.size(), b.replicas.size());
+  for (std::size_t r = 0; r < a.replicas.size(); ++r) {
+    ASSERT_EQ(a.replicas[r].vp_id, b.replicas[r].vp_id);
+    ASSERT_EQ(a.replicas[r].city, b.replicas[r].city);
+    // Bitwise coordinate equality, not tolerance.
+    ASSERT_EQ(a.replicas[r].location.latitude(),
+              b.replicas[r].location.latitude());
+    ASSERT_EQ(a.replicas[r].location.longitude(),
+              b.replicas[r].location.longitude());
+    ASSERT_EQ(a.replicas[r].disk.radius_km(), b.replicas[r].disk.radius_km());
+  }
+}
 
 TEST(PipelineKernel, AnalyzeIsByteIdenticalToReferenceKernel) {
   const auto vps = net::make_planetlab({.node_count = 40, .seed = 5});
-  core::Options reference_options;
-  reference_options.reference_kernel = true;
-  const core::IGreedy kernel(geo::world_index());
-  const core::IGreedy reference(geo::world_index(), reference_options);
+  const core::Options options;
+  const core::IGreedy kernel(geo::world_index(), options);
 
   rng::Xoshiro256 gen(20151215);
   for (int round = 0; round < 300; ++round) {
@@ -352,22 +392,63 @@ TEST(PipelineKernel, AnalyzeIsByteIdenticalToReferenceKernel) {
         measurements.push_back(dup);
       }
     }
-    const core::Result a = kernel.analyze(measurements);
-    const core::Result b = reference.analyze(measurements);
-    ASSERT_EQ(a.anycast, b.anycast) << "round " << round;
-    ASSERT_EQ(a.iterations, b.iterations) << "round " << round;
-    ASSERT_EQ(a.usable_measurements, b.usable_measurements);
-    ASSERT_EQ(a.first_round_replicas, b.first_round_replicas);
-    ASSERT_EQ(a.replicas.size(), b.replicas.size()) << "round " << round;
-    for (std::size_t r = 0; r < a.replicas.size(); ++r) {
-      ASSERT_EQ(a.replicas[r].vp_id, b.replicas[r].vp_id);
-      ASSERT_EQ(a.replicas[r].city, b.replicas[r].city);
-      // Bitwise coordinate equality, not tolerance.
-      ASSERT_EQ(a.replicas[r].location.latitude(),
-                b.replicas[r].location.latitude());
-      ASSERT_EQ(a.replicas[r].location.longitude(),
-                b.replicas[r].location.longitude());
-      ASSERT_EQ(a.replicas[r].disk.radius_km(), b.replicas[r].disk.radius_km());
+    SCOPED_TRACE("round " + std::to_string(round));
+    ASSERT_NO_FATAL_FAILURE(expect_identical(
+        kernel.analyze(measurements),
+        oracle::igreedy_analyze(world_scan(), options, measurements)));
+  }
+}
+
+TEST(PipelineKernel, CensusAnalyzeMatchesOracleSweep) {
+  // A small simulated census (the full anycast catalog over a few hundred
+  // unicast /24s), analyzed on the default one-shard plane and on
+  // 37-target shards, serially and with four lanes.
+  net::WorldConfig world_config;
+  world_config.seed = 33;
+  world_config.unicast_alive_slash24 = 300;
+  world_config.unicast_dead_slash24 = 200;
+  const net::SimulatedInternet world(world_config);
+  const census::Hitlist hitlist =
+      census::Hitlist::from_world(world).without_dead();
+  const auto vps = net::make_planetlab({.node_count = 12, .seed = 14});
+  census::FastPingConfig ping;
+  ping.seed = 2015;
+  census::Greylist blacklist;
+  const census::ShardedCensusMatrix one_shard =
+      census::run_census_sharded(world, vps, hitlist, blacklist, ping).data;
+
+  census::DataPlaneConfig plane;
+  plane.shard_targets = 37;
+  census::ShardedCensusMatrixBuilder builder(one_shard.target_count(), plane);
+  for (std::uint32_t t = 0; t < one_shard.target_count(); ++t) {
+    for (const census::VpRtt& sample : one_shard.measurements(t)) {
+      builder.add(t, sample.vp, sample.rtt_ms);
+    }
+  }
+  const census::ShardedCensusMatrix sharded = builder.build();
+  ASSERT_GT(sharded.shard_count(), 1u);
+
+  const core::Options options;
+  const analysis::CensusAnalyzer analyzer(vps, geo::world_index(), options);
+  concurrency::ThreadPool pool(4);
+  for (const census::ShardedCensusMatrix* data : {&one_shard, &sharded}) {
+    const std::vector<analysis::TargetOutcome> expected =
+        oracle::analyze(vps, world_scan(), options, *data, hitlist);
+    ASSERT_GT(expected.size(), 100u);
+    for (concurrency::ThreadPool* lanes :
+         {static_cast<concurrency::ThreadPool*>(nullptr), &pool}) {
+      SCOPED_TRACE("shards " + std::to_string(data->shard_count()) +
+                   (lanes == nullptr ? ", serial" : ", 4 lanes"));
+      const std::vector<analysis::TargetOutcome> got =
+          analyzer.analyze(*data, hitlist, 2, lanes);
+      ASSERT_EQ(got.size(), expected.size());
+      for (std::size_t i = 0; i < got.size(); ++i) {
+        SCOPED_TRACE("outcome " + std::to_string(i));
+        ASSERT_EQ(got[i].target_index, expected[i].target_index);
+        ASSERT_EQ(got[i].slash24_index, expected[i].slash24_index);
+        ASSERT_NO_FATAL_FAILURE(
+            expect_identical(got[i].result, expected[i].result));
+      }
     }
   }
 }
