@@ -1,6 +1,7 @@
 #include "anycast/census/census.hpp"
 
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
@@ -418,36 +419,68 @@ std::vector<TargetRtt> vp_row_fragment(std::span<const Observation>
                                            observations,
                                        std::size_t target_limit,
                                        std::size_t* echo_in_range) {
-  std::size_t usable = 0;
+  // A stable LSD radix sort over the target index, 8 bits per digit, with
+  // only as many digits as `target_limit - 1` has bytes: O(n) where the
+  // comparison sort it replaces was O(n log n) on LFSR-ordered streams.
+  const auto usable = [target_limit](const Observation& obs) {
+    // Out-of-range indices are damaged checkpoint records.
+    return obs.kind == net::ReplyKind::kEchoReply &&
+           obs.target_index < target_limit;
+  };
+  int digits = 0;
+  for (std::size_t top = target_limit == 0 ? 0 : target_limit - 1;
+       top != 0 && digits < 4; top >>= 8) {
+    ++digits;
+  }
+
+  // One counting pass gives the usable total and every digit's histogram.
+  std::array<std::array<std::size_t, 256>, 4> counts{};
+  std::size_t count = 0;
   for (const Observation& obs : observations) {
-    if (obs.kind == net::ReplyKind::kEchoReply &&
-        obs.target_index < target_limit) {
-      ++usable;
+    if (!usable(obs)) continue;
+    ++count;
+    for (int d = 0; d < digits; ++d) {
+      ++counts[d][(obs.target_index >> (8 * d)) & 0xFFu];
     }
   }
-  if (echo_in_range != nullptr) *echo_in_range = usable;
+  if (echo_in_range != nullptr) *echo_in_range = count;
+
   std::vector<TargetRtt> fragment;
-  fragment.reserve(usable);
+  fragment.reserve(count);
   for (const Observation& obs : observations) {
-    if (obs.kind != net::ReplyKind::kEchoReply) continue;
-    if (obs.target_index >= target_limit) continue;  // damaged record
-    fragment.push_back(
-        TargetRtt{obs.target_index, static_cast<float>(obs.rtt_ms)});
+    if (usable(obs)) {
+      fragment.push_back(
+          TargetRtt{obs.target_index, static_cast<float>(obs.rtt_ms)});
+    }
   }
-  // Retry passes revisit targets: sort by target and keep the minimum per
-  // group (ties by RTT make the sort order — hence the result — unique).
-  std::sort(fragment.begin(), fragment.end(),
-            [](const TargetRtt& a, const TargetRtt& b) {
-              if (a.target_index != b.target_index) {
-                return a.target_index < b.target_index;
-              }
-              return a.rtt_ms < b.rtt_ms;
-            });
-  fragment.erase(std::unique(fragment.begin(), fragment.end(),
-                             [](const TargetRtt& a, const TargetRtt& b) {
-                               return a.target_index == b.target_index;
-                             }),
-                 fragment.end());
+  std::vector<TargetRtt> spare(digits > 0 ? count : 0);
+  for (int d = 0; d < digits; ++d) {
+    std::size_t at = 0;
+    for (std::size_t& bucket : counts[d]) {  // histogram -> bucket starts
+      const std::size_t n = bucket;
+      bucket = at;
+      at += n;
+    }
+    for (const TargetRtt& entry : fragment) {
+      spare[counts[d][(entry.target_index >> (8 * d)) & 0xFFu]++] = entry;
+    }
+    fragment.swap(spare);
+  }
+
+  // Retry passes revisit targets: collapse each target's group to its
+  // minimum RTT, in place.
+  std::size_t write = 0;
+  for (std::size_t i = 0; i < count; ++i) {
+    const TargetRtt entry = fragment[i];
+    if (write > 0 && fragment[write - 1].target_index == entry.target_index) {
+      if (entry.rtt_ms < fragment[write - 1].rtt_ms) {
+        fragment[write - 1].rtt_ms = entry.rtt_ms;
+      }
+    } else {
+      fragment[write++] = entry;
+    }
+  }
+  fragment.resize(write);
   return fragment;
 }
 

@@ -334,8 +334,10 @@ class CensusMatrixBuilder {
 };
 
 /// Reduces one VP's observation stream to its per-target minimum echo
-/// RTTs, sorted by target index. Entries at or beyond `target_limit`
-/// (damaged checkpoint records) are dropped. This is the per-VP half of
+/// RTTs, sorted by target index, in time linear in the stream (a stable
+/// radix pass over the target index, one 8-bit digit per byte of
+/// `target_limit - 1`). Entries at or beyond `target_limit` (damaged
+/// checkpoint records) are dropped. This is the per-VP half of
 /// the census merge; it runs inside the VP's task when a thread pool is
 /// in use. When `echo_in_range` is non-null it receives the number of
 /// echo replies within `target_limit` *before* per-target deduplication

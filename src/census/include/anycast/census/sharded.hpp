@@ -150,8 +150,10 @@ class ShardedCensusMatrixBuilder {
   /// Adds one observation (parity with CensusMatrixBuilder::add).
   void add(std::uint32_t target_index, std::uint16_t vp, float rtt_ms);
 
-  /// Adds one VP's whole row fragment (sorted by global target index, as
-  /// vp_row_fragment produces), splitting it across shards.
+  /// Adds one VP's whole row fragment, splitting it across shards by
+  /// global target index. Entries may come in any order and repeat a
+  /// target (the per-shard build canonicalises each row to one minimum
+  /// per VP); entries at or beyond `target_count()` are dropped.
   void add_fragment(std::uint16_t vp, std::vector<TargetRtt> fragment);
 
   [[nodiscard]] std::size_t target_count() const { return target_count_; }

@@ -5,7 +5,12 @@
 // IPs in all files is not the same, meaning that an on-the-fly sorting of
 // about 300 lists containing millions of targets is needed" (Sec. 3.5) —
 // `collate_census_files_sharded` performs exactly that step, producing the
-// per-target RTT rows the analyzer consumes.
+// per-target RTT rows the analyzer consumes. Each list is put in target
+// order by a linear-time radix pass rather than a comparison sort, and
+// with a thread pool the lists are read and sorted a window of files at a
+// time on every lane, then merged in path order on the calling thread, so
+// the matrix never depends on the lane count and memory stays bounded by
+// one window of files.
 //
 // Files double as checkpoints for crash recovery (see resume.hpp): they
 // are written atomically (tmp + rename), carry a CRC32 trailer (format
@@ -53,7 +58,8 @@ void write_census_file(const std::filesystem::path& path,
 /// Reads a census file back. Returns nullopt on a missing, truncated, or
 /// corrupted file (the analysis must survive partial uploads). Both v2
 /// (CRC-trailed) and legacy v1 (no trailer) files are accepted; a v2 file
-/// whose CRC does not match its contents is rejected.
+/// whose CRC does not match its contents is rejected. Every call counts
+/// once into `checkpoint_reads_ok` or `checkpoint_read_failures`.
 struct CensusFile {
   CensusFileHeader header;
   std::vector<Observation> observations;
@@ -81,21 +87,34 @@ struct CollateStats {
 
 /// Collates per-VP census files into the per-target sharded CSR matrix:
 /// the on-the-fly sort across LFSR-ordered lists. Each file reduces to
-/// its VP's row fragment and streams through a ShardedCensusMatrixBuilder
-/// — one file in memory at a time, staged shards flushed under the
-/// plane's budgets — so a paper-scale repository collates in bounded RSS;
-/// the result is element-identical for any shard size. `target_count`
-/// sizes the result (hitlist size). When `salvage` is true, damaged files
-/// contribute their valid record prefix; otherwise they are skipped
-/// whole. A file whose header vp_id does not fit a row's 16-bit VP field
-/// is skipped rather than aliased onto another VP; callers that index a
-/// platform by VP id check `max_vp_id` against its size.
+/// its VP's row fragment (a linear-time radix pass, vp_row_fragment) and
+/// the fragments stream through a ShardedCensusMatrixBuilder in path
+/// order, staged shards flushed under the plane's budgets; the result is
+/// element-identical for any shard size.
+///
+/// With no `pool`, or a one-lane pool, files are read, checked and
+/// fragmented one at a time on the calling thread. With more lanes, a
+/// window of `pool->thread_count()` files is read, checked and
+/// fragmented concurrently, then its fragments and accounting are handed
+/// to the builder in path order on the calling thread before the next
+/// window starts — so the matrix and `stats` are identical for every
+/// lane count, and resident input is bounded by one window of files
+/// (one file on the serial path), not the repository.
+///
+/// `target_count` sizes the result (hitlist size). When `salvage` is
+/// true, damaged files contribute their valid record prefix; otherwise
+/// they are skipped whole. A file whose header vp_id does not fit a
+/// row's 16-bit VP field is skipped rather than aliased onto another VP;
+/// callers that index a platform by VP id check `max_vp_id` against its
+/// size. Each call records one `collate` trace span.
 ShardedCensusMatrix collate_census_files_sharded(
     std::span<const std::filesystem::path> paths, std::size_t target_count,
-    const DataPlaneConfig& plane, CollateStats* stats, bool salvage = true);
+    const DataPlaneConfig& plane, CollateStats* stats, bool salvage = true,
+    concurrency::ThreadPool* pool = nullptr);
 
 /// CRC-32 (IEEE 802.3, reflected 0xEDB88320) over `bytes` — the census
-/// file trailer checksum, exposed for tests and external tooling.
+/// file trailer and spill-file checksum, exposed for tests and external
+/// tooling. Computed eight bytes per step (slicing-by-8).
 std::uint32_t crc32(std::span<const std::uint8_t> bytes);
 
 }  // namespace anycast::census

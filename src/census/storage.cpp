@@ -6,8 +6,10 @@
 #include <limits>
 #include <stdexcept>
 
+#include "anycast/concurrency/thread_pool.hpp"
 #include "anycast/obs/journal.hpp"
 #include "anycast/obs/metrics.hpp"
+#include "anycast/obs/trace.hpp"
 
 namespace anycast::census {
 namespace {
@@ -71,16 +73,27 @@ struct File {
   File& operator=(const File&) = delete;
 };
 
-std::array<std::uint32_t, 256> make_crc_table() {
-  std::array<std::uint32_t, 256> table{};
+/// Slicing-by-8 tables: table[0] is the bytewise reflected 0xEDB88320
+/// table; table[k][n] is the CRC of byte n followed by k zero bytes, so
+/// eight table lookups advance the register by eight input bytes.
+using CrcTables = std::array<std::array<std::uint32_t, 256>, 8>;
+
+CrcTables make_crc_tables() {
+  CrcTables tables{};
   for (std::uint32_t n = 0; n < 256; ++n) {
     std::uint32_t c = n;
     for (int k = 0; k < 8; ++k) {
       c = (c & 1u) != 0 ? 0xEDB88320u ^ (c >> 1) : c >> 1;
     }
-    table[n] = c;
+    tables[0][n] = c;
   }
-  return table;
+  for (std::uint32_t n = 0; n < 256; ++n) {
+    for (std::size_t k = 1; k < tables.size(); ++k) {
+      const std::uint32_t prev = tables[k - 1][n];
+      tables[k][n] = tables[0][prev & 0xFFu] ^ (prev >> 8);
+    }
+  }
+  return tables;
 }
 
 std::optional<std::vector<std::uint8_t>> slurp(
@@ -88,6 +101,17 @@ std::optional<std::vector<std::uint8_t>> slurp(
   const File file(path, "rb");
   if (file.handle == nullptr) return std::nullopt;
   std::vector<std::uint8_t> buffer;
+  // One read sized from the file length; the chunk loop is the fallback
+  // when the length cannot be told (not a regular file).
+  std::error_code ec;
+  const std::uintmax_t length = std::filesystem::file_size(path, ec);
+  if (!ec) {
+    buffer.resize(static_cast<std::size_t>(length));
+    if (length != 0) {
+      buffer.resize(std::fread(buffer.data(), 1, buffer.size(), file.handle));
+    }
+    return buffer;
+  }
   std::uint8_t chunk[64 * 1024];
   std::size_t got = 0;
   while ((got = std::fread(chunk, 1, sizeof chunk, file.handle)) > 0) {
@@ -119,13 +143,49 @@ std::size_t parse_header(const std::vector<std::uint8_t>& buffer,
   return 0;
 }
 
+/// The strict read without accounting: magic, CRC and codec must all
+/// check out.
+std::optional<CensusFile> read_intact(const std::filesystem::path& path) {
+  const auto buffer = slurp(path);
+  if (!buffer.has_value()) return std::nullopt;
+  CensusFile out;
+  bool has_trailer = false;
+  const std::size_t payload_at = parse_header(*buffer, out.header,
+                                              has_trailer);
+  if (payload_at == 0) return std::nullopt;
+  std::size_t payload_end = buffer->size();
+  if (has_trailer) {
+    if (buffer->size() < payload_at + kTrailerBytes) return std::nullopt;
+    payload_end -= kTrailerBytes;
+    const std::uint32_t stored = load32(buffer->data() + payload_end);
+    const std::uint32_t actual =
+        crc32(std::span<const std::uint8_t>(buffer->data(), payload_end));
+    if (stored != actual) return std::nullopt;
+  }
+  auto decoded = decode_binary(std::span<const std::uint8_t>(
+      buffer->data() + payload_at, payload_end - payload_at));
+  if (!decoded.has_value()) return std::nullopt;
+  out.observations = std::move(*decoded);
+  return out;
+}
+
 }  // namespace
 
 std::uint32_t crc32(std::span<const std::uint8_t> bytes) {
-  static const std::array<std::uint32_t, 256> table = make_crc_table();
+  static const CrcTables table = make_crc_tables();
   std::uint32_t c = 0xFFFFFFFFu;
-  for (const std::uint8_t byte : bytes) {
-    c = table[(c ^ byte) & 0xFFu] ^ (c >> 8);
+  const std::uint8_t* at = bytes.data();
+  std::size_t left = bytes.size();
+  for (; left >= 8; at += 8, left -= 8) {
+    const std::uint32_t lo = load32(at) ^ c;
+    const std::uint32_t hi = load32(at + 4);
+    c = table[7][lo & 0xFFu] ^ table[6][(lo >> 8) & 0xFFu] ^
+        table[5][(lo >> 16) & 0xFFu] ^ table[4][lo >> 24] ^
+        table[3][hi & 0xFFu] ^ table[2][(hi >> 8) & 0xFFu] ^
+        table[1][(hi >> 16) & 0xFFu] ^ table[0][hi >> 24];
+  }
+  for (; left > 0; ++at, --left) {
+    c = table[0][(c ^ *at) & 0xFFu] ^ (c >> 8);
   }
   return c ^ 0xFFFFFFFFu;
 }
@@ -178,35 +238,20 @@ void write_census_file(const std::filesystem::path& path,
 
 std::optional<CensusFile> read_census_file(
     const std::filesystem::path& path) {
-  const auto buffer = slurp(path);
-  if (!buffer.has_value()) return std::nullopt;
-  CensusFile out;
-  bool has_trailer = false;
-  const std::size_t payload_at = parse_header(*buffer, out.header,
-                                              has_trailer);
-  if (payload_at == 0) return std::nullopt;
-  std::size_t payload_end = buffer->size();
-  if (has_trailer) {
-    if (buffer->size() < payload_at + kTrailerBytes) return std::nullopt;
-    payload_end -= kTrailerBytes;
-    const std::uint32_t stored = load32(buffer->data() + payload_end);
-    const std::uint32_t actual =
-        crc32(std::span<const std::uint8_t>(buffer->data(), payload_end));
-    if (stored != actual) return std::nullopt;
+  // Every strict read counts exactly once, whether or not salvage follows.
+  auto file = read_intact(path);
+  if (file.has_value()) {
+    storage_instruments().reads_ok.inc();
+  } else {
+    storage_instruments().read_failures.inc();
   }
-  auto decoded = decode_binary(std::span<const std::uint8_t>(
-      buffer->data() + payload_at, payload_end - payload_at));
-  if (!decoded.has_value()) return std::nullopt;
-  out.observations = std::move(*decoded);
-  storage_instruments().reads_ok.inc();
-  return out;
+  return file;
 }
 
 std::optional<CensusFile> salvage_census_file(
     const std::filesystem::path& path) {
   auto strict = read_census_file(path);
   if (strict.has_value()) return strict;
-  storage_instruments().read_failures.inc();
 
   const auto buffer = slurp(path);
   if (!buffer.has_value()) return std::nullopt;
@@ -238,31 +283,69 @@ std::optional<CensusFile> salvage_census_file(
 
 ShardedCensusMatrix collate_census_files_sharded(
     std::span<const std::filesystem::path> paths, std::size_t target_count,
-    const DataPlaneConfig& plane, CollateStats* stats, bool salvage) {
-  ShardedCensusMatrixBuilder builder(target_count, plane);
-  CollateStats local;
-  for (const std::filesystem::path& path : paths) {
+    const DataPlaneConfig& plane, CollateStats* stats, bool salvage,
+    concurrency::ThreadPool* pool) {
+  // A root span, like the census and analysis ones: a top-level
+  // collation is not counted as an orphan.
+  const obs::Span collate_span(obs::Span::Root::kAdoptionPoint, "collate",
+                               paths.size());
+  // Map: one file becomes one VP row fragment (read, check, fragment);
+  // the raw observations die with the task.
+  struct Loaded {
+    bool usable = false;
+    bool salvaged = false;
+    std::uint32_t vp_id = 0;
+    std::size_t echo_in_range = 0;
+    std::vector<TargetRtt> fragment;
+  };
+  const auto load = [&](const std::filesystem::path& path) {
+    Loaded loaded;
     const auto file =
         salvage ? salvage_census_file(path) : read_census_file(path);
     if (!file.has_value() ||
         file->header.vp_id > std::numeric_limits<std::uint16_t>::max()) {
-      ++local.files_skipped;
-      continue;
+      return loaded;
     }
-    if (file->salvaged) {
+    loaded.usable = true;
+    loaded.salvaged = file->salvaged;
+    loaded.vp_id = file->header.vp_id;
+    loaded.fragment =
+        vp_row_fragment(std::span<const Observation>(file->observations),
+                        target_count, &loaded.echo_in_range);
+    return loaded;
+  };
+  // Reduce in path order on the calling thread: the stats and the
+  // builder see files in exactly the serial order.
+  ShardedCensusMatrixBuilder builder(target_count, plane);
+  CollateStats local;
+  const auto reduce = [&](Loaded&& loaded) {
+    if (!loaded.usable) {
+      ++local.files_skipped;
+      return;
+    }
+    if (loaded.salvaged) {
       ++local.files_salvaged;
     } else {
       ++local.files_ok;
     }
-    local.max_vp_id = std::max(local.max_vp_id, file->header.vp_id);
-    // One upload becomes one row fragment; the builder places all
-    // fragments into the contiguous shards.
-    std::size_t echo_in_range = 0;
-    builder.add_fragment(
-        static_cast<std::uint16_t>(file->header.vp_id),
-        vp_row_fragment(std::span<const Observation>(file->observations),
-                        target_count, &echo_in_range));
-    local.observations += echo_in_range;
+    local.max_vp_id = std::max(local.max_vp_id, loaded.vp_id);
+    local.observations += loaded.echo_in_range;
+    builder.add_fragment(static_cast<std::uint16_t>(loaded.vp_id),
+                         std::move(loaded.fragment));
+  };
+
+  if (pool == nullptr || pool->thread_count() <= 1) {
+    for (const std::filesystem::path& path : paths) reduce(load(path));
+  } else {
+    // One window of `thread_count()` files in flight at a time bounds the
+    // resident decoded streams and fragments to one window's worth.
+    const std::size_t window = pool->thread_count();
+    for (std::size_t base = 0; base < paths.size(); base += window) {
+      const std::size_t n = std::min(window, paths.size() - base);
+      std::vector<Loaded> done = pool->parallel_map(
+          n, [&](std::size_t i) { return load(paths[base + i]); });
+      for (Loaded& loaded : done) reduce(std::move(loaded));
+    }
   }
   if (stats != nullptr) *stats = local;
   return builder.build();

@@ -147,7 +147,8 @@ class WatchDaemon {
   [[nodiscard]] std::optional<net::FaultPlan> plan_for_round(int round) const;
   void apply_churn(int round);
   [[nodiscard]] census::ShardedCensusMatrix collate_round(
-      int round, std::span<const std::uint32_t> quarantined) const;
+      int round, std::span<const std::uint32_t> quarantined,
+      concurrency::ThreadPool* pool) const;
   bool save_state(std::string* error) const;
   bool load_state(PersistedState* state, std::string* error) const;
   void prune_checkpoints() const;

@@ -124,7 +124,8 @@ void WatchDaemon::apply_churn(int round) {
 }
 
 census::ShardedCensusMatrix WatchDaemon::collate_round(
-    int round, std::span<const std::uint32_t> quarantined) const {
+    int round, std::span<const std::uint32_t> quarantined,
+    concurrency::ThreadPool* pool) const {
   // A committed round's matrix is exactly the collation of its checkpoint
   // files minus the quarantined VPs' — the same reduction
   // resume_census_sharded performed when the round ran, so no re-probing
@@ -145,7 +146,7 @@ census::ShardedCensusMatrix WatchDaemon::collate_round(
   census::CollateStats stats;
   return census::collate_census_files_sharded(paths, hitlist_.size(),
                                               config_.data_plane, &stats,
-                                              true);
+                                              /*salvage=*/true, pool);
 }
 
 bool WatchDaemon::save_state(std::string* error) const {
@@ -306,7 +307,8 @@ WatchResult WatchDaemon::run(concurrency::ThreadPool* pool) {
   }
   prev_round_ = state.rounds_completed;
   if (prev_round_ > 0) {
-    prev_matrix_ = collate_round(prev_round_, quarantined_[prev_round_ - 1]);
+    prev_matrix_ =
+        collate_round(prev_round_, quarantined_[prev_round_ - 1], pool);
     prev_outcomes_ =
         analyzer_.analyze(prev_matrix_, hitlist_, config_.min_vps, pool);
   }
@@ -316,7 +318,8 @@ WatchResult WatchDaemon::run(concurrency::ThreadPool* pool) {
       baseline_snapshot_ = analysis::CensusSnapshot(prev_outcomes_);
     } else {
       baseline_matrix_ =
-          collate_round(baseline_round_, quarantined_[baseline_round_ - 1]);
+          collate_round(baseline_round_, quarantined_[baseline_round_ - 1],
+                        pool);
       const auto outcomes =
           analyzer_.analyze(baseline_matrix_, hitlist_, config_.min_vps, pool);
       baseline_snapshot_ = analysis::CensusSnapshot(outcomes);
@@ -329,7 +332,7 @@ WatchResult WatchDaemon::run(concurrency::ThreadPool* pool) {
       monitor_.set_reference(baseline_matrix_, hitlist_, config_.min_vps);
     } else {
       const auto reference = collate_round(
-          reference_round_, quarantined_[reference_round_ - 1]);
+          reference_round_, quarantined_[reference_round_ - 1], pool);
       monitor_.set_reference(reference, hitlist_, config_.min_vps);
     }
   }

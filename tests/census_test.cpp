@@ -1,8 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <initializer_list>
+#include <random>
 #include <set>
+#include <span>
+#include <string>
 #include <tuple>
 
 #include "anycast/census/census.hpp"
@@ -524,6 +528,151 @@ TEST(CensusMatrixOracle, CombineMinGrowsToTheLargerTargetCount) {
   oracle_small.combine_min(oracle_big);
   expect_matches_oracle(small, oracle_small);
   EXPECT_EQ(small.target_count(), 5u);
+}
+
+// --- vp_row_fragment vs a comparison-sort oracle ----------------------------
+
+/// The pre-radix vp_row_fragment: filter, sort by (target, RTT), keep the
+/// first entry of each target group.
+std::vector<TargetRtt> sort_unique_fragment(
+    std::span<const Observation> observations, std::size_t target_limit,
+    std::size_t* echo_in_range) {
+  std::vector<TargetRtt> fragment;
+  for (const Observation& obs : observations) {
+    if (obs.kind != net::ReplyKind::kEchoReply) continue;
+    if (obs.target_index >= target_limit) continue;
+    fragment.push_back(
+        TargetRtt{obs.target_index, static_cast<float>(obs.rtt_ms)});
+  }
+  *echo_in_range = fragment.size();
+  std::sort(fragment.begin(), fragment.end(),
+            [](const TargetRtt& a, const TargetRtt& b) {
+              if (a.target_index != b.target_index) {
+                return a.target_index < b.target_index;
+              }
+              return a.rtt_ms < b.rtt_ms;
+            });
+  fragment.erase(std::unique(fragment.begin(), fragment.end(),
+                             [](const TargetRtt& a, const TargetRtt& b) {
+                               return a.target_index == b.target_index;
+                             }),
+                 fragment.end());
+  return fragment;
+}
+
+void expect_fragment_matches_oracle(std::span<const Observation> stream,
+                                    std::size_t target_limit) {
+  std::size_t want_echo = 0;
+  const std::vector<TargetRtt> want =
+      sort_unique_fragment(stream, target_limit, &want_echo);
+  std::size_t got_echo = 12345;
+  const std::vector<TargetRtt> got =
+      vp_row_fragment(stream, target_limit, &got_echo);
+  EXPECT_EQ(got_echo, want_echo);
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    ASSERT_EQ(got[i].target_index, want[i].target_index) << "entry " << i;
+    ASSERT_EQ(got[i].rtt_ms, want[i].rtt_ms) << "entry " << i;
+  }
+}
+
+/// A seeded stream over `target_limit` targets: a scrambled subset of
+/// targets (so every digit of the index varies), retries that revisit
+/// targets with other RTTs (including exact RTT ties), non-echo kinds,
+/// and damaged out-of-range indices up to 2^32 - 1.
+std::vector<Observation> random_stream(std::uint64_t seed,
+                                       std::size_t target_limit) {
+  std::mt19937_64 rng(seed);
+  const auto below = [&rng](std::uint64_t n) {
+    return std::uniform_int_distribution<std::uint64_t>(0, n - 1)(rng);
+  };
+  const std::size_t support = 1 + below(std::max<std::size_t>(
+                                      1, std::min<std::size_t>(
+                                             target_limit, 2000)));
+  std::vector<std::uint32_t> targets(support);
+  for (std::uint32_t& t : targets) {
+    t = target_limit == 0 ? 0 : static_cast<std::uint32_t>(below(target_limit));
+  }
+  std::vector<Observation> stream(below(4000));
+  for (Observation& obs : stream) {
+    const std::uint64_t roll = below(100);
+    if (roll == 0) {
+      obs.target_index = 0xFFFFFFFFu;
+    } else if (roll < 4) {
+      obs.target_index = static_cast<std::uint32_t>(
+          target_limit + below((std::uint64_t{1} << 32) - target_limit));
+    } else {
+      obs.target_index = targets[below(targets.size())];
+    }
+    const std::uint64_t kind = below(10);
+    obs.kind = kind < 7   ? net::ReplyKind::kEchoReply
+               : kind < 9 ? net::ReplyKind::kTimeout
+                          : net::ReplyKind::kAdminProhibited;
+    // Coarse RTTs make exact ties common within a target's group.
+    obs.rtt_ms = quantised_rtt_ms(1.0 + static_cast<double>(below(40)) * 2.5);
+  }
+  return stream;
+}
+
+TEST(RowFragment, MatchesSortUniqueOracleOnRandomStreams) {
+  for (const std::size_t limit :
+       {std::size_t{0}, std::size_t{1}, std::size_t{255}, std::size_t{256},
+        std::size_t{65537}, std::size_t{1} << 24}) {
+    for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+      SCOPED_TRACE("target_limit " + std::to_string(limit) + " seed " +
+                   std::to_string(seed));
+      const std::vector<Observation> stream = random_stream(seed, limit);
+      expect_fragment_matches_oracle(stream, limit);
+    }
+  }
+}
+
+TEST(RowFragment, RetryPassesKeepTheMinimumPerTarget) {
+  // A full LFSR-like walk over 70000 targets (three radix digits), then a
+  // retry pass over every third target with a different RTT.
+  constexpr std::uint32_t kTargets = 70000;
+  std::vector<Observation> stream;
+  for (std::uint32_t i = 0; i < kTargets; ++i) {
+    Observation obs;
+    obs.target_index = static_cast<std::uint32_t>(
+        (std::uint64_t{i} * 48271u) % kTargets);
+    obs.kind = i % 13 == 0 ? net::ReplyKind::kTimeout
+                           : net::ReplyKind::kEchoReply;
+    obs.rtt_ms = 10.0 + static_cast<double>(obs.target_index % 97);
+    stream.push_back(obs);
+  }
+  for (std::uint32_t t = 0; t < kTargets; t += 3) {
+    stream.push_back(
+        {t, 0.0, net::ReplyKind::kEchoReply, 5.0 + static_cast<double>(t % 11)});
+  }
+  expect_fragment_matches_oracle(stream, kTargets);
+  const std::vector<TargetRtt> fragment = vp_row_fragment(stream, kTargets);
+  for (std::size_t i = 1; i < fragment.size(); ++i) {
+    ASSERT_LT(fragment[i - 1].target_index, fragment[i].target_index);
+  }
+}
+
+TEST(RowFragment, SingleTargetAndEmptyStreams) {
+  // Every entry on one target, at every digit count: the fragment is
+  // the one minimum.
+  std::vector<Observation> stream;
+  for (const double rtt : {30.0, 12.0, 45.0, 12.0}) {
+    stream.push_back({300, 0.0, net::ReplyKind::kEchoReply, rtt});
+  }
+  for (const std::size_t limit :
+       {std::size_t{301}, std::size_t{1} << 24, std::size_t{1} << 40}) {
+    std::size_t echo = 0;
+    const std::vector<TargetRtt> fragment =
+        vp_row_fragment(stream, limit, &echo);
+    EXPECT_EQ(echo, 4u);
+    ASSERT_EQ(fragment.size(), 1u);
+    EXPECT_EQ(fragment[0].target_index, 300u);
+    EXPECT_EQ(fragment[0].rtt_ms, 12.0F);
+  }
+  std::size_t echo = 99;
+  EXPECT_TRUE(vp_row_fragment(stream, 300, &echo).empty());
+  EXPECT_EQ(echo, 0u);
+  EXPECT_TRUE(vp_row_fragment(std::span<const Observation>(), 1000).empty());
 }
 
 // --- run_census_sharded ---------------------------------------------------

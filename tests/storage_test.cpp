@@ -4,12 +4,14 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <string_view>
 #include <thread>
 
 #include "anycast/analysis/analyzer.hpp"
 #include "anycast/census/census.hpp"
 #include "anycast/census/sharded.hpp"
 #include "anycast/census/storage.hpp"
+#include "anycast/concurrency/thread_pool.hpp"
 #include "anycast/serving/snapshot.hpp"
 #include "anycast/geo/city_index.hpp"
 #include "anycast/net/platform.hpp"
@@ -169,6 +171,43 @@ TEST_F(StorageTest, Crc32KnownVector) {
   EXPECT_EQ(got, 0xCBF43926u);
 }
 
+/// The bytewise table-driven CRC-32 the slicing-by-8 kernel replaced.
+std::uint32_t bytewise_crc32(std::span<const std::uint8_t> bytes) {
+  std::uint32_t table[256];
+  for (std::uint32_t n = 0; n < 256; ++n) {
+    std::uint32_t c = n;
+    for (int k = 0; k < 8; ++k) {
+      c = (c & 1u) != 0 ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+    }
+    table[n] = c;
+  }
+  std::uint32_t c = 0xFFFFFFFFu;
+  for (const std::uint8_t byte : bytes) {
+    c = table[(c ^ byte) & 0xFFu] ^ (c >> 8);
+  }
+  return c ^ 0xFFFFFFFFu;
+}
+
+TEST_F(StorageTest, Crc32MatchesBytewiseReferenceAtEveryLengthAndOffset) {
+  std::vector<std::uint8_t> buffer(8 + 67);
+  std::uint32_t x = 0x9E3779B9u;
+  for (std::uint8_t& byte : buffer) {
+    x = x * 1664525u + 1013904223u;
+    byte = static_cast<std::uint8_t>(x >> 24);
+  }
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    for (std::size_t length = 0; length <= 67; ++length) {
+      const std::span<const std::uint8_t> bytes(buffer.data() + offset,
+                                                length);
+      ASSERT_EQ(crc32(bytes), bytewise_crc32(bytes))
+          << "offset " << offset << " length " << length;
+    }
+  }
+  // A whole checkpoint's worth of bytes, too.
+  const std::vector<std::uint8_t> payload = encode_binary(sample_stream());
+  EXPECT_EQ(crc32(payload), bytewise_crc32(payload));
+}
+
 TEST_F(StorageTest, AtomicWriteLeavesNoTmpFile) {
   const fs::path path = dir_ / "atomic.anc";
   write_census_file(path, {1, 1, kCensusFileComplete}, sample_stream());
@@ -187,12 +226,8 @@ TEST_F(StorageTest, CompleteFlagRoundTrips) {
   EXPECT_FALSE(read_census_file(partial)->header.complete());
 }
 
-TEST_F(StorageTest, BitFlipRejectedStrictlyButSalvaged) {
-  const auto stream = sample_stream();
-  const fs::path path = dir_ / "flipped.anc";
-  write_census_file(path, {5, 1, kCensusFileComplete}, stream);
-
-  // Flip one bit in the middle of the payload.
+/// Flips one bit in the middle of `path`'s payload.
+void flip_payload_bit(const fs::path& path) {
   std::fstream file(path, std::ios::in | std::ios::out | std::ios::binary);
   file.seekg(64);
   char byte = 0;
@@ -200,7 +235,14 @@ TEST_F(StorageTest, BitFlipRejectedStrictlyButSalvaged) {
   byte = static_cast<char>(byte ^ 0x40);
   file.seekp(64);
   file.write(&byte, 1);
-  file.close();
+}
+
+TEST_F(StorageTest, BitFlipRejectedStrictlyButSalvaged) {
+  const auto stream = sample_stream();
+  const fs::path path = dir_ / "flipped.anc";
+  write_census_file(path, {5, 1, kCensusFileComplete}, stream);
+
+  flip_payload_bit(path);
 
   EXPECT_FALSE(read_census_file(path).has_value());
   const auto rescued = salvage_census_file(path);
@@ -299,6 +341,102 @@ TEST_F(StorageTest, CollateStatsSeparateSalvagedFromSkipped) {
   (void)collate_census_files_sharded(paths, 400, {}, &strict,
                                      /*salvage=*/false);
   EXPECT_EQ(strict.files_skipped, 2u);
+}
+
+std::uint64_t counter_value(std::string_view name) {
+  for (const auto& metric : obs::metrics().scrape()) {
+    if (metric.name == name) return metric.value;
+  }
+  return 0;
+}
+
+TEST_F(StorageTest, StrictCollateCountsEachFailedRead) {
+  const auto stream = sample_stream();
+  const fs::path good = dir_ / "good.anc";
+  const fs::path flipped = dir_ / "flipped.anc";
+  write_census_file(good, {1, 1, kCensusFileComplete}, stream);
+  write_census_file(flipped, {2, 1, kCensusFileComplete}, stream);
+  flip_payload_bit(flipped);
+  const std::vector<fs::path> paths{good, flipped};
+
+  const std::uint64_t failures = counter_value("checkpoint_read_failures");
+  const std::uint64_t ok = counter_value("checkpoint_reads_ok");
+  CollateStats strict;
+  (void)collate_census_files_sharded(paths, 400, {}, &strict,
+                                     /*salvage=*/false);
+  EXPECT_EQ(strict.files_skipped, 1u);
+  EXPECT_EQ(counter_value("checkpoint_read_failures"), failures + 1);
+  EXPECT_EQ(counter_value("checkpoint_reads_ok"), ok + 1);
+
+  // Salvage follows the failed strict read; it still counts once.
+  CollateStats salvaged;
+  (void)collate_census_files_sharded(paths, 400, {}, &salvaged);
+  EXPECT_EQ(salvaged.files_salvaged, 1u);
+  EXPECT_EQ(counter_value("checkpoint_read_failures"), failures + 2);
+  EXPECT_EQ(counter_value("checkpoint_reads_ok"), ok + 2);
+}
+
+TEST_F(StorageTest, CollationIsThreadCountInvariant) {
+  // Thirteen VPs over 3000 targets (no lane count divides 13, so every
+  // pooled run ends on a partial window), among them the three kinds of
+  // file collation must set aside the same way at every lane count: a
+  // salvageable (bit-flipped) file, an unreadable one, and one whose
+  // vp_id does not fit a row.
+  constexpr std::size_t kTargets = 3000;
+  std::vector<fs::path> paths;
+  for (std::uint32_t vp = 0; vp < 13; ++vp) {
+    std::vector<Observation> stream;
+    for (std::uint32_t i = 0; i < 4000; ++i) {
+      Observation obs;
+      obs.target_index = (i * 1237u + vp * 101u) % (kTargets + 40);
+      obs.kind = (i + vp) % 9 == 0 ? net::ReplyKind::kTimeout
+                                   : net::ReplyKind::kEchoReply;
+      obs.rtt_ms = 3.0 + static_cast<double>((i * 7 + vp) % 180);
+      stream.push_back(obs);
+    }
+    paths.push_back(dir_ / ("vp" + std::to_string(vp) + ".anc"));
+    write_census_file(paths.back(), {vp, 1, kCensusFileComplete}, stream);
+  }
+  flip_payload_bit(paths[4]);
+  std::ofstream(paths[7], std::ios::binary | std::ios::trunc) << "junk";
+  write_census_file(paths[9], {70000, 1, kCensusFileComplete},
+                    sample_stream());
+
+  for (const bool salvage : {false, true}) {
+    CollateStats serial_stats;
+    const ShardedCensusMatrix serial = collate_census_files_sharded(
+        paths, kTargets, {}, &serial_stats, salvage);
+    EXPECT_EQ(serial_stats.files_skipped, salvage ? 2u : 3u);
+    EXPECT_EQ(serial_stats.files_salvaged, salvage ? 1u : 0u);
+    for (const std::size_t lanes : {1u, 2u, 3u, 4u}) {
+      for (const std::size_t shard : {0u, 257u}) {
+        SCOPED_TRACE("salvage " + std::to_string(salvage) + " lanes " +
+                     std::to_string(lanes) + " shard " +
+                     std::to_string(shard));
+        concurrency::ThreadPool pool(lanes);
+        CollateStats stats;
+        DataPlaneConfig plane;
+        plane.shard_targets = shard;
+        const ShardedCensusMatrix pooled = collate_census_files_sharded(
+            paths, kTargets, plane, &stats, salvage, &pool);
+        EXPECT_EQ(stats.files_ok, serial_stats.files_ok);
+        EXPECT_EQ(stats.files_salvaged, serial_stats.files_salvaged);
+        EXPECT_EQ(stats.files_skipped, serial_stats.files_skipped);
+        EXPECT_EQ(stats.observations, serial_stats.observations);
+        EXPECT_EQ(stats.max_vp_id, serial_stats.max_vp_id);
+        ASSERT_EQ(pooled.target_count(), serial.target_count());
+        for (std::uint32_t t = 0; t < kTargets; ++t) {
+          const auto a = serial.measurements(t);
+          const auto b = pooled.measurements(t);
+          ASSERT_EQ(a.size(), b.size()) << "target " << t;
+          for (std::size_t i = 0; i < a.size(); ++i) {
+            ASSERT_EQ(a[i].vp, b[i].vp) << "target " << t;
+            ASSERT_EQ(a[i].rtt_ms, b[i].rtt_ms) << "target " << t;
+          }
+        }
+      }
+    }
+  }
 }
 
 TEST_F(StorageTest, OutOfRangeTargetsDropped) {

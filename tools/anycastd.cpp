@@ -347,14 +347,15 @@ struct CollatedDir {
   std::size_t files = 0;
 };
 
-/// Collates DIR's `.anc` checkpoints in path order. Returns 0, or the exit
-/// code after a diagnostic prefixed by `command`: 1 when DIR holds no
-/// checkpoints, 2 when one names a VP beyond the `vp_count`-VP platform
-/// (the analysis indexes the platform by VP id).
+/// Collates DIR's `.anc` checkpoints in path order, fanning the per-file
+/// work over `pool`'s lanes. Returns 0, or the exit code after a
+/// diagnostic prefixed by `command`: 1 when DIR holds no checkpoints, 2
+/// when one names a VP beyond the `vp_count`-VP platform (the analysis
+/// indexes the platform by VP id).
 int collate_dir(const char* command, const std::string& dir,
                 std::size_t target_count, std::size_t vp_count,
                 const census::DataPlaneConfig& plane, bool salvage,
-                CollatedDir& out) {
+                concurrency::ThreadPool* pool, CollatedDir& out) {
   std::vector<fs::path> files;
   for (const auto& entry : fs::directory_iterator(dir)) {
     if (entry.path().extension() == ".anc") files.push_back(entry.path());
@@ -366,7 +367,7 @@ int collate_dir(const char* command, const std::string& dir,
   }
   out.files = files.size();
   out.data = census::collate_census_files_sharded(files, target_count, plane,
-                                                  &out.stats, salvage);
+                                                  &out.stats, salvage, pool);
   if (out.stats.max_vp_id >= vp_count) {
     std::fprintf(stderr,
                  "%s: %s holds checkpoints from VP %u, beyond the %zu-VP "
@@ -684,10 +685,11 @@ int cmd_analyze(const Flags& flags) {
   const census::Hitlist hitlist =
       census::Hitlist::from_world(internet).without_dead();
 
+  concurrency::ThreadPool pool = pool_from(flags);
   CollatedDir collated;
   if (const int rc = collate_dir("analyze", *in_dir, hitlist.size(),
                                  vps.size(), data_plane_from(flags, *in_dir),
-                                 /*salvage=*/true, collated)) {
+                                 /*salvage=*/true, &pool, collated)) {
     return rc;
   }
   const census::ShardedCensusMatrix& data = collated.data;
@@ -697,7 +699,6 @@ int cmd_analyze(const Flags& flags) {
       collated.files, collated.stats.files_salvaged,
       collated.stats.files_skipped, data.responsive_targets(2));
 
-  concurrency::ThreadPool pool = pool_from(flags);
   const analysis::CensusAnalyzer analyzer(vps, geo::world_index());
   std::vector<analysis::TargetOutcome> outcomes;
   {
@@ -746,7 +747,7 @@ int load_snapshot(const census::DataPlaneConfig& plane, const std::string& dir,
                   concurrency::ThreadPool* pool, serving::SnapshotView& out) {
   CollatedDir collated;
   if (const int rc = collate_dir("serve", dir, hitlist.size(), vps.size(),
-                                 plane, allow_salvage, collated)) {
+                                 plane, allow_salvage, pool, collated)) {
     return rc;
   }
   const census::CollateStats& stats = collated.stats;
@@ -1130,13 +1131,13 @@ int cmd_report(const Flags& flags) {
   const auto vps = platform_from(flags);
   const census::Hitlist hitlist =
       census::Hitlist::from_world(internet).without_dead();
+  concurrency::ThreadPool pool = pool_from(flags);
   CollatedDir collated;
   if (const int rc = collate_dir("report", *in_dir, hitlist.size(),
                                  vps.size(), census::DataPlaneConfig{},
-                                 /*salvage=*/true, collated)) {
+                                 /*salvage=*/true, &pool, collated)) {
     return rc;
   }
-  concurrency::ThreadPool pool = pool_from(flags);
   const analysis::CensusAnalyzer analyzer(vps, geo::world_index());
   const analysis::CensusReport census_report(
       internet,

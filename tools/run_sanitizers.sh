@@ -2,7 +2,8 @@
 # Sanitizer gate for the census/analysis engine.
 #
 # Configures a dedicated build tree per sanitizer (-DANYCAST_SANITIZE=...),
-# builds the concurrency-sensitive tests and the analysis-kernel property
+# builds the concurrency-sensitive tests (storage_test included: collation
+# fans per-file work over a thread pool), the analysis-kernel property
 # tests (kernel_test: guard-band fallbacks and the tests/oracle code), and
 # runs them under that sanitizer. Run it from anywhere; build trees live in
 # <repo>/build-<sanitizer> (gitignored).
@@ -42,7 +43,7 @@ run_gate() {
   cmake --build "$build" -j "$(nproc)" \
     --target concurrency_test census_test fault_test integration_test \
              obs_test flight_recorder_test headline_test serving_test \
-             telemetry_test kernel_test
+             telemetry_test kernel_test storage_test
 
   # halt_on_error: a single finding fails the gate instead of scrolling
   # past. UBSAN reports are non-fatal by default, so ask for aborts too.
@@ -63,7 +64,7 @@ run_gate() {
     "${prefix[@]}" ctest --test-dir "$build" --output-on-failure "$@"
   else
     "${prefix[@]}" ctest --test-dir "$build" --output-on-failure \
-      -R 'ThreadPool|ShardRanges|Parallel|Census|Resume|Fault|Metrics|Trace|Headline|Journal|Progress|Serving|Telemetry|LatencyHisto|TimeSeries|Slo|Kernel'
+      -R 'ThreadPool|ShardRanges|Parallel|Census|Resume|Fault|Metrics|Trace|Headline|Journal|Progress|Serving|Telemetry|LatencyHisto|TimeSeries|Slo|Kernel|Storage'
   fi
   echo "$sanitizer sanitizer gate passed."
 }
