@@ -1,6 +1,7 @@
 #include "anycast/census/fastping.hpp"
 
 #include <algorithm>
+#include <cmath>
 
 #include "anycast/net/fault.hpp"
 #include "anycast/obs/journal.hpp"
@@ -39,13 +40,11 @@ struct WalkInstruments {
   obs::Counter retry_recovered = obs::metrics().counter(
       "census_retry_recovered", obs::MetricClass::kSemantic,
       "timed-out targets a retry pass recovered");
-  obs::Histogram rtt_ms = obs::metrics().histogram(
-      "census_rtt_ms", obs::MetricClass::kSemantic,
-      {5.0, 10.0, 20.0, 50.0, 100.0, 200.0, 400.0},
+  obs::LatencyHisto& rtt_us = obs::metrics().histogram(
+      "census_rtt_us", obs::MetricClass::kSemantic, "us",
       "echo RTTs (codec-quantised, so live == replayed)");
-  obs::Histogram vp_duration_hours = obs::metrics().histogram(
-      "census_vp_duration_hours", obs::MetricClass::kTiming,
-      {1.0, 2.0, 4.0, 8.0, 16.0, 32.0},
+  obs::LatencyHisto& vp_duration_s = obs::metrics().histogram(
+      "census_vp_duration_s", obs::MetricClass::kTiming, "s",
       "per-VP walk duration (coarser for replayed checkpoints)");
   obs::Counter blacklist_skips = obs::metrics().counter(
       "census_blacklist_skips", obs::MetricClass::kTiming,
@@ -86,10 +85,11 @@ void flush_walk_metrics(const FastPingResult& result, std::uint64_t vp_id) {
   in.retry_recovered.add(result.retry_recovered);
   for (const Observation& obs : result.observations) {
     if (obs.kind == net::ReplyKind::kEchoReply) {
-      in.rtt_ms.observe(quantised_rtt_ms(obs.rtt_ms));
+      in.rtt_us.record(quantised_rtt_us(obs.rtt_ms));
     }
   }
-  in.vp_duration_hours.observe(result.duration_hours);
+  in.vp_duration_s.record(
+      static_cast<std::uint64_t>(std::llround(result.duration_hours * 3600.0)));
   // The walk's semantic journal event mirrors exactly the values flushed
   // above (duration is wall-clock and stays out), so the event is as
   // deterministic as the metrics: byte-identical across thread counts,

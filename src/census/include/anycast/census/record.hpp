@@ -68,9 +68,10 @@ std::size_t textual_bytes(std::span<const Observation> observations);
 constexpr std::size_t binary_bytes_per_observation() { return 6; }
 
 /// The RTT an echo observation carries after a round trip through the
-/// binary codec (1/50 ms ticks, clamped to [1, 32767]). Metrics observed
-/// through this on a live stream match a checkpoint replay exactly, so
-/// RTT histograms stay byte-identical across crash+resume.
-double quantised_rtt_ms(double rtt_ms);
+/// binary codec, in whole microseconds (20 us ticks, clamped to
+/// [1, 32767] ticks; the decoded `rtt_ms` is this / 1000). Metrics
+/// recorded through this on a live stream match a checkpoint replay
+/// exactly, so RTT histograms stay byte-identical across crash+resume.
+std::uint32_t quantised_rtt_us(double rtt_ms);
 
 }  // namespace anycast::census

@@ -251,8 +251,8 @@ std::size_t textual_bytes(std::span<const Observation> observations) {
   return encode_textual(observations).size();
 }
 
-double quantised_rtt_ms(double rtt_ms) {
-  return encode_ticks(rtt_ms) / 50.0;
+std::uint32_t quantised_rtt_us(double rtt_ms) {
+  return static_cast<std::uint32_t>(encode_ticks(rtt_ms)) * 20;
 }
 
 }  // namespace anycast::census

@@ -24,9 +24,8 @@ struct PoolInstruments {
   obs::Counter indices_by_helpers = obs::metrics().counter(
       "pool_indices_by_helpers", obs::MetricClass::kTiming,
       "loop indices claimed by worker lanes");
-  obs::Histogram lane_busy_ms = obs::metrics().histogram(
-      "pool_lane_busy_ms", obs::MetricClass::kTiming,
-      {1.0, 10.0, 100.0, 1000.0, 10000.0},
+  obs::LatencyHisto& lane_busy_us = obs::metrics().histogram(
+      "pool_lane_busy_us", obs::MetricClass::kTiming, "us",
       "per-lane busy time inside one parallel op");
 };
 
@@ -166,19 +165,20 @@ void ThreadPool::parallel_for(std::size_t n,
   const PoolInstruments& in = pool_instruments();
   in.parallel_ops.inc();
   const auto lane_start = std::chrono::steady_clock::now();
-  const auto lane_busy_ms = [lane_start] {
-    return std::chrono::duration<double, std::milli>(
-               std::chrono::steady_clock::now() - lane_start)
-        .count();
+  const auto lane_busy_us = [lane_start] {
+    return static_cast<std::uint64_t>(
+        std::chrono::duration_cast<std::chrono::microseconds>(
+            std::chrono::steady_clock::now() - lane_start)
+            .count());
   };
 
   const std::size_t helpers = std::min(workers_.size(), n - 1);
   join.helpers_left = helpers;
   in.helper_dispatches.add(helpers);
   for (std::size_t h = 0; h < helpers; ++h) {
-    post([&claim_loop, &join, &in, lane_busy_ms] {
+    post([&claim_loop, &join, &in, lane_busy_us] {
       in.indices_by_helpers.add(claim_loop());
-      in.lane_busy_ms.observe(lane_busy_ms());
+      in.lane_busy_us.record(lane_busy_us());
       // Decrement, check, and notify all under done_mutex: the caller's
       // predicate cannot observe helpers_left == 0 (and destroy Join)
       // until this helper has released the lock — its last touch of Join.
@@ -188,7 +188,7 @@ void ThreadPool::parallel_for(std::size_t n,
   }
 
   in.indices_by_caller.add(claim_loop());  // the caller is a lane too
-  in.lane_busy_ms.observe(lane_busy_ms());
+  in.lane_busy_us.record(lane_busy_us());
   {
     std::unique_lock lock(join.done_mutex);
     join.done_cv.wait(lock, [&join] { return join.helpers_left == 0; });

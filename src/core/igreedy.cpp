@@ -19,13 +19,11 @@ struct IGreedyInstruments {
   obs::Counter iterations = obs::metrics().counter(
       "igreedy_iterations", obs::MetricClass::kSemantic,
       "collapse-and-resolve rounds across all runs");
-  obs::Histogram replicas = obs::metrics().histogram(
-      "igreedy_replicas", obs::MetricClass::kSemantic,
-      {1.0, 2.0, 3.0, 5.0, 10.0, 20.0, 50.0},
+  obs::LatencyHisto& replicas = obs::metrics().histogram(
+      "igreedy_replicas", obs::MetricClass::kSemantic, "count",
       "replicas enumerated per anycast run (MIS growth included)");
-  obs::Histogram first_round_mis = obs::metrics().histogram(
-      "igreedy_first_round_mis", obs::MetricClass::kSemantic,
-      {1.0, 2.0, 3.0, 5.0, 10.0, 20.0, 50.0},
+  obs::LatencyHisto& first_round_mis = obs::metrics().histogram(
+      "igreedy_first_round_mis", obs::MetricClass::kSemantic, "count",
       "maximum-independent-set size of the first round");
 };
 
@@ -306,9 +304,8 @@ Result IGreedy::analyze(std::span<const Measurement> measurements) const {
   result.replicas = std::move(fixed);
   const IGreedyInstruments& in = igreedy_instruments();
   in.iterations.add(result.iterations);
-  in.replicas.observe(static_cast<double>(result.replicas.size()));
-  in.first_round_mis.observe(
-      static_cast<double>(result.first_round_replicas));
+  in.replicas.record(result.replicas.size());
+  in.first_round_mis.record(result.first_round_replicas);
   return result;
 }
 

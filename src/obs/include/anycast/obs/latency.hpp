@@ -1,37 +1,34 @@
 #pragma once
 
-/// Lock-free log-linear ("HDR-style") latency histograms.
+/// The one histogram type: lock-free log-linear ("HDR-style") histograms
+/// over non-negative integers (latencies in ns/us/ms, RTTs in us, replica
+/// counts).
 ///
-/// The MetricsRegistry histogram (metrics.hpp) carries a handful of
-/// analyst-chosen buckets and pays a binary search per observation — fine
-/// for per-round aggregates, wrong for the serving hot path, where we want
-/// every query recorded at multi-million QPS with bounded relative error
-/// across nine decades of dynamic range.
-///
-/// LatencyHisto buckets are log-linear: values below 2^kSubBits land in
-/// exact unit-wide buckets; above that, each power-of-two octave is split
-/// into 2^kSubBits equal-width sub-buckets, so bucket width never exceeds
+/// Buckets are log-linear: values below 2^kSubBits land in exact
+/// unit-wide buckets; above that, each power-of-two octave is split into
+/// 2^kSubBits equal-width sub-buckets, so bucket width never exceeds
 /// value / 2^kSubBits. Quantile estimates are therefore within
 /// kMaxRelativeError (1/128 < 1%) of the exact order statistic, and
 /// `slot_of` is a handful of bit ops — no search, no floating point.
 ///
-/// Concurrency mirrors MetricsRegistry: each recording thread owns a
-/// private shard of relaxed atomics (allocated lazily on first record into
-/// that histogram), scrapes merge all shards, and exiting threads fold
-/// their shards into a retired array through a live-instance table so
-/// counts survive pool teardown. `record` takes no locks after the first
-/// call on a thread.
-///
-/// All LatencyHisto data is kTiming-class by construction: wall-clock
-/// durations never appear in semantic snapshots, pinned digests, or the
-/// drift-gated journal stream.
+/// Histograms are registry-owned (metrics.hpp): `MetricsRegistry::
+/// histogram` registers one by name, class and unit, and the registry
+/// shards, folds, resets and scrapes it alongside its counters. Each
+/// recording thread's slot block hangs off that thread's registry shard
+/// and is allocated on its first record; `record` takes no locks after
+/// that. Bucket counts and the sum are integers, so merged values commute
+/// across shards and a kSemantic histogram is as deterministic as a
+/// counter.
 
+#include <bit>
 #include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
 
 namespace anycast::obs {
+
+class MetricsRegistry;
 
 class LatencyHisto {
  public:
@@ -77,61 +74,48 @@ class LatencyHisto {
     Snapshot delta_since(const Snapshot& prev) const;
   };
 
-  LatencyHisto(std::string_view name, std::string_view unit,
-               std::string_view help);
-  ~LatencyHisto();
   LatencyHisto(const LatencyHisto&) = delete;
   LatencyHisto& operator=(const LatencyHisto&) = delete;
 
   /// Record one value (saturating at kMaxValue). Lock-free after the
-  /// calling thread's first record; a no-op while recording is disabled.
-  void record(std::uint64_t value);
+  /// calling thread's first record; a no-op while latency recording or
+  /// the owning registry is disabled.
+  void record(std::uint64_t value) const;
 
   /// Merge every live and retired shard into one Snapshot.
   Snapshot snapshot() const;
 
-  /// Zero all shards (tests and bench phases).
-  void reset();
-
-  const std::string& name() const;
-  const std::string& unit() const;
-
   /// Bucket arithmetic, exposed so tests can probe edges directly.
-  static std::uint32_t slot_of(std::uint64_t value);
+  static std::uint32_t slot_of(std::uint64_t value) {
+    if (value > kMaxValue) value = kMaxValue;
+    if (value < kSubCount) return static_cast<std::uint32_t>(value);
+    const int msb = 63 - std::countl_zero(value);
+    const int shift = msb - static_cast<int>(kSubBits);
+    const auto octave = static_cast<std::uint32_t>(shift + 1);
+    const auto sub =
+        static_cast<std::uint32_t>((value >> shift) & (kSubCount - 1));
+    return octave * static_cast<std::uint32_t>(kSubCount) + sub;
+  }
   static std::uint64_t slot_lower(std::uint32_t slot);
   static std::uint64_t slot_upper(std::uint32_t slot);
 
-  /// Process-global named instance: first call creates (and leaks — see
-  /// metrics.cpp for why) a histogram; later calls return the same one.
-  /// unit/help are fixed by the creating call.
+  /// The kTiming histogram `name` on the process-global registry
+  /// (`metrics().histogram(name, MetricClass::kTiming, unit, help)`).
   static LatencyHisto& get(std::string_view name, std::string_view unit,
                            std::string_view help);
 
-  struct Impl;
-
  private:
-  Impl* impl_;
+  friend class MetricsRegistry;
+  LatencyHisto(MetricsRegistry* registry, std::uint32_t index)
+      : registry_(registry), index_(index) {}
+  MetricsRegistry* registry_;
+  std::uint32_t index_;  // the registry's histogram index
 };
 
-/// Global recording kill switch (default on). The bench telemetry phase
-/// measures hot-path overhead by toggling this around identical workloads.
+/// Global histogram-recording kill switch (default on): while off,
+/// `record` returns immediately. Benches measure hot-path overhead by
+/// toggling this around identical workloads.
 void set_latency_recording(bool enabled);
 bool latency_recording();
-
-/// Snapshots of every registered global histogram, sorted by name.
-std::vector<LatencyHisto::Snapshot> latency_snapshots();
-
-/// Zero every registered global histogram (tests and bench phases).
-void latency_reset_all();
-
-/// Prometheus exposition for all global histograms: one cumulative
-/// histogram family per histo (non-empty buckets + +Inf, _sum/_count),
-/// promtool-lintable alongside MetricsRegistry::scrape_prometheus().
-std::string latency_prometheus();
-
-/// JSON array body for the "latency" section of the telemetry document:
-/// [{"name":..., "unit":..., "count":..., "sum":..., "min":..., "max":...,
-///   "p50":..., "p90":..., "p99":..., "p999":...}, ...]
-std::string latency_json();
 
 }  // namespace anycast::obs

@@ -7,9 +7,11 @@
 // those per-phase counters, under two hard constraints:
 //
 //  1. **Lock-free on the hot path.** Counters and histograms write into
-//     per-thread shards (one cache-friendly slot array per thread, relaxed
-//     atomics touched only by their owner); shards are merged at scrape
-//     time. No shared atomics, no locks, anywhere a probe loop runs.
+//     per-thread shards (one cache-friendly slot array per thread, plus a
+//     slot block per histogram the thread records into; relaxed atomics
+//     touched only by their owner); shards are merged at scrape time and
+//     folded into retired totals when their thread exits. No shared
+//     atomics, no locks, anywhere a probe loop runs.
 //
 //  2. **Semantic metrics are deterministic.** Every metric declares a
 //     class at registration: `kSemantic` values depend only on what the
@@ -31,6 +33,8 @@
 #include <string>
 #include <string_view>
 #include <vector>
+
+#include "anycast/obs/latency.hpp"
 
 namespace anycast::obs {
 
@@ -82,38 +86,15 @@ class Gauge {
   std::uint32_t index_ = 0;
 };
 
-/// Fixed-bucket histogram. Bucket bounds are fixed at registration;
-/// `observe` increments one integer bucket slot in the calling thread's
-/// shard. The sum is kept in fixed-point milli-units (an integer), so it
-/// commutes across shards like every other semantic value — a floating
-/// sum would depend on merge order.
-class Histogram {
- public:
-  Histogram() = default;
-  void observe(double value) const;
-
- private:
-  friend class MetricsRegistry;
-  Histogram(MetricsRegistry* registry, std::uint32_t metric_index)
-      : registry_(registry), metric_index_(metric_index) {}
-  MetricsRegistry* registry_ = nullptr;
-  std::uint32_t metric_index_ = 0;
-};
-
-/// One scraped metric, fully merged. Histograms carry per-bucket
-/// (non-cumulative) counts parallel to `bucket_bounds` plus an overflow
-/// bucket at the end.
+/// One scraped metric, fully merged.
 struct MetricValue {
   std::string name;
   std::string help;
   MetricKind kind = MetricKind::kCounter;
   MetricClass cls = MetricClass::kSemantic;
-  std::uint64_t value = 0;                  // counter
-  double gauge = 0.0;                       // gauge
-  std::vector<double> bucket_bounds;        // histogram
-  std::vector<std::uint64_t> bucket_counts; // |bounds| + 1 (overflow last)
-  std::uint64_t count = 0;                  // histogram: total observations
-  std::int64_t sum_milli = 0;               // histogram: fixed-point sum
+  std::uint64_t value = 0;           // counter
+  double gauge = 0.0;                // gauge
+  LatencyHisto::Snapshot histogram;  // histogram (carries the unit)
 };
 
 class MetricsRegistry {
@@ -124,29 +105,34 @@ class MetricsRegistry {
   MetricsRegistry& operator=(const MetricsRegistry&) = delete;
 
   /// Registers (or looks up) an instrument. Idempotent by name; a name
-  /// re-registered with a different kind, class, or bucket layout throws
-  /// std::logic_error — one name means one instrument, forever.
+  /// re-registered with a different kind, class, or unit throws
+  /// std::logic_error — one name means one instrument, forever. Names
+  /// must match [A-Za-z0-9_]. A histogram is owned by the registry, so
+  /// the returned reference lives as long as it does.
   Counter counter(std::string_view name, MetricClass cls,
                   std::string_view help = {});
   Gauge gauge(std::string_view name, MetricClass cls,
               std::string_view help = {});
-  Histogram histogram(std::string_view name, MetricClass cls,
-                      std::vector<double> bucket_bounds,
-                      std::string_view help = {});
+  LatencyHisto& histogram(std::string_view name, MetricClass cls,
+                          std::string_view unit, std::string_view help = {});
 
   /// All registered metrics with fully merged values, sorted by name.
   [[nodiscard]] std::vector<MetricValue> scrape() const;
 
-  /// JSON export of `scrape()` (stable field order, sorted by name).
+  /// JSON export of `scrape()` (stable field order, sorted by name): a
+  /// `metrics` array of counters and gauges, and a `latency` array with
+  /// one summary (unit, count, sum, min, max, quantiles) per histogram.
   [[nodiscard]] std::string scrape_json() const;
 
   /// Prometheus text exposition of `scrape()` (counters as `_total`,
-  /// histograms with cumulative `le` buckets).
+  /// histograms with cumulative `le` buckets over their non-empty slots).
   [[nodiscard]] std::string scrape_prometheus() const;
 
   /// Canonical text of **semantic** metrics only: the deterministic
   /// fingerprint of a run. Byte-identical across thread counts and across
-  /// crash+resume for the same pipeline input.
+  /// crash+resume for the same pipeline input. A histogram renders its
+  /// non-empty buckets (`name{le=<inclusive upper>} count`) and its
+  /// integer `name_sum`.
   [[nodiscard]] std::string semantic_snapshot() const;
 
   /// Zeroes every value (counters, gauges, histograms, live and retired
@@ -154,7 +140,7 @@ class MetricsRegistry {
   /// writing — between pipeline phases, not during one.
   void reset();
 
-  /// Kill switch for overhead measurement: while disabled, add/observe/set
+  /// Kill switch for overhead measurement: while disabled, add/record/set
   /// return immediately. Enabled by default.
   void set_enabled(bool enabled);
   [[nodiscard]] bool enabled() const;
@@ -167,7 +153,7 @@ class MetricsRegistry {
  private:
   friend class Counter;
   friend class Gauge;
-  friend class Histogram;
+  friend class LatencyHisto;
   Impl* impl_;  // raw: the global registry is intentionally leaked
 };
 

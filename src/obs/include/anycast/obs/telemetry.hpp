@@ -1,8 +1,9 @@
 #pragma once
 
 /// The live telemetry plane: one process-global aggregation point tying
-/// the latency histograms (latency.hpp), windowed series (timeseries.hpp),
-/// and SLO tracker (slo.hpp) together for the serving/watch daemons.
+/// the registry's histograms (metrics.hpp, latency.hpp), windowed series
+/// (timeseries.hpp), and SLO tracker (slo.hpp) together for the
+/// serving/watch daemons.
 ///
 /// Feeding happens at three chokepoints:
 ///  * `serving::answer_query` records per-stage LatencyHisto samples and
@@ -79,15 +80,15 @@ class TelemetryPlane {
 
   [[nodiscard]] std::vector<SloTracker::State> slo_states() const;
 
-  /// Full telemetry document: MetricsRegistry scrape_json() extended with
-  /// "latency", "series", and "slo" sections (the `metrics` array keeps
-  /// its exact existing shape, so scrape-file consumers keep working).
+  /// Full telemetry document: MetricsRegistry scrape_json() (its
+  /// `metrics` array of counters and gauges and its `latency` array of
+  /// histograms) extended with "series" and "slo" sections.
   [[nodiscard]] std::string document_json() const;
-  /// Prometheus exposition: registry families + latency histograms.
+  /// Prometheus exposition of the registry (counters, gauges, histograms).
   [[nodiscard]] std::string document_prometheus() const;
 
   /// Clears series, error counts, tick state, and the SLO tracker (not
-  /// the latency histograms — use latency_reset_all()). Test hook.
+  /// the histograms, which belong to the registry). Test hook.
   void reset();
 
  private:

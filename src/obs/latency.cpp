@@ -1,175 +1,11 @@
 #include "anycast/obs/latency.hpp"
 
+#include <algorithm>
+#include <cmath>
+
 #include "anycast/obs/metrics.hpp"
 
-#include <algorithm>
-#include <atomic>
-#include <bit>
-#include <cmath>
-#include <cstdio>
-#include <map>
-#include <memory>
-#include <mutex>
-#include <stdexcept>
-#include <unordered_map>
-
 namespace anycast::obs {
-namespace {
-
-std::atomic<bool> g_recording{true};
-
-struct LatencyShard {
-  // Heap-allocated per (thread, histogram); zeroed explicitly for the same
-  // reason as the MetricsRegistry shards (see metrics.cpp).
-  std::unique_ptr<std::atomic<std::uint64_t>[]> slots;
-  std::atomic<std::uint64_t> count{0};
-  std::atomic<std::uint64_t> sum{0};
-  LatencyShard() : slots(new std::atomic<std::uint64_t>[LatencyHisto::kSlots]) {
-    for (std::uint32_t s = 0; s < LatencyHisto::kSlots; ++s) {
-      slots[s].store(0, std::memory_order_relaxed);
-    }
-  }
-};
-
-std::uint64_t next_histo_id() {
-  static std::atomic<std::uint64_t> counter{1};
-  return counter.fetch_add(1);
-}
-
-std::string format_double(double value) {
-  char buffer[64];
-  std::snprintf(buffer, sizeof buffer, "%.17g", value);
-  return buffer;
-}
-
-}  // namespace
-
-struct LatencyHisto::Impl {
-  std::uint64_t id = 0;
-  std::string name;
-  std::string unit;
-  std::string help;
-
-  mutable std::mutex mutex;
-  std::vector<std::unique_ptr<LatencyShard>> live;
-  std::vector<std::uint64_t> retired;  // size kSlots
-  std::uint64_t retired_count = 0;
-  std::uint64_t retired_sum = 0;
-
-  Impl() : retired(kSlots, 0) {}
-};
-
-namespace {
-
-/// Live-histogram table: thread-exit retirement must not touch an instance
-/// that was already destroyed (tests build short-lived ones), mirroring the
-/// live-registry table in metrics.cpp.
-std::mutex& live_histos_mutex() {
-  static std::mutex m;
-  return m;
-}
-std::unordered_map<std::uint64_t, LatencyHisto::Impl*>& live_histos() {
-  static auto* map =
-      new std::unordered_map<std::uint64_t, LatencyHisto::Impl*>();
-  return *map;
-}
-
-struct HistoTlsEntry {
-  std::uint64_t histo_id = 0;
-  LatencyShard* shard = nullptr;
-};
-
-struct HistoTlsShards {
-  std::vector<HistoTlsEntry> entries;
-  ~HistoTlsShards() {
-    const std::lock_guard live_lock(live_histos_mutex());
-    for (const HistoTlsEntry& entry : entries) {
-      const auto it = live_histos().find(entry.histo_id);
-      if (it == live_histos().end()) continue;
-      LatencyHisto::Impl* impl = it->second;
-      const std::lock_guard lock(impl->mutex);
-      for (std::uint32_t s = 0; s < LatencyHisto::kSlots; ++s) {
-        impl->retired[s] +=
-            entry.shard->slots[s].load(std::memory_order_relaxed);
-      }
-      impl->retired_count +=
-          entry.shard->count.load(std::memory_order_relaxed);
-      impl->retired_sum += entry.shard->sum.load(std::memory_order_relaxed);
-      std::erase_if(impl->live,
-                    [&](const std::unique_ptr<LatencyShard>& shard) {
-                      return shard.get() == entry.shard;
-                    });
-    }
-  }
-};
-
-thread_local HistoTlsShards g_histo_tls;
-
-LatencyShard* histo_tls_shard_slow(LatencyHisto::Impl* impl) {
-  auto shard = std::make_unique<LatencyShard>();
-  LatencyShard* raw = shard.get();
-  {
-    const std::lock_guard lock(impl->mutex);
-    impl->live.push_back(std::move(shard));
-  }
-  g_histo_tls.entries.push_back(HistoTlsEntry{impl->id, raw});
-  return raw;
-}
-
-inline LatencyShard* histo_tls_shard(LatencyHisto::Impl* impl) {
-  for (const HistoTlsEntry& entry : g_histo_tls.entries) {
-    if (entry.histo_id == impl->id) return entry.shard;
-  }
-  return histo_tls_shard_slow(impl);
-}
-
-/// Global named-instance table, leaked like obs::metrics() so thread-exit
-/// retirement never races static destruction. std::map keeps scrapes in
-/// name order for free.
-std::mutex& global_histos_mutex() {
-  static std::mutex m;
-  return m;
-}
-std::map<std::string, LatencyHisto*, std::less<>>& global_histos() {
-  static auto* map = new std::map<std::string, LatencyHisto*, std::less<>>();
-  return *map;
-}
-
-}  // namespace
-
-LatencyHisto::LatencyHisto(std::string_view name, std::string_view unit,
-                           std::string_view help)
-    : impl_(new Impl()) {
-  if (name.empty()) throw std::logic_error("latency histo name is empty");
-  impl_->id = next_histo_id();
-  impl_->name = std::string(name);
-  impl_->unit = std::string(unit);
-  impl_->help = std::string(help);
-  const std::lock_guard lock(live_histos_mutex());
-  live_histos().emplace(impl_->id, impl_);
-}
-
-LatencyHisto::~LatencyHisto() {
-  {
-    const std::lock_guard lock(live_histos_mutex());
-    live_histos().erase(impl_->id);
-  }
-  delete impl_;
-}
-
-const std::string& LatencyHisto::name() const { return impl_->name; }
-const std::string& LatencyHisto::unit() const { return impl_->unit; }
-
-std::uint32_t LatencyHisto::slot_of(std::uint64_t value) {
-  if (value > kMaxValue) value = kMaxValue;
-  if (value < kSubCount) return static_cast<std::uint32_t>(value);
-  const int msb = 63 - std::countl_zero(value);
-  const int shift = msb - static_cast<int>(kSubBits);
-  const auto octave = static_cast<std::uint32_t>(shift + 1);
-  const auto sub =
-      static_cast<std::uint32_t>((value >> shift) & (kSubCount - 1));
-  return octave * static_cast<std::uint32_t>(kSubCount) + sub;
-}
 
 std::uint64_t LatencyHisto::slot_lower(std::uint32_t slot) {
   const std::uint32_t octave = slot >> kSubBits;
@@ -182,52 +18,6 @@ std::uint64_t LatencyHisto::slot_upper(std::uint32_t slot) {
   const std::uint32_t octave = slot >> kSubBits;
   if (octave == 0) return static_cast<std::uint64_t>(slot) + 1;
   return slot_lower(slot) + (1ull << (octave - 1));
-}
-
-void LatencyHisto::record(std::uint64_t value) {
-  if (!g_recording.load(std::memory_order_relaxed)) return;
-  if (value > kMaxValue) value = kMaxValue;
-  LatencyShard* shard = histo_tls_shard(impl_);
-  shard->slots[slot_of(value)].fetch_add(1, std::memory_order_relaxed);
-  shard->count.fetch_add(1, std::memory_order_relaxed);
-  shard->sum.fetch_add(value, std::memory_order_relaxed);
-}
-
-LatencyHisto::Snapshot LatencyHisto::snapshot() const {
-  const std::lock_guard lock(impl_->mutex);
-  Snapshot snap;
-  snap.name = impl_->name;
-  snap.unit = impl_->unit;
-  snap.help = impl_->help;
-  snap.count = impl_->retired_count;
-  snap.sum = impl_->retired_sum;
-  for (const auto& shard : impl_->live) {
-    snap.count += shard->count.load(std::memory_order_relaxed);
-    snap.sum += shard->sum.load(std::memory_order_relaxed);
-  }
-  if (snap.count == 0) return snap;
-  snap.counts.assign(kSlots, 0);
-  for (std::uint32_t s = 0; s < kSlots; ++s) snap.counts[s] = impl_->retired[s];
-  for (const auto& shard : impl_->live) {
-    for (std::uint32_t s = 0; s < kSlots; ++s) {
-      snap.counts[s] += shard->slots[s].load(std::memory_order_relaxed);
-    }
-  }
-  return snap;
-}
-
-void LatencyHisto::reset() {
-  const std::lock_guard lock(impl_->mutex);
-  std::fill(impl_->retired.begin(), impl_->retired.end(), 0);
-  impl_->retired_count = 0;
-  impl_->retired_sum = 0;
-  for (const auto& shard : impl_->live) {
-    for (std::uint32_t s = 0; s < kSlots; ++s) {
-      shard->slots[s].store(0, std::memory_order_relaxed);
-    }
-    shard->count.store(0, std::memory_order_relaxed);
-    shard->sum.store(0, std::memory_order_relaxed);
-  }
 }
 
 double LatencyHisto::Snapshot::quantile(double q) const {
@@ -291,90 +81,7 @@ LatencyHisto::Snapshot LatencyHisto::Snapshot::delta_since(
 
 LatencyHisto& LatencyHisto::get(std::string_view name, std::string_view unit,
                                 std::string_view help) {
-  const std::lock_guard lock(global_histos_mutex());
-  auto& table = global_histos();
-  const auto it = table.find(name);
-  if (it != table.end()) return *it->second;
-  auto* histo = new LatencyHisto(name, unit, help);  // leaked by design
-  table.emplace(std::string(name), histo);
-  return *histo;
-}
-
-void set_latency_recording(bool enabled) {
-  g_recording.store(enabled, std::memory_order_relaxed);
-}
-
-bool latency_recording() {
-  return g_recording.load(std::memory_order_relaxed);
-}
-
-std::vector<LatencyHisto::Snapshot> latency_snapshots() {
-  std::vector<LatencyHisto*> histos;
-  {
-    const std::lock_guard lock(global_histos_mutex());
-    for (const auto& [name, histo] : global_histos()) histos.push_back(histo);
-  }
-  std::vector<LatencyHisto::Snapshot> out;
-  out.reserve(histos.size());
-  for (LatencyHisto* histo : histos) out.push_back(histo->snapshot());
-  return out;
-}
-
-void latency_reset_all() {
-  std::vector<LatencyHisto*> histos;
-  {
-    const std::lock_guard lock(global_histos_mutex());
-    for (const auto& [name, histo] : global_histos()) histos.push_back(histo);
-  }
-  for (LatencyHisto* histo : histos) histo->reset();
-}
-
-std::string latency_prometheus() {
-  std::string out;
-  for (const LatencyHisto::Snapshot& snap : latency_snapshots()) {
-    if (!snap.help.empty()) {
-      out += "# HELP " + snap.name + " " + prometheus_escape_help(snap.help) +
-             "\n";
-    }
-    out += "# TYPE " + snap.name + " histogram\n";
-    std::uint64_t cumulative = 0;
-    for (std::uint32_t s = 0; s < snap.counts.size(); ++s) {
-      if (snap.counts[s] == 0) continue;
-      cumulative += snap.counts[s];
-      out += snap.name + "_bucket{le=\"" +
-             format_double(static_cast<double>(LatencyHisto::slot_upper(s))) +
-             "\"} " + std::to_string(cumulative) + "\n";
-    }
-    out += snap.name + "_bucket{le=\"+Inf\"} " + std::to_string(snap.count) +
-           "\n";
-    out += snap.name + "_sum " + std::to_string(snap.sum) + "\n";
-    out += snap.name + "_count " + std::to_string(snap.count) + "\n";
-  }
-  return out;
-}
-
-std::string latency_json() {
-  std::string out = "[\n";
-  const std::vector<LatencyHisto::Snapshot> snaps = latency_snapshots();
-  for (std::size_t i = 0; i < snaps.size(); ++i) {
-    const LatencyHisto::Snapshot& s = snaps[i];
-    char line[512];
-    std::snprintf(line, sizeof line,
-                  "    {\"name\": \"%s\", \"unit\": \"%s\", \"count\": %llu, "
-                  "\"sum\": %llu, \"min\": %llu, \"max\": %llu, "
-                  "\"p50\": %.1f, \"p90\": %.1f, \"p99\": %.1f, "
-                  "\"p999\": %.1f}",
-                  s.name.c_str(), s.unit.c_str(),
-                  static_cast<unsigned long long>(s.count),
-                  static_cast<unsigned long long>(s.sum),
-                  static_cast<unsigned long long>(s.min()),
-                  static_cast<unsigned long long>(s.max()), s.quantile(0.5),
-                  s.quantile(0.9), s.quantile(0.99), s.quantile(0.999));
-    out += line;
-    out += i + 1 < snaps.size() ? ",\n" : "\n";
-  }
-  out += "  ]";
-  return out;
+  return metrics().histogram(name, MetricClass::kTiming, unit, help);
 }
 
 }  // namespace anycast::obs

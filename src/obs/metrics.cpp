@@ -4,7 +4,6 @@
 #include <array>
 #include <atomic>
 #include <bit>
-#include <cmath>
 #include <cstdio>
 #include <deque>
 #include <memory>
@@ -15,20 +14,35 @@
 namespace anycast::obs {
 namespace {
 
-/// Slot budget per shard. Counters take one slot; a histogram takes
-/// |bounds| + 2 (buckets, overflow, fixed-point sum). The whole pipeline
-/// uses well under 200; the fixed bound keeps a shard one flat allocation
-/// a thread touches only at its own cache lines.
+std::atomic<bool> g_recording{true};
+
+/// Counter slot budget per shard. The whole pipeline registers well under
+/// 200 counters; the fixed bound keeps a shard one flat allocation a
+/// thread touches only at its own cache lines.
 constexpr std::size_t kMaxSlots = 4096;
 
+/// Zero explicitly: atomic value-initialization (P0883) is not reliable on
+/// every libstdc++ this builds against, and memory recycled from the heap
+/// must never leak a previous allocation's bytes into a count.
+template <std::size_t N>
+void zero(std::array<std::atomic<std::uint64_t>, N>& slots) {
+  for (auto& slot : slots) slot.store(0, std::memory_order_relaxed);
+}
+
+/// One thread's share of one histogram: its bucket counts and sum.
+struct HistoBlock {
+  std::array<std::atomic<std::uint64_t>, LatencyHisto::kSlots> slots;
+  std::atomic<std::uint64_t> sum{0};
+  HistoBlock() { zero(slots); }
+};
+
 struct Shard {
-  std::array<std::atomic<std::uint64_t>, kMaxSlots> slots;
-  // Zero explicitly: atomic value-initialization (P0883) is not reliable
-  // on every libstdc++ this builds against, and a shard recycled from the
-  // heap must never leak a previous allocation's bytes into a counter.
-  Shard() {
-    for (auto& slot : slots) slot.store(0, std::memory_order_relaxed);
-  }
+  std::array<std::atomic<std::uint64_t>, kMaxSlots> slots;  // counters
+  // Histogram blocks by histogram index, allocated on the owning thread's
+  // first record into each. Only the owner grows this table, and only
+  // under the registry mutex, so scrapes (which hold it) see it stable.
+  std::vector<std::unique_ptr<HistoBlock>> histos;
+  Shard() { zero(slots); }
 };
 
 std::string_view validate_name(std::string_view name) {
@@ -63,11 +77,18 @@ struct MetricsRegistry::Impl {
   struct Metric {
     std::string name;
     std::string help;
+    std::string unit;  // histograms only
     MetricKind kind = MetricKind::kCounter;
     MetricClass cls = MetricClass::kSemantic;
-    std::uint32_t slot = 0;         // first shard slot (counter/histogram)
-    std::uint32_t gauge_index = 0;  // gauges live outside the shards
-    std::vector<double> bounds;     // histogram bucket upper bounds
+    // Counter: shard slot. Gauge: index into `gauges`. Histogram: index
+    // into `histos` and into every shard's block table.
+    std::uint32_t index = 0;
+  };
+  struct Histo {
+    std::unique_ptr<LatencyHisto> handle;
+    std::uint32_t metric = 0;            // index into `registered`
+    std::vector<std::uint64_t> retired;  // kSlots once a recorder exited
+    std::uint64_t retired_sum = 0;
   };
 
   std::uint64_t id = 0;  // process-unique, for thread-local shard keying
@@ -84,16 +105,87 @@ struct MetricsRegistry::Impl {
   // never relocates existing elements on push_back, so handles may read
   // their slot without the mutex.
   std::deque<std::atomic<std::uint64_t>> gauges;
+  std::vector<Histo> histos;
+
+  // Every member below: caller holds `mutex`.
+
+  /// The metric registered as `name`, or nullptr when there is none.
+  /// Throws when `name` was registered with a different kind, class or
+  /// unit.
+  const Metric* find(std::string_view name, MetricKind kind, MetricClass cls,
+                     std::string_view unit) const {
+    const auto it = by_name.find(std::string(name));
+    if (it == by_name.end()) return nullptr;
+    const Metric& existing = registered[it->second];
+    if (existing.kind != kind || existing.cls != cls ||
+        existing.unit != unit) {
+      throw std::logic_error("metric re-registered differently: " +
+                             std::string(name));
+    }
+    return &existing;
+  }
+
+  std::uint32_t add(std::string_view name, MetricKind kind, MetricClass cls,
+                    std::string_view unit, std::string_view help,
+                    std::uint32_t index) {
+    by_name.emplace(std::string(name),
+                    static_cast<std::uint32_t>(registered.size()));
+    registered.push_back(Metric{std::string(name), std::string(help),
+                                std::string(unit), kind, cls, index});
+    return index;
+  }
 
   std::uint64_t merged(std::uint32_t slot) const {
-    // Caller holds `mutex`. Relaxed loads: integer sums commute, and the
-    // scrape contract is "quiescent values are exact, in-flight ones are
-    // eventually counted".
+    // Relaxed loads: integer sums commute, and the scrape contract is
+    // "quiescent values are exact, in-flight ones are eventually counted".
     std::uint64_t total = retired[slot];
     for (const auto& shard : live) {
       total += shard->slots[slot].load(std::memory_order_relaxed);
     }
     return total;
+  }
+
+  LatencyHisto::Snapshot merged_histo(std::uint32_t index) const {
+    const Histo& histo = histos[index];
+    const Metric& metric = registered[histo.metric];
+    LatencyHisto::Snapshot snap;
+    snap.name = metric.name;
+    snap.unit = metric.unit;
+    snap.help = metric.help;
+    snap.counts = histo.retired;
+    snap.sum = histo.retired_sum;
+    for (const auto& shard : live) {
+      if (index >= shard->histos.size() || !shard->histos[index]) continue;
+      const HistoBlock& block = *shard->histos[index];
+      snap.counts.resize(LatencyHisto::kSlots, 0);
+      for (std::uint32_t s = 0; s < LatencyHisto::kSlots; ++s) {
+        snap.counts[s] += block.slots[s].load(std::memory_order_relaxed);
+      }
+      snap.sum += block.sum.load(std::memory_order_relaxed);
+    }
+    for (const std::uint64_t n : snap.counts) snap.count += n;
+    if (snap.count == 0) snap.counts.clear();
+    return snap;
+  }
+
+  /// Folds an exiting thread's shard into the retired totals and drops it.
+  void retire(const Shard* shard) {
+    for (std::size_t s = 0; s < kMaxSlots; ++s) {
+      retired[s] += shard->slots[s].load(std::memory_order_relaxed);
+    }
+    for (std::size_t h = 0; h < shard->histos.size(); ++h) {
+      const HistoBlock* block = shard->histos[h].get();
+      if (block == nullptr) continue;
+      Histo& histo = histos[h];
+      histo.retired.resize(LatencyHisto::kSlots, 0);
+      for (std::uint32_t s = 0; s < LatencyHisto::kSlots; ++s) {
+        histo.retired[s] += block->slots[s].load(std::memory_order_relaxed);
+      }
+      histo.retired_sum += block->sum.load(std::memory_order_relaxed);
+    }
+    std::erase_if(live, [&](const std::unique_ptr<Shard>& owned) {
+      return owned.get() == shard;
+    });
   }
 };
 
@@ -128,13 +220,7 @@ struct TlsShards {
       if (it == live_registries().end()) continue;
       MetricsRegistry::Impl* impl = it->second;
       const std::lock_guard lock(impl->mutex);
-      for (std::size_t s = 0; s < kMaxSlots; ++s) {
-        impl->retired[s] +=
-            entry.shard->slots[s].load(std::memory_order_relaxed);
-      }
-      std::erase_if(impl->live, [&](const std::unique_ptr<Shard>& shard) {
-        return shard.get() == entry.shard;
-      });
+      impl->retire(entry.shard);
     }
   }
 };
@@ -160,6 +246,27 @@ inline Shard* tls_shard(MetricsRegistry::Impl* impl) {
     if (entry.registry_id == impl->id) return entry.shard;
   }
   return tls_shard_slow(impl);
+}
+
+HistoBlock* histo_block_slow(MetricsRegistry::Impl* impl, Shard* shard,
+                             std::uint32_t index) {
+  auto block = std::make_unique<HistoBlock>();
+  HistoBlock* raw = block.get();
+  const std::lock_guard lock(impl->mutex);
+  if (shard->histos.size() <= index) shard->histos.resize(index + 1);
+  shard->histos[index] = std::move(block);
+  return raw;
+}
+
+/// The calling thread's block for histogram `index` of `impl`. The owner
+/// reads its own table without the lock: only it ever writes the table.
+inline HistoBlock* histo_block(MetricsRegistry::Impl* impl,
+                               std::uint32_t index) {
+  Shard* shard = tls_shard(impl);
+  if (index < shard->histos.size()) {
+    if (HistoBlock* block = shard->histos[index].get()) return block;
+  }
+  return histo_block_slow(impl, shard, index);
 }
 
 std::uint64_t next_registry_id() {
@@ -213,93 +320,46 @@ Counter MetricsRegistry::counter(std::string_view name, MetricClass cls,
                                  std::string_view help) {
   validate_name(name);
   const std::lock_guard lock(impl_->mutex);
-  const auto it = impl_->by_name.find(std::string(name));
-  if (it != impl_->by_name.end()) {
-    const Impl::Metric& existing = impl_->registered[it->second];
-    if (existing.kind != MetricKind::kCounter || existing.cls != cls) {
-      throw std::logic_error("metric re-registered differently: " +
-                             std::string(name));
-    }
-    return Counter(this, existing.slot);
+  if (const auto* existing =
+          impl_->find(name, MetricKind::kCounter, cls, {})) {
+    return Counter(this, existing->index);
   }
   if (impl_->next_slot + 1 > kMaxSlots) {
     throw std::logic_error("metric slot budget exhausted");
   }
-  Impl::Metric metric;
-  metric.name = std::string(name);
-  metric.help = std::string(help);
-  metric.kind = MetricKind::kCounter;
-  metric.cls = cls;
-  metric.slot = impl_->next_slot++;
-  impl_->by_name.emplace(metric.name,
-                         static_cast<std::uint32_t>(impl_->registered.size()));
-  impl_->registered.push_back(std::move(metric));
-  return Counter(this, impl_->registered.back().slot);
+  return Counter(this, impl_->add(name, MetricKind::kCounter, cls, {}, help,
+                                  impl_->next_slot++));
 }
 
 Gauge MetricsRegistry::gauge(std::string_view name, MetricClass cls,
                              std::string_view help) {
   validate_name(name);
   const std::lock_guard lock(impl_->mutex);
-  const auto it = impl_->by_name.find(std::string(name));
-  if (it != impl_->by_name.end()) {
-    const Impl::Metric& existing = impl_->registered[it->second];
-    if (existing.kind != MetricKind::kGauge || existing.cls != cls) {
-      throw std::logic_error("metric re-registered differently: " +
-                             std::string(name));
-    }
-    return Gauge(this, existing.gauge_index);
+  if (const auto* existing = impl_->find(name, MetricKind::kGauge, cls, {})) {
+    return Gauge(this, existing->index);
   }
-  Impl::Metric metric;
-  metric.name = std::string(name);
-  metric.help = std::string(help);
-  metric.kind = MetricKind::kGauge;
-  metric.cls = cls;
-  metric.gauge_index = static_cast<std::uint32_t>(impl_->gauges.size());
+  const auto index = static_cast<std::uint32_t>(impl_->gauges.size());
   impl_->gauges.emplace_back(std::bit_cast<std::uint64_t>(0.0));
-  impl_->by_name.emplace(metric.name,
-                         static_cast<std::uint32_t>(impl_->registered.size()));
-  impl_->registered.push_back(std::move(metric));
-  return Gauge(this, impl_->registered.back().gauge_index);
+  return Gauge(this,
+               impl_->add(name, MetricKind::kGauge, cls, {}, help, index));
 }
 
-Histogram MetricsRegistry::histogram(std::string_view name, MetricClass cls,
-                                     std::vector<double> bucket_bounds,
-                                     std::string_view help) {
+LatencyHisto& MetricsRegistry::histogram(std::string_view name,
+                                         MetricClass cls,
+                                         std::string_view unit,
+                                         std::string_view help) {
   validate_name(name);
-  if (bucket_bounds.empty() ||
-      !std::is_sorted(bucket_bounds.begin(), bucket_bounds.end())) {
-    throw std::logic_error("histogram bounds must be non-empty and sorted: " +
-                           std::string(name));
-  }
   const std::lock_guard lock(impl_->mutex);
-  const auto it = impl_->by_name.find(std::string(name));
-  if (it != impl_->by_name.end()) {
-    const Impl::Metric& existing = impl_->registered[it->second];
-    if (existing.kind != MetricKind::kHistogram || existing.cls != cls ||
-        existing.bounds != bucket_bounds) {
-      throw std::logic_error("metric re-registered differently: " +
-                             std::string(name));
-    }
-    return Histogram(this, it->second);
+  if (const auto* existing =
+          impl_->find(name, MetricKind::kHistogram, cls, unit)) {
+    return *impl_->histos[existing->index].handle;
   }
-  // Slots: one per bucket, one overflow, one fixed-point sum.
-  const std::size_t needed = bucket_bounds.size() + 2;
-  if (impl_->next_slot + needed > kMaxSlots) {
-    throw std::logic_error("metric slot budget exhausted");
-  }
-  Impl::Metric metric;
-  metric.name = std::string(name);
-  metric.help = std::string(help);
-  metric.kind = MetricKind::kHistogram;
-  metric.cls = cls;
-  metric.slot = impl_->next_slot;
-  metric.bounds = std::move(bucket_bounds);
-  impl_->next_slot += static_cast<std::uint32_t>(needed);
-  const auto index = static_cast<std::uint32_t>(impl_->registered.size());
-  impl_->by_name.emplace(metric.name, index);
-  impl_->registered.push_back(std::move(metric));
-  return Histogram(this, index);
+  const auto index = static_cast<std::uint32_t>(impl_->histos.size());
+  Impl::Histo& histo = impl_->histos.emplace_back();
+  histo.handle.reset(new LatencyHisto(this, index));
+  histo.metric = static_cast<std::uint32_t>(impl_->registered.size());
+  impl_->add(name, MetricKind::kHistogram, cls, unit, help, index);
+  return *histo.handle;
 }
 
 void Counter::add(std::uint64_t n) const {
@@ -317,43 +377,44 @@ void Gauge::set(double value) const {
                              std::memory_order_relaxed);
 }
 
-void Histogram::observe(double value) const {
-  if (registry_ == nullptr) return;
+void LatencyHisto::record(std::uint64_t value) const {
+  if (!g_recording.load(std::memory_order_relaxed)) return;
   MetricsRegistry::Impl* impl = registry_->impl_;
   if (!impl->enabled.load(std::memory_order_relaxed)) return;
-  std::uint32_t slot;
-  std::size_t bucket_count;
-  {
-    // Metric layout is append-only, so reading it needs no lock once the
-    // handle exists; copy what the fast path needs.
-    const MetricsRegistry::Impl::Metric& metric =
-        impl->registered[metric_index_];
-    const auto at = std::lower_bound(metric.bounds.begin(),
-                                     metric.bounds.end(), value);
-    slot = metric.slot +
-           static_cast<std::uint32_t>(at - metric.bounds.begin());
-    bucket_count = metric.bounds.size();
-  }
-  Shard* shard = tls_shard(impl);
-  shard->slots[slot].fetch_add(1, std::memory_order_relaxed);
-  // Fixed-point sum: integer additions commute across shards, so the
-  // scraped sum is deterministic where a double sum would depend on
-  // merge order.
-  const auto milli =
-      static_cast<std::int64_t>(std::llround(value * 1000.0));
-  const MetricsRegistry::Impl::Metric& metric =
-      impl->registered[metric_index_];
-  shard->slots[metric.slot + bucket_count + 1].fetch_add(
-      static_cast<std::uint64_t>(milli), std::memory_order_relaxed);
+  if (value > kMaxValue) value = kMaxValue;
+  HistoBlock* block = histo_block(impl, index_);
+  block->slots[slot_of(value)].fetch_add(1, std::memory_order_relaxed);
+  block->sum.fetch_add(value, std::memory_order_relaxed);
+}
+
+LatencyHisto::Snapshot LatencyHisto::snapshot() const {
+  const MetricsRegistry::Impl* impl = registry_->impl_;
+  const std::lock_guard lock(impl->mutex);
+  return impl->merged_histo(index_);
+}
+
+void set_latency_recording(bool enabled) {
+  g_recording.store(enabled, std::memory_order_relaxed);
+}
+
+bool latency_recording() {
+  return g_recording.load(std::memory_order_relaxed);
 }
 
 void MetricsRegistry::reset() {
   const std::lock_guard lock(impl_->mutex);
   impl_->retired.fill(0);
   for (const auto& shard : impl_->live) {
-    for (auto& slot : shard->slots) {
-      slot.store(0, std::memory_order_relaxed);
+    zero(shard->slots);
+    for (const auto& block : shard->histos) {
+      if (!block) continue;
+      zero(block->slots);
+      block->sum.store(0, std::memory_order_relaxed);
     }
+  }
+  for (Impl::Histo& histo : impl_->histos) {
+    histo.retired.clear();
+    histo.retired_sum = 0;
   }
   for (auto& gauge : impl_->gauges) {
     gauge.store(std::bit_cast<std::uint64_t>(0.0),
@@ -373,26 +434,15 @@ std::vector<MetricValue> MetricsRegistry::scrape() const {
     value.cls = metric.cls;
     switch (metric.kind) {
       case MetricKind::kCounter:
-        value.value = impl_->merged(metric.slot);
+        value.value = impl_->merged(metric.index);
         break;
       case MetricKind::kGauge:
         value.gauge = std::bit_cast<double>(
-            impl_->gauges[metric.gauge_index].load(
-                std::memory_order_relaxed));
+            impl_->gauges[metric.index].load(std::memory_order_relaxed));
         break;
-      case MetricKind::kHistogram: {
-        value.bucket_bounds = metric.bounds;
-        value.bucket_counts.resize(metric.bounds.size() + 1);
-        for (std::size_t b = 0; b <= metric.bounds.size(); ++b) {
-          value.bucket_counts[b] =
-              impl_->merged(metric.slot + static_cast<std::uint32_t>(b));
-          value.count += value.bucket_counts[b];
-        }
-        value.sum_milli = static_cast<std::int64_t>(impl_->merged(
-            metric.slot + static_cast<std::uint32_t>(metric.bounds.size()) +
-            1));
+      case MetricKind::kHistogram:
+        value.histogram = impl_->merged_histo(metric.index);
         break;
-      }
     }
     out.push_back(std::move(value));
   }
@@ -404,51 +454,48 @@ std::vector<MetricValue> MetricsRegistry::scrape() const {
 }
 
 std::string MetricsRegistry::scrape_json() const {
-  const std::vector<MetricValue> values = scrape();
-  std::string out = "{\n  \"metrics\": [\n";
-  for (std::size_t i = 0; i < values.size(); ++i) {
-    const MetricValue& v = values[i];
-    out += "    {\"name\": \"";
+  std::string metrics_list;
+  std::string latency_list;
+  for (const MetricValue& v : scrape()) {
+    const bool histogram = v.kind == MetricKind::kHistogram;
+    std::string& out = histogram ? latency_list : metrics_list;
+    out += out.empty() ? "    {\"name\": \"" : ",\n    {\"name\": \"";
     json_escape_into(out, v.name);
-    out += "\", \"kind\": \"";
-    out += to_string(v.kind);
-    out += "\", \"class\": \"";
-    out += to_string(v.cls);
-    out += "\"";
-    switch (v.kind) {
-      case MetricKind::kCounter:
-        out += ", \"value\": " + std::to_string(v.value);
-        break;
-      case MetricKind::kGauge:
-        out += ", \"value\": " + format_double(v.gauge);
-        break;
-      case MetricKind::kHistogram: {
-        out += ", \"count\": " + std::to_string(v.count);
-        out += ", \"sum_milli\": " + std::to_string(v.sum_milli);
-        out += ", \"buckets\": [";
-        for (std::size_t b = 0; b < v.bucket_counts.size(); ++b) {
-          if (b != 0) out += ", ";
-          out += "{\"le\": ";
-          out += b < v.bucket_bounds.size()
-                     ? format_double(v.bucket_bounds[b])
-                     : std::string("\"+Inf\"");
-          out += ", \"count\": " + std::to_string(v.bucket_counts[b]) + "}";
-        }
-        out += "]";
-        break;
-      }
+    if (histogram) {
+      const LatencyHisto::Snapshot& h = v.histogram;
+      out += "\", \"class\": \"" + std::string(to_string(v.cls)) +
+             "\", \"unit\": \"";
+      json_escape_into(out, h.unit);
+      char line[320];
+      std::snprintf(line, sizeof line,
+                    "\", \"count\": %llu, \"sum\": %llu, \"min\": %llu, "
+                    "\"max\": %llu, \"p50\": %.1f, \"p90\": %.1f, "
+                    "\"p99\": %.1f, \"p999\": %.1f}",
+                    static_cast<unsigned long long>(h.count),
+                    static_cast<unsigned long long>(h.sum),
+                    static_cast<unsigned long long>(h.min()),
+                    static_cast<unsigned long long>(h.max()), h.quantile(0.5),
+                    h.quantile(0.9), h.quantile(0.99), h.quantile(0.999));
+      out += line;
+      continue;
     }
+    out += "\", \"kind\": \"" + std::string(to_string(v.kind)) +
+           "\", \"class\": \"" + std::string(to_string(v.cls)) +
+           "\", \"value\": ";
+    out += v.kind == MetricKind::kCounter ? std::to_string(v.value)
+                                          : format_double(v.gauge);
     if (!v.help.empty()) {
       out += ", \"help\": \"";
       json_escape_into(out, v.help);
       out += "\"";
     }
     out += "}";
-    if (i + 1 < values.size()) out += ",";
-    out += "\n";
   }
-  out += "  ]\n}\n";
-  return out;
+  const auto section = [](const std::string& list) {
+    return list.empty() ? std::string("[\n  ]") : "[\n" + list + "\n  ]";
+  };
+  return "{\n  \"metrics\": " + section(metrics_list) +
+         ",\n  \"latency\": " + section(latency_list) + "\n}\n";
 }
 
 std::string prometheus_escape_help(std::string_view text) {
@@ -504,21 +551,21 @@ void prometheus_lines(std::string& out, const MetricValue& v) {
       out += family + " " + format_double(v.gauge) + "\n";
       break;
     case MetricKind::kHistogram: {
+      // Cumulative buckets over the non-empty slots; `le` is the slot's
+      // largest integer, so the bound is inclusive as the format requires.
+      const LatencyHisto::Snapshot& h = v.histogram;
       out += "# TYPE " + family + " histogram\n";
       std::uint64_t cumulative = 0;
-      for (std::size_t b = 0; b < v.bucket_counts.size(); ++b) {
-        cumulative += v.bucket_counts[b];
-        out += family + "_bucket{le=\"";
-        out += prometheus_escape_label(
-            b < v.bucket_bounds.size() ? format_double(v.bucket_bounds[b])
-                                       : std::string("+Inf"));
-        out += "\"} " + std::to_string(cumulative) + "\n";
+      for (std::uint32_t s = 0; s < h.counts.size(); ++s) {
+        if (h.counts[s] == 0) continue;
+        cumulative += h.counts[s];
+        out += family + "_bucket{le=\"" +
+               std::to_string(LatencyHisto::slot_upper(s) - 1) + "\"} " +
+               std::to_string(cumulative) + "\n";
       }
-      char sum[64];
-      std::snprintf(sum, sizeof sum, "%.3f",
-                    static_cast<double>(v.sum_milli) / 1000.0);
-      out += family + "_sum " + sum + "\n";
-      out += family + "_count " + std::to_string(v.count) + "\n";
+      out += family + "_bucket{le=\"+Inf\"} " + std::to_string(h.count) + "\n";
+      out += family + "_sum " + std::to_string(h.sum) + "\n";
+      out += family + "_count " + std::to_string(h.count) + "\n";
       break;
     }
   }
@@ -544,14 +591,14 @@ std::string MetricsRegistry::semantic_snapshot() const {
         out += v.name + " " + format_double(v.gauge) + "\n";
         break;
       case MetricKind::kHistogram: {
-        for (std::size_t b = 0; b < v.bucket_counts.size(); ++b) {
-          out += v.name + "{le=";
-          out += b < v.bucket_bounds.size()
-                     ? format_double(v.bucket_bounds[b])
-                     : std::string("+Inf");
-          out += "} " + std::to_string(v.bucket_counts[b]) + "\n";
+        const LatencyHisto::Snapshot& h = v.histogram;
+        for (std::uint32_t s = 0; s < h.counts.size(); ++s) {
+          if (h.counts[s] == 0) continue;
+          out += v.name + "{le=" +
+                 std::to_string(LatencyHisto::slot_upper(s) - 1) + "} " +
+                 std::to_string(h.counts[s]) + "\n";
         }
-        out += v.name + "_sum_milli " + std::to_string(v.sum_milli) + "\n";
+        out += v.name + "_sum " + std::to_string(h.sum) + "\n";
         break;
       }
     }

@@ -17,9 +17,7 @@ std::int64_t steady_ns() {
 std::uint64_t counter_value(const std::vector<MetricValue>& values,
                             std::string_view name) {
   for (const MetricValue& v : values) {
-    if (v.name == name) {
-      return v.kind == MetricKind::kHistogram ? v.count : v.value;
-    }
+    if (v.name == name) return v.value;
   }
   return 0;
 }

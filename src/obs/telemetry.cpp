@@ -148,14 +148,13 @@ std::vector<SloTracker::State> TelemetryPlane::slo_states() const {
 std::string TelemetryPlane::document_json() const {
   std::string out = metrics().scrape_json();
   // scrape_json ends with "  ]\n}\n"; splice the telemetry sections in
-  // before the closing brace so the `metrics` array keeps its exact shape.
+  // before the closing brace so its `metrics` and `latency` arrays keep
+  // their exact shape.
   const std::size_t brace = out.rfind('}');
   if (brace != std::string::npos) out.erase(brace);
   while (!out.empty() && (out.back() == '\n' || out.back() == ' ')) {
     out.pop_back();
   }
-  out += ",\n  \"latency\": ";
-  out += latency_json();
   out += ",\n  \"series\": [\n    ";
   out += per_second_.to_json();
   out += ",\n    ";
@@ -170,7 +169,7 @@ std::string TelemetryPlane::document_json() const {
 }
 
 std::string TelemetryPlane::document_prometheus() const {
-  return metrics().scrape_prometheus() + latency_prometheus();
+  return metrics().scrape_prometheus();
 }
 
 void TelemetryPlane::reset() {

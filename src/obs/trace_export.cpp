@@ -63,7 +63,7 @@ void CounterSampler::sample(const MetricsRegistry& registry,
         sample.value = v.gauge;
         break;
       case MetricKind::kHistogram:
-        sample.value = static_cast<double>(v.count);
+        sample.value = static_cast<double>(v.histogram.count);
         break;
     }
     impl_->samples.push_back(std::move(sample));

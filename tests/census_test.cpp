@@ -609,7 +609,8 @@ std::vector<Observation> random_stream(std::uint64_t seed,
                : kind < 9 ? net::ReplyKind::kTimeout
                           : net::ReplyKind::kAdminProhibited;
     // Coarse RTTs make exact ties common within a target's group.
-    obs.rtt_ms = quantised_rtt_ms(1.0 + static_cast<double>(below(40)) * 2.5);
+    obs.rtt_ms =
+        quantised_rtt_us(1.0 + static_cast<double>(below(40)) * 2.5) / 1000.0;
   }
   return stream;
 }

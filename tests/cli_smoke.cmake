@@ -22,13 +22,19 @@ if(NOT rc EQUAL 0)
   message(FATAL_ERROR "census failed (${rc}): ${out}${err}")
 endif()
 
-# --verbose prints the metrics table and the span tree.
+# --verbose prints the metrics table, every histogram (name, unit, count,
+# p50, p99, max), and the span tree.
 if(NOT out MATCHES "-- metrics ")
   message(FATAL_ERROR "verbose census missing metrics table: ${out}")
 endif()
 if(NOT out MATCHES "census_probes_sent")
   message(FATAL_ERROR "verbose table missing census counters: ${out}")
 endif()
+foreach(histo census_walk_us census_rtt_us)
+  if(NOT out MATCHES "${histo} +us +[1-9][0-9]* +[0-9]+ +[0-9]+ +[0-9]+\n")
+    message(FATAL_ERROR "verbose table missing histogram ${histo}: ${out}")
+  endif()
+endforeach()
 if(NOT out MATCHES "-- trace spans ")
   message(FATAL_ERROR "verbose census missing span tree: ${out}")
 endif()
@@ -47,6 +53,11 @@ endif()
 metric_value("${metrics_json}" census_probes_sent clean_sent)
 if(clean_sent EQUAL 0)
   message(FATAL_ERROR "census scrape claims zero probes sent")
+endif()
+string(FIND "${metrics_json}" "\"latency\": [" latency_at)
+string(FIND "${metrics_json}" "\"name\": \"census_rtt_us\"" rtt_at)
+if(latency_at EQUAL -1 OR NOT rtt_at GREATER latency_at)
+  message(FATAL_ERROR "census_rtt_us missing from the latency section")
 endif()
 
 file(GLOB anc_files ${WORK_DIR}/c1/*.anc)

@@ -697,6 +697,31 @@ TEST(MetricsDeterminism, SemanticSnapshotIdenticalAcrossThreadCounts) {
   }
 }
 
+TEST(MetricsDeterminism, AnalysisSemanticSnapshotIdenticalAcrossThreadCounts) {
+  // iGreedy's semantic histograms (replicas, first-round MIS) are
+  // recorded from whichever lane analyzes a row; the merged buckets and
+  // sums must not depend on how many lanes there were.
+  const auto vps = net::make_planetlab({.node_count = 16, .seed = 92});
+  Greylist blacklist;
+  FastPingConfig config;
+  config.seed = 92;
+  const ShardedCensusOutput output =
+      run_census_sharded(tiny_world(), vps, tiny_hitlist(), blacklist, config);
+  const analysis::CensusAnalyzer analyzer(vps, geo::world_index());
+  const auto analysis_snapshot = [&](ThreadPool* pool) {
+    obs::metrics().reset();
+    (void)analyzer.analyze(output.data, tiny_hitlist(), 2, pool);
+    return obs::metrics().semantic_snapshot();
+  };
+  const std::string serial = analysis_snapshot(nullptr);
+  ASSERT_NE(serial.find("igreedy_replicas{le="), std::string::npos) << serial;
+  ASSERT_NE(serial.find("igreedy_first_round_mis{le="), std::string::npos);
+  for (const std::size_t threads : {1u, 2u, 8u}) {
+    ThreadPool pool(threads);
+    EXPECT_EQ(analysis_snapshot(&pool), serial) << "threads=" << threads;
+  }
+}
+
 TEST_F(ParallelResumeTest, SemanticSnapshotSurvivesCrashAndResume) {
   // The resumed census must not only reproduce the *data* of its
   // uninterrupted twin (ChaosCrashThenParallelResumeEqualsUninterrupted),
@@ -713,7 +738,7 @@ TEST_F(ParallelResumeTest, SemanticSnapshotSurvivesCrashAndResume) {
       tiny_world(), vps, tiny_hitlist(), blacklist_clean, config,
       dir_ / "clean", /*census_id=*/1);
   const std::string clean_snapshot = obs::metrics().semantic_snapshot();
-  ASSERT_NE(clean_snapshot.find("census_rtt_ms"), std::string::npos);
+  ASSERT_NE(clean_snapshot.find("census_rtt_us{le="), std::string::npos);
 
   net::FaultSpec spec;
   spec.crash_rate = 0.5;
@@ -810,7 +835,8 @@ TEST_F(ParallelResumeTest, TimingMetricsAreExactlyTheDeclaredAllowlist) {
       "census_shard_spilled_bytes",
       "census_shard_spills",
       "census_spill_salvages",
-      "census_vp_duration_hours",
+      "census_vp_duration_s",
+      "census_walk_us",
       "checkpoint_read_failures",
       "checkpoint_reads_ok",
       "checkpoint_salvages",
@@ -819,15 +845,20 @@ TEST_F(ParallelResumeTest, TimingMetricsAreExactlyTheDeclaredAllowlist) {
       "pool_helper_dispatches",
       "pool_indices_by_caller",
       "pool_indices_by_helpers",
-      "pool_lane_busy_ms",
+      "pool_lane_busy_us",
       "pool_parallel_ops",
       "record_dropped_oversized",
       "resume_files_salvaged",
       "resume_vps_rerun",
       "resume_vps_reused",
+      "serving_diff_ns",
       "serving_errors",
+      "serving_lookup_ns",
+      "serving_nearest_ns",
+      "serving_parse_ns",
       "serving_publishes",
       "serving_queries",
+      "serving_query_ns",
       "serving_retired_depth",
       "serving_snapshots_freed",
       "serving_snapshots_retired",

@@ -1,13 +1,16 @@
 // Unit tests for the observability layer: the sharded metrics registry
 // (merge correctness, histogram bucket edges, scrape determinism,
-// concurrent increments — run under TSAN via tools/run_sanitizers.sh) and
-// the trace span tree (nesting, cross-thread adoption, orphan handling).
+// concurrent increments and first records racing scrapes — run under TSAN
+// via tools/run_sanitizers.sh) and the trace span tree (nesting,
+// cross-thread adoption, orphan handling).
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <cstdint>
 #include <random>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -20,7 +23,7 @@ namespace {
 
 using anycast::obs::Counter;
 using anycast::obs::Gauge;
-using anycast::obs::Histogram;
+using anycast::obs::LatencyHisto;
 using anycast::obs::MetricClass;
 using anycast::obs::MetricKind;
 using anycast::obs::MetricsRegistry;
@@ -68,10 +71,16 @@ TEST(MetricsRegistry, ReRegisteringDifferentlyThrows) {
                std::logic_error);
   EXPECT_THROW((void)registry.gauge("clash", MetricClass::kSemantic),
                std::logic_error);
-  (void)registry.histogram("h", MetricClass::kSemantic, {1.0, 2.0});
-  EXPECT_THROW(
-      (void)registry.histogram("h", MetricClass::kSemantic, {1.0, 3.0}),
-      std::logic_error);
+  LatencyHisto& h = registry.histogram("h", MetricClass::kSemantic, "us");
+  EXPECT_EQ(&registry.histogram("h", MetricClass::kSemantic, "us"), &h);
+  EXPECT_THROW((void)registry.histogram("h", MetricClass::kSemantic, "ms"),
+               std::logic_error);
+  EXPECT_THROW((void)registry.histogram("h", MetricClass::kTiming, "us"),
+               std::logic_error);
+  EXPECT_THROW((void)registry.histogram("clash", MetricClass::kSemantic, ""),
+               std::logic_error);
+  EXPECT_THROW((void)registry.counter("h", MetricClass::kSemantic),
+               std::logic_error);
 }
 
 TEST(MetricsRegistry, BadNamesAndBoundsThrow) {
@@ -80,13 +89,13 @@ TEST(MetricsRegistry, BadNamesAndBoundsThrow) {
                std::logic_error);
   EXPECT_THROW((void)registry.counter("has space", MetricClass::kSemantic),
                std::logic_error);
+  EXPECT_THROW((void)registry.histogram("", MetricClass::kTiming, "ns"),
+               std::logic_error);
   EXPECT_THROW(
-      (void)registry.histogram("unsorted", MetricClass::kSemantic,
-                               {2.0, 1.0}),
+      (void)registry.histogram("lookup-ns", MetricClass::kTiming, "ns"),
       std::logic_error);
-  EXPECT_THROW(
-      (void)registry.histogram("empty", MetricClass::kSemantic, {}),
-      std::logic_error);
+  EXPECT_THROW((void)LatencyHisto::get("bad name", "ns", "help"),
+               std::logic_error);
 }
 
 TEST(MetricsRegistry, GaugeIsLastWriteWins) {
@@ -100,34 +109,42 @@ TEST(MetricsRegistry, GaugeIsLastWriteWins) {
 
 TEST(MetricsRegistry, HistogramBucketEdgesAreInclusiveUpperBounds) {
   MetricsRegistry registry;
-  const Histogram h = registry.histogram(
-      "edges", MetricClass::kSemantic, {1.0, 2.0, 4.0});
-  // Prometheus `le` semantics: value <= bound lands in that bucket.
-  h.observe(0.5);   // bucket[0] (le 1)
-  h.observe(1.0);   // bucket[0] — edge is inclusive
-  h.observe(1.001); // bucket[1]
-  h.observe(2.0);   // bucket[1]
-  h.observe(4.0);   // bucket[2]
-  h.observe(4.001); // overflow
-  h.observe(100.0); // overflow
+  LatencyHisto& h = registry.histogram("edges", MetricClass::kSemantic,
+                                       "count");
+  // Prometheus `le` semantics: a bucket is labelled with the largest
+  // integer it holds, so value <= label. Below kSubCount every integer
+  // has its own bucket; 256 and 257 share a two-wide one.
+  h.record(3);
+  h.record(3);
+  h.record(256);
+  h.record(257);
+  h.record(258);                          // the next bucket: {le=259}
+  h.record(LatencyHisto::kMaxValue + 5);  // saturates into the top bucket
+  const std::string snapshot = registry.semantic_snapshot();
+  EXPECT_NE(snapshot.find("edges{le=3} 2\n"), std::string::npos) << snapshot;
+  EXPECT_NE(snapshot.find("edges{le=257} 2\n"), std::string::npos);
+  EXPECT_NE(snapshot.find("edges{le=259} 1\n"), std::string::npos);
+  const std::string top = std::to_string(LatencyHisto::kMaxValue);
+  EXPECT_NE(snapshot.find("edges{le=" + top + "} 1\n"), std::string::npos);
+  // The sum is an exact integer, saturated values clamped.
+  const std::uint64_t sum = 3 + 3 + 256 + 257 + 258 + LatencyHisto::kMaxValue;
+  EXPECT_NE(snapshot.find("edges_sum " + std::to_string(sum) + "\n"),
+            std::string::npos);
   const auto values = registry.scrape();
   const MetricValue* v = find(values, "edges");
   ASSERT_NE(v, nullptr);
-  ASSERT_EQ(v->bucket_counts.size(), 4u);
-  EXPECT_EQ(v->bucket_counts[0], 2u);
-  EXPECT_EQ(v->bucket_counts[1], 2u);
-  EXPECT_EQ(v->bucket_counts[2], 1u);
-  EXPECT_EQ(v->bucket_counts[3], 2u);
-  EXPECT_EQ(v->count, 7u);
-  // Fixed-point milli sum: 0.5+1+1.001+2+4+4.001+100 = 112.502
-  EXPECT_EQ(v->sum_milli, 112502);
+  EXPECT_EQ(v->histogram.count, 6u);
+  EXPECT_EQ(v->histogram.sum, sum);
+  const std::string prom = registry.scrape_prometheus();
+  EXPECT_NE(prom.find("edges_bucket{le=\"257\"} 4\n"), std::string::npos)
+      << prom;
 }
 
 TEST(MetricsRegistry, ConcurrentIncrementsMergeExactly) {
   MetricsRegistry registry;
   const Counter c = registry.counter("spam", MetricClass::kSemantic);
-  const Histogram h =
-      registry.histogram("spam_h", MetricClass::kSemantic, {10.0, 100.0});
+  LatencyHisto& h = registry.histogram("spam_h", MetricClass::kSemantic,
+                                       "count");
   constexpr int kThreads = 8;
   constexpr int kPerThread = 10000;
   std::vector<std::thread> threads;
@@ -136,7 +153,7 @@ TEST(MetricsRegistry, ConcurrentIncrementsMergeExactly) {
     threads.emplace_back([&c, &h, t] {
       for (int i = 0; i < kPerThread; ++i) {
         c.inc();
-        h.observe(static_cast<double>(t));
+        h.record(static_cast<std::uint64_t>(t));
       }
     });
   }
@@ -144,23 +161,93 @@ TEST(MetricsRegistry, ConcurrentIncrementsMergeExactly) {
   const auto values = registry.scrape();
   EXPECT_EQ(find(values, "spam")->value,
             static_cast<std::uint64_t>(kThreads) * kPerThread);
-  EXPECT_EQ(find(values, "spam_h")->count,
+  EXPECT_EQ(find(values, "spam_h")->histogram.count,
             static_cast<std::uint64_t>(kThreads) * kPerThread);
+  // 0 + 1 + ... + 7 per round.
+  EXPECT_EQ(find(values, "spam_h")->histogram.sum,
+            static_cast<std::uint64_t>(kThreads * (kThreads - 1) / 2) *
+                kPerThread);
   // Threads came and went: their shards were retired, not lost.
   EXPECT_GE(registry.shard_count(), static_cast<std::size_t>(kThreads));
+}
+
+TEST(MetricsRegistry, FirstRecordsAndThreadExitsRaceScrapesExactly) {
+  // The shared shard path: each writer registers the histograms itself,
+  // records into each for the first time (allocating its slot blocks
+  // under the registry lock), bumps a counter, and exits (folding its
+  // shard into the retired totals) — all while a reader scrapes.
+  MetricsRegistry registry;
+  constexpr int kThreads = 8;
+  constexpr int kHistos = 4;
+  constexpr int kPerThread = 2000;
+  const Counter counter = registry.counter("race_c", MetricClass::kSemantic);
+  std::atomic<bool> stop{false};
+  std::thread reader([&] {
+    while (!stop.load(std::memory_order_relaxed)) {
+      (void)registry.scrape();
+      (void)registry.semantic_snapshot();
+    }
+  });
+  {
+    std::vector<std::thread> writers;
+    for (int t = 0; t < kThreads; ++t) {
+      writers.emplace_back([&registry, &counter, t] {
+        std::vector<LatencyHisto*> histos;
+        for (int h = 0; h < kHistos; ++h) {
+          // Threads start on different histograms, so block tables grow
+          // in different orders.
+          const int index = (h + t) % kHistos;
+          histos.push_back(&registry.histogram(
+              "race_h" + std::to_string(index), MetricClass::kSemantic,
+              "us"));
+        }
+        for (int i = 0; i < kPerThread; ++i) {
+          for (LatencyHisto* histo : histos) {
+            histo->record(static_cast<std::uint64_t>(t) * 100 + 1);
+          }
+          counter.inc();
+        }
+      });
+    }
+    for (std::thread& writer : writers) writer.join();
+  }
+  stop.store(true, std::memory_order_relaxed);
+  reader.join();
+
+  const auto values = registry.scrape();
+  std::uint64_t per_histo_sum = 0;
+  for (int t = 0; t < kThreads; ++t) {
+    per_histo_sum += static_cast<std::uint64_t>(kPerThread) *
+                     (static_cast<std::uint64_t>(t) * 100 + 1);
+  }
+  for (int h = 0; h < kHistos; ++h) {
+    const MetricValue* v = find(values, "race_h" + std::to_string(h));
+    ASSERT_NE(v, nullptr);
+    EXPECT_EQ(v->histogram.count,
+              static_cast<std::uint64_t>(kThreads) * kPerThread);
+    EXPECT_EQ(v->histogram.sum, per_histo_sum);
+    for (int t = 0; t < kThreads; ++t) {
+      EXPECT_EQ(v->histogram.counts[LatencyHisto::slot_of(
+                    static_cast<std::uint64_t>(t) * 100 + 1)],
+                static_cast<std::uint64_t>(kPerThread));
+    }
+  }
+  EXPECT_EQ(find(values, "race_c")->value,
+            static_cast<std::uint64_t>(kThreads) * kPerThread);
 }
 
 TEST(MetricsRegistry, SemanticSnapshotExcludesTimingAndIsStableText) {
   MetricsRegistry registry;
   registry.counter("b_semantic", MetricClass::kSemantic).add(7);
   registry.counter("a_timing", MetricClass::kTiming).add(9);
-  registry
-      .histogram("c_hist", MetricClass::kSemantic, {1.0, 2.0})
-      .observe(1.5);
+  registry.histogram("c_hist", MetricClass::kSemantic, "count").record(2);
+  registry.histogram("d_timing_hist", MetricClass::kTiming, "ns").record(5);
   const std::string snapshot = registry.semantic_snapshot();
   EXPECT_NE(snapshot.find("b_semantic 7"), std::string::npos);
   EXPECT_EQ(snapshot.find("a_timing"), std::string::npos);
   EXPECT_NE(snapshot.find("c_hist{le=2} 1"), std::string::npos);
+  EXPECT_NE(snapshot.find("c_hist_sum 2"), std::string::npos);
+  EXPECT_EQ(snapshot.find("d_timing_hist"), std::string::npos);
   // Same state scraped twice is byte-identical.
   EXPECT_EQ(snapshot, registry.semantic_snapshot());
 }
@@ -203,13 +290,18 @@ TEST(MetricsRegistry, JsonAndPrometheusCarryEveryMetric) {
   MetricsRegistry registry;
   registry.counter("c1", MetricClass::kSemantic).add(3);
   registry.gauge("g1", MetricClass::kTiming).set(1.5);
-  registry.histogram("h1", MetricClass::kSemantic, {1.0}).observe(0.5);
+  registry.histogram("h1", MetricClass::kSemantic, "count").record(1);
   const std::string json = registry.scrape_json();
   EXPECT_NE(json.find("\"name\": \"c1\""), std::string::npos);
   EXPECT_NE(json.find("\"value\": 3"), std::string::npos);
   EXPECT_NE(json.find("\"name\": \"g1\""), std::string::npos);
-  EXPECT_NE(json.find("\"name\": \"h1\""), std::string::npos);
-  EXPECT_NE(json.find("\"le\": \"+Inf\""), std::string::npos);
+  // Histograms are listed in the `latency` section, after the metrics.
+  const std::size_t latency = json.find("\"latency\": [");
+  ASSERT_NE(latency, std::string::npos) << json;
+  EXPECT_GT(json.find("\"name\": \"h1\", \"class\": \"semantic\", "
+                      "\"unit\": \"count\", \"count\": 1"),
+            latency)
+      << json;
   const std::string prom = registry.scrape_prometheus();
   // Counter TYPE lines must name the *_total family, not the bare name:
   // promtool rejects samples that do not belong to the declared family.
@@ -337,21 +429,21 @@ TEST(MetricsRegistry, PrometheusExpositionPassesLint) {
   MetricsRegistry registry;
   registry.counter("probes", MetricClass::kSemantic, "probes sent").add(7);
   registry.gauge("depth", MetricClass::kTiming, "queue depth").set(2.5);
-  const Histogram h = registry.histogram("rtt_ms", MetricClass::kSemantic,
-                                         {1.0, 10.0, 100.0}, "rtt");
-  h.observe(0.5);
-  h.observe(5.0);
-  h.observe(5000.0);
+  LatencyHisto& h =
+      registry.histogram("rtt_us", MetricClass::kSemantic, "us", "rtt");
+  h.record(500);
+  h.record(5000);
+  h.record(5'000'000);
   const std::string prom = registry.scrape_prometheus();
   const PromLint lint = prometheus_lint(prom);
   for (const std::string& error : lint.errors) ADD_FAILURE() << error;
 
   // Cumulative buckets are non-decreasing and the +Inf bucket equals
-  // rtt_ms_count (promtool's histogram invariant).
+  // rtt_us_count (promtool's histogram invariant).
   std::uint64_t last = 0;
   std::uint64_t inf_value = 0;
   for (const std::string_view line : lint_lines(prom)) {
-    if (line.rfind("rtt_ms_bucket", 0) != 0) continue;
+    if (line.rfind("rtt_us_bucket", 0) != 0) continue;
     const std::size_t space = line.rfind(' ');
     const std::uint64_t value =
         std::stoull(std::string(line.substr(space + 1)));
@@ -360,7 +452,7 @@ TEST(MetricsRegistry, PrometheusExpositionPassesLint) {
     if (line.find("+Inf") != std::string_view::npos) inf_value = value;
   }
   EXPECT_EQ(inf_value, 3u);
-  EXPECT_NE(prom.find("rtt_ms_count 3"), std::string::npos);
+  EXPECT_NE(prom.find("rtt_us_count 3"), std::string::npos);
 }
 
 TEST(MetricsRegistry, PrometheusEscapingOfHelpAndLabels) {
@@ -515,12 +607,11 @@ TEST_F(TraceTest, SpansJsonListsEverySpan) {
 // sort-based oracle on uniform, log-normal (the shape real RTTs take),
 // and adversarial bucket-edge samples.
 
-using anycast::obs::LatencyHisto;
-
 void check_quantiles_against_oracle(const std::vector<std::uint64_t>& samples,
                                     const char* label) {
-  LatencyHisto histo("oracle_scratch", "ns", "oracle test");
-  histo.reset();
+  MetricsRegistry registry;
+  LatencyHisto& histo =
+      registry.histogram("oracle_scratch", MetricClass::kTiming, "ns");
   std::vector<std::uint64_t> sorted = samples;
   for (const std::uint64_t v : samples) histo.record(v);
   std::sort(sorted.begin(), sorted.end());
@@ -581,7 +672,9 @@ TEST(LatencyHistoQuantiles, AdversarialBucketEdgeSamples) {
 TEST(LatencyHistoQuantiles, ExactRegionIsExact) {
   // Below kSubCount the buckets are unit-wide: the estimate IS the order
   // statistic, no error at all.
-  LatencyHisto histo("oracle_exact", "ns", "oracle test");
+  MetricsRegistry registry;
+  LatencyHisto& histo =
+      registry.histogram("oracle_exact", MetricClass::kTiming, "ns");
   for (std::uint64_t v = 1; v <= 100; ++v) histo.record(v);
   const LatencyHisto::Snapshot snap = histo.snapshot();
   EXPECT_DOUBLE_EQ(snap.quantile(0.5), 50.0);
@@ -591,15 +684,15 @@ TEST(LatencyHistoQuantiles, ExactRegionIsExact) {
 }
 
 TEST(LatencyHistoQuantiles, LatencyPrometheusPassesExpositionLint) {
-  // The per-query histograms ride the same exposition pipeline as the
-  // registry scrape; the promtool-shaped linter must accept both, alone
-  // and concatenated (the document_prometheus composition).
+  // The per-query histograms ride the global registry's exposition; the
+  // promtool-shaped linter must accept it, alone and concatenated with
+  // another registry's.
   LatencyHisto& histo =
       LatencyHisto::get("lint_latency_ns", "ns", "lint \"edge\" case\n");
   histo.record(50);
   histo.record(5000);
   histo.record(5'000'000);
-  const std::string prom = anycast::obs::latency_prometheus();
+  const std::string prom = anycast::obs::metrics().scrape_prometheus();
   ASSERT_NE(prom.find("# TYPE lint_latency_ns histogram"), std::string::npos);
   for (const std::string& error : prometheus_lint(prom).errors) {
     ADD_FAILURE() << error;

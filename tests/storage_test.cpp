@@ -528,7 +528,7 @@ TEST_F(StorageTest, OversizedIndexDroppedCountedAndJournaled) {
     EXPECT_EQ((*decoded)[i].kind, clean[i].kind);
     if (clean[i].kind == net::ReplyKind::kEchoReply) {
       EXPECT_DOUBLE_EQ((*decoded)[i].rtt_ms,
-                       quantised_rtt_ms(clean[i].rtt_ms));
+                       quantised_rtt_us(clean[i].rtt_ms) / 1000.0);
     }
   }
 

@@ -9,11 +9,13 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "anycast/obs/latency.hpp"
+#include "anycast/obs/metrics.hpp"
 #include "anycast/obs/slo.hpp"
 #include "anycast/obs/telemetry.hpp"
 #include "anycast/obs/timeseries.hpp"
@@ -51,7 +53,9 @@ TEST(LatencyHistoTest, SlotMathIsExactBelowSubCountAndConsistentAbove) {
 }
 
 TEST(LatencyHistoTest, RecordSnapshotAndWindowDelta) {
-  LatencyHisto histo("test_rsd", "ns", "test histogram");
+  MetricsRegistry registry;
+  LatencyHisto& histo =
+      registry.histogram("test_rsd", MetricClass::kTiming, "ns");
   for (int i = 0; i < 100; ++i) histo.record(10);
   for (int i = 0; i < 5; ++i) histo.record(1000);
   const LatencyHisto::Snapshot first = histo.snapshot();
@@ -74,7 +78,9 @@ TEST(LatencyHistoTest, RecordSnapshotAndWindowDelta) {
 }
 
 TEST(LatencyHistoTest, KillSwitchMakesRecordANoOp) {
-  LatencyHisto histo("test_kill", "ns", "test histogram");
+  MetricsRegistry registry;
+  LatencyHisto& histo =
+      registry.histogram("test_kill", MetricClass::kTiming, "ns");
   histo.record(7);
   set_latency_recording(false);
   histo.record(7);
@@ -88,7 +94,9 @@ TEST(LatencyHistoTest, ConcurrentRecordersMergeExactly) {
   // 8 threads record disjoint value sets and exit (folding their shards
   // into the retired array) while a reader scrapes concurrently. The
   // final merge must be exact — relaxed atomics lose nothing.
-  LatencyHisto histo("test_mt", "ns", "test histogram");
+  MetricsRegistry registry;
+  LatencyHisto& histo =
+      registry.histogram("test_mt", MetricClass::kTiming, "ns");
   constexpr int kThreads = 8;
   constexpr int kPerThread = 50000;
   std::atomic<bool> stop{false};
@@ -123,9 +131,18 @@ TEST(LatencyHistoTest, ConcurrentRecordersMergeExactly) {
 
 TEST(LatencyHistoTest, GlobalRegistryReturnsSameInstance) {
   LatencyHisto& a = LatencyHisto::get("test_global_histo", "us", "help");
-  LatencyHisto& b = LatencyHisto::get("test_global_histo", "ms", "ignored");
+  LatencyHisto& b = LatencyHisto::get("test_global_histo", "us", "ignored");
   EXPECT_EQ(&a, &b);
-  EXPECT_EQ(b.unit(), "us") << "unit is fixed by the creating call";
+  EXPECT_EQ(&a, &metrics().histogram("test_global_histo", MetricClass::kTiming,
+                                     "us"));
+  b.record(1);
+  EXPECT_EQ(b.snapshot().unit, "us");
+  // One name means one instrument: a different unit or class throws.
+  EXPECT_THROW((void)LatencyHisto::get("test_global_histo", "ms", "help"),
+               std::logic_error);
+  EXPECT_THROW((void)metrics().histogram("test_global_histo",
+                                         MetricClass::kSemantic, "us"),
+               std::logic_error);
 }
 
 // --- TimeSeries --------------------------------------------------------------
@@ -320,7 +337,9 @@ TEST(SloTrackerTest, ObserveHistogramWindowsOnSnapshotDeltas) {
   ASSERT_TRUE(objectives.has_value()) << error;
   SloTracker tracker(std::move(*objectives));
 
-  LatencyHisto histo("test_slo_histo", "ns", "test histogram");
+  MetricsRegistry registry;
+  LatencyHisto& histo =
+      registry.histogram("test_slo_histo", MetricClass::kTiming, "ns");
   // Window 1: all fast (1us << 50us) -> burn 0.
   for (int i = 0; i < 1000; ++i) histo.record(1000);
   auto t1 = tracker.observe_histogram("p99_lookup_us", 1, histo.snapshot());

@@ -1209,22 +1209,26 @@ int write_metrics_out(const std::string& path) {
 }
 
 void print_verbose_summary() {
+  const std::vector<obs::MetricValue> values = obs::metrics().scrape();
   std::printf("\n-- metrics %s\n", std::string(48, '-').c_str());
-  for (const obs::MetricValue& v : obs::metrics().scrape()) {
-    switch (v.kind) {
-      case obs::MetricKind::kCounter:
-        std::printf("%-34s %20llu\n", v.name.c_str(),
-                    static_cast<unsigned long long>(v.value));
-        break;
-      case obs::MetricKind::kGauge:
-        std::printf("%-34s %20.3f\n", v.name.c_str(), v.gauge);
-        break;
-      case obs::MetricKind::kHistogram:
-        std::printf("%-34s %12llu obs, sum %.1f\n", v.name.c_str(),
-                    static_cast<unsigned long long>(v.count),
-                    static_cast<double>(v.sum_milli) / 1000.0);
-        break;
+  for (const obs::MetricValue& v : values) {
+    if (v.kind == obs::MetricKind::kCounter) {
+      std::printf("%-34s %20llu\n", v.name.c_str(),
+                  static_cast<unsigned long long>(v.value));
+    } else if (v.kind == obs::MetricKind::kGauge) {
+      std::printf("%-34s %20.3f\n", v.name.c_str(), v.gauge);
     }
+  }
+  std::printf("-- histograms %s\n%-34s %-5s %12s %12s %12s %12s\n",
+              std::string(45, '-').c_str(), "name", "unit", "count", "p50",
+              "p99", "max");
+  for (const obs::MetricValue& v : values) {
+    if (v.kind != obs::MetricKind::kHistogram) continue;
+    const obs::LatencyHisto::Snapshot& h = v.histogram;
+    std::printf("%-34s %-5s %12llu %12.0f %12.0f %12llu\n", v.name.c_str(),
+                h.unit.c_str(), static_cast<unsigned long long>(h.count),
+                h.quantile(0.5), h.quantile(0.99),
+                static_cast<unsigned long long>(h.max()));
   }
   // render_tree's footer reports drops/orphans itself, so nothing is
   // silently missing even when the span buffer filled up.
