@@ -42,6 +42,7 @@
 
 #include "anycast/census/census.hpp"
 #include "anycast/census/sharded.hpp"
+#include "anycast/concurrency/thread_pool.hpp"
 #include "common.hpp"
 
 namespace {
@@ -73,19 +74,6 @@ std::size_t proc_status_kb(const char* key) {
 
 std::size_t peak_rss_kb() { return proc_status_kb("VmHWM:"); }
 std::size_t current_rss_kb() { return proc_status_kb("VmRSS:"); }
-
-/// Resets the kernel's peak-RSS watermark so VmHWM after this call
-/// reports the peak of the phase under test, not of process startup.
-void reset_peak_rss() {
-#if defined(__linux__)
-  malloc_trim(0);
-  std::FILE* f = std::fopen("/proc/self/clear_refs", "w");
-  if (f != nullptr) {
-    std::fputs("5", f);
-    std::fclose(f);
-  }
-#endif
-}
 
 // ---- The synthetic census --------------------------------------------------
 
@@ -223,7 +211,8 @@ int main(int argc, char** argv) {
   plane.spill_dir = spill_dir.string();
 
   // ---- Phase 1: full-scale sharded build under the budget ----------------
-  reset_peak_rss();
+  // The first phase of the process: the VmHWM read after it is the
+  // build's peak, not a startup artefact.
   const std::size_t rss_before_kb = current_rss_kb();
   const auto build_start = std::chrono::steady_clock::now();
   census::ShardedCensusMatrix data = build_sharded(targets, vps, plane);
@@ -320,6 +309,7 @@ int main(int argc, char** argv) {
                  "  \"total_value_bytes\": %zu,\n"
                  "  \"spilled_shards\": %zu,\n"
                  "  \"resident_value_bytes\": %zu,\n"
+                 "  \"hardware_threads\": %zu,\n"
                  "  \"build_seconds\": %.3f,\n"
                  "  \"digest_seconds\": %.3f,\n"
                  "  \"census_digest\": \"%016llX\",\n"
@@ -331,7 +321,8 @@ int main(int argc, char** argv) {
                  "    \"legs\": [\n",
                  targets, vps, shard_targets, shard_count,
                  observations, total_bytes, spilled_shards, resident_bytes,
-                 build_seconds, digest_seconds,
+                 concurrency::default_thread_count(), build_seconds,
+                 digest_seconds,
                  static_cast<unsigned long long>(digest), budget_mb, peak_kb,
                  rss_ok ? "true" : "false", cross_targets, cvps);
     for (std::size_t i = 0; i < legs.size(); ++i) {

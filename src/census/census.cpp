@@ -5,6 +5,7 @@
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
+#include <iterator>
 
 #if defined(__linux__)
 #include <fcntl.h>
@@ -239,6 +240,211 @@ std::size_t CensusMatrix::responsive_targets(std::size_t min_vps) const {
   return count;
 }
 
+namespace {
+
+/// Size of the vp-sorted union of two vp-sorted rows.
+std::uint64_t row_union_size(std::span<const VpRtt> ours,
+                             std::span<const VpRtt> theirs) {
+  std::size_t i = 0;
+  std::size_t j = 0;
+  std::uint64_t unique = 0;
+  while (i < ours.size() && j < theirs.size()) {
+    const std::uint16_t a = ours[i].vp;
+    const std::uint16_t b = theirs[j].vp;
+    i += static_cast<std::size_t>(a <= b);
+    j += static_cast<std::size_t>(b <= a);
+    ++unique;
+  }
+  return unique + (ours.size() - i) + (theirs.size() - j);
+}
+
+/// Merges the vp-sorted row `theirs` into the row stored at
+/// `v[ours_begin, ours_end)`, back to front, taking minima on common VPs;
+/// the union ends at `v[write_end]`. Writes never clobber unread input:
+/// the write cursor w and our read cursor i keep w - i >= write_end -
+/// ours_end >= 0 (outputs remaining can never be fewer than our elements
+/// remaining), and w == i only arises when the rest of `theirs`
+/// duplicates the rest of ours, so the theirs-only branch cannot fire
+/// there. Merging rows last to first, each into a slot at or above its
+/// old start, therefore grows a whole arena in place.
+void merge_row_back(VpRtt* v, std::uint64_t ours_begin, std::uint64_t ours_end,
+                    std::span<const VpRtt> theirs, std::uint64_t write_end) {
+  std::uint64_t i = ours_end;
+  std::uint64_t w = write_end;
+  std::size_t j = theirs.size();
+  while (i > ours_begin && j > 0) {
+    const VpRtt a = v[i - 1];
+    const VpRtt b = theirs[j - 1];
+    if (a.vp > b.vp) {
+      v[--w] = a;
+      --i;
+    } else if (b.vp > a.vp) {
+      v[--w] = b;
+      --j;
+    } else {
+      v[--w] = VpRtt{a.vp, std::min(a.rtt_ms, b.rtt_ms)};
+      --i;
+      --j;
+    }
+  }
+  while (i > ours_begin) {
+    --w;
+    --i;
+    v[w] = v[i];
+  }
+  while (j > 0) v[--w] = theirs[--j];
+}
+
+/// Values per transposed block: 32k VpRtt (256 KiB) fit in L2.
+constexpr std::size_t kBlockValues = std::size_t{1} << 15;
+
+/// Lays VP-ascending canonical runs out as CSR rows, one target block at
+/// a time, blocks last to first. `count` takes every run's slice of the
+/// block (per-run cursors walking each run back to front, so a pass reads
+/// each run once) and prefix-sums the row sizes; `place` appends each
+/// run's slice in VP order. Rows therefore come out vp-sorted at exact
+/// offsets, and the block's values stay cache-resident between the two
+/// steps.
+class BlockTransposer {
+ public:
+  BlockTransposer(std::span<const detail::TargetRun> runs,
+                  std::size_t targets, std::size_t values)
+      : runs_(runs),
+        end_(runs.size()),
+        begin_(runs.size()),
+        block_(std::clamp<std::size_t>(
+            kBlockValues * targets / std::max<std::size_t>(values, 1), 1,
+            std::max<std::size_t>(targets, 1))),
+        slots_(block_ + 1) {
+    rewind();
+  }
+
+  [[nodiscard]] std::size_t block_targets() const { return block_; }
+
+  /// Returns the cursors to the run ends, for another backward pass.
+  void rewind() {
+    for (std::size_t r = 0; r < runs_.size(); ++r) {
+      end_[r] = static_cast<std::uint32_t>(runs_[r].entries.size());
+    }
+  }
+
+  /// Counts the rows of targets [b0, b1), the block below the previous
+  /// one (at most `block_targets()` targets): row_begin[i] = the block's
+  /// values before target b0 + i, for i in [0, b1 - b0]. Returns the
+  /// block's value count.
+  std::uint64_t count(std::size_t b0, std::size_t b1,
+                      std::uint64_t* row_begin) {
+    b0_ = b0;
+    const std::size_t n = b1 - b0;
+    std::uint64_t* slots = slots_.data();
+    std::fill(slots, slots + n + 1, 0);
+    for (std::size_t r = 0; r < runs_.size(); ++r) {
+      const TargetRtt* entries = runs_[r].entries.data();
+      std::uint32_t p = end_[r];
+      for (; p > 0 && entries[p - 1].target_index >= b0; --p) {
+        ++slots[entries[p - 1].target_index - b0 + 1];
+      }
+      begin_[r] = p;
+    }
+    for (std::size_t i = 0; i < n; ++i) {
+      row_begin[i] = slots[i];
+      slots[i + 1] += slots[i];
+    }
+    row_begin[n] = slots[n];
+    return slots[n];
+  }
+
+  /// Places the counted block's values at `out` (row i starting at
+  /// out + row_begin[i]) and moves the cursors below the block.
+  void place(VpRtt* out) {
+    std::uint64_t* slots = slots_.data();
+    for (std::size_t r = 0; r < runs_.size(); ++r) {
+      const std::uint16_t vp = runs_[r].vp;
+      const TargetRtt* entries = runs_[r].entries.data();
+      for (std::uint32_t p = begin_[r]; p < end_[r]; ++p) {
+        out[slots[entries[p].target_index - b0_]++] =
+            VpRtt{vp, entries[p].rtt_ms};
+      }
+    }
+    end_.swap(begin_);
+  }
+
+ private:
+  std::span<const detail::TargetRun> runs_;
+  std::vector<std::uint32_t> end_;    // end of each run's unread prefix
+  std::vector<std::uint32_t> begin_;  // start of each run's counted slice
+  std::size_t block_;
+  std::vector<std::uint64_t> slots_;  // row sizes, then write positions
+  std::size_t b0_ = 0;
+};
+
+/// Collapses each group of equal targets in a target-sorted vector to
+/// its minimum RTT, in place.
+void keep_target_minima(std::vector<TargetRtt>& entries) {
+  std::size_t write = 0;
+  for (const TargetRtt& entry : entries) {
+    if (write > 0 && entries[write - 1].target_index == entry.target_index) {
+      entries[write - 1].rtt_ms =
+          std::min(entries[write - 1].rtt_ms, entry.rtt_ms);
+    } else {
+      entries[write++] = entry;
+    }
+  }
+  entries.resize(write);
+}
+
+/// Two canonical runs of one VP merged into one, per-target minima.
+std::vector<TargetRtt> merge_runs(const std::vector<TargetRtt>& a,
+                                  const std::vector<TargetRtt>& b) {
+  std::vector<TargetRtt> merged;
+  merged.reserve(a.size() + b.size());
+  std::size_t i = 0;
+  std::size_t j = 0;
+  while (i < a.size() && j < b.size()) {
+    if (a[i].target_index < b[j].target_index) {
+      merged.push_back(a[i++]);
+    } else if (b[j].target_index < a[i].target_index) {
+      merged.push_back(b[j++]);
+    } else {
+      merged.push_back(
+          {a[i].target_index, std::min(a[i].rtt_ms, b[j].rtt_ms)});
+      ++i;
+      ++j;
+    }
+  }
+  merged.insert(merged.end(), a.begin() + static_cast<std::ptrdiff_t>(i),
+                a.end());
+  merged.insert(merged.end(), b.begin() + static_cast<std::ptrdiff_t>(j),
+                b.end());
+  return merged;
+}
+
+}  // namespace
+
+void detail::canonicalise_run(std::vector<TargetRtt>& entries,
+                              std::size_t target_limit) {
+  const bool ascending =
+      std::adjacent_find(entries.begin(), entries.end(),
+                         [](const TargetRtt& a, const TargetRtt& b) {
+                           return a.target_index >= b.target_index;
+                         }) == entries.end();
+  if (ascending) {
+    // Out-of-range entries of a sorted run form its tail.
+    while (!entries.empty() && entries.back().target_index >= target_limit) {
+      entries.pop_back();
+    }
+    return;
+  }
+  std::erase_if(entries, [target_limit](const TargetRtt& entry) {
+    return entry.target_index >= target_limit;
+  });
+  std::sort(entries.begin(), entries.end(),
+            [](const TargetRtt& a, const TargetRtt& b) {
+              return a.target_index < b.target_index;
+            });
+  keep_target_minima(entries);
+}
+
 void CensusMatrix::combine_min(const CensusMatrix& other) {
   if (&other == this) return;  // the union with itself changes nothing
   const std::size_t targets = std::max(target_count(), other.target_count());
@@ -255,20 +461,7 @@ void CensusMatrix::combine_min(const CensusMatrix& other) {
   // near max(|ours|, |theirs|), not the sum.
   std::vector<std::uint64_t> offsets(targets + 1, 0);
   for (std::size_t t = 0; t < targets; ++t) {
-    const std::span<const VpRtt> ours = row(*this, t);
-    const std::span<const VpRtt> theirs = row(other, t);
-    std::size_t i = 0;
-    std::size_t j = 0;
-    std::uint64_t unique = 0;
-    while (i < ours.size() && j < theirs.size()) {
-      const std::uint16_t a = ours[i].vp;
-      const std::uint16_t b = theirs[j].vp;
-      i += static_cast<std::size_t>(a <= b);
-      j += static_cast<std::size_t>(b <= a);
-      ++unique;
-    }
-    offsets[t + 1] =
-        offsets[t] + unique + (ours.size() - i) + (theirs.size() - j);
+    offsets[t + 1] = offsets[t] + row_union_size(row(*this, t), row(other, t));
   }
 
   // Grow the value arena once, in place, to the exact final size
@@ -277,46 +470,13 @@ void CensusMatrix::combine_min(const CensusMatrix& other) {
   const std::vector<std::uint64_t> old_offsets = std::move(offsets_);
   values_.resize(offsets[targets]);
 
-  // Pass 2 — merge rows last-to-first, each written back-to-front into
-  // its final slot, taking minima on common VPs. Writes never clobber
-  // unread input: within row t the write cursor w and our read cursor i
-  // keep w - i >= offsets[t] - old_offsets[t] >= 0 (outputs remaining
-  // can never be fewer than our elements remaining), w == i only arises
-  // when the rest of `theirs` duplicates the rest of ours (so the
-  // theirs-only branch cannot fire there), and row t's writes stay at or
-  // above offsets[t] >= old_offsets[t], past every earlier row's data.
+  // Pass 2 — merge rows last-to-first, each back to front into its final
+  // slot.
   VpRtt* const v = values_.data();
   for (std::size_t t = targets; t-- > 0;) {
-    const std::span<const VpRtt> theirs = row(other, t);
-    std::uint64_t ours_begin = 0;
-    std::uint64_t i = 0;
-    if (t + 1 < old_offsets.size()) {
-      ours_begin = old_offsets[t];
-      i = old_offsets[t + 1];
-    }
-    std::uint64_t w = offsets[t + 1];
-    std::size_t j = theirs.size();
-    while (i > ours_begin && j > 0) {
-      const VpRtt a = v[i - 1];
-      const VpRtt b = theirs[j - 1];
-      if (a.vp > b.vp) {
-        v[--w] = a;
-        --i;
-      } else if (b.vp > a.vp) {
-        v[--w] = b;
-        --j;
-      } else {
-        v[--w] = VpRtt{a.vp, std::min(a.rtt_ms, b.rtt_ms)};
-        --i;
-        --j;
-      }
-    }
-    while (i > ours_begin) {
-      --w;
-      --i;
-      v[w] = v[i];
-    }
-    while (j > 0) v[--w] = theirs[--j];
+    const bool ours = t + 1 < old_offsets.size();
+    merge_row_back(v, ours ? old_offsets[t] : 0, ours ? old_offsets[t + 1] : 0,
+                   row(other, t), offsets[t + 1]);
   }
   offsets_ = std::move(offsets);
 }
@@ -325,94 +485,166 @@ void CensusMatrixBuilder::add(std::uint32_t target_index, std::uint16_t vp,
                               float rtt_ms) {
   loose_.push_back(TargetRtt{target_index, rtt_ms});
   loose_vps_.push_back(vp);
+  staged_bytes_ += kLooseEntryBytes;
 }
 
 void CensusMatrixBuilder::add_fragment(std::uint16_t vp,
                                        std::vector<TargetRtt> fragment) {
-  fragments_.push_back(Fragment{vp, std::move(fragment)});
+  detail::canonicalise_run(fragment, target_count_);
+  add_run(vp, std::move(fragment));
+}
+
+void CensusMatrixBuilder::add_run(std::uint16_t vp,
+                                  std::vector<TargetRtt> run) {
+  if (run.empty()) return;
+  staged_bytes_ += run.size() * sizeof(TargetRtt);
+  runs_.push_back(detail::TargetRun{vp, std::move(run)});
 }
 
 CensusMatrix CensusMatrixBuilder::build() {
-  CensusMatrix matrix = build_uncounted();
+  CensusMatrix matrix(target_count_);
+  freeze_into(matrix);
   detail::note_matrix_build(matrix.observation_count());
   return matrix;
 }
 
-CensusMatrix CensusMatrixBuilder::build_uncounted() {
-  CensusMatrix matrix(target_count_);
-
-  // Pass 1 — count: cursor[t + 1] accumulates target t's raw row size.
-  std::vector<std::uint64_t> cursor(target_count_ + 1, 0);
-  const auto count_entry = [&](const TargetRtt& entry) {
-    if (entry.target_index < target_count_) ++cursor[entry.target_index + 1];
-  };
-  for (const Fragment& fragment : fragments_) {
-    for (const TargetRtt& entry : fragment.entries) count_entry(entry);
+std::vector<detail::TargetRun> CensusMatrixBuilder::take_runs() {
+  std::vector<detail::TargetRun> runs = std::move(runs_);
+  runs_.clear();
+  if (!loose_.empty()) {
+    // Group the loose adds into one run per VP (a counting sort, so each
+    // VP's adds keep their order and an in-order stream stays sorted).
+    const std::uint16_t top =
+        *std::max_element(loose_vps_.begin(), loose_vps_.end());
+    std::vector<std::uint32_t> slot(std::size_t{top} + 1, 0);
+    for (const std::uint16_t vp : loose_vps_) ++slot[vp];
+    const std::size_t first = runs.size();
+    for (std::size_t vp = 0; vp <= top; ++vp) {
+      if (slot[vp] == 0) continue;
+      runs.push_back(detail::TargetRun{static_cast<std::uint16_t>(vp), {}});
+      runs.back().entries.reserve(slot[vp]);
+      slot[vp] = static_cast<std::uint32_t>(runs.size() - 1);
+    }
+    for (std::size_t i = 0; i < loose_.size(); ++i) {
+      runs[slot[loose_vps_[i]]].entries.push_back(loose_[i]);
+    }
+    for (std::size_t r = first; r < runs.size(); ++r) {
+      detail::canonicalise_run(runs[r].entries, target_count_);
+    }
+    loose_ = {};
+    loose_vps_ = {};
   }
-  for (const TargetRtt& entry : loose_) count_entry(entry);
-  // Prefix sum: cursor[t] = where target t's row starts.
-  for (std::size_t t = 1; t <= target_count_; ++t) cursor[t] += cursor[t - 1];
-  matrix.offsets_ = cursor;  // raw (pre-dedup) row boundaries
-  matrix.values_.resize(cursor[target_count_]);
+  staged_bytes_ = 0;
 
-  // Pass 2 — place: every entry lands directly in its row's next slot.
-  const auto place_entry = [&](const TargetRtt& entry, std::uint16_t vp) {
-    if (entry.target_index >= target_count_) return;
-    matrix.values_[cursor[entry.target_index]++] =
-        VpRtt{vp, entry.rtt_ms};
-  };
-  for (const Fragment& fragment : fragments_) {
-    for (const TargetRtt& entry : fragment.entries) {
-      place_entry(entry, fragment.vp);
+  // VP order; a VP staged more than once becomes one run of minima.
+  std::stable_sort(runs.begin(), runs.end(),
+                   [](const detail::TargetRun& a, const detail::TargetRun& b) {
+                     return a.vp < b.vp;
+                   });
+  std::size_t kept = 0;
+  for (std::size_t r = 0; r < runs.size(); ++r) {
+    if (runs[r].entries.empty()) continue;
+    if (kept > 0 && runs[kept - 1].vp == runs[r].vp) {
+      runs[kept - 1].entries =
+          merge_runs(runs[kept - 1].entries, runs[r].entries);
+      runs[r].entries = {};
+    } else {
+      if (kept != r) runs[kept] = std::move(runs[r]);
+      ++kept;
     }
   }
-  for (std::size_t i = 0; i < loose_.size(); ++i) {
-    place_entry(loose_[i], loose_vps_[i]);
+  runs.resize(kept);
+  return runs;
+}
+
+void CensusMatrixBuilder::freeze_into(CensusMatrix& into) {
+  const std::vector<detail::TargetRun> runs = take_runs();
+  std::size_t values = 0;
+  for (const detail::TargetRun& run : runs) values += run.entries.size();
+  if (values == 0) return;
+  const std::size_t targets = target_count_;
+  const bool fresh = into.observation_count() == 0;
+  if (fresh) {
+    into.offsets_.assign(targets + 1, 0);
+    frozen_vps_.clear();
+  }
+  // A staged VP already frozen into `into` may share rows with it; only
+  // then can a row gain fewer values than it has staged.
+  std::vector<std::uint16_t> staged_vps;
+  staged_vps.reserve(runs.size());
+  for (const detail::TargetRun& run : runs) staged_vps.push_back(run.vp);
+  std::vector<std::uint16_t> frozen;
+  frozen.reserve(frozen_vps_.size() + staged_vps.size());
+  std::set_union(frozen_vps_.begin(), frozen_vps_.end(), staged_vps.begin(),
+                 staged_vps.end(), std::back_inserter(frozen));
+  const bool repeats_vp =
+      frozen.size() < frozen_vps_.size() + staged_vps.size();
+  frozen_vps_ = std::move(frozen);
+
+  BlockTransposer transposer(runs, targets, values);
+  const std::size_t block = transposer.block_targets();
+  std::vector<std::uint64_t> local(block + 1);
+  std::vector<VpRtt> buffer;
+  const auto transpose_block = [&](std::size_t b0, std::size_t b1) {
+    const std::uint64_t n = transposer.count(b0, b1, local.data());
+    if (buffer.size() < n) buffer.resize(n);
+    transposer.place(buffer.data());
+  };
+  const auto staged_row = [&](std::size_t i) {
+    return std::span<const VpRtt>(buffer.data() + local[i],
+                                  local[i + 1] - local[i]);
+  };
+
+  // gained[t]: values rows [0, t) gain. Without a repeated VP every
+  // staged value is new, and the backward pass derives it from the block
+  // counts; with one, a first backward pass sizes each row's union.
+  std::vector<std::uint64_t> gained;
+  std::uint64_t gain = values;
+  if (repeats_vp) {
+    gained.assign(targets + 1, 0);
+    for (std::size_t b1 = targets; b1 > 0;) {
+      const std::size_t b0 = b1 - std::min(b1, block);
+      transpose_block(b0, b1);
+      for (std::size_t t = b0; t < b1; ++t) {
+        const auto ours = into.measurements(static_cast<std::uint32_t>(t));
+        gained[t + 1] = row_union_size(ours, staged_row(t - b0)) - ours.size();
+      }
+      b1 = b0;
+    }
+    for (std::size_t t = 0; t < targets; ++t) gained[t + 1] += gained[t];
+    gain = gained[targets];
+    transposer.rewind();
   }
 
-  // Canonicalise each row in place: vp-sorted, one entry per VP keeping
-  // the minimum RTT. Fragments arriving in ascending VP order (the
-  // census reduction) produce already-sorted, duplicate-free rows, so the
-  // common path is a pure linear validation sweep; only rows fed out of
-  // order or with duplicates pay a sort. The compaction cursor `write`
-  // never passes a row's original start, so shifting left is safe.
-  detail::VpRttArena& values = matrix.values_;
-  const auto vp_before = [](const VpRtt& a, const VpRtt& b) {
-    if (a.vp != b.vp) return a.vp < b.vp;
-    return a.rtt_ms < b.rtt_ms;
-  };
-  std::uint64_t write = 0;
-  for (std::size_t t = 0; t < target_count_; ++t) {
-    const std::uint64_t begin = matrix.offsets_[t];
-    const std::uint64_t end = matrix.offsets_[t + 1];
-    bool sorted = true;
-    for (std::uint64_t i = begin + 1; i < end; ++i) {
-      if (values[i - 1].vp >= values[i].vp) {
-        sorted = false;
-        break;
+  // Grow the arena once, then fill it last block to first: a fresh matrix
+  // takes each block straight from the transposer; otherwise each row is
+  // merged back to front into its final slot (see merge_row_back) and its
+  // end offset rewritten, which no row below it reads.
+  into.values_.resize(into.observation_count() + gain);
+  VpRtt* const v = into.values_.data();
+  std::vector<std::uint64_t>& offsets = into.offsets_;
+  for (std::size_t b1 = targets; b1 > 0;) {
+    const std::size_t b0 = b1 - std::min(b1, block);
+    if (fresh) {
+      gain -= transposer.count(b0, b1, local.data());
+      transposer.place(v + gain);
+      for (std::size_t t = b0; t < b1; ++t) {
+        offsets[t + 1] = gain + local[t - b0 + 1];
+      }
+    } else {
+      transpose_block(b0, b1);
+      if (!repeats_vp) gain -= local[b1 - b0];
+      for (std::size_t t = b1; t-- > b0;) {
+        const std::uint64_t end =
+            offsets[t + 1] +
+            (repeats_vp ? gained[t + 1] : gain + local[t - b0 + 1]);
+        merge_row_back(v, offsets[t], offsets[t + 1], staged_row(t - b0),
+                       end);
+        offsets[t + 1] = end;
       }
     }
-    if (!sorted) {
-      std::sort(values.data() + begin, values.data() + end, vp_before);
-    }
-    const std::uint64_t row_start = write;
-    matrix.offsets_[t] = write;
-    for (std::uint64_t i = begin; i < end; ++i) {
-      if (write > row_start && values[write - 1].vp == values[i].vp) {
-        values[write - 1].rtt_ms =
-            std::min(values[write - 1].rtt_ms, values[i].rtt_ms);
-      } else {
-        values[write++] = values[i];
-      }
-    }
+    b1 = b0;
   }
-  matrix.offsets_[target_count_] = write;
-  values.resize(write);
-
-  fragments_.clear();
-  loose_.clear();
-  loose_vps_.clear();
-  return matrix;
 }
 
 std::vector<TargetRtt> vp_row_fragment(std::span<const Observation>
@@ -467,20 +699,8 @@ std::vector<TargetRtt> vp_row_fragment(std::span<const Observation>
     fragment.swap(spare);
   }
 
-  // Retry passes revisit targets: collapse each target's group to its
-  // minimum RTT, in place.
-  std::size_t write = 0;
-  for (std::size_t i = 0; i < count; ++i) {
-    const TargetRtt entry = fragment[i];
-    if (write > 0 && fragment[write - 1].target_index == entry.target_index) {
-      if (entry.rtt_ms < fragment[write - 1].rtt_ms) {
-        fragment[write - 1].rtt_ms = entry.rtt_ms;
-      }
-    } else {
-      fragment[write++] = entry;
-    }
-  }
-  fragment.resize(write);
+  // Retry passes revisit targets.
+  keep_target_minima(fragment);
   return fragment;
 }
 

@@ -218,6 +218,20 @@ class VpRttArena {
 inline constexpr std::uint32_t kSpillMagic = 0x53434E41;  // "ANCS"
 inline constexpr std::size_t kSpillHeaderBytes = 16;
 
+/// One VP's entries for one matrix: strictly target-ascending, every
+/// target below the matrix's target count (a "canonical run").
+struct TargetRun {
+  std::uint16_t vp = 0;
+  std::vector<TargetRtt> entries;
+};
+
+/// Makes `entries` a canonical run in place: drops targets at or beyond
+/// `target_limit` (damaged records), sorts by target and keeps each
+/// target's minimum RTT. A fragment that is already target-sorted (what
+/// `vp_row_fragment` emits) costs one linear check and a tail trim.
+void canonicalise_run(std::vector<TargetRtt>& entries,
+                      std::size_t target_limit);
+
 }  // namespace detail
 
 /// Per-target collected measurements for one census (or a combination),
@@ -287,13 +301,21 @@ class CensusMatrix {
   std::vector<std::uint64_t> offsets_;  // per-target row boundaries
 };
 
-/// Assembles a `CensusMatrix` in two passes from per-VP row fragments
-/// (and/or loose observations): pass one counts each target's row, pass
-/// two places every entry straight into its final slot of the contiguous
-/// buffer. A final linear sweep canonicalises rows — vp-sorted, duplicate
-/// (vp, target) pairs collapsed to their minimum — so the result is
-/// identical whatever the insertion order. Entries at or beyond
-/// `target_count` (damaged checkpoint records) are dropped.
+/// Assembles a `CensusMatrix` from per-VP row fragments and/or loose
+/// observations. Staged input is held as canonical runs (one VP's
+/// entries, strictly target-ascending): a target-sorted fragment — what
+/// `vp_row_fragment` emits — is kept as it is; an unsorted one, and the
+/// loose adds (grouped by VP), are sorted and collapsed to per-target
+/// minima first. A freeze orders the runs by VP (stable, since callers
+/// such as `collate_census_files_sharded` see VPs in path order) and
+/// merges runs that repeat a VP into one, keeping per-target minima.
+/// It then transposes them into CSR rows one target block at a time,
+/// each block sized so its values fit in L2: count the block's slice of
+/// every run, prefix-sum, place in VP order. Rows come out vp-sorted at
+/// exact offsets, one entry per VP (the per-pair minimum), so the result
+/// is identical whatever the insertion order and no per-row sort is
+/// needed. Entries at or beyond `target_count` (damaged checkpoint
+/// records) are dropped.
 class CensusMatrixBuilder {
  public:
   explicit CensusMatrixBuilder(std::size_t target_count)
@@ -303,34 +325,52 @@ class CensusMatrixBuilder {
   /// ad-hoc matrices in tests and studies).
   void add(std::uint32_t target_index, std::uint16_t vp, float rtt_ms);
 
-  /// Adds one VP's whole row fragment (per-target minima, any order),
-  /// taking ownership — the builder iterates fragments twice (count,
-  /// place) without copying entries around.
+  /// Adds one VP's whole row fragment (any order, repeats allowed),
+  /// taking ownership: a target-sorted fragment is staged without a copy.
   void add_fragment(std::uint16_t vp, std::vector<TargetRtt> fragment);
 
   [[nodiscard]] std::size_t target_count() const { return target_count_; }
 
+  /// Staged bytes per loose `add()`: the entry plus its VP id.
+  static constexpr std::size_t kLooseEntryBytes =
+      sizeof(TargetRtt) + sizeof(std::uint16_t);
+
+  /// Bytes of staged input: a `TargetRtt` per run entry,
+  /// `kLooseEntryBytes` per loose `add()`.
+  [[nodiscard]] std::size_t staged_bytes() const { return staged_bytes_; }
+
   /// Freezes the accumulated input into a matrix and resets the builder.
   [[nodiscard]] CensusMatrix build();
 
-  /// `build()` minus the `census_matrix_builds`/`census_matrix_values`
-  /// instrument bumps. Internal per-shard builds go through this so a
-  /// sharded assembly counts exactly one logical build — keeping the
-  /// semantic metric snapshot invariant across shard sizes.
-  [[nodiscard]] CensusMatrix build_uncounted();
-
  private:
-  struct Fragment {
-    std::uint16_t vp = 0;
-    std::vector<TargetRtt> entries;
-  };
+  friend class ShardedCensusMatrixBuilder;
+
+  /// Stages a canonical run as it is (the sharded builder's cut runs).
+  void add_run(std::uint16_t vp, std::vector<TargetRtt> run);
+  /// Folds the staged input into `into` and resets the stage. `into` has
+  /// this builder's target count and is either empty or holds only what
+  /// this builder froze into it since it was last empty. An empty `into`
+  /// is filled by the blocked transpose straight into its arena. A
+  /// populated one is merged in place: its arena grows once, and blocks,
+  /// last to first, are transposed into a small buffer whose rows merge
+  /// back to front into the arena (the `combine_min` row merge). When a
+  /// staged VP was frozen into `into` before, a first backward pass sizes
+  /// each row's union. Does not count a matrix build (see
+  /// `detail::note_matrix_build`).
+  void freeze_into(CensusMatrix& into);
+  /// Hands out the staged input as VP-ascending canonical runs, one per
+  /// VP, and resets the stage.
+  std::vector<detail::TargetRun> take_runs();
 
   std::size_t target_count_ = 0;
-  std::vector<Fragment> fragments_;
+  std::vector<detail::TargetRun> runs_;
   // Loose observations from add(), as parallel arrays (entry i pairs
   // loose_[i] with loose_vps_[i]).
   std::vector<TargetRtt> loose_;
   std::vector<std::uint16_t> loose_vps_;
+  std::size_t staged_bytes_ = 0;
+  // VPs frozen into the matrix freeze_into last filled, ascending.
+  std::vector<std::uint16_t> frozen_vps_;
 };
 
 /// Reduces one VP's observation stream to its per-target minimum echo

@@ -12,8 +12,8 @@
 // Invariants:
 //  - Element identity: for ANY shard size and flush/spill schedule, the
 //    assembled matrix is element-identical to a single CensusMatrixBuilder
-//    fed the same fragments. Both canonicalise per-(vp, target) minima,
-//    and combine_min is associative, so the staged partial builds commute
+//    fed the same fragments. Both keep per-(vp, target) minima, and the
+//    in-place fold is associative, so the staged partial freezes commute
 //    with the one-shot build.
 //  - Semantic invariance: the sharded path bumps the kSemantic matrix
 //    counters exactly once per assembled matrix (note_matrix_build) and
@@ -135,30 +135,44 @@ class ShardedCensusMatrix {
 };
 
 /// Streams per-VP row fragments into a ShardedCensusMatrix under a
-/// bounded memory envelope. Fragments are split by target range and
-/// staged per shard; when the staged bytes exceed the stage budget the
-/// heaviest-staged shard is frozen (CensusMatrixBuilder::build_uncounted)
-/// and combined (combine_min) into its accumulator — an associative
-/// fold, so the flush schedule cannot change the result. `build()`
-/// freezes the remainder in shard order, counts ONE logical matrix
-/// build, and enforces the RSS budget by spilling frozen shards.
+/// bounded memory envelope. A fragment is made a canonical run
+/// (target-sorted fragments, what `vp_row_fragment` emits, only pay a
+/// linear check) and cut into per-shard runs by binary search on the
+/// shard boundaries; each run is copied in bulk at its exact size, or
+/// moved whole when the fragment lies in one shard. Runs are staged per
+/// shard in a CensusMatrixBuilder. When the staged bytes (fragment
+/// entries plus loose `add()`s) exceed the stage budget, the heaviest
+/// shard is flushed: its runs are transposed in VP order into its
+/// frozen accumulator — straight into the arena the first time, by an
+/// in-place fold (grow once, merge rows back to front) afterwards. The
+/// fold keeps per-(vp, target) minima and is associative, so the flush
+/// schedule cannot change the result. `build()` flushes the remainder in
+/// shard order, counts ONE logical matrix build, and enforces the RSS
+/// budget by spilling frozen shards.
+///
+/// An early flush moves a shard's entries from staged runs (8 bytes
+/// each) into its accumulator (8 bytes per value), so by itself it does
+/// not lower memory: it does only when rows repeat (vp, target) pairs,
+/// which the fold collapses, or when an RSS budget then spills the
+/// frozen shard.
 class ShardedCensusMatrixBuilder {
  public:
   explicit ShardedCensusMatrixBuilder(std::size_t target_count,
                                       const DataPlaneConfig& plane = {});
 
-  /// Adds one observation (parity with CensusMatrixBuilder::add).
+  /// Adds one observation (parity with CensusMatrixBuilder::add); staged
+  /// under the same budget as fragments, at its real staged size.
   void add(std::uint32_t target_index, std::uint16_t vp, float rtt_ms);
 
   /// Adds one VP's whole row fragment, splitting it across shards by
   /// global target index. Entries may come in any order and repeat a
-  /// target (the per-shard build canonicalises each row to one minimum
-  /// per VP); entries at or beyond `target_count()` are dropped.
+  /// target (an unsorted fragment is sorted and collapsed to per-target
+  /// minima first); entries at or beyond `target_count()` are dropped.
   void add_fragment(std::uint16_t vp, std::vector<TargetRtt> fragment);
 
   [[nodiscard]] std::size_t target_count() const { return target_count_; }
   [[nodiscard]] std::size_t shard_count() const { return shard_count_; }
-  /// Bytes of fragment entries currently staged (pre-freeze).
+  /// Bytes of input currently staged (pre-freeze).
   [[nodiscard]] std::size_t staged_bytes() const { return staged_bytes_; }
 
   /// Freezes everything into the final matrix and resets the builder.
@@ -166,17 +180,15 @@ class ShardedCensusMatrixBuilder {
 
  private:
   void flush_shard(std::size_t s);
-  void flush_heaviest();
+  void enforce_stage_budget();
 
   std::size_t target_count_ = 0;
   std::size_t shard_targets_ = 1;
   std::size_t shard_count_ = 0;
   DataPlaneConfig plane_;
-  std::vector<CensusMatrixBuilder> stage_;   // per-shard staged fragments
-  std::vector<std::size_t> stage_entry_bytes_;
+  std::vector<CensusMatrixBuilder> stage_;   // per-shard staged runs
   std::size_t staged_bytes_ = 0;
   ShardedCensusMatrix result_;               // frozen accumulators
-  std::vector<bool> has_frozen_;
 };
 
 /// Runs one full census: every VP probes every non-blacklisted target,

@@ -183,10 +183,8 @@ ShardedCensusMatrixBuilder::ShardedCensusMatrixBuilder(
       shard_targets_(shard_size_for(target_count, plane)),
       shard_count_(shard_count_for(target_count, shard_targets_)),
       plane_(plane),
-      result_(target_count, plane),
-      has_frozen_(shard_count_, false) {
+      result_(target_count, plane) {
   stage_.reserve(shard_count_);
-  stage_entry_bytes_.assign(shard_count_, 0);
   for (std::size_t s = 0; s < shard_count_; ++s) {
     const std::size_t base = s * shard_targets_;
     stage_.emplace_back(std::min(shard_targets_, target_count - base));
@@ -202,52 +200,69 @@ void ShardedCensusMatrixBuilder::add(std::uint32_t target_index,
   const std::size_t s = target_index / shard_targets_;
   stage_[s].add(static_cast<std::uint32_t>(target_index - s * shard_targets_),
                 vp, rtt_ms);
-  stage_entry_bytes_[s] += sizeof(TargetRtt);
-  staged_bytes_ += sizeof(TargetRtt);
+  staged_bytes_ += CensusMatrixBuilder::kLooseEntryBytes;
+  enforce_stage_budget();
 }
 
 void ShardedCensusMatrixBuilder::add_fragment(std::uint16_t vp,
                                               std::vector<TargetRtt> fragment) {
-  // Split by target range. Entries may arrive in any order (the builder
-  // canonicalises), so route one by one; out-of-range entries (damaged
-  // records) are dropped.
-  std::vector<std::vector<TargetRtt>> split(shard_count_);
-  for (const TargetRtt& entry : fragment) {
-    if (entry.target_index >= target_count_) continue;
-    const std::size_t s = entry.target_index / shard_targets_;
-    split[s].push_back(TargetRtt{
-        static_cast<std::uint32_t>(entry.target_index - s * shard_targets_),
-        entry.rtt_ms});
+  detail::canonicalise_run(fragment, target_count_);
+  if (fragment.empty()) return;
+  staged_bytes_ += fragment.size() * sizeof(TargetRtt);
+  // Cut the target-sorted fragment at the shard boundaries it spans.
+  const std::size_t first = fragment.front().target_index / shard_targets_;
+  const std::size_t last = fragment.back().target_index / shard_targets_;
+  const auto rebase = [](std::span<TargetRtt> run, std::size_t base) {
+    if (base == 0) return;
+    for (TargetRtt& entry : run) {
+      entry.target_index -= static_cast<std::uint32_t>(base);
+    }
+  };
+  if (first == last) {
+    rebase(fragment, first * shard_targets_);
+    stage_[first].add_run(vp, std::move(fragment));
+  } else {
+    auto begin = fragment.begin();
+    for (std::size_t s = first; s <= last; ++s) {
+      const auto end =
+          s == last ? fragment.end()
+                    : std::lower_bound(
+                          begin, fragment.end(), (s + 1) * shard_targets_,
+                          [](const TargetRtt& entry, std::size_t bound) {
+                            return entry.target_index < bound;
+                          });
+      std::vector<TargetRtt> run(begin, end);
+      rebase(run, s * shard_targets_);
+      stage_[s].add_run(vp, std::move(run));
+      begin = end;
+    }
+    fragment = {};  // release the input before any flush allocates
   }
-  fragment.clear();
-  fragment.shrink_to_fit();
-  for (std::size_t s = 0; s < shard_count_; ++s) {
-    if (split[s].empty()) continue;
-    const std::size_t bytes = split[s].size() * sizeof(TargetRtt);
-    stage_[s].add_fragment(vp, std::move(split[s]));
-    stage_entry_bytes_[s] += bytes;
-    staged_bytes_ += bytes;
-  }
+  enforce_stage_budget();
+}
+
+void ShardedCensusMatrixBuilder::enforce_stage_budget() {
   if (plane_.stage_budget_mb == 0) return;  // unlimited staging
   const std::size_t budget = plane_.stage_budget_mb * (std::size_t{1} << 20);
-  while (staged_bytes_ > budget) flush_heaviest();
+  while (staged_bytes_ > budget) {
+    std::size_t heaviest = 0;
+    for (std::size_t s = 1; s < shard_count_; ++s) {
+      if (stage_[s].staged_bytes() > stage_[heaviest].staged_bytes()) {
+        heaviest = s;
+      }
+    }
+    flush_shard(heaviest);
+  }
 }
 
 void ShardedCensusMatrixBuilder::flush_shard(std::size_t s) {
-  if (stage_entry_bytes_[s] == 0) return;
-  const std::size_t staged = stage_entry_bytes_[s];
-  CensusMatrix frozen = stage_[s].build_uncounted();
+  const std::size_t staged = stage_[s].staged_bytes();
+  if (staged == 0) return;
+  // The first flush transposes into an empty accumulator; later ones fold
+  // in place, keeping per-(vp, target) minima — associative, so the flush
+  // schedule cannot change the final matrix.
+  stage_[s].freeze_into(result_.shards_[s]);
   staged_bytes_ -= staged;
-  stage_entry_bytes_[s] = 0;
-  if (has_frozen_[s]) {
-    // Associative fold: combining partial builds per (vp, target) minimum
-    // gives the same rows as one build over all fragments, so the flush
-    // schedule cannot change the final matrix.
-    result_.shards_[s].combine_min(frozen);
-  } else {
-    result_.shards_[s] = std::move(frozen);
-    has_frozen_[s] = true;
-  }
   data_plane_instruments().flushes.inc();
   obs::journal().emit(obs::MetricClass::kTiming, obs::Severity::kInfo,
                       "shard.flush", s,
@@ -255,15 +270,6 @@ void ShardedCensusMatrixBuilder::flush_shard(std::size_t s) {
                        {"staged_bytes", staged},
                        {"values", result_.shards_[s].observation_count()}});
   result_.enforce_rss_budget();
-}
-
-void ShardedCensusMatrixBuilder::flush_heaviest() {
-  std::size_t heaviest = 0;
-  for (std::size_t s = 1; s < shard_count_; ++s) {
-    if (stage_entry_bytes_[s] > stage_entry_bytes_[heaviest]) heaviest = s;
-  }
-  if (stage_entry_bytes_[heaviest] == 0) return;
-  flush_shard(heaviest);
 }
 
 ShardedCensusMatrix ShardedCensusMatrixBuilder::build() {
@@ -274,8 +280,6 @@ ShardedCensusMatrix ShardedCensusMatrixBuilder::build() {
 
   ShardedCensusMatrix out = std::move(result_);
   result_ = ShardedCensusMatrix(target_count_, plane_);
-  has_frozen_.assign(shard_count_, false);
-  stage_entry_bytes_.assign(shard_count_, 0);
   staged_bytes_ = 0;
   return out;
 }
@@ -301,12 +305,14 @@ std::optional<SpillFileContents> read_spill_file(const std::string& path,
   if (magic != detail::kSpillMagic) return std::nullopt;
 
   const std::size_t available = buffer.size() - detail::kSpillHeaderBytes;
-  const std::size_t declared_bytes = count * sizeof(VpRtt);
+  // Check the count before multiplying: a huge declared count would wrap
+  // `count * sizeof(VpRtt)` and pass an empty payload's CRC.
   const bool intact =
-      available >= declared_bytes &&
-      crc32(std::span<const std::uint8_t>(buffer.data() + detail::kSpillHeaderBytes,
-                                          declared_bytes)) == stored_crc;
-  std::size_t records = count;
+      count <= available / sizeof(VpRtt) &&
+      crc32(std::span<const std::uint8_t>(
+          buffer.data() + detail::kSpillHeaderBytes,
+          static_cast<std::size_t>(count) * sizeof(VpRtt))) == stored_crc;
+  std::size_t records = static_cast<std::size_t>(count);
   if (!intact) {
     if (!salvage) return std::nullopt;
     // Whole-record prefix, capped at the declared count: a truncated

@@ -14,8 +14,10 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <string>
 #include <unistd.h>
+#include <utility>
 #include <vector>
 
 #include "anycast/analysis/analyzer.hpp"
@@ -131,7 +133,7 @@ TEST_F(ShardedTest, FragmentsSplitAcrossShardsInAnyOrder) {
 }
 
 TEST_F(ShardedTest, StageFlushScheduleCannotChangeTheResult) {
-  // A 1 MiB stage budget forces mid-stream freezes + combine_min folds;
+  // A 1 MiB stage budget forces mid-stream freezes and in-place folds;
   // the unbounded builder freezes everything at build(). Same elements
   // either way — the flush schedule is unobservable in the output.
   constexpr std::size_t kTargets = 2000;
@@ -277,6 +279,195 @@ TEST_F(ShardedTest, SpillFileStrictReadAndTruncatedSalvage) {
   garbage << "not a spill file";
   garbage.close();
   EXPECT_FALSE(read_spill_file(path, /*salvage=*/true).has_value());
+}
+
+TEST_F(ShardedTest, LooseAddsHonourTheStageBudget) {
+  // add() stages 10 bytes an entry (a TargetRtt plus its VP id) under the
+  // same budget as fragments: over budget, the heaviest shard flushes.
+  constexpr std::size_t kTargets = 3000;
+  const auto adds = sample_adds(kTargets, 70, 300'000);  // ~3 MB staged
+  constexpr std::size_t kBudget = std::size_t{1} << 20;
+
+  DataPlaneConfig bounded;
+  bounded.shard_targets = 256;
+  bounded.stage_budget_mb = 1;
+  ShardedCensusMatrixBuilder bounded_builder(kTargets, bounded);
+  DataPlaneConfig unbounded = bounded;
+  unbounded.stage_budget_mb = 0;
+  ShardedCensusMatrixBuilder unbounded_builder(kTargets, unbounded);
+  std::size_t peak = 0;
+  for (const auto& [t, vp, rtt] : adds) {
+    bounded_builder.add(t, vp, rtt);
+    unbounded_builder.add(t, vp, rtt);
+    ASSERT_LE(bounded_builder.staged_bytes(), kBudget);
+    peak = std::max(peak, bounded_builder.staged_bytes());
+  }
+  EXPECT_GT(peak, kBudget / 2);
+  EXPECT_EQ(unbounded_builder.staged_bytes(),
+            adds.size() * CensusMatrixBuilder::kLooseEntryBytes);
+  const ShardedCensusMatrix a = bounded_builder.build();
+  const ShardedCensusMatrix b = unbounded_builder.build();
+  expect_rows_equal(a, b);
+  EXPECT_EQ(a.observation_count(), b.observation_count());
+}
+
+// --- Builder identity against a (target, vp) -> min RTT reference -----------
+
+/// One builder input: a VP's fragment, or (when `loose`) one add() per
+/// entry of `entries`.
+struct BuilderInput {
+  std::uint16_t vp = 0;
+  std::vector<TargetRtt> entries;
+  bool loose = false;
+};
+
+/// A VP's sorted fragment over ~55% of `targets`, RTTs a pure function of
+/// (vp, target, salt).
+std::vector<TargetRtt> sorted_fragment(std::uint16_t vp, std::size_t targets,
+                                       std::uint32_t salt = 0) {
+  std::vector<TargetRtt> fragment;
+  for (std::uint32_t t = 0; t < targets; ++t) {
+    std::uint64_t x = (std::uint64_t{vp} << 32) ^ t ^ (std::uint64_t{salt} << 48);
+    x = (x ^ (x >> 31)) * 0x9E3779B97F4A7C15ULL;
+    x ^= x >> 29;
+    if (x % 100 >= 55) continue;
+    fragment.push_back({t, 1.0F + static_cast<float>((x >> 20) % 4000) * 0.05F});
+  }
+  return fragment;
+}
+
+/// The builder input shapes the data plane must canonicalise identically.
+std::vector<std::pair<std::string, std::vector<BuilderInput>>> input_shapes(
+    std::size_t targets, std::uint16_t vps) {
+  std::vector<std::pair<std::string, std::vector<BuilderInput>>> shapes;
+  std::vector<BuilderInput> ascending;
+  for (std::uint16_t vp = 0; vp < vps; ++vp) {
+    ascending.push_back({vp, sorted_fragment(vp, targets)});
+  }
+  shapes.emplace_back("vp_ascending", ascending);
+
+  // Collation order: file paths sort as vp0, vp1, vp10, vp11, ...
+  std::vector<BuilderInput> lexicographic = ascending;
+  std::sort(lexicographic.begin(), lexicographic.end(),
+            [](const BuilderInput& a, const BuilderInput& b) {
+              return std::to_string(a.vp) < std::to_string(b.vp);
+            });
+  shapes.emplace_back("lexicographic_vp_order", lexicographic);
+
+  // VP 7 reports twice: a second pass over overlapping targets with
+  // different RTTs, both before and after other VPs.
+  std::vector<BuilderInput> repeated = ascending;
+  repeated.push_back({7, sorted_fragment(7, targets, 1)});
+  repeated.insert(repeated.begin() + 3, {7, sorted_fragment(7, targets, 2)});
+  shapes.emplace_back("repeated_vp", repeated);
+
+  std::vector<BuilderInput> unsorted = ascending;
+  std::reverse(unsorted[5].entries.begin(), unsorted[5].entries.end());
+  std::rotate(unsorted[9].entries.begin(),
+              unsorted[9].entries.begin() + unsorted[9].entries.size() / 3,
+              unsorted[9].entries.end());
+  shapes.emplace_back("unsorted_fragment", unsorted);
+
+  // Duplicate targets: each fragment repeats every 4th entry with a
+  // different RTT, adjacent (sorted but not strictly) and at the end.
+  std::vector<BuilderInput> duplicates = ascending;
+  for (BuilderInput& input : duplicates) {
+    std::vector<TargetRtt> doubled;
+    for (std::size_t i = 0; i < input.entries.size(); ++i) {
+      doubled.push_back(input.entries[i]);
+      if (i % 4 == 0) {
+        doubled.push_back({input.entries[i].target_index,
+                           input.entries[i].rtt_ms * (i % 8 == 0 ? 0.5F : 2.0F)});
+      }
+    }
+    if (input.vp % 2 == 1 && !input.entries.empty()) {
+      doubled.push_back({input.entries.front().target_index, 0.25F});
+    }
+    input.entries = std::move(doubled);
+  }
+  shapes.emplace_back("duplicate_targets", duplicates);
+
+  // Damaged records: targets at and beyond the hitlist, as a sorted tail
+  // and scattered through an unsorted fragment.
+  std::vector<BuilderInput> out_of_range = ascending;
+  for (BuilderInput& input : out_of_range) {
+    const auto bad = static_cast<std::uint32_t>(targets + input.vp);
+    if (input.vp % 3 == 0) {
+      input.entries.push_back({static_cast<std::uint32_t>(targets), 9.0F});
+      input.entries.push_back({bad + 100, 9.0F});
+    } else if (input.vp % 3 == 1) {
+      input.entries.insert(input.entries.begin() + input.entries.size() / 2,
+                           {bad, 0.5F});
+    }
+  }
+  out_of_range.push_back({3, {{UINT32_MAX, 0.1F}}});
+  shapes.emplace_back("out_of_range_targets", out_of_range);
+
+  // Fragments interleaved with loose add()s, some for VPs that also sent
+  // a fragment.
+  std::vector<BuilderInput> mixed;
+  for (std::uint16_t vp = 0; vp < vps; ++vp) {
+    mixed.push_back({vp, sorted_fragment(vp, targets), vp % 3 == 1});
+    if (vp % 10 == 4) {
+      mixed.push_back({static_cast<std::uint16_t>(vp - 2),
+                       sorted_fragment(vp - 2, targets, 3), true});
+    }
+  }
+  std::reverse(mixed[11].entries.begin(), mixed[11].entries.end());
+  shapes.emplace_back("fragments_and_loose_adds", mixed);
+  return shapes;
+}
+
+TEST_F(ShardedTest, BuilderMatchesReferenceForEveryShapeBudgetAndShard) {
+  constexpr std::size_t kTargets = 4099;
+  constexpr std::uint16_t kVps = 80;  // ~180k entries: over a 1 MiB budget
+  for (const auto& [shape, inputs] : input_shapes(kTargets, kVps)) {
+    // The reference: per (target, vp) minimum over every in-range entry.
+    std::map<std::pair<std::uint32_t, std::uint16_t>, float> reference;
+    for (const BuilderInput& input : inputs) {
+      for (const TargetRtt& entry : input.entries) {
+        if (entry.target_index >= kTargets) continue;
+        const auto key = std::make_pair(entry.target_index, input.vp);
+        const auto [it, fresh] = reference.emplace(key, entry.rtt_ms);
+        if (!fresh) it->second = std::min(it->second, entry.rtt_ms);
+      }
+    }
+    std::vector<std::vector<VpRtt>> rows(kTargets);
+    for (const auto& [key, rtt] : reference) {
+      rows[key.first].push_back({key.second, rtt});
+    }
+
+    for (const std::size_t budget_mb : {0UL, 1UL, 256UL}) {
+      for (const std::size_t shard_targets : {1UL, 31UL, 4096UL, kTargets}) {
+        SCOPED_TRACE(shape + " budget " + std::to_string(budget_mb) +
+                     " MiB, shard " + std::to_string(shard_targets));
+        DataPlaneConfig plane;
+        plane.shard_targets = shard_targets;
+        plane.stage_budget_mb = budget_mb;
+        ShardedCensusMatrixBuilder builder(kTargets, plane);
+        for (const BuilderInput& input : inputs) {
+          if (!input.loose) {
+            builder.add_fragment(input.vp, input.entries);
+            continue;
+          }
+          for (const TargetRtt& entry : input.entries) {
+            builder.add(entry.target_index, input.vp, entry.rtt_ms);
+          }
+        }
+        const ShardedCensusMatrix matrix = builder.build();
+        ASSERT_EQ(matrix.target_count(), kTargets);
+        EXPECT_EQ(matrix.observation_count(), reference.size());
+        for (std::uint32_t t = 0; t < kTargets; ++t) {
+          const auto got = matrix.measurements(t);
+          ASSERT_EQ(got.size(), rows[t].size()) << "target " << t;
+          for (std::size_t i = 0; i < got.size(); ++i) {
+            ASSERT_EQ(got[i].vp, rows[t][i].vp) << "target " << t;
+            ASSERT_EQ(got[i].rtt_ms, rows[t][i].rtt_ms) << "target " << t;
+          }
+        }
+      }
+    }
+  }
 }
 
 // --- Whole-pipeline identity -------------------------------------------------

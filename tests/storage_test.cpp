@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <string_view>
@@ -686,6 +687,32 @@ TEST_F(StorageTest, SpillFileBitFlipCorpusStrictVsSalvage) {
     EXPECT_EQ(rescued->values[i].vp, intact->values[i].vp);
     EXPECT_EQ(rescued->values[i].rtt_ms, intact->values[i].rtt_ms);
   }
+}
+
+TEST_F(StorageTest, SpillFileHugeCountCannotWrapPastTheCrc) {
+  // count = 2^61 makes count * sizeof(VpRtt) wrap to 0, and 00000000 is
+  // the CRC of an empty payload: a reader that multiplies before it
+  // checks the count takes this 24-byte file as intact and then tries to
+  // allocate 2^61 records. Strict must refuse it; salvage keeps the one
+  // whole record the file holds.
+  const fs::path path = dir_ / "wrapped.ancs";
+  std::uint8_t bytes[detail::kSpillHeaderBytes + sizeof(VpRtt)] = {};
+  const std::uint32_t crc = 0;
+  const std::uint64_t count = std::uint64_t{1} << 61;
+  std::memcpy(bytes, &detail::kSpillMagic, 4);
+  std::memcpy(bytes + 4, &crc, 4);
+  std::memcpy(bytes + 8, &count, 8);
+  {
+    std::ofstream file(path, std::ios::binary);
+    file.write(reinterpret_cast<const char*>(bytes), sizeof bytes);
+  }
+  ASSERT_EQ(fs::file_size(path), 24u);
+
+  EXPECT_FALSE(read_spill_file(path.string()).has_value());
+  const auto rescued = read_spill_file(path.string(), /*salvage=*/true);
+  ASSERT_TRUE(rescued.has_value());
+  EXPECT_TRUE(rescued->salvaged);
+  EXPECT_EQ(rescued->values.size(), 1u);
 }
 
 TEST_F(StorageTest, SpilledSnapshotServesWhileFaultCorpusRuns) {

@@ -3,10 +3,11 @@
 #
 # Configures a dedicated build tree per sanitizer (-DANYCAST_SANITIZE=...),
 # builds the concurrency-sensitive tests (storage_test included: collation
-# fans per-file work over a thread pool), the analysis-kernel property
-# tests (kernel_test: guard-band fallbacks and the tests/oracle code), and
-# runs them under that sanitizer. Run it from anywhere; build trees live in
-# <repo>/build-<sanitizer> (gitignored).
+# fans per-file work over a thread pool), the sharded data-plane tests
+# (sharded_test: in-place folds move and merge arena rows), the
+# analysis-kernel property tests (kernel_test: guard-band fallbacks and the
+# tests/oracle code), and runs them under that sanitizer. Run it from
+# anywhere; build trees live in <repo>/build-<sanitizer> (gitignored).
 #
 #   tools/run_sanitizers.sh                 # thread, address, undefined
 #   tools/run_sanitizers.sh thread          # one sanitizer
@@ -43,7 +44,7 @@ run_gate() {
   cmake --build "$build" -j "$(nproc)" \
     --target concurrency_test census_test fault_test integration_test \
              obs_test flight_recorder_test headline_test serving_test \
-             telemetry_test kernel_test storage_test
+             telemetry_test kernel_test storage_test sharded_test
 
   # halt_on_error: a single finding fails the gate instead of scrolling
   # past. UBSAN reports are non-fatal by default, so ask for aborts too.
@@ -64,7 +65,7 @@ run_gate() {
     "${prefix[@]}" ctest --test-dir "$build" --output-on-failure "$@"
   else
     "${prefix[@]}" ctest --test-dir "$build" --output-on-failure \
-      -R 'ThreadPool|ShardRanges|Parallel|Census|Resume|Fault|Metrics|Trace|Headline|Journal|Progress|Serving|Telemetry|LatencyHisto|TimeSeries|Slo|Kernel|Storage'
+      -R 'ThreadPool|ShardRanges|Parallel|Census|Resume|Fault|Metrics|Trace|Headline|Journal|Progress|Serving|Telemetry|LatencyHisto|TimeSeries|Slo|Kernel|Storage|Sharded'
   fi
   echo "$sanitizer sanitizer gate passed."
 }
