@@ -11,16 +11,28 @@
 // Results land in BENCH_daemon.json: per-round wall/CPU for the census
 // and both analysis passes, dirty-row counts, and RSS across the rounds
 // (the daemon must not accrete memory round over round).
+//
+// A second leg times serving rounds derived from the last published
+// snapshot, as a publisher republishing a churned census does: copy the
+// published matrix, combine_min a ~0.4% churn, then dirty_rows,
+// incremental_analyze, SnapshotView::build and publish. dirty_rows must
+// answer from the combine_min change record (the "derived" path) and
+// agree with the same diff forced through the full scan; the leg reports
+// per-round seconds for each step and the path taken.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <ctime>
+#include <thread>
 #include <vector>
 
 #include "common.hpp"
 #include "anycast/analysis/incremental.hpp"
+#include "anycast/obs/metrics.hpp"
 #include "anycast/rng/distributions.hpp"
+#include "anycast/serving/snapshot.hpp"
+#include "anycast/serving/store.hpp"
 
 namespace {
 
@@ -112,6 +124,47 @@ struct RoundCost {
   std::size_t rss_kb = 0;
 };
 
+/// One serving round derived from the last published snapshot.
+struct DerivedCost {
+  int round = 0;
+  std::size_t dirty = 0;
+  bool derived = false;       // dirty_rows answered from the change record
+  double dirty_s = 0.0;       // dirty_rows as the round ran it
+  double scan_s = 0.0;        // the same diff forced through the full scan
+  double incremental_s = 0.0;
+  double build_s = 0.0;
+  double publish_s = 0.0;
+  double round_s = 0.0;       // dirty + incremental + build + publish
+};
+
+std::uint64_t derived_path_calls() {
+  for (const obs::MetricValue& value : obs::metrics().scrape()) {
+    if (value.name == "analysis_dirty_rows_derived") return value.value;
+  }
+  return 0;
+}
+
+/// Churn for derived round `round`: ~0.4% of rows, drawn purely from
+/// (seed, round, target). A chosen row's first RTT is halved; an empty
+/// row gains one VP-0 sample.
+census::ShardedCensusMatrix derived_churn(
+    const census::ShardedCensusMatrix& base, std::uint64_t seed, int round) {
+  census::ShardedCensusMatrixBuilder builder(base.target_count(),
+                                             base.plane());
+  for (std::uint32_t t = 0; t < base.target_count(); ++t) {
+    const double draw = rng::hash_uniform01(
+        rng::hash_key(seed, static_cast<std::uint64_t>(round), t));
+    if (draw >= 0.004) continue;
+    const auto row = base.measurements(t);
+    if (row.empty()) {
+      builder.add(t, 0, 50.0F);
+    } else {
+      builder.add(t, row.front().vp, row.front().rtt_ms * 0.5F);
+    }
+  }
+  return builder.build();
+}
+
 }  // namespace
 
 int main() {
@@ -182,6 +235,87 @@ int main() {
     prev_outcomes = full;
   }
 
+  // Derived serving rounds over the last census round's matrix.
+  constexpr int kDerivedRounds = 10;
+  std::printf("\n  derived serving rounds (copy + combine_min churn, then "
+              "timed):\n");
+  std::printf("  %-6s %8s %8s %11s %11s %11s %11s %11s %11s\n", "round",
+              "dirty", "path", "dirty s", "scan s", "incr s", "build s",
+              "publish s", "round s");
+  serving::SnapshotStore store;
+  store.publish(serving::SnapshotView::build(prev, prev_outcomes, 0, &hitlist));
+  std::vector<DerivedCost> derived_costs;
+  bool derived_identical = true;
+  for (int round = 1; round <= kDerivedRounds; ++round) {
+    serving::ReadGuard last = store.acquire();
+    census::ShardedCensusMatrix next = last->matrix();
+    next.combine_min(derived_churn(next, kChurnSeed, round));
+
+    DerivedCost cost;
+    cost.round = round;
+    const std::uint64_t derived_before = derived_path_calls();
+    auto start = Clock::now();
+    const std::vector<std::uint32_t> dirty =
+        analysis::dirty_rows(last->matrix(), next, &pool);
+    cost.dirty_s = seconds_since(start);
+    cost.derived = derived_path_calls() == derived_before + 1;
+    cost.dirty = dirty.size();
+
+    // Untimed: the same diff through the full scan. A write access through
+    // shard() draws a fresh stamp without changing a row.
+    census::ShardedCensusMatrix forced = next;
+    (void)forced.shard(0);
+    start = Clock::now();
+    const std::vector<std::uint32_t> scanned =
+        analysis::dirty_rows(last->matrix(), forced, &pool);
+    cost.scan_s = seconds_since(start);
+
+    start = Clock::now();
+    analysis::IncrementalResult incremental = analysis::incremental_analyze(
+        analyzer, last->outcomes(), last->matrix(), next, hitlist, 2, &pool);
+    cost.incremental_s = seconds_since(start);
+    start = Clock::now();
+    serving::SnapshotView view = serving::SnapshotView::build(
+        std::move(next), std::move(incremental.outcomes),
+        static_cast<std::uint64_t>(round), &hitlist);
+    cost.build_s = seconds_since(start);
+    start = Clock::now();
+    last.release();
+    store.publish(std::move(view));
+    cost.publish_s = seconds_since(start);
+    cost.round_s =
+        cost.dirty_s + cost.incremental_s + cost.build_s + cost.publish_s;
+
+    derived_identical = derived_identical && cost.derived &&
+                        dirty == scanned && incremental.dirty == dirty;
+    std::printf("  %-6d %8zu %8s %11.6f %11.6f %11.6f %11.6f %11.6f %11.6f\n",
+                round, cost.dirty, cost.derived ? "derived" : "scanned",
+                cost.dirty_s, cost.scan_s, cost.incremental_s, cost.build_s,
+                cost.publish_s, cost.round_s);
+    derived_costs.push_back(cost);
+  }
+  {
+    // The final published round must equal a full analysis of its matrix.
+    const serving::ReadGuard final_round = store.acquire();
+    const auto full =
+        analyzer.analyze(final_round->matrix(), hitlist, 2, &pool);
+    const std::vector<analysis::TargetOutcome> served(
+        final_round->outcomes().begin(), final_round->outcomes().end());
+    derived_identical = derived_identical && same_outcomes(served, full);
+  }
+  double dirty_total = 0.0, scan_total = 0.0;
+  for (const DerivedCost& cost : derived_costs) {
+    dirty_total += cost.dirty_s;
+    scan_total += cost.scan_s;
+  }
+  const double derived_speedup =
+      dirty_total > 0.0 ? scan_total / dirty_total : 0.0;
+  std::printf("  derived dirty_rows vs full scan: %.1fx  (%s)\n",
+              derived_speedup,
+              derived_identical
+                  ? "record path taken, dirty rows and outcomes identical"
+                  : "DERIVED ROUNDS DIVERGED OR SCANNED");
+
   double full_total = 0.0, incr_total = 0.0;
   for (const RoundCost& cost : costs) {
     if (cost.round >= 2) {
@@ -205,12 +339,13 @@ int main() {
   if (json != nullptr) {
     std::fprintf(json,
                  "{\n  \"bench\": \"daemon_rounds\",\n"
+                 "  \"hardware_threads\": %u,\n"
                  "  \"targets\": %zu,\n  \"vps\": %zu,\n"
                  "  \"round_count\": %d,\n"
                  "  \"incremental_identical\": %s,\n"
                  "  \"incremental_speedup\": %.2f,\n  \"rounds\": [\n",
-                 hitlist.size(), vps.size(), kRounds,
-                 identical ? "true" : "false", speedup);
+                 std::thread::hardware_concurrency(), hitlist.size(),
+                 vps.size(), kRounds, identical ? "true" : "false", speedup);
     for (std::size_t i = 0; i < costs.size(); ++i) {
       const RoundCost& cost = costs[i];
       std::fprintf(json,
@@ -222,9 +357,27 @@ int main() {
                    cost.incremental_s, cost.dirty, cost.anycast, cost.rss_kb,
                    i + 1 < costs.size() ? "," : "");
     }
+    std::fprintf(json,
+                 "  ],\n  \"derived_identical\": %s,\n"
+                 "  \"derived_dirty_speedup\": %.2f,\n"
+                 "  \"derived_rounds\": [\n",
+                 derived_identical ? "true" : "false", derived_speedup);
+    for (std::size_t i = 0; i < derived_costs.size(); ++i) {
+      const DerivedCost& cost = derived_costs[i];
+      std::fprintf(json,
+                   "    {\"round\": %d, \"dirty\": %zu, \"path\": \"%s\", "
+                   "\"dirty_s\": %.6f, \"scan_s\": %.6f, "
+                   "\"incremental_s\": %.6f, \"build_s\": %.6f, "
+                   "\"publish_s\": %.6f, \"round_s\": %.6f}%s\n",
+                   cost.round, cost.dirty,
+                   cost.derived ? "derived" : "scanned", cost.dirty_s,
+                   cost.scan_s, cost.incremental_s, cost.build_s,
+                   cost.publish_s, cost.round_s,
+                   i + 1 < derived_costs.size() ? "," : "");
+    }
     std::fprintf(json, "  ]\n}\n");
     std::fclose(json);
     std::printf("  wrote BENCH_daemon.json\n");
   }
-  return identical ? 0 : 1;
+  return identical && derived_identical ? 0 : 1;
 }

@@ -20,11 +20,15 @@
 namespace anycast::analysis {
 
 /// Target indices (dense hitlist rows) whose RTT vectors differ between
-/// two sharded CSR snapshots, ascending. Shard pairs are diffed in index
-/// order and rows compared element-wise (vp and rtt) — never by memcmp,
-/// which would read struct padding. Snapshots with different layouts
-/// (target count or shard size) are incomparable: every row of `next` is
-/// dirty.
+/// two sharded CSR snapshots, ascending. When one matrix was derived from
+/// the other by its last `combine_min` (its change record's base is the
+/// other's stamp) and the layouts match, the answer is that record: O(rows
+/// changed). Equal stamps answer "none". Otherwise shard pairs are diffed
+/// in index order and rows compared element-wise (vp and rtt) — never by
+/// memcmp, which would read struct padding. Snapshots with different
+/// layouts (target count or shard size) are incomparable: every row of
+/// `next` is dirty. Each call counts its path into the kTiming counters
+/// `analysis_dirty_rows_derived` / `analysis_dirty_rows_scanned`.
 [[nodiscard]] std::vector<std::uint32_t> dirty_rows(
     const census::ShardedCensusMatrix& prev,
     const census::ShardedCensusMatrix& next,

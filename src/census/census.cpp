@@ -260,18 +260,20 @@ std::uint64_t row_union_size(std::span<const VpRtt> ours,
 
 /// Merges the vp-sorted row `theirs` into the row stored at
 /// `v[ours_begin, ours_end)`, back to front, taking minima on common VPs;
-/// the union ends at `v[write_end]`. Writes never clobber unread input:
+/// the union ends at `v[write_end]`. Returns whether the row changed:
+/// `theirs` added a VP or lowered an RTT. Writes never clobber unread input:
 /// the write cursor w and our read cursor i keep w - i >= write_end -
 /// ours_end >= 0 (outputs remaining can never be fewer than our elements
 /// remaining), and w == i only arises when the rest of `theirs`
 /// duplicates the rest of ours, so the theirs-only branch cannot fire
 /// there. Merging rows last to first, each into a slot at or above its
 /// old start, therefore grows a whole arena in place.
-void merge_row_back(VpRtt* v, std::uint64_t ours_begin, std::uint64_t ours_end,
+bool merge_row_back(VpRtt* v, std::uint64_t ours_begin, std::uint64_t ours_end,
                     std::span<const VpRtt> theirs, std::uint64_t write_end) {
   std::uint64_t i = ours_end;
   std::uint64_t w = write_end;
   std::size_t j = theirs.size();
+  bool lowered = false;
   while (i > ours_begin && j > 0) {
     const VpRtt a = v[i - 1];
     const VpRtt b = theirs[j - 1];
@@ -282,6 +284,7 @@ void merge_row_back(VpRtt* v, std::uint64_t ours_begin, std::uint64_t ours_end,
       v[--w] = b;
       --j;
     } else {
+      lowered |= b.rtt_ms < a.rtt_ms;
       v[--w] = VpRtt{a.vp, std::min(a.rtt_ms, b.rtt_ms)};
       --i;
       --j;
@@ -293,6 +296,8 @@ void merge_row_back(VpRtt* v, std::uint64_t ours_begin, std::uint64_t ours_end,
     v[w] = v[i];
   }
   while (j > 0) v[--w] = theirs[--j];
+  // The row grew iff `theirs` brought a VP ours lacked.
+  return lowered || write_end - w != ours_end - ours_begin;
 }
 
 /// Values per transposed block: 32k VpRtt (256 KiB) fit in L2.
@@ -445,7 +450,9 @@ void detail::canonicalise_run(std::vector<TargetRtt>& entries,
   keep_target_minima(entries);
 }
 
-void CensusMatrix::combine_min(const CensusMatrix& other) {
+void CensusMatrix::combine_min(const CensusMatrix& other,
+                               std::vector<std::uint32_t>* changed) {
+  if (changed != nullptr) changed->clear();
   if (&other == this) return;  // the union with itself changes nothing
   const std::size_t targets = std::max(target_count(), other.target_count());
   const auto row = [](const CensusMatrix& m, std::size_t t) {
@@ -471,14 +478,19 @@ void CensusMatrix::combine_min(const CensusMatrix& other) {
   values_.resize(offsets[targets]);
 
   // Pass 2 — merge rows last-to-first, each back to front into its final
-  // slot.
+  // slot, noting the rows the merge changed (descending, reversed below).
   VpRtt* const v = values_.data();
   for (std::size_t t = targets; t-- > 0;) {
     const bool ours = t + 1 < old_offsets.size();
-    merge_row_back(v, ours ? old_offsets[t] : 0, ours ? old_offsets[t + 1] : 0,
-                   row(other, t), offsets[t + 1]);
+    const bool row_changed = merge_row_back(
+        v, ours ? old_offsets[t] : 0, ours ? old_offsets[t + 1] : 0,
+        row(other, t), offsets[t + 1]);
+    if (row_changed && changed != nullptr) {
+      changed->push_back(static_cast<std::uint32_t>(t));
+    }
   }
   offsets_ = std::move(offsets);
+  if (changed != nullptr) std::reverse(changed->begin(), changed->end());
 }
 
 void CensusMatrixBuilder::add(std::uint32_t target_index, std::uint16_t vp,

@@ -1,5 +1,8 @@
 #include "anycast/census/hitlist.hpp"
 
+#include <algorithm>
+#include <mutex>
+
 #include "anycast/net/internet.hpp"
 
 namespace anycast::census {
@@ -28,6 +31,32 @@ Hitlist Hitlist::without_dead() const {
     if (entry.score > -2) kept.push_back(entry);
   }
   return Hitlist(std::move(kept));
+}
+
+struct Hitlist::IndexCache {
+  std::once_flag once;
+  std::shared_ptr<const AddressIndex> index;
+};
+
+std::shared_ptr<Hitlist::IndexCache> Hitlist::new_index_cache() {
+  return std::make_shared<IndexCache>();
+}
+
+std::shared_ptr<const Hitlist::AddressIndex> Hitlist::address_index() const {
+  if (cache_ == nullptr) return std::make_shared<const AddressIndex>();
+  std::call_once(cache_->once, [this] {
+    auto index = std::make_shared<AddressIndex>();
+    index->reserve(entries_.size());
+    for (std::size_t t = 0; t < entries_.size(); ++t) {
+      index->emplace_back(entries_[t].representative.slash24_index(),
+                          static_cast<std::uint32_t>(t));
+    }
+    if (!std::is_sorted(index->begin(), index->end())) {
+      std::sort(index->begin(), index->end());
+    }
+    cache_->index = std::move(index);
+  });
+  return cache_->index;
 }
 
 }  // namespace anycast::census

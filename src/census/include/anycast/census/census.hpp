@@ -275,8 +275,11 @@ class CensusMatrix {
   /// row is the vp-sorted union of the input rows with minima on common
   /// VPs — performed in place: the arena grows once to the exact union
   /// size and rows are merged back-to-front, so there is no per-row
-  /// allocation and no second value buffer whatever the row count.
-  void combine_min(const CensusMatrix& other);
+  /// allocation and no second value buffer whatever the row count. When
+  /// `changed` is non-null it receives, ascending, the rows the merge
+  /// changed: those where `other` added a VP or lowered an RTT.
+  void combine_min(const CensusMatrix& other,
+                   std::vector<std::uint32_t>* changed = nullptr);
 
   // -- Spill tier (ShardedCensusMatrix's RSS-budget lever) ------------------
 

@@ -10,6 +10,8 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
+#include <utility>
 #include <vector>
 
 #include "anycast/ipaddr/ipv4.hpp"
@@ -29,6 +31,10 @@ struct HitlistEntry {
 /// target id used by probers, record files, and the analysis.
 class Hitlist {
  public:
+  /// `(slash24_index, target_index)` for every entry, sorted: the lowest
+  /// target of a repeated /24 comes first.
+  using AddressIndex = std::vector<std::pair<std::uint32_t, std::uint32_t>>;
+
   Hitlist() = default;
   explicit Hitlist(std::vector<HitlistEntry> entries)
       : entries_(std::move(entries)) {}
@@ -50,8 +56,20 @@ class Hitlist {
     return entries_;
   }
 
+  /// The address index, built on first use (thread-safe) and shared by
+  /// every caller: each snapshot served from this hitlist holds the same
+  /// index, which outlives the hitlist while anyone holds it. Entries that
+  /// already come in /24 order (what `from_world` produces) cost one
+  /// linear check, not a sort. Entries never change, so copies of a
+  /// hitlist share one index too.
+  [[nodiscard]] std::shared_ptr<const AddressIndex> address_index() const;
+
  private:
+  struct IndexCache;  // once-flag + index, shared by copies
+  static std::shared_ptr<IndexCache> new_index_cache();
+
   std::vector<HitlistEntry> entries_;
+  std::shared_ptr<IndexCache> cache_ = new_index_cache();  // null if moved
 };
 
 }  // namespace anycast::census

@@ -22,6 +22,17 @@
 //  - Durability boundary: a spill file is published atomically
 //    (tmp+rename) and checksummed; a truncated file salvages to its
 //    whole-record prefix (read_spill_file).
+//  - Content stamp: every matrix carries a stamp drawn from one
+//    process-wide counter. Construction, `build()` and every mutation
+//    (combine_min, the non-const `shard(s)`) draw a fresh one; a copy keeps
+//    it and a moved-from matrix draws a fresh one. Two matrices with the
+//    same stamp therefore hold the same rows.
+//  - Change record: `combine_min` also keeps `{base stamp, rows it
+//    changed}`, filled by the merge pass it runs anyway. A row changes iff
+//    `other` adds a VP or lowers an RTT, and the merge is monotone, so the
+//    record is exactly the row diff against the matrix stamped `base`.
+//    Only the last combine_min is recorded. analysis::dirty_rows reads it
+//    to diff a derived round in O(churn) instead of O(matrix).
 #pragma once
 
 #include <cstdint>
@@ -65,8 +76,22 @@ struct DataPlaneConfig {
 /// (combine_min) restores them to anonymous memory first.
 class ShardedCensusMatrix {
  public:
+  /// What the last `combine_min` changed: `rows` (ascending global target
+  /// indices) are exactly the rows whose content differs from the matrix
+  /// stamped `base`. `base == 0` means no record.
+  struct ChangeRecord {
+    std::uint64_t base = 0;
+    std::vector<std::uint32_t> rows;
+  };
+
   ShardedCensusMatrix() = default;
   ShardedCensusMatrix(std::size_t target_count, const DataPlaneConfig& plane);
+  /// A copy holds the same rows, so it keeps the stamp and the record.
+  ShardedCensusMatrix(const ShardedCensusMatrix&) = default;
+  ShardedCensusMatrix& operator=(const ShardedCensusMatrix&) = default;
+  /// The moved-from matrix is left empty under a fresh stamp.
+  ShardedCensusMatrix(ShardedCensusMatrix&& other) noexcept;
+  ShardedCensusMatrix& operator=(ShardedCensusMatrix&& other) noexcept;
 
   [[nodiscard]] std::size_t target_count() const { return target_count_; }
   [[nodiscard]] std::size_t shard_count() const { return shards_.size(); }
@@ -80,7 +105,18 @@ class ShardedCensusMatrix {
   [[nodiscard]] const CensusMatrix& shard(std::size_t s) const {
     return shards_[s];
   }
-  [[nodiscard]] CensusMatrix& shard(std::size_t s) { return shards_[s]; }
+  /// Mutable shard access counts as a mutation: it draws a fresh stamp
+  /// and drops the change record. Do not hold the reference across a copy
+  /// of this matrix.
+  [[nodiscard]] CensusMatrix& shard(std::size_t s) {
+    mark_mutated();
+    return shards_[s];
+  }
+
+  /// Content stamp (see the file comment); never 0.
+  [[nodiscard]] std::uint64_t stamp() const { return stamp_; }
+  /// The last combine_min's change record (base 0 when there is none).
+  [[nodiscard]] const ChangeRecord& last_change() const { return change_; }
 
   /// Row of global target `t` (O(1) shard routing).
   [[nodiscard]] std::span<const VpRtt> measurements(
@@ -102,7 +138,8 @@ class ShardedCensusMatrix {
 
   /// Point-wise minimum with `other` (same shard size required; target
   /// counts may differ). Spilled shards are restored before merging and
-  /// re-spilled afterwards if the budget demands it.
+  /// re-spilled afterwards if the budget demands it. Draws a fresh stamp
+  /// and records `{previous stamp, rows that changed}` as `last_change()`.
   void combine_min(const ShardedCensusMatrix& other);
 
   // -- Spill tier -----------------------------------------------------------
@@ -127,11 +164,17 @@ class ShardedCensusMatrix {
  private:
   friend class ShardedCensusMatrixBuilder;
   [[nodiscard]] std::string spill_path(std::size_t s) const;
+  /// Draws a fresh stamp and drops the change record.
+  void mark_mutated();
 
   std::size_t target_count_ = 0;
   std::size_t shard_targets_ = 1;  // never 0: routing divides by it
   DataPlaneConfig plane_;
   std::vector<CensusMatrix> shards_;
+  std::uint64_t stamp_ = next_content_stamp();
+  ChangeRecord change_;
+
+  static std::uint64_t next_content_stamp() noexcept;
 };
 
 /// Streams per-VP row fragments into a ShardedCensusMatrix under a

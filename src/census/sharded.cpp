@@ -1,10 +1,12 @@
 #include "anycast/census/sharded.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <stdexcept>
+#include <utility>
 
 #include "anycast/census/storage.hpp"
 #include "anycast/obs/journal.hpp"
@@ -79,6 +81,33 @@ ShardedCensusMatrix::ShardedCensusMatrix(std::size_t target_count,
   }
 }
 
+ShardedCensusMatrix::ShardedCensusMatrix(ShardedCensusMatrix&& other) noexcept {
+  *this = std::move(other);
+}
+
+ShardedCensusMatrix& ShardedCensusMatrix::operator=(
+    ShardedCensusMatrix&& other) noexcept {
+  if (this != &other) {
+    target_count_ = std::exchange(other.target_count_, 0);
+    shard_targets_ = std::exchange(other.shard_targets_, 1);
+    plane_ = std::exchange(other.plane_, {});
+    shards_ = std::exchange(other.shards_, {});
+    stamp_ = std::exchange(other.stamp_, next_content_stamp());
+    change_ = std::exchange(other.change_, {});
+  }
+  return *this;
+}
+
+std::uint64_t ShardedCensusMatrix::next_content_stamp() noexcept {
+  static std::atomic<std::uint64_t> counter{0};
+  return counter.fetch_add(1, std::memory_order_relaxed) + 1;
+}
+
+void ShardedCensusMatrix::mark_mutated() {
+  stamp_ = next_content_stamp();
+  change_ = {};
+}
+
 std::size_t ShardedCensusMatrix::observation_count() const {
   std::size_t total = 0;
   for (const CensusMatrix& shard : shards_) total += shard.observation_count();
@@ -95,27 +124,37 @@ std::size_t ShardedCensusMatrix::responsive_targets(
 }
 
 void ShardedCensusMatrix::combine_min(const ShardedCensusMatrix& other) {
-  if (&other == this || other.target_count_ == 0) return;
-  if (target_count_ == 0) {
-    *this = other;  // the copy lands fully resident (anonymous arenas)
-    enforce_rss_budget();
-    return;
-  }
-  if (shard_targets_ != other.shard_targets_) {
+  if (target_count_ != 0 && other.target_count_ != 0 &&
+      shard_targets_ != other.shard_targets_) {
     throw std::invalid_argument(
         "ShardedCensusMatrix::combine_min: shard sizes differ");
   }
-  // Grow to cover `other` (per-shard combine_min handles the ragged last
-  // shard: CensusMatrix::combine_min takes the max local target count).
-  while (shards_.size() < other.shards_.size()) {
-    const std::size_t base = shards_.size() * shard_targets_;
-    shards_.emplace_back(
-        std::min(shard_targets_, other.target_count_ - base));
+  ChangeRecord change{stamp_, {}};  // stays empty when nothing merges
+  if (target_count_ == 0 && other.target_count_ != 0) {
+    *this = other;  // the copy lands fully resident (anonymous arenas)
+    for (std::uint32_t t = 0; t < target_count_; ++t) {
+      if (!measurements(t).empty()) change.rows.push_back(t);
+    }
+  } else if (&other != this) {
+    // Grow to cover `other` (per-shard combine_min handles the ragged last
+    // shard: CensusMatrix::combine_min takes the max local target count).
+    while (shards_.size() < other.shards_.size()) {
+      const std::size_t base = shards_.size() * shard_targets_;
+      shards_.emplace_back(
+          std::min(shard_targets_, other.target_count_ - base));
+    }
+    target_count_ = std::max(target_count_, other.target_count_);
+    // Shards in index order, local changes lifted to global indices: the
+    // record comes out ascending.
+    std::vector<std::uint32_t> local;
+    for (std::size_t s = 0; s < other.shards_.size(); ++s) {
+      shards_[s].combine_min(other.shards_[s], &local);  // restores if spilled
+      const auto base = static_cast<std::uint32_t>(shard_base(s));
+      for (const std::uint32_t t : local) change.rows.push_back(base + t);
+    }
   }
-  target_count_ = std::max(target_count_, other.target_count_);
-  for (std::size_t s = 0; s < other.shards_.size(); ++s) {
-    shards_[s].combine_min(other.shards_[s]);  // restores if spilled
-  }
+  stamp_ = next_content_stamp();
+  change_ = std::move(change);
   enforce_rss_budget();
 }
 
@@ -279,6 +318,7 @@ ShardedCensusMatrix ShardedCensusMatrixBuilder::build() {
   publish_residency_gauges(resident, result_.total_value_bytes() - resident);
 
   ShardedCensusMatrix out = std::move(result_);
+  out.mark_mutated();  // the flushes wrote the shards directly
   result_ = ShardedCensusMatrix(target_count_, plane_);
   staged_bytes_ = 0;
   return out;

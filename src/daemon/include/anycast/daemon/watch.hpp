@@ -30,6 +30,7 @@
 
 #include <cstdint>
 #include <filesystem>
+#include <memory>
 #include <optional>
 #include <span>
 #include <string>
@@ -167,14 +168,16 @@ class WatchDaemon {
   std::vector<RoundVerdict> verdicts_;  // committed rounds, in order
   std::vector<std::vector<std::uint32_t>> quarantined_;  // per round
 
-  // Previous committed round (incremental-analysis input).
+  // Previous committed round (incremental-analysis input). The matrices
+  // are shared and immutable: publishing a round and adopting it as the
+  // drift baseline copy a pointer, not the matrix.
   int prev_round_ = 0;  // 0 = none yet
-  census::ShardedCensusMatrix prev_matrix_;
+  std::shared_ptr<const census::ShardedCensusMatrix> prev_matrix_;
   std::vector<analysis::TargetOutcome> prev_outcomes_;
 
   // Last healthy round (drift baseline for churn/shift events).
   int baseline_round_ = 0;
-  census::ShardedCensusMatrix baseline_matrix_;
+  std::shared_ptr<const census::ShardedCensusMatrix> baseline_matrix_;
   analysis::CensusSnapshot baseline_snapshot_;
 
   // First healthy round (hijack reference).

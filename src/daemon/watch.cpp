@@ -307,29 +307,29 @@ WatchResult WatchDaemon::run(concurrency::ThreadPool* pool) {
   }
   prev_round_ = state.rounds_completed;
   if (prev_round_ > 0) {
-    prev_matrix_ =
-        collate_round(prev_round_, quarantined_[prev_round_ - 1], pool);
+    prev_matrix_ = std::make_shared<const census::ShardedCensusMatrix>(
+        collate_round(prev_round_, quarantined_[prev_round_ - 1], pool));
     prev_outcomes_ =
-        analyzer_.analyze(prev_matrix_, hitlist_, config_.min_vps, pool);
+        analyzer_.analyze(*prev_matrix_, hitlist_, config_.min_vps, pool);
   }
   if (baseline_round_ > 0) {
     if (baseline_round_ == prev_round_) {
       baseline_matrix_ = prev_matrix_;
       baseline_snapshot_ = analysis::CensusSnapshot(prev_outcomes_);
     } else {
-      baseline_matrix_ =
+      baseline_matrix_ = std::make_shared<const census::ShardedCensusMatrix>(
           collate_round(baseline_round_, quarantined_[baseline_round_ - 1],
-                        pool);
-      const auto outcomes =
-          analyzer_.analyze(baseline_matrix_, hitlist_, config_.min_vps, pool);
+                        pool));
+      const auto outcomes = analyzer_.analyze(*baseline_matrix_, hitlist_,
+                                              config_.min_vps, pool);
       baseline_snapshot_ = analysis::CensusSnapshot(outcomes);
     }
   }
   if (reference_round_ > 0) {
     if (reference_round_ == prev_round_) {
-      monitor_.set_reference(prev_matrix_, hitlist_, config_.min_vps);
+      monitor_.set_reference(*prev_matrix_, hitlist_, config_.min_vps);
     } else if (reference_round_ == baseline_round_) {
-      monitor_.set_reference(baseline_matrix_, hitlist_, config_.min_vps);
+      monitor_.set_reference(*baseline_matrix_, hitlist_, config_.min_vps);
     } else {
       const auto reference = collate_round(
           reference_round_, quarantined_[reference_round_ - 1], pool);
@@ -405,7 +405,7 @@ WatchResult WatchDaemon::run(concurrency::ThreadPool* pool) {
                                    config_.min_vps, pool);
     } else {
       auto incremental = analysis::incremental_analyze(
-          analyzer_, prev_outcomes_, prev_matrix_, report.output.data,
+          analyzer_, prev_outcomes_, *prev_matrix_, report.output.data,
           hitlist_, config_.min_vps, pool);
       outcomes = std::move(incremental.outcomes);
       dirty = std::move(incremental.dirty);
@@ -437,7 +437,7 @@ WatchResult WatchDaemon::run(concurrency::ThreadPool* pool) {
           // against the baseline matrix so transitions that happened
           // while degraded are not missed.
           const auto changed =
-              analysis::dirty_rows(baseline_matrix_, report.output.data, pool);
+              analysis::dirty_rows(*baseline_matrix_, report.output.data, pool);
           alarms = monitor_.scan_targets(report.output.data, hitlist_,
                                          changed, config_.min_vps);
         }
@@ -537,23 +537,25 @@ WatchResult WatchDaemon::run(concurrency::ThreadPool* pool) {
     quarantined_.push_back(std::move(quarantined));
 
     prev_round_ = round;
-    prev_matrix_ = std::move(report.output.data);
+    prev_matrix_ = std::make_shared<const census::ShardedCensusMatrix>(
+        std::move(report.output.data));
     prev_outcomes_ = std::move(outcomes);
     if (config_.serve_store != nullptr) {
-      // Publish a copy of this round's frozen state: the store owns its
-      // snapshots outright so in-flight readers keep answering from old
-      // epochs while the daemon mutates its own round-to-round state.
+      // Publish this round's frozen state. The matrix is immutable and
+      // shared, so the snapshot and the daemon hold one resident copy;
+      // in-flight readers keep answering from old epochs while the daemon
+      // moves its own round-to-round pointers on.
       config_.serve_store->publish(serving::SnapshotView::build(
           prev_matrix_, prev_outcomes_, static_cast<std::uint64_t>(round),
           &hitlist_));
     }
     if (verdict.health == RoundHealth::kHealthy) {
       baseline_round_ = round;
-      baseline_matrix_ = prev_matrix_;
+      baseline_matrix_ = prev_matrix_;  // shares, never copies
       baseline_snapshot_ = analysis::CensusSnapshot(prev_outcomes_);
       if (reference_round_ == 0) {
         reference_round_ = round;
-        monitor_.set_reference(prev_matrix_, hitlist_, config_.min_vps);
+        monitor_.set_reference(*prev_matrix_, hitlist_, config_.min_vps);
       }
     }
 

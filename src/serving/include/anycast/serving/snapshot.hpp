@@ -10,6 +10,18 @@
 // SnapshotStore hand the same view to any number of concurrent readers
 // with no locks (store.hpp).
 //
+// Build cost model (a churned serving round):
+//   - the matrix is held by shared_ptr, so publishing a round that the
+//     caller also keeps (the watch daemon's previous round and drift
+//     baseline) shares one resident copy instead of copying it;
+//   - the address index belongs to the census::Hitlist: built once per
+//     hitlist (a linear check, plus a sort only for out-of-order entries)
+//     and shared by every snapshot built from it, so build() does no
+//     O(n log n) work. What is left is the O(hitlist) target->outcome fill
+//     and the per-replica unit vectors;
+//   - a round derived by combine_min diffs in O(rows changed): dirty_rows
+//     reads the matrix's change record instead of scanning (sharded.hpp).
+//
 // Query cost model:
 //   - is_anycast / outcome / replicas: one bounds check + one load in the
 //     dense target->outcome index, then (for replicas) the outcome row.
@@ -26,6 +38,7 @@
 
 #include <cstdint>
 #include <limits>
+#include <memory>
 #include <optional>
 #include <span>
 #include <vector>
@@ -58,13 +71,20 @@ class SnapshotView {
   static constexpr std::uint32_t kNoOutcome =
       std::numeric_limits<std::uint32_t>::max();
 
-  SnapshotView() = default;
+  SnapshotView();
 
   /// Freezes `matrix` + `outcomes` (the analyzer's output for exactly
   /// that matrix, sorted by target_index as analyze() returns it) into an
   /// immutable view. `id` names the epoch (watch round, census id) for
-  /// answer attribution. When `hitlist` is non-null an address index is
-  /// built so queries can be keyed by dotted /24 as well as dense index.
+  /// answer attribution. When `hitlist` is non-null the view shares the
+  /// hitlist's address index (built on its first use) so queries can be
+  /// keyed by dotted /24 as well as dense index; the view keeps the index
+  /// alive, not the hitlist.
+  static SnapshotView build(
+      std::shared_ptr<const census::ShardedCensusMatrix> matrix,
+      std::vector<analysis::TargetOutcome> outcomes, std::uint64_t id,
+      const census::Hitlist* hitlist = nullptr);
+  /// The same, taking the matrix by value (moved into a fresh shared_ptr).
   static SnapshotView build(census::ShardedCensusMatrix matrix,
                             std::vector<analysis::TargetOutcome> outcomes,
                             std::uint64_t id,
@@ -72,11 +92,11 @@ class SnapshotView {
 
   [[nodiscard]] std::uint64_t id() const { return id_; }
   [[nodiscard]] std::size_t target_count() const {
-    return matrix_.target_count();
+    return outcome_of_.size();  // one slot per matrix row
   }
   [[nodiscard]] std::size_t anycast_count() const { return outcomes_.size(); }
   [[nodiscard]] const census::ShardedCensusMatrix& matrix() const {
-    return matrix_;
+    return *matrix_;
   }
   [[nodiscard]] std::span<const analysis::TargetOutcome> outcomes() const {
     return outcomes_;
@@ -104,8 +124,9 @@ class SnapshotView {
   }
 
   /// Resolves a dotted-quad query key to the dense target index of its
-  /// covering /24 (nullopt when no hitlist index was built or the /24 is
-  /// not in the hitlist).
+  /// covering /24: the lowest such target. nullopt when the view was built
+  /// without a hitlist, the /24 is not in the hitlist, or its target lies
+  /// at or past this matrix's target_count().
   [[nodiscard]] std::optional<std::uint32_t> target_of_address(
       std::uint32_t slash24_index) const;
 
@@ -136,7 +157,7 @@ class SnapshotView {
 
  private:
   std::uint64_t id_ = 0;
-  census::ShardedCensusMatrix matrix_;
+  std::shared_ptr<const census::ShardedCensusMatrix> matrix_;  // never null
   std::vector<analysis::TargetOutcome> outcomes_;  // sorted by target_index
   std::vector<std::uint32_t> outcome_of_;  // target -> outcomes_ index
   // Unit vectors of every replica location, concatenated in outcome order;
@@ -144,9 +165,9 @@ class SnapshotView {
   // Precomputed once so nearest_replica runs libm-free dot products.
   std::vector<geodesy::Unit3> replica_units_;
   std::vector<std::uint32_t> replica_unit_offset_;
-  // Sorted (slash24_index, target_index) pairs for address-keyed queries;
-  // empty when built without a hitlist.
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> address_index_;
+  // The hitlist's sorted (slash24_index, target_index) pairs for
+  // address-keyed queries; null when built without a hitlist.
+  std::shared_ptr<const census::Hitlist::AddressIndex> address_index_;
 };
 
 }  // namespace anycast::serving

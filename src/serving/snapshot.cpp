@@ -7,17 +7,37 @@
 #include "anycast/geodesy/geopoint.hpp"
 
 namespace anycast::serving {
+namespace {
+
+const std::shared_ptr<const census::ShardedCensusMatrix>& empty_matrix() {
+  static const auto empty =
+      std::make_shared<const census::ShardedCensusMatrix>();
+  return empty;
+}
+
+}  // namespace
+
+SnapshotView::SnapshotView() : matrix_(empty_matrix()) {}
 
 SnapshotView SnapshotView::build(census::ShardedCensusMatrix matrix,
                                  std::vector<analysis::TargetOutcome> outcomes,
                                  std::uint64_t id,
                                  const census::Hitlist* hitlist) {
+  return build(
+      std::make_shared<const census::ShardedCensusMatrix>(std::move(matrix)),
+      std::move(outcomes), id, hitlist);
+}
+
+SnapshotView SnapshotView::build(
+    std::shared_ptr<const census::ShardedCensusMatrix> matrix,
+    std::vector<analysis::TargetOutcome> outcomes, std::uint64_t id,
+    const census::Hitlist* hitlist) {
   SnapshotView view;
   view.id_ = id;
-  view.matrix_ = std::move(matrix);
+  if (matrix != nullptr) view.matrix_ = std::move(matrix);
   view.outcomes_ = std::move(outcomes);
 
-  view.outcome_of_.assign(view.matrix_.target_count(), kNoOutcome);
+  view.outcome_of_.assign(view.matrix_->target_count(), kNoOutcome);
   view.replica_unit_offset_.reserve(view.outcomes_.size() + 1);
   std::size_t total_replicas = 0;
   for (const analysis::TargetOutcome& outcome : view.outcomes_) {
@@ -38,26 +58,20 @@ SnapshotView SnapshotView::build(census::ShardedCensusMatrix matrix,
   view.replica_unit_offset_.push_back(
       static_cast<std::uint32_t>(view.replica_units_.size()));
 
-  if (hitlist != nullptr) {
-    const std::size_t indexed =
-        std::min(hitlist->size(), view.matrix_.target_count());
-    view.address_index_.reserve(indexed);
-    for (std::size_t t = 0; t < indexed; ++t) {
-      view.address_index_.emplace_back(
-          (*hitlist)[t].representative.slash24_index(),
-          static_cast<std::uint32_t>(t));
-    }
-    std::sort(view.address_index_.begin(), view.address_index_.end());
-  }
+  if (hitlist != nullptr) view.address_index_ = hitlist->address_index();
   return view;
 }
 
 std::optional<std::uint32_t> SnapshotView::target_of_address(
     std::uint32_t slash24_index) const {
+  if (address_index_ == nullptr) return std::nullopt;
   const auto it = std::lower_bound(
-      address_index_.begin(), address_index_.end(),
+      address_index_->begin(), address_index_->end(),
       std::make_pair(slash24_index, std::uint32_t{0}));
-  if (it == address_index_.end() || it->first != slash24_index) {
+  // The index spans the whole hitlist; the first pair of a /24 holds its
+  // lowest target, so a miss past this matrix means every target is past.
+  if (it == address_index_->end() || it->first != slash24_index ||
+      it->second >= target_count()) {
     return std::nullopt;
   }
   return it->second;
@@ -66,11 +80,12 @@ std::optional<std::uint32_t> SnapshotView::target_of_address(
 void SnapshotView::lookup_batch(std::span<const std::uint32_t> targets,
                                 PointAnswer* out) const {
   const std::size_t known = outcome_of_.size();
+  const census::ShardedCensusMatrix& matrix = *matrix_;
   for (std::size_t i = 0; i < targets.size(); ++i) {
     const std::uint32_t t = targets[i];
     PointAnswer answer;
     if (t < known) {
-      const std::span<const census::VpRtt> row = matrix_.measurements(t);
+      const std::span<const census::VpRtt> row = matrix.measurements(t);
       answer.responsive = row.empty() ? 0 : 1;
       answer.vp_count = static_cast<std::uint16_t>(
           std::min<std::size_t>(row.size(), 0xFFFF));
@@ -118,7 +133,7 @@ SnapshotDelta SnapshotView::changed_since(const SnapshotView& prev,
                                           std::size_t min_replica_delta,
                                           concurrency::ThreadPool* pool) const {
   SnapshotDelta delta;
-  delta.dirty = analysis::dirty_rows(prev.matrix_, matrix_, pool);
+  delta.dirty = analysis::dirty_rows(*prev.matrix_, *matrix_, pool);
 
   // Candidate prefixes: everything a dirty row can have touched, on either
   // side. Clean rows are per-row pure — same RTT vector, same analyzer,
@@ -127,7 +142,7 @@ SnapshotDelta SnapshotView::changed_since(const SnapshotView& prev,
   // oracle). Incomparable layouts make every prefix a candidate: dirty
   // enumerates rows of *this* matrix, which misses prev-only targets.
   std::vector<std::uint32_t> candidates;
-  if (prev.matrix_.target_count() != matrix_.target_count()) {
+  if (prev.matrix_->target_count() != matrix_->target_count()) {
     candidates.reserve(prev.outcomes_.size() + outcomes_.size());
     for (const analysis::TargetOutcome& o : prev.outcomes_) {
       candidates.push_back(o.slash24_index);

@@ -440,6 +440,7 @@ foreach(threads 2 8)
             --vps 12 --unicast 400 --churn --threads ${threads}
             --journal-out ${WORK_DIR}/w${threads}.jsonl
             --serve-queries ${WORK_DIR}/watch_queries.txt
+            --metrics-out ${WORK_DIR}/w${threads}_metrics.json
     RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
   if(NOT rc EQUAL 0)
     message(FATAL_ERROR "watch (${threads} threads) failed (${rc}): "
@@ -458,6 +459,18 @@ foreach(threads 2 8)
   endif()
   string(REGEX MATCH "point 0 target=0[^\n]*" serve_answer_${threads}
          "${out}")
+  # Watch rounds are fresh collations, not combine_min derivations: both
+  # incremental rounds take dirty_rows' full-scan path, and the scrape
+  # says so through the two timing counters.
+  file(READ ${WORK_DIR}/w${threads}_metrics.json watch_metrics)
+  set(counter_prefix "\"kind\": \"counter\", \"class\": \"timing\", \"value\":")
+  if(NOT watch_metrics MATCHES
+         "\"analysis_dirty_rows_scanned\", ${counter_prefix} 2,"
+     OR NOT watch_metrics MATCHES
+         "\"analysis_dirty_rows_derived\", ${counter_prefix} 0,")
+    message(FATAL_ERROR "watch --metrics-out missing the dirty_rows path "
+            "counters: ${watch_metrics}")
+  endif()
 endforeach()
 if(NOT serve_answer_2 STREQUAL serve_answer_8)
   message(FATAL_ERROR "watch serve answers differ by thread count: "

@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "anycast/analysis/analyzer.hpp"
+#include "anycast/analysis/incremental.hpp"
 #include "anycast/analysis/report.hpp"
 #include "anycast/census/census.hpp"
 #include "anycast/census/resume.hpp"
@@ -777,6 +778,8 @@ TEST_F(ParallelResumeTest, TimingMetricsAreExactlyTheDeclaredAllowlist) {
       /*census_id=*/1, {}, /*faults=*/nullptr, &pool);
   const analysis::CensusAnalyzer analyzer(vps, geo::world_index());
   (void)analyzer.analyze(report.output.data, tiny_hitlist(), 2, &pool);
+  // dirty_rows counts which path it took (change record or full scan).
+  (void)analysis::dirty_rows(report.output.data, report.output.data);
   const portscan::PortScanner scanner(tiny_world());
   (void)scanner.scan(tiny_world().deployments().front());
   // The sharded data plane registers its instruments too: one bounded
@@ -826,6 +829,8 @@ TEST_F(ParallelResumeTest, TimingMetricsAreExactlyTheDeclaredAllowlist) {
   }
 
   const std::set<std::string> allowlist{
+      "analysis_dirty_rows_derived",
+      "analysis_dirty_rows_scanned",
       "census_arena_maps",
       "census_arena_remaps",
       "census_blacklist_skips",

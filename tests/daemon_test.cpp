@@ -241,6 +241,71 @@ TEST(IncrementalAnalysis, MatchesFullAnalyzeUnderAdverseRounds) {
   expect_same_outcomes(pooled.outcomes, incremental.outcomes);
 }
 
+/// The same rows under a fresh stamp and no change record, so dirty_rows
+/// on it has to scan.
+census::ShardedCensusMatrix rebuilt(const census::ShardedCensusMatrix& m) {
+  census::ShardedCensusMatrixBuilder builder(m.target_count(), m.plane());
+  for (std::uint32_t t = 0; t < m.target_count(); ++t) {
+    for (const census::VpRtt& value : m.measurements(t)) {
+      builder.add(t, value.vp, value.rtt_ms);
+    }
+  }
+  return builder.build();
+}
+
+TEST(IncrementalAnalysis, DerivedRoundsMatchFullAnalyze) {
+  // Serving rounds: each round is the previous matrix combined with a
+  // fresh census (new fastping seed), so dirty_rows answers from the
+  // combine_min change record. Over chained rounds, one shard and many,
+  // serial and pooled, the record must equal the full scan and the splice
+  // a full re-analysis.
+  const analysis::CensusAnalyzer analyzer(small_vps(), geo::world_index());
+  concurrency::ThreadPool pool(4);
+  for (const std::size_t shard_targets : {std::size_t{0}, std::size_t{37}}) {
+    census::DataPlaneConfig plane;
+    plane.shard_targets = shard_targets;
+    census::Greylist blacklist;
+    census::ShardedCensusMatrix prev =
+        run_census_sharded(small_world(), small_vps(), small_hitlist(),
+                           blacklist, watch_fastping(), plane)
+            .data;
+    std::vector<analysis::TargetOutcome> prev_outcomes =
+        analyzer.analyze(prev, small_hitlist());
+    for (std::uint64_t round = 1; round <= 3; ++round) {
+      SCOPED_TRACE("shard_targets=" + std::to_string(shard_targets) +
+                   " round=" + std::to_string(round));
+      census::FastPingConfig fastping = watch_fastping();
+      fastping.seed = 500 + round;
+      census::Greylist round_blacklist;
+      census::ShardedCensusMatrix next = prev;
+      next.combine_min(run_census_sharded(small_world(), small_vps(),
+                                          small_hitlist(), round_blacklist,
+                                          fastping, plane)
+                           .data);
+      ASSERT_EQ(next.last_change().base, prev.stamp());
+
+      const auto scanned = analysis::dirty_rows(rebuilt(prev), rebuilt(next));
+      EXPECT_EQ(analysis::dirty_rows(prev, next), scanned);
+      EXPECT_EQ(analysis::dirty_rows(prev, next, &pool), scanned);
+      EXPECT_FALSE(scanned.empty());
+      EXPECT_LT(scanned.size(), small_hitlist().size());
+
+      const auto full = analyzer.analyze(next, small_hitlist());
+      const auto serial = analysis::incremental_analyze(
+          analyzer, prev_outcomes, prev, next, small_hitlist());
+      EXPECT_EQ(serial.dirty, scanned);
+      expect_same_outcomes(serial.outcomes, full);
+      const auto pooled = analysis::incremental_analyze(
+          analyzer, prev_outcomes, prev, next, small_hitlist(), 2, &pool);
+      EXPECT_EQ(pooled.dirty, scanned);
+      expect_same_outcomes(pooled.outcomes, full);
+
+      prev = std::move(next);
+      prev_outcomes = full;
+    }
+  }
+}
+
 TEST(IncrementalAnalysis, CleanRoundReanalyzesNothing) {
   census::Greylist blacklist;
   const census::ShardedCensusMatrix data = run_census_sharded(

@@ -16,9 +16,12 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <filesystem>
+#include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <utility>
@@ -508,6 +511,210 @@ TEST(ServingDiff, IncomparableLayoutsFallBackToEveryPrefix) {
   // Prefixes only present beyond the smaller target count must still be
   // reported as disappeared — dirty-row restriction cannot hide them.
   expect_changes_identical(delta.diff, oracle);
+}
+
+/// The same rows under a fresh stamp and no change record, so dirty_rows
+/// on it has to scan.
+census::ShardedCensusMatrix rebuilt(const census::ShardedCensusMatrix& m) {
+  census::ShardedCensusMatrixBuilder builder(m.target_count(), m.plane());
+  for (std::uint32_t t = 0; t < m.target_count(); ++t) {
+    for (const census::VpRtt& value : m.measurements(t)) {
+      builder.add(t, value.vp, value.rtt_ms);
+    }
+  }
+  return builder.build();
+}
+
+/// A churn census over `rows`: even rows get a tight low-RTT lattice (the
+/// analyzer's anycast shape), odd rows a few lower unicast RTTs.
+census::ShardedCensusMatrix churn_matrix(std::size_t targets, std::size_t vps,
+                                         const std::vector<std::uint32_t>& rows,
+                                         std::uint64_t seed) {
+  census::ShardedCensusMatrixBuilder builder(targets);
+  for (const std::uint32_t t : rows) {
+    for (std::uint16_t vp = 0; vp < vps; ++vp) {
+      const std::uint64_t h = splitmix64(seed ^ (t * 1000003ULL + vp));
+      if (t % 2 == 0) {
+        if ((h & 3U) != 0) builder.add(t, vp, 1.0F + static_cast<float>(h % 5));
+      } else if ((h & 7U) == 0) {
+        builder.add(t, vp, 8.0F + static_cast<float>(h % 100) * 0.01F);
+      }
+    }
+  }
+  return builder.build();
+}
+
+TEST(ServingDiff, ChangedSinceOnDerivedSnapshotsMatchesFullDiffOracle) {
+  // Serving rounds derive each matrix from the last published one by
+  // combine_min, so changed_since diffs them from the change record. The
+  // delta must stay element-identical to the full oracle.
+  constexpr std::size_t kTargets = 600;
+  constexpr std::size_t kVps = 24;
+  const census::Hitlist& hitlist = small_hitlist();
+  const analysis::CensusAnalyzer& analyzer = small_analyzer();
+
+  std::vector<analysis::TargetOutcome> prev_outcomes;
+  serving::SnapshotView prev;
+  {
+    census::ShardedCensusMatrix matrix =
+        synthetic_matrix(kTargets, kVps, 0xD1CEULL, {}, 0);
+    prev_outcomes = analyzer.analyze(matrix, hitlist);
+    prev = serving::SnapshotView::build(std::move(matrix), prev_outcomes,
+                                        /*id=*/1, &hitlist);
+  }
+  bool any_change = false;
+  for (int round = 2; round <= 5; ++round) {
+    census::ShardedCensusMatrix next_matrix = prev.matrix();
+    next_matrix.combine_min(churn_matrix(
+        kTargets, kVps, churn_rows(kTargets, 0xBEEF ^ round),
+        static_cast<std::uint64_t>(round)));
+    ASSERT_EQ(next_matrix.last_change().base, prev.matrix().stamp());
+    std::vector<analysis::TargetOutcome> next_outcomes =
+        analyzer.analyze(next_matrix, hitlist);
+    serving::SnapshotView next = serving::SnapshotView::build(
+        std::move(next_matrix), next_outcomes,
+        static_cast<std::uint64_t>(round), &hitlist);
+    ASSERT_EQ(next.matrix().last_change().base, prev.matrix().stamp());
+
+    const std::vector<std::uint32_t> scanned =
+        analysis::dirty_rows(rebuilt(prev.matrix()), rebuilt(next.matrix()));
+    EXPECT_FALSE(scanned.empty());
+    for (const std::size_t min_delta : {1UL, 2UL}) {
+      const serving::SnapshotDelta delta = next.changed_since(prev, min_delta);
+      EXPECT_EQ(delta.dirty, scanned);
+      const analysis::CensusDiff oracle = analysis::diff_censuses(
+          analysis::CensusSnapshot(prev_outcomes),
+          analysis::CensusSnapshot(next_outcomes), min_delta);
+      expect_changes_identical(delta.diff, oracle);
+      any_change = any_change || !delta.diff.stable();
+    }
+    prev_outcomes = std::move(next_outcomes);
+    prev = std::move(next);
+  }
+  EXPECT_TRUE(any_change) << "churn must actually move the landscape";
+}
+
+// --- Shared address index ---------------------------------------------------
+
+/// What build() answered before the index moved into the hitlist: sorted
+/// (slash24, target) pairs over the first min(hitlist, matrix) entries.
+class PerSnapshotPairs {
+ public:
+  PerSnapshotPairs(const census::Hitlist& hitlist, std::size_t target_count) {
+    const std::size_t indexed = std::min(hitlist.size(), target_count);
+    for (std::size_t t = 0; t < indexed; ++t) {
+      pairs_.emplace_back(hitlist[t].representative.slash24_index(),
+                          static_cast<std::uint32_t>(t));
+    }
+    std::sort(pairs_.begin(), pairs_.end());
+  }
+  [[nodiscard]] std::optional<std::uint32_t> find(std::uint32_t slash24) const {
+    const auto it = std::lower_bound(pairs_.begin(), pairs_.end(),
+                                     std::make_pair(slash24, std::uint32_t{0}));
+    if (it == pairs_.end() || it->first != slash24) return std::nullopt;
+    return it->second;
+  }
+
+ private:
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> pairs_;
+};
+
+/// Every /24 of `hitlist` plus its neighbours and a key no hitlist holds.
+std::vector<std::uint32_t> address_keys(const census::Hitlist& hitlist) {
+  std::vector<std::uint32_t> keys{0xFFFFFFU, 0U};
+  for (const census::HitlistEntry& entry : hitlist.entries()) {
+    const std::uint32_t slash24 = entry.representative.slash24_index();
+    keys.push_back(slash24);
+    keys.push_back(slash24 + 1);
+  }
+  return keys;
+}
+
+TEST(ServingAddressIndex, SharedIndexAnswersAsPerSnapshotSortedPairs) {
+  const std::vector<census::HitlistEntry>& base = small_hitlist().entries();
+  ASSERT_GT(base.size(), 100U);
+
+  std::vector<census::HitlistEntry> in_order = base;
+  std::sort(in_order.begin(), in_order.end(),
+            [](const census::HitlistEntry& a, const census::HitlistEntry& b) {
+              return a.representative.slash24_index() <
+                     b.representative.slash24_index();
+            });
+  std::vector<census::HitlistEntry> shuffled = base;
+  for (std::size_t i = shuffled.size(); i > 1; --i) {
+    std::swap(shuffled[i - 1], shuffled[splitmix64(i) % i]);
+  }
+  // Repeated /24s: every 7th entry again further on, and the last entry
+  // again at the front, so a /24's lowest target may be its later copy.
+  std::vector<census::HitlistEntry> repeated = shuffled;
+  for (std::size_t i = 0; i < shuffled.size(); i += 7) {
+    repeated.push_back(shuffled[i]);
+  }
+  repeated.insert(repeated.begin(), shuffled.back());
+
+  const struct {
+    const char* name;
+    std::vector<census::HitlistEntry> entries;
+  } cases[] = {{"in order", in_order},
+               {"shuffled", shuffled},
+               {"repeated", repeated}};
+  for (const auto& c : cases) {
+    const census::Hitlist hitlist(c.entries);
+    // A matrix as long as the hitlist, and one shorter: the hitlist then
+    // names targets past the matrix, which must answer nullopt.
+    for (const std::size_t targets : {hitlist.size(), hitlist.size() - 40}) {
+      SCOPED_TRACE(std::string(c.name) + " targets=" + std::to_string(targets));
+      const serving::SnapshotView view = serving::SnapshotView::build(
+          synthetic_matrix(targets, 4, 3, {}, 0), {}, /*id=*/1, &hitlist);
+      const PerSnapshotPairs oracle(hitlist, targets);
+      for (const std::uint32_t key : address_keys(hitlist)) {
+        EXPECT_EQ(view.target_of_address(key), oracle.find(key))
+            << "slash24 " << key;
+      }
+    }
+    // One index per hitlist, shared by every caller and by copies.
+    const auto index = hitlist.address_index();
+    EXPECT_EQ(hitlist.address_index(), index);
+    const census::Hitlist copy = hitlist;
+    EXPECT_EQ(copy.address_index(), index);
+    EXPECT_TRUE(std::is_sorted(index->begin(), index->end()));
+    EXPECT_EQ(index->size(), hitlist.size());
+  }
+
+  // Without a hitlist there is no address index at all.
+  const serving::SnapshotView bare = serving::SnapshotView::build(
+      synthetic_matrix(50, 4, 3, {}, 0), {}, /*id=*/1);
+  EXPECT_FALSE(bare.target_of_address(
+                       base.front().representative.slash24_index())
+                   .has_value());
+}
+
+TEST(ServingAddressIndex, SnapshotOutlivesItsHitlist) {
+  auto hitlist =
+      std::make_unique<census::Hitlist>(small_hitlist().entries());
+  const std::size_t targets = hitlist->size();
+  const PerSnapshotPairs oracle(*hitlist, targets);
+  const std::vector<std::uint32_t> keys = address_keys(*hitlist);
+  const serving::SnapshotView view = serving::SnapshotView::build(
+      synthetic_matrix(targets, 4, 5, {}, 0), {}, /*id=*/1, hitlist.get());
+  hitlist.reset();  // the view keeps the index, not the hitlist
+  for (const std::uint32_t key : keys) {
+    EXPECT_EQ(view.target_of_address(key), oracle.find(key));
+  }
+}
+
+TEST(ServingAddressIndex, ConcurrentFirstUseBuildsOneIndex) {
+  const census::Hitlist hitlist(small_hitlist().entries());
+  std::vector<std::shared_ptr<const census::Hitlist::AddressIndex>> seen(4);
+  std::vector<std::thread> threads;
+  for (std::size_t i = 0; i < seen.size(); ++i) {
+    threads.emplace_back([&hitlist, &seen, i] {
+      seen[i] = hitlist.address_index();
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  for (const auto& index : seen) EXPECT_EQ(index, seen.front());
+  EXPECT_EQ(seen.front()->size(), hitlist.size());
 }
 
 // --- Query protocol ---------------------------------------------------------

@@ -15,7 +15,10 @@
 #include <filesystem>
 #include <fstream>
 #include <map>
+#include <numeric>
+#include <span>
 #include <string>
+#include <string_view>
 #include <unistd.h>
 #include <utility>
 #include <vector>
@@ -26,8 +29,10 @@
 #include "anycast/census/resume.hpp"
 #include "anycast/census/sharded.hpp"
 #include "anycast/census/storage.hpp"
+#include "anycast/concurrency/thread_pool.hpp"
 #include "anycast/geo/city_index.hpp"
 #include "anycast/net/platform.hpp"
+#include "anycast/obs/metrics.hpp"
 
 namespace anycast::census {
 namespace {
@@ -662,6 +667,304 @@ TEST_F(ShardedTest, AnalysisAndDirtyRowsMatchMonolithic) {
   EXPECT_EQ(
       analysis::dirty_rows(sharded.data, other.data).size(),
       other.data.target_count());
+}
+
+// --- Content stamp and change record ----------------------------------------
+//
+// A matrix derived by combine_min records the rows it changed against the
+// stamp it was derived from; dirty_rows answers from that record. Every
+// test compares the record path against the full scan, forced by
+// rebuilding both matrices: equal rows, fresh stamps, no record.
+
+class ChangeRecordTest : public ShardedTest {};
+
+std::uint64_t counter_value(std::string_view name) {
+  for (const obs::MetricValue& value : obs::metrics().scrape()) {
+    if (value.name == name) return value.value;
+  }
+  return 0;
+}
+
+std::uint64_t derived_calls() {
+  return counter_value("analysis_dirty_rows_derived");
+}
+std::uint64_t scanned_calls() {
+  return counter_value("analysis_dirty_rows_scanned");
+}
+
+/// xorshift64 step.
+std::uint64_t next_bits(std::uint64_t& x) {
+  x ^= x << 13;
+  x ^= x >> 7;
+  x ^= x << 17;
+  return x;
+}
+
+DataPlaneConfig unspilled(DataPlaneConfig plane) {
+  plane.rss_budget_mb = 0;
+  plane.spill_dir.clear();
+  return plane;
+}
+
+/// Random ragged matrix: `count` adds over `targets` rows and `vps` VPs.
+ShardedCensusMatrix random_matrix(std::size_t targets, std::size_t vps,
+                                  std::size_t count, std::uint64_t seed,
+                                  const DataPlaneConfig& plane) {
+  ShardedCensusMatrixBuilder builder(targets, plane);
+  std::uint64_t x = seed * 0x9E3779B97F4A7C15ULL + 1;
+  for (std::size_t i = 0; i < count; ++i) {
+    const std::uint64_t r = next_bits(x);
+    builder.add(static_cast<std::uint32_t>(r % targets),
+                static_cast<std::uint16_t>((r >> 32) % vps),
+                1.0F + static_cast<float>((r >> 48) % 500) * 0.25F);
+  }
+  return builder.build();
+}
+
+/// A churn round against `base` over `targets` rows (>= base's): on
+/// `rows` random rows it lowers an RTT, adds a VP `base` never has, or
+/// repeats an RTT at or above the stored one (which changes nothing).
+ShardedCensusMatrix churn_of(const ShardedCensusMatrix& base,
+                             std::size_t targets, std::size_t vps,
+                             std::size_t rows, std::uint64_t seed) {
+  ShardedCensusMatrixBuilder builder(targets, unspilled(base.plane()));
+  std::uint64_t x = seed * 0xBF58476D1CE4E5B9ULL + 7;
+  for (std::size_t i = 0; i < rows; ++i) {
+    const auto t = static_cast<std::uint32_t>(next_bits(x) % targets);
+    const std::uint64_t r = next_bits(x);
+    const auto row = t < base.target_count() ? base.measurements(t)
+                                             : std::span<const VpRtt>{};
+    const VpRtt* entry = row.empty() ? nullptr : &row[r % row.size()];
+    switch ((r >> 40) % 4) {
+      case 0:
+        if (entry != nullptr) builder.add(t, entry->vp, entry->rtt_ms * 0.5F);
+        break;
+      case 1:
+        builder.add(t, static_cast<std::uint16_t>(vps + (r >> 20) % 3),
+                    2.0F + static_cast<float>((r >> 8) % 64));
+        break;
+      case 2:
+        if (entry != nullptr) builder.add(t, entry->vp, entry->rtt_ms + 5.0F);
+        break;
+      default:
+        if (entry != nullptr) builder.add(t, entry->vp, entry->rtt_ms);
+        break;
+    }
+  }
+  return builder.build();
+}
+
+/// The same rows under a fresh stamp and no change record.
+ShardedCensusMatrix rebuilt(const ShardedCensusMatrix& m) {
+  ShardedCensusMatrixBuilder builder(m.target_count(), unspilled(m.plane()));
+  for (std::uint32_t t = 0; t < m.target_count(); ++t) {
+    for (const VpRtt& value : m.measurements(t)) {
+      builder.add(t, value.vp, value.rtt_ms);
+    }
+  }
+  return builder.build();
+}
+
+/// Rows whose contents differ; a row past either matrix's end reads empty.
+std::vector<std::uint32_t> naive_diff(const ShardedCensusMatrix& a,
+                                      const ShardedCensusMatrix& b) {
+  std::vector<std::uint32_t> out;
+  const std::size_t targets = std::max(a.target_count(), b.target_count());
+  for (std::uint32_t t = 0; t < targets; ++t) {
+    const auto ra = t < a.target_count() ? a.measurements(t)
+                                         : std::span<const VpRtt>{};
+    const auto rb = t < b.target_count() ? b.measurements(t)
+                                         : std::span<const VpRtt>{};
+    const bool same = std::equal(
+        ra.begin(), ra.end(), rb.begin(), rb.end(),
+        [](const VpRtt& x, const VpRtt& y) {
+          return x.vp == y.vp && x.rtt_ms == y.rtt_ms;
+        });
+    if (!same) out.push_back(t);
+  }
+  return out;
+}
+
+/// `next` was derived from `prev` by its last combine_min: both call
+/// orders take the record path and agree with the forced full scan.
+void expect_record_exact(const ShardedCensusMatrix& prev,
+                         const ShardedCensusMatrix& next,
+                         concurrency::ThreadPool* pool = nullptr) {
+  ASSERT_TRUE(prev.same_layout(next));
+  const std::uint64_t derived_before = derived_calls();
+  const std::vector<std::uint32_t> got = analysis::dirty_rows(prev, next, pool);
+  const std::vector<std::uint32_t> reverse =
+      analysis::dirty_rows(next, prev, pool);
+  EXPECT_EQ(derived_calls() - derived_before, 2u);
+
+  const std::uint64_t scanned_before = scanned_calls();
+  const std::vector<std::uint32_t> scanned =
+      analysis::dirty_rows(rebuilt(prev), rebuilt(next), pool);
+  EXPECT_EQ(scanned_calls() - scanned_before, 1u);
+  EXPECT_EQ(got, scanned);
+  EXPECT_EQ(reverse, scanned);
+  EXPECT_EQ(scanned, naive_diff(prev, next));
+}
+
+TEST_F(ChangeRecordTest, DerivedDirtyRowsEqualTheFullScanForEveryShardSize) {
+  constexpr std::size_t kTargets = 400;
+  constexpr std::size_t kVps = 20;
+  concurrency::ThreadPool pool(3);
+  concurrency::ThreadPool* const pools[] = {nullptr, &pool};
+  for (const std::size_t shard_targets : {std::size_t{1}, std::size_t{31},
+                                          std::size_t{0}}) {
+    for (concurrency::ThreadPool* lanes : pools) {
+      for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+        SCOPED_TRACE("shard_targets=" + std::to_string(shard_targets) +
+                     " pool=" + std::to_string(lanes != nullptr) +
+                     " seed=" + std::to_string(seed));
+        DataPlaneConfig plane;
+        plane.shard_targets = shard_targets;
+        const ShardedCensusMatrix prev =
+            random_matrix(kTargets, kVps, 5'000, seed, plane);
+        ShardedCensusMatrix next = prev;
+        next.combine_min(churn_of(prev, kTargets, kVps, 90, seed + 50));
+        EXPECT_NE(next.stamp(), prev.stamp());
+        EXPECT_EQ(next.last_change().base, prev.stamp());
+        EXPECT_FALSE(next.last_change().rows.empty());
+        // Repeated or raised RTTs change nothing: the record is the rows
+        // that differ, not every row the churn touched.
+        EXPECT_LT(next.last_change().rows.size(), 90u);
+        expect_record_exact(prev, next, lanes);
+      }
+    }
+  }
+}
+
+TEST_F(ChangeRecordTest, SpilledShardsKeepTheRecordExact) {
+  constexpr std::size_t kTargets = 300;
+  DataPlaneConfig plane;
+  plane.shard_targets = 31;
+  plane.spill_dir = (dir_ / "spill").string();
+  ShardedCensusMatrix prev = random_matrix(kTargets, 16, 4'000, 9, plane);
+  if (prev.spill_shard(0) == 0) GTEST_SKIP() << "no spill tier";
+  ASSERT_GT(prev.spill_shard(1), 0u);
+  const std::uint64_t stamp = prev.stamp();
+  EXPECT_EQ(prev.stamp(), stamp) << "spilling does not change the rows";
+
+  ShardedCensusMatrix next = prev;
+  ASSERT_GT(next.spill_shard(2), 0u);
+  // combine_min restores the spilled shards it merges into.
+  next.combine_min(churn_of(prev, kTargets, 16, 80, 4));
+  ASSERT_GT(next.spill_shard(3), 0u);
+  EXPECT_TRUE(next.shard_spilled(3));
+  EXPECT_EQ(next.last_change().base, prev.stamp());
+  expect_record_exact(prev, next);
+}
+
+TEST_F(ChangeRecordTest, ChainedCombinesRecordOnlyTheLast) {
+  constexpr std::size_t kTargets = 250;
+  DataPlaneConfig plane;
+  plane.shard_targets = 31;
+  const ShardedCensusMatrix m0 = random_matrix(kTargets, 12, 3'000, 5, plane);
+  ShardedCensusMatrix m1 = m0;
+  m1.combine_min(churn_of(m0, kTargets, 12, 60, 6));
+  ShardedCensusMatrix m2 = m1;
+  m2.combine_min(churn_of(m1, kTargets, 12, 60, 7));
+  expect_record_exact(m0, m1);
+  expect_record_exact(m1, m2);
+
+  // m2 was not derived from m0 by its last combine: a full scan.
+  const std::uint64_t scanned_before = scanned_calls();
+  EXPECT_EQ(analysis::dirty_rows(m0, m2), naive_diff(m0, m2));
+  EXPECT_EQ(analysis::dirty_rows(m2, m0), naive_diff(m0, m2));
+  EXPECT_EQ(scanned_calls() - scanned_before, 2u);
+
+  // The same two rounds applied in place to one matrix.
+  ShardedCensusMatrix in_place = m0;
+  in_place.combine_min(churn_of(m0, kTargets, 12, 60, 6));
+  const ShardedCensusMatrix after_first = in_place;
+  in_place.combine_min(churn_of(m1, kTargets, 12, 60, 7));
+  expect_record_exact(after_first, in_place);
+  EXPECT_EQ(analysis::dirty_rows(m0, in_place), naive_diff(m0, m2));
+
+  // A combine that changes nothing still records, with no rows.
+  ShardedCensusMatrix unchanged = m2;
+  unchanged.combine_min(m0);  // m2 already holds every minimum of m0
+  EXPECT_TRUE(unchanged.last_change().rows.empty());
+  expect_record_exact(m2, unchanged);
+}
+
+TEST_F(ChangeRecordTest, CopiesMovesAndShardWritesKeepStampsHonest) {
+  constexpr std::size_t kTargets = 200;
+  DataPlaneConfig plane;
+  plane.shard_targets = 31;
+  const ShardedCensusMatrix prev =
+      random_matrix(kTargets, 10, 2'000, 11, plane);
+  ShardedCensusMatrix next = prev;
+  next.combine_min(churn_of(prev, kTargets, 10, 50, 12));
+
+  // A copy holds the same rows: same stamp, same record.
+  ShardedCensusMatrix copy = next;
+  EXPECT_EQ(copy.stamp(), next.stamp());
+  expect_record_exact(prev, copy);
+  const std::uint64_t derived_before = derived_calls();
+  EXPECT_TRUE(analysis::dirty_rows(next, copy).empty());
+  EXPECT_EQ(derived_calls() - derived_before, 1u);
+
+  // A move carries stamp and record; the moved-from matrix is empty under
+  // a fresh stamp.
+  ShardedCensusMatrix moved = std::move(copy);
+  EXPECT_EQ(moved.stamp(), next.stamp());
+  EXPECT_NE(copy.stamp(), next.stamp());
+  EXPECT_EQ(copy.target_count(), 0u);
+  EXPECT_EQ(copy.last_change().base, 0u);
+  expect_record_exact(prev, moved);
+  ShardedCensusMatrix assigned;
+  assigned = std::move(moved);
+  EXPECT_EQ(assigned.stamp(), next.stamp());
+  EXPECT_NE(moved.stamp(), next.stamp());
+  expect_record_exact(prev, assigned);
+
+  // A write through the non-const shard() is a mutation: fresh stamp, no
+  // record, and dirty_rows falls back to the scan.
+  ShardedCensusMatrix written = next;
+  CensusMatrix& shard = written.shard(1);
+  EXPECT_NE(written.stamp(), next.stamp());
+  EXPECT_EQ(written.last_change().base, 0u);
+  CensusMatrixBuilder extra(shard.target_count());
+  extra.add(3, 40, 0.5F);  // a VP no row holds
+  shard.combine_min(extra.build());
+  const std::uint64_t scanned_before = scanned_calls();
+  EXPECT_EQ(analysis::dirty_rows(prev, written), naive_diff(prev, written));
+  EXPECT_EQ(analysis::dirty_rows(next, written),
+            (std::vector<std::uint32_t>{
+                static_cast<std::uint32_t>(written.shard_base(1) + 3)}));
+  EXPECT_EQ(scanned_calls() - scanned_before, 2u);
+}
+
+TEST_F(ChangeRecordTest, GrowingCombineRecordsEveryChangedRow) {
+  DataPlaneConfig plane;
+  plane.shard_targets = 31;
+  const ShardedCensusMatrix prev = random_matrix(300, 12, 3'000, 13, plane);
+  ShardedCensusMatrix next = prev;
+  next.combine_min(churn_of(prev, 340, 12, 120, 14));
+  ASSERT_EQ(next.target_count(), 340u);
+  EXPECT_EQ(next.last_change().base, prev.stamp());
+  EXPECT_EQ(next.last_change().rows, naive_diff(prev, next));
+
+  // The layouts differ, so dirty_rows keeps its incomparable-layout
+  // answer (every row of `next`) whichever path it could take.
+  std::vector<std::uint32_t> all(next.target_count());
+  std::iota(all.begin(), all.end(), 0u);
+  const std::uint64_t scanned_before = scanned_calls();
+  EXPECT_EQ(analysis::dirty_rows(prev, next), all);
+  EXPECT_EQ(analysis::dirty_rows(rebuilt(prev), rebuilt(next)), all);
+  EXPECT_EQ(scanned_calls() - scanned_before, 2u);
+
+  // Combining into an empty matrix records every non-empty row.
+  ShardedCensusMatrix empty;
+  const std::uint64_t empty_stamp = empty.stamp();
+  empty.combine_min(prev);
+  EXPECT_EQ(empty.last_change().base, empty_stamp);
+  EXPECT_EQ(empty.last_change().rows,
+            naive_diff(ShardedCensusMatrix(), prev));
+  expect_rows_equal(empty, prev);
 }
 
 }  // namespace

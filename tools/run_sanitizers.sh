@@ -6,7 +6,9 @@
 # fans per-file work over a thread pool), the sharded data-plane tests
 # (sharded_test: in-place folds move and merge arena rows), the
 # analysis-kernel property tests (kernel_test: guard-band fallbacks and the
-# tests/oracle code), and runs them under that sanitizer. Run it from
+# tests/oracle code), the incremental-analysis tests (daemon_test: derived
+# rounds read the combine_min change record), and runs them under that
+# sanitizer. Run it from
 # anywhere; build trees live in <repo>/build-<sanitizer> (gitignored).
 #
 #   tools/run_sanitizers.sh                 # thread, address, undefined
@@ -44,7 +46,7 @@ run_gate() {
   cmake --build "$build" -j "$(nproc)" \
     --target concurrency_test census_test fault_test integration_test \
              obs_test flight_recorder_test headline_test serving_test \
-             telemetry_test kernel_test storage_test sharded_test
+             telemetry_test kernel_test storage_test sharded_test daemon_test
 
   # halt_on_error: a single finding fails the gate instead of scrolling
   # past. UBSAN reports are non-fatal by default, so ask for aborts too.
@@ -65,7 +67,7 @@ run_gate() {
     "${prefix[@]}" ctest --test-dir "$build" --output-on-failure "$@"
   else
     "${prefix[@]}" ctest --test-dir "$build" --output-on-failure \
-      -R 'ThreadPool|ShardRanges|Parallel|Census|Resume|Fault|Metrics|Trace|Headline|Journal|Progress|Serving|Telemetry|LatencyHisto|TimeSeries|Slo|Kernel|Storage|Sharded'
+      -R 'ThreadPool|ShardRanges|Parallel|Census|Resume|Fault|Metrics|Trace|Headline|Journal|Progress|Serving|Telemetry|LatencyHisto|TimeSeries|Slo|Kernel|Storage|Sharded|IncrementalAnalysis|ChangeRecord'
   fi
   echo "$sanitizer sanitizer gate passed."
 }
