@@ -62,21 +62,6 @@ SnapshotView SnapshotView::build(
   return view;
 }
 
-std::optional<std::uint32_t> SnapshotView::target_of_address(
-    std::uint32_t slash24_index) const {
-  if (address_index_ == nullptr) return std::nullopt;
-  const auto it = std::lower_bound(
-      address_index_->begin(), address_index_->end(),
-      std::make_pair(slash24_index, std::uint32_t{0}));
-  // The index spans the whole hitlist; the first pair of a /24 holds its
-  // lowest target, so a miss past this matrix means every target is past.
-  if (it == address_index_->end() || it->first != slash24_index ||
-      it->second >= target_count()) {
-    return std::nullopt;
-  }
-  return it->second;
-}
-
 void SnapshotView::lookup_batch(std::span<const std::uint32_t> targets,
                                 PointAnswer* out) const {
   const std::size_t known = outcome_of_.size();

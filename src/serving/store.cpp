@@ -1,6 +1,7 @@
 #include "anycast/serving/store.hpp"
 
 #include <algorithm>
+#include <chrono>
 #include <thread>
 
 #include "anycast/obs/journal.hpp"
@@ -26,7 +27,22 @@ struct ServingInstruments {
   obs::Gauge retired_depth = obs::metrics().gauge(
       "serving_retired_depth", obs::MetricClass::kTiming,
       "snapshots retired but not yet reclaimed");
+  obs::LatencyHisto& publish_us = obs::metrics().histogram(
+      "serving_publish_us", obs::MetricClass::kTiming, "us",
+      "SnapshotStore::publish wall time, reclamation included");
+  obs::LatencyHisto& reclaim_us = obs::metrics().histogram(
+      "serving_reclaim_us", obs::MetricClass::kTiming, "us",
+      "time spent freeing retired snapshots, per reclaim that freed any");
 };
+
+using Clock = std::chrono::steady_clock;
+
+std::uint64_t micros_since(Clock::time_point start) {
+  return static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::microseconds>(Clock::now() -
+                                                            start)
+          .count());
+}
 
 const ServingInstruments& serving_instruments() {
   static const ServingInstruments instruments;
@@ -53,6 +69,7 @@ SnapshotStore::~SnapshotStore() {
 }
 
 void SnapshotStore::publish(SnapshotView view) {
+  const Clock::time_point start = Clock::now();
   Node* fresh = new Node(std::move(view));
   const std::uint64_t id = fresh->view.id();
   std::lock_guard<std::mutex> lock(writer_mutex_);
@@ -68,6 +85,7 @@ void SnapshotStore::publish(SnapshotView view) {
                       "serving.publish", 0,
                       {{"snapshot_id", id}, {"epoch", stamp}});
   reclaim_locked();
+  serving_instruments().publish_us.record(micros_since(start));
 }
 
 ReadGuard SnapshotStore::acquire() {
@@ -114,17 +132,19 @@ void SnapshotStore::reclaim_locked() {
     min_announced = std::min(min_announced, e);  // kFreeSlot = no pin
   }
   std::size_t freed_now = 0;
+  Clock::time_point free_start{};
   auto keep = retired_.begin();
   for (Retired& r : retired_) {
     if (r.stamp <= min_announced) {
+      if (freed_now++ == 0) free_start = Clock::now();
       delete r.node;
-      ++freed_now;
     } else {
       *keep++ = r;
     }
   }
   retired_.erase(keep, retired_.end());
   if (freed_now > 0) {
+    serving_instruments().reclaim_us.record(micros_since(free_start));
     freed_.fetch_add(freed_now, std::memory_order_seq_cst);
     serving_instruments().freed.add(freed_now);
   }

@@ -861,9 +861,11 @@ TEST_F(ParallelResumeTest, TimingMetricsAreExactlyTheDeclaredAllowlist) {
       "serving_lookup_ns",
       "serving_nearest_ns",
       "serving_parse_ns",
+      "serving_publish_us",
       "serving_publishes",
       "serving_queries",
       "serving_query_ns",
+      "serving_reclaim_us",
       "serving_retired_depth",
       "serving_snapshots_freed",
       "serving_snapshots_retired",

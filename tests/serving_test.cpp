@@ -18,8 +18,13 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
+#include <cstring>
 #include <filesystem>
+#include <map>
 #include <memory>
 #include <optional>
 #include <string>
@@ -37,6 +42,7 @@
 #include "anycast/daemon/watch.hpp"
 #include "anycast/geo/city_index.hpp"
 #include "anycast/geodesy/geopoint.hpp"
+#include "anycast/ipaddr/ipv4.hpp"
 #include "anycast/net/platform.hpp"
 #include "anycast/serving/query.hpp"
 #include "anycast/serving/snapshot.hpp"
@@ -630,6 +636,31 @@ std::vector<std::uint32_t> address_keys(const census::Hitlist& hitlist) {
   return keys;
 }
 
+/// The index's own shape: one first_targets() entry per distinct /24 of
+/// `hitlist`, in /24 order, holding that /24's lowest target.
+void expect_one_lowest_target_per_slash24(
+    const census::Hitlist& hitlist,
+    const census::Hitlist::AddressIndex& index) {
+  std::map<std::uint32_t, std::uint32_t> lowest;
+  for (std::uint32_t t = 0; t < hitlist.size(); ++t) {
+    lowest.emplace(hitlist[t].representative.slash24_index(), t);
+  }
+  ASSERT_EQ(index.first_targets().size(), lowest.size());
+  std::size_t rank = 0;
+  for (const auto& [slash24, target] : lowest) {
+    EXPECT_EQ(index.first_targets()[rank++], target) << "slash24 " << slash24;
+  }
+}
+
+census::Hitlist hitlist_of(const std::vector<std::uint32_t>& slash24s) {
+  std::vector<census::HitlistEntry> entries;
+  for (const std::uint32_t slash24 : slash24s) {
+    entries.push_back(census::HitlistEntry{
+        ipaddr::IPv4Address::from_slash24_index(slash24, 1), 3});
+  }
+  return census::Hitlist(std::move(entries));
+}
+
 TEST(ServingAddressIndex, SharedIndexAnswersAsPerSnapshotSortedPairs) {
   const std::vector<census::HitlistEntry>& base = small_hitlist().entries();
   ASSERT_GT(base.size(), 100U);
@@ -677,8 +708,7 @@ TEST(ServingAddressIndex, SharedIndexAnswersAsPerSnapshotSortedPairs) {
     EXPECT_EQ(hitlist.address_index(), index);
     const census::Hitlist copy = hitlist;
     EXPECT_EQ(copy.address_index(), index);
-    EXPECT_TRUE(std::is_sorted(index->begin(), index->end()));
-    EXPECT_EQ(index->size(), hitlist.size());
+    expect_one_lowest_target_per_slash24(hitlist, *index);
   }
 
   // Without a hitlist there is no address index at all.
@@ -687,6 +717,57 @@ TEST(ServingAddressIndex, SharedIndexAnswersAsPerSnapshotSortedPairs) {
   EXPECT_FALSE(bare.target_of_address(
                        base.front().representative.slash24_index())
                    .has_value());
+}
+
+TEST(ServingAddressIndex, WordEdgesAndExtremesAnswerAsPerSnapshotSortedPairs) {
+  // /24 0 and 2^24-1, and 63/64/127 on either side of the first word
+  // boundary; in order, out of order and repeated; one-entry hitlists.
+  const std::vector<std::vector<std::uint32_t>> layouts = {
+      {0, 63, 64, 127, 0xFFFFFF},
+      {0, 0, 63, 64, 64, 127},
+      {127, 64, 63, 0},
+      {0xFFFFFF, 0, 64, 64, 63, 127, 0},
+      {0},
+      {64},
+      {0xFFFFFF},
+  };
+  for (const std::vector<std::uint32_t>& layout : layouts) {
+    const census::Hitlist hitlist = hitlist_of(layout);
+    // Every word edge, and keys in and past the top word.
+    std::vector<std::uint32_t> keys{0,   1,   62,       63,       64,
+                                    65,  126, 127,      128,      191,
+                                    192, 255, 256,      0xFFFFBF, 0xFFFFC0,
+                                    0xFFFFFE, 0xFFFFFF, 0x1000000, 0xFFFFFFFF};
+    const std::uint32_t top = *std::max_element(layout.begin(), layout.end());
+    const std::uint32_t past_top_word = (top / 64 + 1) * 64;
+    keys.push_back(past_top_word);
+    keys.push_back(past_top_word + 63);
+    for (const std::size_t targets : {hitlist.size(), hitlist.size() - 1}) {
+      SCOPED_TRACE("layout of " + std::to_string(layout.size()) +
+                   " top=" + std::to_string(top) +
+                   " targets=" + std::to_string(targets));
+      const serving::SnapshotView view = serving::SnapshotView::build(
+          synthetic_matrix(targets, 2, 3, {}, 0), {}, /*id=*/1, &hitlist);
+      const PerSnapshotPairs oracle(hitlist, targets);
+      for (const std::uint32_t key : keys) {
+        EXPECT_EQ(view.target_of_address(key), oracle.find(key))
+            << "slash24 " << key;
+      }
+    }
+    expect_one_lowest_target_per_slash24(hitlist, *hitlist.address_index());
+  }
+}
+
+TEST(ServingAddressIndex, EmptyHitlistResolvesNothing) {
+  const census::Hitlist empty;
+  const auto index = empty.address_index();
+  EXPECT_TRUE(index->first_targets().empty());
+  const serving::SnapshotView view = serving::SnapshotView::build(
+      synthetic_matrix(10, 2, 3, {}, 0), {}, /*id=*/1, &empty);
+  for (const std::uint32_t key : {0U, 1U, 64U, 0xFFFFFFU}) {
+    EXPECT_FALSE(index->lowest_target(key).has_value()) << key;
+    EXPECT_FALSE(view.target_of_address(key).has_value()) << key;
+  }
 }
 
 TEST(ServingAddressIndex, SnapshotOutlivesItsHitlist) {
@@ -714,7 +795,7 @@ TEST(ServingAddressIndex, ConcurrentFirstUseBuildsOneIndex) {
   }
   for (std::thread& thread : threads) thread.join();
   for (const auto& index : seen) EXPECT_EQ(index, seen.front());
-  EXPECT_EQ(seen.front()->size(), hitlist.size());
+  expect_one_lowest_target_per_slash24(hitlist, *seen.front());
 }
 
 // --- Query protocol ---------------------------------------------------------
@@ -755,6 +836,196 @@ TEST(ServingQuery, AnswersAreDeterministicAndMalformedBatchesAtomic) {
   std::string diff_out;
   const auto no_prev = serving::answer_queries(context, "diff\n", diff_out);
   EXPECT_FALSE(no_prev.ok());
+}
+
+/// A hand-built snapshot for the golden answer bytes: 24 targets whose
+/// /24s are 10.0.t.0 (target 23 repeats target 7's /24), rows of t % 5
+/// measurements, and four anycast targets with city-less replicas and
+/// replicas on negative latitudes and longitudes.
+struct GoldenPlane {
+  census::Hitlist hitlist;
+  serving::SnapshotView view;
+};
+
+/// The answer bytes of `golden_plane()` for AnswerBytesArePinned's
+/// queries, captured from the printf-formatting implementation.
+const char* const kGoldenAnswers =
+    "point 2 target=2 anycast=1 responsive=1 vps=2 replicas=2\n"
+    "point 10.0.5.200 target=5 anycast=1 responsive=0 vps=0 replicas=3\n"
+    "point 4 target=4 anycast=0 responsive=1 vps=4 replicas=0\n"
+    "point 10.0.23.1 unknown\n"
+    "point 10.0.7.200 target=7 anycast=1 responsive=1 vps=2 replicas=2\n"
+    "point 0 target=0 anycast=0 responsive=0 vps=0 replicas=0\n"
+    "point 24 unknown\n"
+    "point 10.0.99.1 unknown\n"
+    "batch n=3 unknown=2 anycast=2 responsive=2 replicas=5\n"
+    "batch n=26 unknown=2 anycast=6 responsive=21 replicas=11\n"
+    "replicas 2 target=2 count=2\n"
+    "  replica vp=3 city=\"Sydney, AU\" lat=-33.8700 lon=151.2100\n"
+    "  replica vp=7 city=\"-\" lat=-12.3457 lon=-45.6789\n"
+    "replicas 10.0.5.77 target=5 count=3\n"
+    "  replica vp=0 city=\"Buenos Aires, AR\" lat=-34.6000 lon=-58.3800\n"
+    "  replica vp=1 city=\"Frankfurt, DE\" lat=50.1100 lon=8.6800\n"
+    "  replica vp=4 city=\"Singapore, SG\" lat=1.3500 lon=103.8200\n"
+    "replicas 10.0.7.1 target=7 count=2\n"
+    "  replica vp=2 city=\"-\" lat=-0.0000 lon=180.0000\n"
+    "  replica vp=9 city=\"Lima, PE\" lat=-12.0500 lon=-77.0400\n"
+    "replicas 3 target=3 count=0\n"
+    "replicas 1000000 unknown\n"
+    "nearest 2 target=2 vp=7 city=\"-\" km=2778.3\n"
+    "nearest 10.0.5.3 target=5 vp=4 city=\"Singapore, SG\" km=6307.0\n"
+    "nearest 7 target=7 vp=2 city=\"-\" km=11.1\n"
+    "nearest 19 target=19 vp=11 city=\"Johannesburg, ZA\" km=7094.2\n"
+    "nearest 3 target=3 none\n"
+    "nearest 10.0.77.1 unknown\n";
+
+const GoldenPlane& golden_plane() {
+  static const GoldenPlane plane = [] {
+    constexpr std::uint32_t kTargets = 24;
+    std::vector<census::HitlistEntry> entries(kTargets);
+    for (std::uint32_t t = 0; t < kTargets; ++t) {
+      const std::uint32_t third = t == 23 ? 7 : t;
+      entries[t].representative =
+          ipaddr::IPv4Address((10U << 24) | (third << 8) | 1U);
+      entries[t].score = 3;
+    }
+    census::ShardedCensusMatrixBuilder builder(kTargets);
+    for (std::uint32_t t = 0; t < kTargets; ++t) {
+      for (std::uint16_t vp = 0; vp < t % 5; ++vp) {
+        builder.add(t, vp, 5.0F + static_cast<float>(t + vp));
+      }
+    }
+    const geo::CityIndex& cities = geo::world_index();
+    const auto replica = [&](std::uint32_t vp, const char* city, double lat,
+                             double lon) {
+      core::Replica r;
+      r.vp_id = vp;
+      r.city = city != nullptr ? cities.by_name(city) : nullptr;
+      r.location = r.city != nullptr ? r.city->location()
+                                     : geodesy::GeoPoint(lat, lon);
+      return r;
+    };
+    const auto outcome = [](std::uint32_t t, std::vector<core::Replica> rs) {
+      analysis::TargetOutcome o;
+      o.target_index = t;
+      o.slash24_index = (10U << 16) | t;
+      o.result.anycast = true;
+      o.result.replicas = std::move(rs);
+      return o;
+    };
+    std::vector<analysis::TargetOutcome> outcomes;
+    outcomes.push_back(outcome(
+        2, {replica(3, "Sydney", 0, 0),
+            replica(7, nullptr, -12.345678, -45.678912)}));
+    outcomes.push_back(outcome(
+        5, {replica(0, "Buenos Aires", 0, 0), replica(1, "Frankfurt", 0, 0),
+            replica(4, "Singapore", 0, 0)}));
+    outcomes.push_back(outcome(7, {replica(2, nullptr, -0.00001, 179.99995),
+                                   replica(9, "Lima", 0, 0)}));
+    outcomes.push_back(outcome(19, {replica(11, "Johannesburg", 0, 0)}));
+    census::Hitlist hitlist(std::move(entries));
+    serving::SnapshotView view = serving::SnapshotView::build(
+        builder.build(), std::move(outcomes), /*id=*/41, &hitlist);
+    return GoldenPlane{std::move(hitlist), std::move(view)};
+  }();
+  return plane;
+}
+
+TEST(ServingQuery, AnswerBytesArePinned) {
+  for (const char* city : {"Sydney", "Buenos Aires", "Frankfurt", "Singapore",
+                           "Lima", "Johannesburg"}) {
+    ASSERT_NE(geo::world_index().by_name(city), nullptr) << city;
+  }
+  const serving::QueryContext context{&golden_plane().view, nullptr};
+  const char* const queries =
+      "point 2\n"
+      "point 10.0.5.200\n"
+      "point 4\n"
+      "point 10.0.23.1\n"
+      "point 10.0.7.200\n"
+      "point 0\n"
+      "point 24\n"
+      "point 10.0.99.1\n"
+      "batch 2 10.0.5.1 3 99 10.1.0.0\n"
+      "batch 0 1 2 3 4 5 6 7 8 9 10 11 12 13 14 15 16 17 18 19 20 21 22 23 "
+      "10.0.7.9 10.0.19.4 4294967295 10.0.200.1\n"
+      "replicas 2\n"
+      "replicas 10.0.5.77\n"
+      "replicas 10.0.7.1\n"
+      "replicas 3\n"
+      "replicas 1000000\n"
+      "nearest 2 -34.5 -58.4\n"
+      "nearest 10.0.5.3 -33.9 151.2\n"
+      "nearest 7 0 -179.9\n"
+      "nearest 19 -90 180\n"
+      "nearest 3 10 10\n"
+      "nearest 10.0.77.1 1 1\n";
+  std::string out;
+  const serving::QueryBatchResult result =
+      serving::answer_queries(context, queries, out);
+  ASSERT_TRUE(result.ok()) << result.error << " at line " << result.error_line;
+  EXPECT_EQ(result.answered, 21U);
+  EXPECT_EQ(out, kGoldenAnswers);
+}
+
+TEST(ServingQuery, MalformedKeyLeavesOutByteIdentical) {
+  const serving::QueryContext context{&golden_plane().view, nullptr};
+  const std::string before = "point 2 an earlier answer\n";
+  for (const char* line :
+       {"batch 2 10.0.5.1 3 4 10.0.5 6", "batch 0 1 2 3 -4",
+        "point 10.0.5.1.1", "replicas 2x", "nearest 2.5 1 1",
+        "nearest 2 91 1", "point", "bogus 1"}) {
+    std::string out = before;
+    std::string error;
+    EXPECT_FALSE(serving::answer_query(context, line, out, error)) << line;
+    EXPECT_EQ(out, before) << line;
+    EXPECT_FALSE(error.empty()) << line;
+  }
+  std::string out = before;
+  const serving::QueryBatchResult result = serving::answer_queries(
+      context, "point 2\nreplicas 5\nbatch 1 2 3 4 5.5\n", out);
+  EXPECT_FALSE(result.ok());
+  EXPECT_EQ(result.error_line, 3U);
+  EXPECT_EQ(out, before);
+}
+
+TEST(ServingQuery, AppendFixedMatchesSnprintf) {
+  std::vector<double> values{0.0,      -0.0,     0.05,     -0.05,  0.15,
+                             0.25,     -0.25,    0.35,     0.00005, -0.00005,
+                             0.00015,  1e-300,   -1e-300,  12.34565, 89.99995,
+                             -179.99995, 180.0,  20015.05, 1e15,   -1e300,
+                             1.7976931348623157e308};
+  // Exact half-way values: quarters tie at one decimal, 32nds at four.
+  for (int i = -4000; i <= 4000; ++i) {
+    values.push_back(i / 4.0);
+    values.push_back(i / 32.0);
+    values.push_back(i / 4096.0);
+  }
+  // Seeded coordinates, distances, decimal strings ending in 5, and raw
+  // bit patterns (every exponent, infinities and NaNs included).
+  std::uint64_t state = 0x5EEDF1DULL;
+  for (int i = 0; i < 100000; ++i) {
+    state = splitmix64(state);
+    const double unit = static_cast<double>(state >> 11) * 0x1.0p-53;
+    values.push_back(unit * 360.0 - 180.0);
+    values.push_back(unit * 40000.0);
+    char text[32];
+    std::snprintf(text, sizeof text, "%.5f", unit * 200.0 - 100.0);
+    text[std::strlen(text) - 1] = '5';
+    values.push_back(std::strtod(text, nullptr));
+    values.push_back(std::bit_cast<double>(splitmix64(state ^ 0xB17)));
+  }
+  for (const double value : values) {
+    for (const int precision : {1, 4}) {
+      char expected[400];
+      std::snprintf(expected, sizeof expected, "%.*f", precision, value);
+      std::string got = "x";
+      serving::append_fixed(got, value, precision);
+      ASSERT_EQ(got, std::string("x") + expected)
+          << "precision " << precision << " bits "
+          << std::bit_cast<std::uint64_t>(value);
+    }
+  }
 }
 
 // --- Daemon integration -----------------------------------------------------
