@@ -151,11 +151,25 @@ core::Result CensusAnalyzer::analyze_row(
   return igreedy_.analyze(measurements);
 }
 
+CensusAnalyzer::RowStage CensusAnalyzer::analyze_target(
+    std::span<const census::VpRtt> row, std::uint32_t target,
+    const census::Hitlist& hitlist, std::size_t min_vps,
+    std::vector<TargetOutcome>& out) const {
+  if (row.size() < min_vps) return RowStage::kTooFewVps;
+  if (!detect(row)) return RowStage::kNotDetected;
+  TargetOutcome outcome;
+  outcome.target_index = target;
+  outcome.slash24_index = hitlist[target].representative.slash24_index();
+  outcome.result = analyze_row(row);
+  if (outcome.result.anycast) out.push_back(std::move(outcome));
+  return RowStage::kDetected;
+}
+
 namespace {
 
 /// One shard's rows [0, targets), whose first global target is `base`:
-/// min-VP gate, detection, iGreedy, semantic tallies — no summary event
-/// (the caller emits exactly one per sweep).
+/// the per-row kernel plus the sweep's semantic tallies — no summary
+/// event (the caller emits exactly one per sweep).
 std::vector<TargetOutcome> analyze_shard(const CensusAnalyzer& analyzer,
                                          const census::CensusMatrix& data,
                                          std::size_t base, std::size_t targets,
@@ -164,27 +178,23 @@ std::vector<TargetOutcome> analyze_shard(const CensusAnalyzer& analyzer,
                                          concurrency::ThreadPool* pool) {
   if (targets == 0) return {};
 
-  // The per-target work (detection pre-filter, then iGreedy on the few
-  // detected rows) only reads `analyzer`, `data`, and `hitlist`, so a
-  // range of targets is an independent task. Indices are local to `data`;
-  // outcomes carry the global index `base + t`.
+  // The per-target work only reads `analyzer`, `data`, and `hitlist`, so
+  // a range of targets is an independent task. Indices are local to
+  // `data`; outcomes carry the global index `base + t`. Pooled, ranges
+  // are balanced by stored-measurement weight via the CSR offset array
+  // (several per lane, so a dense range cannot straggle the sweep) and
+  // concatenated in index order: element-identical to the serial sweep.
   const auto analyze_range = [&](std::size_t begin, std::size_t end) {
     const obs::Span range_span("analysis_range", base + begin);
     std::uint64_t considered = 0;
     std::uint64_t detected = 0;
     std::vector<TargetOutcome> out;
     for (std::size_t t = begin; t < end; ++t) {
-      const auto row = data.measurements(static_cast<std::uint32_t>(t));
-      if (row.size() < min_vps) continue;
-      ++considered;
-      if (!analyzer.detect(row)) continue;
-      ++detected;
-      TargetOutcome outcome;
-      outcome.target_index = static_cast<std::uint32_t>(base + t);
-      outcome.slash24_index =
-          hitlist[base + t].representative.slash24_index();
-      outcome.result = analyzer.analyze_row(row);
-      if (outcome.result.anycast) out.push_back(std::move(outcome));
+      const auto stage = analyzer.analyze_target(
+          data.measurements(static_cast<std::uint32_t>(t)),
+          static_cast<std::uint32_t>(base + t), hitlist, min_vps, out);
+      considered += stage != CensusAnalyzer::RowStage::kTooFewVps;
+      detected += stage == CensusAnalyzer::RowStage::kDetected;
     }
     const AnalysisInstruments& in = analysis_instruments();
     in.targets_considered.add(considered);
@@ -192,29 +202,9 @@ std::vector<TargetOutcome> analyze_shard(const CensusAnalyzer& analyzer,
     in.targets_anycast.add(out.size());
     return out;
   };
-
-  std::vector<TargetOutcome> out;
-  if (pool == nullptr || pool->thread_count() <= 1) {
-    out = analyze_range(0, targets);
-  } else {
-    // Split into contiguous row ranges balanced by stored-measurement
-    // weight via the CSR offset array (several per lane, so a dense range
-    // cannot straggle the whole sweep) and concatenate the per-range
-    // outcomes in index order: element-identical to the serial sweep.
-    const auto ranges = concurrency::shard_ranges_weighted(
-        data.row_offsets().subspan(0, targets + 1),
-        pool->thread_count() * 8);
-    auto parts = pool->parallel_map(ranges.size(), [&](std::size_t r) {
-      return analyze_range(ranges[r].first, ranges[r].second);
-    });
-    std::size_t total = 0;
-    for (const auto& part : parts) total += part.size();
-    out.reserve(total);
-    for (auto& part : parts) {
-      for (auto& outcome : part) out.push_back(std::move(outcome));
-    }
-  }
-  return out;
+  return concurrency::ordered_concat(
+      pool, targets, analyze_range,
+      data.row_offsets().subspan(0, targets + 1));
 }
 
 void emit_analysis_summary(std::size_t targets, std::size_t min_vps,

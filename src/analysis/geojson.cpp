@@ -3,6 +3,7 @@
 #include <cstdio>
 
 #include "anycast/ipaddr/ipv4.hpp"
+#include "anycast/obs/metrics.hpp"
 
 namespace anycast::analysis {
 namespace {
@@ -24,15 +25,19 @@ void append_replica_feature(std::string& out, const core::Replica& replica,
   out += ",";
   append_number(out, replica.location.latitude());
   out += "]},\"properties\":{";
-  out += "\"as\":\"" + json_escape(whois) + "\",";
+  out += "\"as\":\"";
+  obs::append_json_escaped(out, whois);
+  out += "\",";
   out += "\"prefix\":\"" +
          ipaddr::IPv4Address::from_slash24_index(slash24_index, 0)
              .to_string() +
          "/24\",";
   if (replica.city != nullptr) {
-    out += "\"classified\":true,\"city\":\"" +
-           json_escape(replica.city->name) + "\",\"country\":\"" +
-           json_escape(replica.city->country) + "\",";
+    out += "\"classified\":true,\"city\":\"";
+    obs::append_json_escaped(out, replica.city->name);
+    out += "\",\"country\":\"";
+    obs::append_json_escaped(out, replica.city->country);
+    out += "\",";
   } else {
     out += "\"classified\":false,";
   }
@@ -42,30 +47,6 @@ void append_replica_feature(std::string& out, const core::Replica& replica,
 }
 
 }  // namespace
-
-std::string json_escape(std::string_view text) {
-  std::string out;
-  out.reserve(text.size());
-  for (const char c : text) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buffer[8];
-          std::snprintf(buffer, sizeof buffer, "\\u%04x",
-                        static_cast<unsigned>(c));
-          out += buffer;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
 
 std::string deployment_geojson(const CensusReport& report,
                                const AsReport& as_report) {

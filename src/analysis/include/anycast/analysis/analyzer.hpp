@@ -65,6 +65,18 @@ class CensusAnalyzer {
   [[nodiscard]] core::Result analyze_row(
       std::span<const census::VpRtt> row) const;
 
+  /// How far one row got through `analyze_target`.
+  enum class RowStage { kTooFewVps, kNotDetected, kDetected };
+
+  /// The per-row kernel every sweep shares (`analyze` and
+  /// `incremental_analyze`): the `min_vps` gate, `detect`, then iGreedy on
+  /// a detected row. Appends global target `target`'s outcome to `out`
+  /// when iGreedy calls it anycast; returns the stage the row reached.
+  RowStage analyze_target(std::span<const census::VpRtt> row,
+                          std::uint32_t target, const census::Hitlist& hitlist,
+                          std::size_t min_vps,
+                          std::vector<TargetOutcome>& out) const;
+
   [[nodiscard]] std::size_t vp_count() const { return vps_.size(); }
 
  private:

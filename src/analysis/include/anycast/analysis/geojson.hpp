@@ -23,8 +23,4 @@ std::string deployment_geojson(const CensusReport& report,
 /// with its AS and /24 (the Fig. 10-style aggregated density view).
 std::string census_geojson(const CensusReport& report);
 
-/// Escapes a string for inclusion in a JSON string literal (exposed for
-/// tests; handles quotes, backslashes, control characters).
-std::string json_escape(std::string_view text);
-
 }  // namespace anycast::analysis

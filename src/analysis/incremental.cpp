@@ -69,24 +69,10 @@ std::vector<std::uint32_t> dirty_shard_rows(const census::CensusMatrix& prev,
     return out;
   };
 
-  if (pool == nullptr || pool->thread_count() <= 1) {
-    return scan(0, targets);
-  }
   // Contiguous ranges weighted by stored measurements (the compare cost),
   // concatenated in index order: identical to the serial scan.
-  const auto ranges = concurrency::shard_ranges_weighted(
-      next.row_offsets().subspan(0, targets + 1), pool->thread_count() * 8);
-  auto parts = pool->parallel_map(ranges.size(), [&](std::size_t r) {
-    return scan(ranges[r].first, ranges[r].second);
-  });
-  std::vector<std::uint32_t> out;
-  std::size_t total = 0;
-  for (const auto& part : parts) total += part.size();
-  out.reserve(total);
-  for (const auto& part : parts) {
-    out.insert(out.end(), part.begin(), part.end());
-  }
-  return out;
+  return concurrency::ordered_concat(
+      pool, targets, scan, next.row_offsets().subspan(0, targets + 1));
 }
 
 }  // namespace
@@ -132,45 +118,21 @@ IncrementalResult incremental_analyze(
     result.dirty.pop_back();
   }
 
-  // Re-run the full sweep's per-row contract on the dirty rows only:
-  // min-VP gate, detection pre-filter, iGreedy, keep anycast verdicts.
+  // Re-run the full sweep's per-row kernel on the dirty rows only, without
+  // its semantic tallies (those count full sweeps). Even chunks over the
+  // dirty list concatenate in chunk order, so any lane count agrees; a
+  // small dirty set is not worth a fork.
   const auto analyze_some = [&](std::size_t begin, std::size_t end) {
     std::vector<TargetOutcome> out;
     for (std::size_t i = begin; i < end; ++i) {
       const std::uint32_t t = result.dirty[i];
-      const auto row = next.measurements(t);
-      if (row.size() < min_vps) continue;
-      if (!analyzer.detect(row)) continue;
-      TargetOutcome outcome;
-      outcome.target_index = t;
-      outcome.slash24_index = hitlist[t].representative.slash24_index();
-      outcome.result = analyzer.analyze_row(row);
-      if (outcome.result.anycast) out.push_back(std::move(outcome));
+      (void)analyzer.analyze_target(next.measurements(t), t, hitlist, min_vps,
+                                    out);
     }
     return out;
   };
-
-  std::vector<TargetOutcome> fresh;
-  if (pool == nullptr || pool->thread_count() <= 1 ||
-      result.dirty.size() < 32) {
-    fresh = analyze_some(0, result.dirty.size());
-  } else {
-    // Even chunks over the dirty list; concatenation in chunk order is
-    // invariant to the chunk boundaries, so any lane count agrees.
-    const std::size_t chunks =
-        std::min(result.dirty.size(), pool->thread_count() * std::size_t{8});
-    auto shards = pool->parallel_map(chunks, [&](std::size_t c) {
-      const std::size_t begin = c * result.dirty.size() / chunks;
-      const std::size_t end = (c + 1) * result.dirty.size() / chunks;
-      return analyze_some(begin, end);
-    });
-    std::size_t total = 0;
-    for (const auto& shard : shards) total += shard.size();
-    fresh.reserve(total);
-    for (auto& shard : shards) {
-      for (auto& outcome : shard) fresh.push_back(std::move(outcome));
-    }
-  }
+  std::vector<TargetOutcome> fresh = concurrency::ordered_concat(
+      pool, result.dirty.size(), analyze_some, {}, /*min_parallel=*/32);
 
   // Splice: carry the previous epoch's outcome for every clean row, take
   // the fresh outcome for every dirty one. Both sequences are sorted by

@@ -26,17 +26,6 @@ bool looks_like_event(std::string_view line) {
          line.find("\"key\":\"") != std::string_view::npos;
 }
 
-void append_json_escaped(std::string& out, std::string_view text) {
-  for (const char c : text) {
-    if (c == '"' || c == '\\') out += '\\';
-    if (static_cast<unsigned char>(c) < 0x20) {
-      out += "\\n";
-      continue;
-    }
-    out += c;
-  }
-}
-
 }  // namespace
 
 std::string journal_field(std::string_view line, std::string_view name) {
@@ -220,7 +209,7 @@ std::string render_run_report_json(const RunReportInputs& inputs) {
       if (!first_key) out += ",";
       first_key = false;
       out += "\"";
-      append_json_escaped(out, key);
+      obs::append_json_escaped(out, key);
       std::snprintf(buffer, sizeof buffer, "\":%zu", count);
       out += buffer;
     }
@@ -229,7 +218,7 @@ std::string render_run_report_json(const RunReportInputs& inputs) {
   if (inputs.registry != nullptr) {
     section("semantic_snapshot");
     out += "\"";
-    append_json_escaped(out, inputs.registry->semantic_snapshot());
+    obs::append_json_escaped(out, inputs.registry->semantic_snapshot());
     out += "\"";
   }
   out += "\n}\n";

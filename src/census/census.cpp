@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <chrono>
 #include <cstdio>
 #include <filesystem>
 #include <iterator>
@@ -16,18 +15,15 @@
 
 #include "anycast/census/sharded.hpp"
 #include "anycast/census/storage.hpp"
-#include "anycast/concurrency/thread_pool.hpp"
 #include "anycast/obs/journal.hpp"
-#include "anycast/obs/latency.hpp"
 #include "anycast/obs/metrics.hpp"
-#include "anycast/obs/trace.hpp"
 #include "anycast/rng/distributions.hpp"
 
 namespace anycast::census {
 namespace {
 
-/// Census-level instruments, fed on the reduction thread (run_census_sharded
-/// and resume_census_sharded) — see flush_census_summary_metrics.
+/// Census-level instruments, fed on the census pass's reduction thread
+/// (live or resumed) — see flush_census_summary_metrics.
 struct CensusInstruments {
   obs::Counter runs = obs::metrics().counter(
       "census_runs", obs::MetricClass::kSemantic,
@@ -225,10 +221,9 @@ void flush_census_summary_metrics(const CensusSummary& summary) {
           {"retry_probes", summary.retry_probes},
           {"retry_recovered", summary.retry_recovered},
           {"greylist_new", summary.greylist_new}});
-  // This is the deterministic boundary both run_census_sharded and
-  // resume_census_sharded end their reduction on: cut the semantic batch
-  // here and fsync, so the journal becomes durable alongside this census's
-  // checkpoints.
+  // This is the deterministic boundary the census pass, live or resumed,
+  // ends its reduction on: cut the semantic batch here and fsync, so the
+  // journal becomes durable alongside this census's checkpoints.
   j.commit();
 }
 
@@ -751,111 +746,6 @@ VpOutcome census_vp_outcome(const FastPingResult& result,
     }
   }
   return result.outcome;
-}
-
-namespace {
-
-/// One VP's finished walk, produced by its (possibly concurrent) task and
-/// consumed by the in-order reduction on the calling thread.
-struct VpWork {
-  bool ran = false;  // false: the availability coin skipped this VP
-  FastPingResult result;
-  Greylist greylist;               // private; merged in VP order
-  std::vector<TargetRtt> fragment; // per-target minima, merged in VP order
-};
-
-}  // namespace
-
-ShardedCensusOutput run_census_sharded(
-    const net::SimulatedInternet& internet,
-    std::span<const net::VantagePoint> vps, const Hitlist& hitlist,
-    Greylist& blacklist, const FastPingConfig& config,
-    const DataPlaneConfig& plane, const net::FaultPlan* faults,
-    concurrency::ThreadPool* pool) {
-  // One flow whatever the plane's shape: map VPs (possibly on the pool),
-  // reduce in VP order, build, merge greylists, flush metrics. The shard
-  // size and spill budget only change where the matrix lives, so the
-  // summary, greylist, journal stream, and semantic metrics never depend
-  // on them.
-  ShardedCensusOutput out;
-  ShardedCensusMatrixBuilder builder(hitlist.size(), plane);
-  // Adoption point: per-VP walk spans on worker threads attach here.
-  const obs::Span census_span(obs::Span::Root::kAdoptionPoint, "census");
-  CensusSummary& summary = out.summary;
-  summary.vp_duration_hours.reserve(vps.size());
-  summary.vp_outcomes.reserve(vps.size());
-
-  // Map: each available VP walks the hitlist with a *private* greylist
-  // and reduces its own observations to a row fragment. Walks only read
-  // shared state (`internet`, `hitlist`, `blacklist`), so they are
-  // independent — the pool just runs them on every lane.
-  const auto walk_vp = [&](std::size_t i) -> VpWork {
-    VpWork work;
-    if (!vp_available(vps[i], config)) return work;
-    work.ran = true;
-    const obs::Span walk_span("vp_walk", vps[i].id);
-    const auto walk_start = std::chrono::steady_clock::now();
-    work.result = run_fastping(internet, vps[i], hitlist, blacklist,
-                               work.greylist, config, faults);
-    // Wall-clock walk latency for the telemetry plane (kTiming by
-    // construction — never part of the semantic contract, unlike the
-    // simulated duration_hours flushed below).
-    obs::LatencyHisto::get("census_walk_us", "us",
-                           "wall-clock per-VP census walk latency")
-        .record(static_cast<std::uint64_t>(
-            std::chrono::duration_cast<std::chrono::microseconds>(
-                std::chrono::steady_clock::now() - walk_start)
-                .count()));
-    flush_walk_metrics(work.result, vps[i].id);
-    work.fragment = vp_row_fragment(work.result, hitlist.size());
-    // The reduction reads only the counters, the outcome, and the
-    // fragment; drop the raw stream so the retained state per VP is the
-    // compact fragment, not O(hitlist) observations held for every VP.
-    work.result.observations = {};
-    return work;
-  };
-  std::vector<VpWork> done;
-  if (pool != nullptr && pool->thread_count() > 1) {
-    done = pool->parallel_map(vps.size(), walk_vp);
-  } else {
-    done.reserve(vps.size());
-    for (std::size_t i = 0; i < vps.size(); ++i) done.push_back(walk_vp(i));
-  }
-
-  // Reduce in VP order on this thread: the summary, quarantine decisions,
-  // matrix fragments, and greylist merge all see VPs in exactly the order
-  // the serial loop did, so the output is byte-identical for any thread
-  // count.
-  Greylist census_greylist;
-  for (std::size_t i = 0; i < vps.size(); ++i) {
-    const net::VantagePoint& vp = vps[i];
-    VpWork& work = done[i];
-    if (!work.ran) {
-      summary.vp_outcomes.push_back({vp.id, VpOutcome::kSkipped});
-      continue;
-    }
-    ++summary.active_vps;
-    const FastPingResult& vp_result = work.result;
-    summary.probes_sent += vp_result.probes_sent;
-    summary.echo_replies += vp_result.echo_replies;
-    summary.errors += vp_result.errors;
-    summary.timeouts += vp_result.timeouts;
-    summary.injected_timeouts += vp_result.injected_timeouts;
-    summary.retry_probes += vp_result.retry_probes;
-    summary.retry_recovered += vp_result.retry_recovered;
-    summary.vp_duration_hours.push_back(vp_result.duration_hours);
-    const VpOutcome outcome = census_vp_outcome(vp_result, config);
-    summary.vp_outcomes.push_back({vp.id, outcome});
-    census_greylist.merge(work.greylist);
-    if (outcome == VpOutcome::kQuarantined) continue;
-    builder.add_fragment(static_cast<std::uint16_t>(vp.id),
-                         std::move(work.fragment));
-  }
-  out.data = builder.build();
-  summary.greylist_new = census_greylist.size();
-  blacklist.merge(census_greylist);
-  flush_census_summary_metrics(summary);
-  return out;
 }
 
 }  // namespace anycast::census

@@ -418,9 +418,9 @@ struct CensusSummary {
 
 /// Flushes one census's reduction-level tallies (active/skipped VPs,
 /// per-outcome counts, newly greylisted /24s) into obs::metrics(). Runs on
-/// the reduction thread; run_census_sharded and resume_census_sharded both
-/// call it, so a live census and its resumed twin report identical
-/// semantics.
+/// the reduction thread of the one census pass behind run_census_sharded
+/// and resume_census_sharded, so a live census and its resumed twin
+/// report identical semantics.
 void flush_census_summary_metrics(const CensusSummary& summary);
 
 /// Deterministic per-census availability coin: whether `vp` is up for the

@@ -33,6 +33,21 @@ std::filesystem::path census_checkpoint_path(const std::filesystem::path& dir,
                                              std::uint32_t census_id,
                                              std::uint32_t vp_id);
 
+/// One VP's checkpointed walk: `run_fastping` (under `faults`, when given;
+/// timed into `census_walk_us`), then the walk's checkpoint written to
+/// `census_checkpoint_path(dir, census_id, vp.id)` and flagged complete
+/// when the walk completed. Returns the live result, RTTs unquantised.
+/// This is the rerun step of `resume_census_sharded` and the watch
+/// daemon's abort drill, so both leave byte-identical files.
+FastPingResult checkpointed_walk(const net::SimulatedInternet& internet,
+                                 const net::VantagePoint& vp,
+                                 const Hitlist& hitlist,
+                                 const Greylist& blacklist, Greylist& greylist,
+                                 const FastPingConfig& config,
+                                 const net::FaultPlan* faults,
+                                 const std::filesystem::path& dir,
+                                 std::uint32_t census_id);
+
 /// Runs — or resumes — census `census_id` over checkpoint files in `dir`.
 /// For each available VP: a complete, CRC-valid checkpoint is reused
 /// verbatim (its funnel counters are reconstructed from the recorded
@@ -45,10 +60,13 @@ std::filesystem::path census_checkpoint_path(const std::filesystem::path& dir,
 /// recovered fragments stream through a ShardedCensusMatrixBuilder under
 /// `plane`'s budgets.
 ///
-/// With a multi-lane `pool`, VPs recover concurrently (each touches only
-/// its own checkpoint file) and are reduced in VP order, so the report,
-/// the collated data, and the rewritten files are byte-identical to a
-/// serial resume — and therefore to an uninterrupted census.
+/// This is the same census pass as `run_census_sharded` — one per-VP map,
+/// one VP-order reduction — with each VP's walk replaced by
+/// reuse-or-rerun. With a multi-lane `pool`, VPs recover concurrently
+/// (each touches only its own checkpoint file) and are reduced in VP
+/// order, so the report, the collated data, and the rewritten files are
+/// byte-identical to a serial resume — and therefore to an uninterrupted
+/// census.
 ShardedResumeReport resume_census_sharded(
     const net::SimulatedInternet& internet,
     std::span<const net::VantagePoint> vps, const Hitlist& hitlist,

@@ -94,8 +94,8 @@ struct CollateStats {
 ///
 /// With no `pool`, or a one-lane pool, files are read, checked and
 /// fragmented one at a time on the calling thread. With more lanes, a
-/// window of `pool->thread_count()` files is read, checked and
-/// fragmented concurrently, then its fragments and accounting are handed
+/// window of one file per lane is read, checked and fragmented
+/// concurrently, then its fragments and accounting are handed
 /// to the builder in path order on the calling thread before the next
 /// window starts — so the matrix and `stats` are identical for every
 /// lane count, and resident input is bounded by one window of files

@@ -334,17 +334,15 @@ ShardedCensusMatrix collate_census_files_sharded(
                          std::move(loaded.fragment));
   };
 
-  if (pool == nullptr || pool->thread_count() <= 1) {
-    for (const std::filesystem::path& path : paths) reduce(load(path));
-  } else {
-    // One window of `thread_count()` files in flight at a time bounds the
-    // resident decoded streams and fragments to one window's worth.
-    const std::size_t window = pool->thread_count();
-    for (std::size_t base = 0; base < paths.size(); base += window) {
-      const std::size_t n = std::min(window, paths.size() - base);
-      std::vector<Loaded> done = pool->parallel_map(
-          n, [&](std::size_t i) { return load(paths[base + i]); });
-      for (Loaded& loaded : done) reduce(std::move(loaded));
+  // One window of one file per lane in flight at a time bounds the
+  // resident decoded streams and fragments to one window's worth (one
+  // file on the serial path).
+  const std::size_t window = concurrency::fork_lanes(pool);
+  for (std::size_t base = 0; base < paths.size(); base += window) {
+    const std::size_t n = std::min(window, paths.size() - base);
+    for (Loaded& loaded : concurrency::ordered_map(
+             pool, n, [&](std::size_t i) { return load(paths[base + i]); })) {
+      reduce(std::move(loaded));
     }
   }
   if (stats != nullptr) *stats = local;

@@ -12,7 +12,9 @@
 // reduce them in input order on the calling thread; every user in this
 // repository does exactly that, which is why census and analysis output
 // is byte-identical for any thread count (asserted by
-// tests/concurrency_test.cpp).
+// tests/concurrency_test.cpp). Callers fork through `ordered_map` and
+// `ordered_concat`, which take the inline serial path for a null or
+// one-lane pool; `fork_lanes` is the single place that decides.
 #pragma once
 
 #include <atomic>
@@ -23,6 +25,7 @@
 #include <deque>
 #include <exception>
 #include <functional>
+#include <iterator>
 #include <mutex>
 #include <span>
 #include <thread>
@@ -68,8 +71,7 @@ class ThreadPool {
   /// move-assignable: the output vector is value-initialized up front and
   /// each slot is assigned when its index completes. Wrap a
   /// non-default-constructible result in `std::optional<T>` (and unwrap
-  /// after) to use it here; serial callers should impose the same shape
-  /// so the two paths stay interchangeable.
+  /// after) to use it here, or through `ordered_map`.
   template <typename Fn>
   auto parallel_map(std::size_t n, Fn&& fn)
       -> std::vector<decltype(fn(std::size_t{0}))> {
@@ -134,5 +136,61 @@ std::vector<std::pair<std::size_t, std::size_t>> shard_ranges(
 /// `shard_ranges`, boundaries never affect results, only load balance.
 std::vector<std::pair<std::size_t, std::size_t>> shard_ranges_weighted(
     std::span<const std::uint64_t> cumulative, std::size_t max_shards);
+
+/// Lanes a fork over `n` items gets: 1 for a null or one-lane `pool`, or
+/// when `n` is below `min_parallel`, and the pool's lane count otherwise.
+/// 1 means "run inline on the caller, in index order, without touching
+/// the pool" — the exact serial path. This is the one place that chooses
+/// between the serial and the pooled path; callers size windows and
+/// shards from its answer.
+inline std::size_t fork_lanes(const ThreadPool* pool, std::size_t n = 0,
+                              std::size_t min_parallel = 0) {
+  if (pool == nullptr || n < min_parallel) return 1;
+  return pool->thread_count();
+}
+
+/// `fn(i)` for every i in [0, n), collected in index order: inline when
+/// `fork_lanes(pool)` is 1, else `pool->parallel_map`. Exceptions from
+/// `fn` propagate either way (inline: the first one, immediately).
+template <typename Fn>
+auto ordered_map(ThreadPool* pool, std::size_t n, Fn&& fn)
+    -> std::vector<decltype(fn(std::size_t{0}))> {
+  if (fork_lanes(pool) > 1) return pool->parallel_map(n, fn);
+  std::vector<decltype(fn(std::size_t{0}))> out;
+  out.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) out.push_back(fn(i));
+  return out;
+}
+
+/// `fn(begin, end)` over contiguous ranges covering [0, n), each returning
+/// a vector, concatenated in range order. Inline this is the one call
+/// `fn(0, n)`; pooled, [0, n) is cut into up to eight ranges per lane —
+/// weighted by `cumulative` (n + 1 prefix weights, as in
+/// `shard_ranges_weighted`) when given, even otherwise. `fn` must give
+/// the same concatenation for any cut, so the result never depends on the
+/// lane count. Sets under `min_parallel` items always run inline.
+template <typename Fn>
+auto ordered_concat(ThreadPool* pool, std::size_t n, Fn&& fn,
+                    std::span<const std::uint64_t> cumulative = {},
+                    std::size_t min_parallel = 0)
+    -> decltype(fn(std::size_t{0}, std::size_t{0})) {
+  const std::size_t lanes = fork_lanes(pool, n, min_parallel);
+  if (lanes == 1) return fn(std::size_t{0}, n);
+  const auto ranges = cumulative.empty()
+                          ? shard_ranges(n, lanes * 8)
+                          : shard_ranges_weighted(cumulative, lanes * 8);
+  auto parts = pool->parallel_map(ranges.size(), [&](std::size_t r) {
+    return fn(ranges[r].first, ranges[r].second);
+  });
+  decltype(fn(std::size_t{0}, std::size_t{0})) out;
+  std::size_t total = 0;
+  for (const auto& part : parts) total += part.size();
+  out.reserve(total);
+  for (auto& part : parts) {
+    out.insert(out.end(), std::make_move_iterator(part.begin()),
+               std::make_move_iterator(part.end()));
+  }
+  return out;
+}
 
 }  // namespace anycast::concurrency

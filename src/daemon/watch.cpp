@@ -150,41 +150,31 @@ census::ShardedCensusMatrix WatchDaemon::collate_round(
 }
 
 bool WatchDaemon::save_state(std::string* error) const {
-  const auto path = state_path(config_.out_dir);
-  const auto tmp = path.string() + ".tmp";
-  std::FILE* f = std::fopen(tmp.c_str(), "wb");
-  if (f == nullptr) {
-    *error = "cannot write " + tmp;
-    return false;
-  }
-  std::fprintf(f, "%s\n", std::string(kStateMagic).c_str());
-  std::fprintf(f, "rounds_completed %zu\n", verdicts_.size());
+  // Rendered whole, then written tmp + fsync + rename: a crash leaves the
+  // previous state or this one, never a torn file load_state rejects.
+  const auto field = [](auto value) { return " " + std::to_string(value); };
+  std::string body = std::string(kStateMagic) + "\n";
+  body += "rounds_completed" + field(verdicts_.size()) + "\n";
   for (const RoundVerdict& v : verdicts_) {
-    std::fprintf(f, "verdict %d %s %d %zu %zu %zu %d\n", v.round,
-                 std::string(to_string(v.health)).c_str(),
-                 coverage_permille(v.coverage), v.completed, v.active,
-                 v.configured, v.escalation);
+    body += "verdict" + field(v.round) + " " +
+            std::string(to_string(v.health)) +
+            field(coverage_permille(v.coverage)) + field(v.completed) +
+            field(v.active) + field(v.configured) + field(v.escalation) +
+            "\n";
   }
   for (std::size_t i = 0; i < quarantined_.size(); ++i) {
     for (const std::uint32_t vp : quarantined_[i]) {
-      std::fprintf(f, "quarantined %zu %" PRIu32 "\n", i + 1, vp);
+      body += "quarantined" + field(i + 1) + field(vp) + "\n";
     }
   }
   for (const auto& [slash24, kind] : blacklist_.entries()) {
-    std::fprintf(f, "blacklist %" PRIu32 " %d\n", slash24,
-                 static_cast<int>(kind));
+    body += "blacklist" + field(slash24) + field(static_cast<int>(kind)) +
+            "\n";
   }
-  std::fprintf(f, "end\n");
-  const bool ok = std::fflush(f) == 0;
-  std::fclose(f);
-  if (!ok) {
-    *error = "cannot flush " + tmp;
-    return false;
-  }
-  std::error_code ec;
-  std::filesystem::rename(tmp, path, ec);
-  if (ec) {
-    *error = "cannot rename " + tmp + ": " + ec.message();
+  body += "end\n";
+  const auto path = state_path(config_.out_dir);
+  if (!obs::write_file_atomic(path, body)) {
+    *error = "cannot write " + path.string();
     return false;
   }
   return true;
@@ -353,26 +343,18 @@ WatchResult WatchDaemon::run(concurrency::ThreadPool* pool) {
 
     if (round == config_.die_at_round) {
       // Watchdog abort drill: probe and checkpoint half the platform
-      // exactly as the round would have, then die without committing —
-      // the deterministic stand-in for kill -9 mid-round. The restart's
-      // resume_census_sharded inherits these checkpoints verbatim.
+      // through the census pass's own checkpointed-walk step, then die
+      // without committing — the deterministic stand-in for kill -9
+      // mid-round. The restart's resume_census_sharded inherits these
+      // checkpoints verbatim.
       std::size_t checkpointed = 0;
       for (std::size_t i = 0; i < vps_.size() / 2; ++i) {
-        const net::VantagePoint& vp = vps_[i];
-        if (!census::vp_available(vp, cfg)) continue;
+        if (!census::vp_available(vps_[i], cfg)) continue;
         census::Greylist scratch;
-        const auto walk = census::run_fastping(internet_, vp, hitlist_,
-                                               blacklist_, scratch, cfg,
-                                               faults);
-        census::CensusFileHeader header{
-            vp.id, static_cast<std::uint32_t>(round), 0};
-        if (walk.outcome == census::VpOutcome::kCompleted) {
-          header.flags |= census::kCensusFileComplete;
-        }
-        census::write_census_file(
-            census::census_checkpoint_path(
-                config_.out_dir, static_cast<std::uint32_t>(round), vp.id),
-            header, walk.observations);
+        (void)census::checkpointed_walk(internet_, vps_[i], hitlist_,
+                                        blacklist_, scratch, cfg, faults,
+                                        config_.out_dir,
+                                        static_cast<std::uint32_t>(round));
         ++checkpointed;
       }
       if (j.recording()) {

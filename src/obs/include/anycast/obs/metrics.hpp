@@ -170,4 +170,10 @@ MetricsRegistry& metrics();
 [[nodiscard]] std::string prometheus_escape_help(std::string_view text);
 [[nodiscard]] std::string prometheus_escape_label(std::string_view text);
 
+/// Appends `text` escaped for a JSON string literal: `"` and `\` get a
+/// backslash, newline/CR/tab their short escapes, and every other control
+/// character `\u00XX`. Every JSON writer in the project escapes through
+/// this (the journal's fixed-buffer writer keeps its own loop).
+void append_json_escaped(std::string& out, std::string_view text);
+
 }  // namespace anycast::obs

@@ -283,13 +283,6 @@ std::uint64_t next_registry_id() {
   return counter.fetch_add(1);
 }
 
-void json_escape_into(std::string& out, std::string_view text) {
-  for (const char c : text) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    out.push_back(c);
-  }
-}
-
 std::string format_double(double value) {
   char buffer[64];
   std::snprintf(buffer, sizeof buffer, "%.17g", value);
@@ -469,12 +462,12 @@ std::string MetricsRegistry::scrape_json() const {
     const bool histogram = v.kind == MetricKind::kHistogram;
     std::string& out = histogram ? latency_list : metrics_list;
     out += out.empty() ? "    {\"name\": \"" : ",\n    {\"name\": \"";
-    json_escape_into(out, v.name);
+    append_json_escaped(out, v.name);
     if (histogram) {
       const LatencyHisto::Snapshot& h = v.histogram;
       out += "\", \"class\": \"" + std::string(to_string(v.cls)) +
              "\", \"unit\": \"";
-      json_escape_into(out, h.unit);
+      append_json_escaped(out, h.unit);
       char line[320];
       std::snprintf(line, sizeof line,
                     "\", \"count\": %llu, \"sum\": %llu, \"min\": %llu, "
@@ -495,7 +488,7 @@ std::string MetricsRegistry::scrape_json() const {
                                           : format_double(v.gauge);
     if (!v.help.empty()) {
       out += ", \"help\": \"";
-      json_escape_into(out, v.help);
+      append_json_escaped(out, v.help);
       out += "\"";
     }
     out += "}";
@@ -505,6 +498,27 @@ std::string MetricsRegistry::scrape_json() const {
   };
   return "{\n  \"metrics\": " + section(metrics_list) +
          ",\n  \"latency\": " + section(latency_list) + "\n}\n";
+}
+
+void append_json_escaped(std::string& out, std::string_view text) {
+  for (const char c : text) {
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\n': out += "\\n"; break;
+      case '\r': out += "\\r"; break;
+      case '\t': out += "\\t"; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buffer[8];
+          std::snprintf(buffer, sizeof buffer, "\\u%04x",
+                        static_cast<unsigned>(c));
+          out += buffer;
+        } else {
+          out += c;
+        }
+    }
+  }
 }
 
 std::string prometheus_escape_help(std::string_view text) {

@@ -5,6 +5,8 @@
 #include <cstdio>
 #include <mutex>
 
+#include "anycast/obs/metrics.hpp"
+
 namespace anycast::obs {
 namespace {
 
@@ -12,17 +14,6 @@ std::int64_t steady_ns() {
   return std::chrono::duration_cast<std::chrono::nanoseconds>(
              std::chrono::steady_clock::now().time_since_epoch())
       .count();
-}
-
-void append_escaped(std::string& out, std::string_view text) {
-  for (const char c : text) {
-    if (c == '"' || c == '\\') out += '\\';
-    if (static_cast<unsigned char>(c) < 0x20) {
-      out += "\\n";
-      continue;
-    }
-    out += c;
-  }
 }
 
 void append_number(std::string& out, const char* format, double value) {
@@ -128,7 +119,7 @@ std::string chrome_trace_json(const std::vector<SpanRecord>& spans,
       std::snprintf(tmp, sizeof tmp, "%u", r.id);
       out += tmp;
       out += ",\"name\":\"";
-      append_escaped(out, r.name);
+      append_json_escaped(out, r.name);
       if (r.label != 0) {
         std::snprintf(tmp, sizeof tmp, "[%llu]",
                       static_cast<unsigned long long>(r.label));
@@ -152,7 +143,7 @@ std::string chrome_trace_json(const std::vector<SpanRecord>& spans,
   for (const CounterSample& s : samples) {
     comma();
     out += "\n{\"ph\":\"C\",\"name\":\"";
-    append_escaped(out, s.name);
+    append_json_escaped(out, s.name);
     out += "\",\"pid\":1,\"ts\":";
     append_number(out, "%.3f", static_cast<double>(s.t_ns) / 1e3);
     out += ",\"args\":{\"value\":";

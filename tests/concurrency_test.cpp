@@ -11,7 +11,9 @@
 #include <set>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <unistd.h>
+#include <utility>
 #include <vector>
 
 #include "anycast/analysis/analyzer.hpp"
@@ -110,6 +112,115 @@ TEST(ThreadPool, PoolIsReusableAcrossManyForkJoins) {
     total += sum.load();
   }
   EXPECT_EQ(total, 50u * (64u * 63u / 2));
+}
+
+// --- ordered_map / ordered_concat: the one serial-vs-pooled fork -----------
+
+TEST(OrderedFork, ResultsAreIdenticalAndPositionStableForAnyPool) {
+  ThreadPool one(1);
+  ThreadPool two(2);
+  ThreadPool eight(8);
+  // Item i weighs i % 7, so the weighted cut differs from the even one.
+  std::vector<std::uint64_t> cumulative{0};
+  for (std::uint64_t i = 0; i < 1000; ++i) {
+    cumulative.push_back(cumulative.back() + i % 7);
+  }
+  const auto multiples_of_3 = [](std::size_t begin, std::size_t end) {
+    std::vector<std::size_t> out;
+    for (std::size_t i = begin; i < end; ++i) {
+      if (i % 3 == 0) out.push_back(i);
+    }
+    return out;
+  };
+  std::vector<std::size_t> expected_concat;
+  for (std::size_t i = 0; i < 1000; i += 3) expected_concat.push_back(i);
+
+  for (ThreadPool* pool : {static_cast<ThreadPool*>(nullptr), &one, &two,
+                           &eight}) {
+    SCOPED_TRACE(pool == nullptr ? 0 : pool->thread_count());
+    const auto mapped = concurrency::ordered_map(
+        pool, 257, [](std::size_t i) { return 3 * i + 1; });
+    ASSERT_EQ(mapped.size(), 257u);
+    for (std::size_t i = 0; i < mapped.size(); ++i) {
+      EXPECT_EQ(mapped[i], 3 * i + 1);
+    }
+    EXPECT_TRUE(concurrency::ordered_map(pool, 0, [](std::size_t i) {
+                  return i;
+                }).empty());
+    EXPECT_EQ(concurrency::ordered_concat(pool, 1000, multiples_of_3),
+              expected_concat);
+    EXPECT_EQ(concurrency::ordered_concat(pool, 1000, multiples_of_3,
+                                          cumulative),
+              expected_concat);
+    EXPECT_EQ(concurrency::ordered_concat(pool, 1000, multiples_of_3, {},
+                                          /*min_parallel=*/2000),
+              expected_concat);
+    EXPECT_TRUE(concurrency::ordered_concat(pool, 0, multiples_of_3).empty());
+  }
+}
+
+TEST(OrderedFork, InlinePathRunsOnTheCallerInIndexOrder) {
+  // A null or one-lane pool — or a set under min_parallel — never touches
+  // the pool machinery: every call runs on the caller, in index order.
+  ThreadPool one(1);
+  ThreadPool four(4);
+  const std::thread::id caller = std::this_thread::get_id();
+  for (ThreadPool* pool : {static_cast<ThreadPool*>(nullptr), &one}) {
+    std::vector<std::size_t> order;
+    (void)concurrency::ordered_map(pool, 10, [&](std::size_t i) {
+      EXPECT_EQ(std::this_thread::get_id(), caller);
+      order.push_back(i);
+      return i;
+    });
+    std::vector<std::size_t> expected(10);
+    std::iota(expected.begin(), expected.end(), 0u);
+    EXPECT_EQ(order, expected);
+  }
+  std::vector<std::pair<std::size_t, std::size_t>> calls;
+  (void)concurrency::ordered_concat(
+      &four, 20,
+      [&](std::size_t begin, std::size_t end) {
+        calls.emplace_back(begin, end);
+        return std::vector<std::size_t>{};
+      },
+      {}, /*min_parallel=*/32);
+  EXPECT_EQ(calls, (std::vector<std::pair<std::size_t, std::size_t>>{{0, 20}}));
+  EXPECT_EQ(one.progress().second, 0u);
+  EXPECT_EQ(four.progress().second, 0u);
+}
+
+TEST(OrderedFork, ExceptionsPropagateFromInlineAndPooledPaths) {
+  ThreadPool one(1);
+  ThreadPool eight(8);
+  for (ThreadPool* pool : {static_cast<ThreadPool*>(nullptr), &one}) {
+    std::size_t calls = 0;
+    EXPECT_THROW((void)concurrency::ordered_map(pool, 10,
+                                                [&](std::size_t i) {
+                                                  ++calls;
+                                                  if (i == 3) {
+                                                    throw std::runtime_error(
+                                                        "boom");
+                                                  }
+                                                  return i;
+                                                }),
+                 std::runtime_error);
+    EXPECT_EQ(calls, 4u) << "the inline path stops at the first throw";
+    EXPECT_THROW((void)concurrency::ordered_concat(
+                     pool, 10,
+                     [](std::size_t, std::size_t) -> std::vector<int> {
+                       throw std::runtime_error("boom");
+                     }),
+                 std::runtime_error);
+  }
+  EXPECT_THROW((void)concurrency::ordered_map(&eight, 100,
+                                              [](std::size_t i) {
+                                                if (i == 37) {
+                                                  throw std::runtime_error(
+                                                      "boom");
+                                                }
+                                                return i;
+                                              }),
+               std::runtime_error);
 }
 
 TEST(ShardRanges, CoverContiguouslyAndEvenly) {
@@ -658,6 +769,56 @@ TEST_F(ParallelResumeTest, ChaosCrashThenParallelResumeEqualsUninterrupted) {
         read_bytes(census::census_checkpoint_path(crash_dir, 1, vp.id));
     ASSERT_FALSE(clean_bytes.empty());
     EXPECT_EQ(clean_bytes, resumed_bytes) << "vp " << vp.id;
+  }
+}
+
+TEST_F(ParallelResumeTest, ResumeIntoEmptyDirMatchesLiveCensus) {
+  // Into an empty directory every VP reruns, so the checkpointed pass must
+  // agree with the live one on everything but the RTTs' 1/50 ms
+  // checkpoint quantisation.
+  const auto vps = net::make_planetlab({.node_count = 12, .seed = 91});
+  for (const bool chaos : {false, true}) {
+    const net::FaultPlan plan = stormy_plan();
+    const net::FaultPlan* faults = chaos ? &plan : nullptr;
+    for (const std::size_t threads : {1u, 8u}) {
+      SCOPED_TRACE("chaos=" + std::to_string(chaos) +
+                   " threads=" + std::to_string(threads));
+      ThreadPool pool(threads);
+      Greylist live_blacklist;
+      const ShardedCensusOutput live =
+          run_census_sharded(tiny_world(), vps, tiny_hitlist(), live_blacklist,
+                             loaded_config(), {}, faults, &pool);
+      Greylist resume_blacklist;
+      const ShardedResumeReport resumed = resume_census_sharded(
+          tiny_world(), vps, tiny_hitlist(), resume_blacklist,
+          loaded_config(),
+          dir_ / ("chaos" + std::to_string(chaos) + "_threads" +
+                  std::to_string(threads)),
+          /*census_id=*/1, {}, faults, &pool);
+      EXPECT_EQ(resumed.vps_reused, 0u);
+      EXPECT_EQ(resumed.vps_rerun, live.summary.active_vps);
+      expect_same_summary(resumed.output.summary, live.summary);
+      expect_same_greylist_counters(resume_blacklist, live_blacklist);
+      const ShardedCensusMatrix& a = live.data;
+      const ShardedCensusMatrix& b = resumed.output.data;
+      ASSERT_EQ(a.target_count(), b.target_count());
+      for (std::uint32_t t = 0; t < a.target_count(); ++t) {
+        const auto ra = a.measurements(t);
+        const auto rb = b.measurements(t);
+        ASSERT_EQ(ra.size(), rb.size()) << "target " << t;
+        for (std::size_t i = 0; i < ra.size(); ++i) {
+          EXPECT_EQ(ra[i].vp, rb[i].vp) << "target " << t;
+          // On the 20 us tick grid, and within half a tick (plus float
+          // rounding) of the live RTT: the live matrix holds floats, so a
+          // tie can round either way.
+          EXPECT_FLOAT_EQ(static_cast<float>(
+                              census::quantised_rtt_us(rb[i].rtt_ms) / 1000.0),
+                          rb[i].rtt_ms)
+              << "target " << t;
+          EXPECT_NEAR(ra[i].rtt_ms, rb[i].rtt_ms, 0.0101) << "target " << t;
+        }
+      }
+    }
   }
 }
 

@@ -6,11 +6,14 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <numeric>
 #include <vector>
 
 #include "anycast/analysis/incremental.hpp"
 #include "anycast/census/census.hpp"
+#include "anycast/census/resume.hpp"
 #include "anycast/concurrency/thread_pool.hpp"
 #include "anycast/daemon/supervisor.hpp"
 #include "anycast/daemon/watch.hpp"
@@ -382,6 +385,12 @@ class WatchTest : public ::testing::Test {
     return watcher.run(pool);
   }
 
+  static std::vector<char> read_bytes(const fs::path& path) {
+    std::ifstream in(path, std::ios::binary);
+    return {std::istreambuf_iterator<char>(in),
+            std::istreambuf_iterator<char>()};
+  }
+
   fs::path dir_;
 };
 
@@ -537,6 +546,28 @@ TEST_F(WatchTest, WatchdogAbortThenRestartMatchesUninterruptedCampaign) {
   EXPECT_EQ(aborted.exit_code, daemon::kAbortedExitCode);
   ASSERT_EQ(aborted.rounds.size(), 1u);
   EXPECT_EQ(aborted.rounds_completed, 1);
+
+  // The drill checkpoints through the census pass's own per-VP step, so
+  // each round-2 file it left is byte-identical to the same VP's file in
+  // an uninterrupted campaign. (The 3-round campaign prunes its round-2
+  // files, so a 2-round one keeps them for the comparison.)
+  daemon::WatchConfig two_round_config = base_config(dir_ / "clean2");
+  two_round_config.rounds = 2;
+  two_round_config.churn = true;
+  ASSERT_EQ(run_watch(two_round_config).exit_code, 0);
+  std::size_t drill_files = 0;
+  for (const net::VantagePoint& vp : small_vps()) {
+    const fs::path drilled =
+        census::census_checkpoint_path(dir_ / "drill", 2, vp.id);
+    if (!fs::exists(drilled)) continue;
+    ++drill_files;
+    EXPECT_EQ(read_bytes(drilled),
+              read_bytes(census::census_checkpoint_path(dir_ / "clean2", 2,
+                                                        vp.id)))
+        << "vp " << vp.id;
+  }
+  EXPECT_GT(drill_files, 0u);
+  EXPECT_LE(drill_files, small_vps().size() / 2);
 
   // The restart resumes the interrupted round from its checkpoints and
   // the campaign converges to the uninterrupted run, record for record.

@@ -2,9 +2,17 @@
 
 #include "anycast/analysis/geojson.hpp"
 #include "anycast/geo/city_index.hpp"
+#include "anycast/obs/metrics.hpp"
 
 namespace anycast::analysis {
 namespace {
+
+/// The project's one JSON string escaper, as a value-returning helper.
+std::string json_escape(std::string_view text) {
+  std::string out;
+  obs::append_json_escaped(out, text);
+  return out;
+}
 
 TEST(JsonEscape, HandlesSpecials) {
   EXPECT_EQ(json_escape("plain"), "plain");
@@ -12,6 +20,8 @@ TEST(JsonEscape, HandlesSpecials) {
   EXPECT_EQ(json_escape("back\\slash"), "back\\\\slash");
   EXPECT_EQ(json_escape("line\nbreak"), "line\\nbreak");
   EXPECT_EQ(json_escape(std::string_view("\x01", 1)), "\\u0001");
+  EXPECT_EQ(json_escape("tab\tcr\r"), "tab\\tcr\\r");
+  EXPECT_EQ(json_escape(std::string_view("\x1f\x7f", 2)), "\\u001f\x7f");
 }
 
 std::vector<TargetOutcome> sample_outcomes() {
