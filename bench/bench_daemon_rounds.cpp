@@ -18,7 +18,10 @@
 // incremental_analyze, SnapshotView::build and publish. dirty_rows must
 // answer from the combine_min change record (the "derived" path) and
 // agree with the same diff forced through the full scan; the leg reports
-// per-round seconds for each step and the path taken.
+// per-round seconds for each step and the path taken. The copy (copy_s)
+// and the combine_min (combine_s) are timed apart from round_s, which
+// starts at dirty_rows: both share storage with the published matrix, so
+// they cost O(rows changed), not O(matrix).
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -129,6 +132,8 @@ struct DerivedCost {
   int round = 0;
   std::size_t dirty = 0;
   bool derived = false;       // dirty_rows answered from the change record
+  double copy_s = 0.0;        // copying the published matrix
+  double combine_s = 0.0;     // combine_min of the churn into the copy
   double dirty_s = 0.0;       // dirty_rows as the round ran it
   double scan_s = 0.0;        // the same diff forced through the full scan
   double incremental_s = 0.0;
@@ -239,22 +244,28 @@ int main() {
   constexpr int kDerivedRounds = 10;
   std::printf("\n  derived serving rounds (copy + combine_min churn, then "
               "timed):\n");
-  std::printf("  %-6s %8s %8s %11s %11s %11s %11s %11s %11s\n", "round",
-              "dirty", "path", "dirty s", "scan s", "incr s", "build s",
-              "publish s", "round s");
+  std::printf("  %-6s %8s %8s %11s %11s %11s %11s %11s %11s %11s %11s\n",
+              "round", "dirty", "path", "copy s", "combine s", "dirty s",
+              "scan s", "incr s", "build s", "publish s", "round s");
   serving::SnapshotStore store;
   store.publish(serving::SnapshotView::build(prev, prev_outcomes, 0, &hitlist));
   std::vector<DerivedCost> derived_costs;
   bool derived_identical = true;
   for (int round = 1; round <= kDerivedRounds; ++round) {
     serving::ReadGuard last = store.acquire();
-    census::ShardedCensusMatrix next = last->matrix();
-    next.combine_min(derived_churn(next, kChurnSeed, round));
-
+    const census::ShardedCensusMatrix churn =
+        derived_churn(last->matrix(), kChurnSeed, round);
     DerivedCost cost;
     cost.round = round;
-    const std::uint64_t derived_before = derived_path_calls();
     auto start = Clock::now();
+    census::ShardedCensusMatrix next = last->matrix();
+    cost.copy_s = seconds_since(start);
+    start = Clock::now();
+    next.combine_min(churn);
+    cost.combine_s = seconds_since(start);
+
+    const std::uint64_t derived_before = derived_path_calls();
+    start = Clock::now();
     const std::vector<std::uint32_t> dirty =
         analysis::dirty_rows(last->matrix(), next, &pool);
     cost.dirty_s = seconds_since(start);
@@ -288,10 +299,12 @@ int main() {
 
     derived_identical = derived_identical && cost.derived &&
                         dirty == scanned && incremental.dirty == dirty;
-    std::printf("  %-6d %8zu %8s %11.6f %11.6f %11.6f %11.6f %11.6f %11.6f\n",
-                round, cost.dirty, cost.derived ? "derived" : "scanned",
-                cost.dirty_s, cost.scan_s, cost.incremental_s, cost.build_s,
-                cost.publish_s, cost.round_s);
+    std::printf(
+        "  %-6d %8zu %8s %11.9f %11.9f %11.6f %11.6f %11.6f %11.6f %11.6f "
+        "%11.6f\n",
+        round, cost.dirty, cost.derived ? "derived" : "scanned", cost.copy_s,
+        cost.combine_s, cost.dirty_s, cost.scan_s, cost.incremental_s,
+        cost.build_s, cost.publish_s, cost.round_s);
     derived_costs.push_back(cost);
   }
   {
@@ -366,11 +379,13 @@ int main() {
       const DerivedCost& cost = derived_costs[i];
       std::fprintf(json,
                    "    {\"round\": %d, \"dirty\": %zu, \"path\": \"%s\", "
+                   "\"copy_s\": %.9f, \"combine_s\": %.9f, "
                    "\"dirty_s\": %.6f, \"scan_s\": %.6f, "
                    "\"incremental_s\": %.6f, \"build_s\": %.6f, "
                    "\"publish_s\": %.6f, \"round_s\": %.6f}%s\n",
                    cost.round, cost.dirty,
-                   cost.derived ? "derived" : "scanned", cost.dirty_s,
+                   cost.derived ? "derived" : "scanned", cost.copy_s,
+                   cost.combine_s, cost.dirty_s,
                    cost.scan_s, cost.incremental_s, cost.build_s,
                    cost.publish_s, cost.round_s,
                    i + 1 < derived_costs.size() ? "," : "");

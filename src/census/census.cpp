@@ -227,48 +227,90 @@ void flush_census_summary_metrics(const CensusSummary& summary) {
   j.commit();
 }
 
+CensusMatrix::CensusMatrix(std::size_t target_count)
+    : base_(std::make_shared<Rows>()) {
+  base_->offsets.assign(target_count + 1, 0);
+}
+
+std::size_t CensusMatrix::observation_count() const {
+  if (base_ == nullptr) return 0;
+  const std::size_t base = base_->values.size();
+  return overlay_ == nullptr
+             ? base
+             : base - overlay_->hidden + overlay_->values.size();
+}
+
 std::size_t CensusMatrix::responsive_targets(std::size_t min_vps) const {
   std::size_t count = 0;
-  for (std::size_t t = 0; t + 1 < offsets_.size(); ++t) {
-    if (offsets_[t + 1] - offsets_[t] >= min_vps) ++count;
+  for (std::size_t t = 0; t < target_count(); ++t) {
+    if (measurements(static_cast<std::uint32_t>(t)).size() >= min_vps) {
+      ++count;
+    }
   }
   return count;
 }
 
+std::size_t CensusMatrix::value_bytes() const {
+  if (base_ == nullptr) return 0;
+  return base_->values.byte_size() +
+         (overlay_ == nullptr ? 0 : overlay_->values.size() * sizeof(VpRtt));
+}
+
+std::size_t CensusMatrix::resident_value_bytes() const {
+  return values_spilled() ? value_bytes() - base_->values.byte_size()
+                          : value_bytes();
+}
+
+bool CensusMatrix::spill_values(const std::string& path) {
+  if (base_ == nullptr) return false;
+  if (base_->values.spilled()) return true;
+  return own_rows().values.spill(path);
+}
+
+void CensusMatrix::restore_values() {
+  if (values_spilled()) own_rows().values.restore();
+}
+
 namespace {
 
-/// Size of the vp-sorted union of two vp-sorted rows.
-std::uint64_t row_union_size(std::span<const VpRtt> ours,
-                             std::span<const VpRtt> theirs) {
+/// The vp-sorted min-union of two vp-sorted rows: its size, and whether
+/// it differs from `ours` (`theirs` adds a VP or lowers an RTT).
+struct RowUnion {
+  std::uint64_t size = 0;
+  bool changes = false;
+};
+
+RowUnion row_union(std::span<const VpRtt> ours, std::span<const VpRtt> theirs) {
   std::size_t i = 0;
   std::size_t j = 0;
   std::uint64_t unique = 0;
+  bool lowered = false;
   while (i < ours.size() && j < theirs.size()) {
-    const std::uint16_t a = ours[i].vp;
-    const std::uint16_t b = theirs[j].vp;
-    i += static_cast<std::size_t>(a <= b);
-    j += static_cast<std::size_t>(b <= a);
+    const VpRtt a = ours[i];
+    const VpRtt b = theirs[j];
+    lowered |= a.vp == b.vp && b.rtt_ms < a.rtt_ms;
+    i += static_cast<std::size_t>(a.vp <= b.vp);
+    j += static_cast<std::size_t>(b.vp <= a.vp);
     ++unique;
   }
-  return unique + (ours.size() - i) + (theirs.size() - j);
+  const std::uint64_t size = unique + (ours.size() - i) + (theirs.size() - j);
+  return {size, lowered || size != ours.size()};
 }
 
 /// Merges the vp-sorted row `theirs` into the row stored at
 /// `v[ours_begin, ours_end)`, back to front, taking minima on common VPs;
-/// the union ends at `v[write_end]`. Returns whether the row changed:
-/// `theirs` added a VP or lowered an RTT. Writes never clobber unread input:
+/// the union ends at `v[write_end]`. Writes never clobber unread input:
 /// the write cursor w and our read cursor i keep w - i >= write_end -
 /// ours_end >= 0 (outputs remaining can never be fewer than our elements
 /// remaining), and w == i only arises when the rest of `theirs`
 /// duplicates the rest of ours, so the theirs-only branch cannot fire
 /// there. Merging rows last to first, each into a slot at or above its
 /// old start, therefore grows a whole arena in place.
-bool merge_row_back(VpRtt* v, std::uint64_t ours_begin, std::uint64_t ours_end,
+void merge_row_back(VpRtt* v, std::uint64_t ours_begin, std::uint64_t ours_end,
                     std::span<const VpRtt> theirs, std::uint64_t write_end) {
   std::uint64_t i = ours_end;
   std::uint64_t w = write_end;
   std::size_t j = theirs.size();
-  bool lowered = false;
   while (i > ours_begin && j > 0) {
     const VpRtt a = v[i - 1];
     const VpRtt b = theirs[j - 1];
@@ -279,7 +321,6 @@ bool merge_row_back(VpRtt* v, std::uint64_t ours_begin, std::uint64_t ours_end,
       v[--w] = b;
       --j;
     } else {
-      lowered |= b.rtt_ms < a.rtt_ms;
       v[--w] = VpRtt{a.vp, std::min(a.rtt_ms, b.rtt_ms)};
       --i;
       --j;
@@ -291,9 +332,29 @@ bool merge_row_back(VpRtt* v, std::uint64_t ours_begin, std::uint64_t ours_end,
     v[w] = v[i];
   }
   while (j > 0) v[--w] = theirs[--j];
-  // The row grew iff `theirs` brought a VP ours lacked.
-  return lowered || write_end - w != ours_end - ours_begin;
 }
+
+/// Writes the min-union of `ours` and `theirs`, `size` values (see
+/// row_union), to `out`: `ours` copied to the front, `theirs` merged in
+/// back to front.
+void merge_into(VpRtt* out, std::span<const VpRtt> ours,
+                std::span<const VpRtt> theirs, std::uint64_t size) {
+  std::copy(ours.begin(), ours.end(), out);
+  merge_row_back(out, 0, ours.size(), theirs, size);
+}
+
+/// Row `t` of `m`, empty past its end.
+std::span<const VpRtt> row_or_empty(const CensusMatrix& m, std::size_t t) {
+  return t < m.target_count() ? m.measurements(static_cast<std::uint32_t>(t))
+                              : std::span<const VpRtt>{};
+}
+
+/// Compaction threshold: an overlay that would hold more than
+/// target_count / kOverlayShareDivisor rows is folded into a fresh base
+/// instead. With c of N rows changed per round, an overlay at share s
+/// costs ~s*N/2 per round to rebuild and c/s in compactions, least near
+/// s = sqrt(2c/N): 1/16 for the 0.2-0.4% churn of a serving round.
+constexpr std::size_t kOverlayShareDivisor = 16;
 
 /// Values per transposed block: 32k VpRtt (256 KiB) fit in L2.
 constexpr std::size_t kBlockValues = std::size_t{1} << 15;
@@ -445,47 +506,161 @@ void detail::canonicalise_run(std::vector<TargetRtt>& entries,
   keep_target_minima(entries);
 }
 
+std::vector<std::uint32_t> CensusMatrix::overlaid_rows() const {
+  std::vector<std::uint32_t> rows;
+  if (overlay_ != nullptr) {
+    rows.reserve(overlay_rows());
+    overlay_->rows.for_each([&rows](std::size_t t) {
+      rows.push_back(static_cast<std::uint32_t>(t));
+    });
+  }
+  return rows;
+}
+
 void CensusMatrix::combine_min(const CensusMatrix& other,
                                std::vector<std::uint32_t>* changed) {
-  if (changed != nullptr) changed->clear();
-  if (&other == this) return;  // the union with itself changes nothing
-  const std::size_t targets = std::max(target_count(), other.target_count());
-  const auto row = [](const CensusMatrix& m, std::size_t t) {
-    return t < m.target_count()
-               ? m.measurements(static_cast<std::uint32_t>(t))
-               : std::span<const VpRtt>{};
-  };
-
-  // Pass 1 — count each row's vp-union size, so the arena grows exactly
-  // once to its exact final size: no per-row buffer, no reallocation
-  // mid-merge, and no disjoint-VP worst-case (2x) padding. Censuses from
-  // the same platform overlap almost entirely in VPs, so the union is
-  // near max(|ours|, |theirs|), not the sum.
-  std::vector<std::uint64_t> offsets(targets + 1, 0);
-  for (std::size_t t = 0; t < targets; ++t) {
-    offsets[t + 1] = offsets[t] + row_union_size(row(*this, t), row(other, t));
-  }
-
-  // Grow the value arena once, in place, to the exact final size
-  // (realloc: no transient second buffer). Every row can only grow, so
-  // old rows keep their positions in the front of the buffer.
-  const std::vector<std::uint64_t> old_offsets = std::move(offsets_);
-  values_.resize(offsets[targets]);
-
-  // Pass 2 — merge rows last-to-first, each back to front into its final
-  // slot, noting the rows the merge changed (descending, reversed below).
-  VpRtt* const v = values_.data();
-  for (std::size_t t = targets; t-- > 0;) {
-    const bool ours = t + 1 < old_offsets.size();
-    const bool row_changed = merge_row_back(
-        v, ours ? old_offsets[t] : 0, ours ? old_offsets[t + 1] : 0,
-        row(other, t), offsets[t + 1]);
-    if (row_changed && changed != nullptr) {
-      changed->push_back(static_cast<std::uint32_t>(t));
+  // Compare only other's non-empty rows; keep the ones the merge changes.
+  // A row outside other's overlay is its base row, so one pass over the
+  // base offsets, stepping through the overlaid rows beside it, finds
+  // them without a row lookup per target; a run of kEmptyStride empty
+  // base rows is one comparison.
+  constexpr std::size_t kEmptyStride = 64;
+  Patch patch;
+  patch.other = &other;
+  if (&other != this) {  // the union with itself changes nothing
+    const std::span<const std::uint64_t> ends = other.row_offsets();
+    const std::vector<std::uint32_t> overlaid = other.overlaid_rows();
+    const std::size_t n = other.target_count();
+    for (std::size_t t = 0, k = 0; t < n;) {
+      const std::size_t next_overlaid = k < overlaid.size() ? overlaid[k] : n;
+      if (t + kEmptyStride <= next_overlaid &&
+          ends[t] == ends[t + kEmptyStride]) {
+        t += kEmptyStride;
+        continue;
+      }
+      const bool in_overlay = t == next_overlaid;
+      k += static_cast<std::size_t>(in_overlay);
+      if (in_overlay || ends[t] != ends[t + 1]) {
+        const RowUnion merged =
+            row_union(row_or_empty(*this, t),
+                      other.measurements(static_cast<std::uint32_t>(t)));
+        if (merged.changes) {
+          patch.rows.push_back(static_cast<std::uint32_t>(t));
+          patch.sizes.push_back(merged.size);
+        }
+      }
+      ++t;
     }
   }
-  offsets_ = std::move(offsets);
-  if (changed != nullptr) std::reverse(changed->begin(), changed->end());
+  const std::size_t targets = std::max(target_count(), other.target_count());
+  if (targets != target_count()) {
+    rebase(targets, patch);
+  } else if (!patch.rows.empty()) {
+    overlay_patch(patch);
+  }
+  if (changed != nullptr) *changed = std::move(patch.rows);
+}
+
+void CensusMatrix::overlay_patch(const Patch& patch) {
+  // The new overlay holds the current overlay's rows and the patch's.
+  const std::vector<std::uint32_t> kept = overlaid_rows();
+  std::size_t rows = kept.size() + patch.rows.size();
+  for (std::size_t i = 0, k = 0; i < kept.size() && k < patch.rows.size();) {
+    if (kept[i] < patch.rows[k]) {
+      ++i;
+    } else if (patch.rows[k] < kept[i]) {
+      ++k;
+    } else {
+      --rows;
+      ++i;
+      ++k;
+    }
+  }
+  const std::size_t targets = target_count();
+  if (rows > targets / kOverlayShareDivisor) {
+    rebase(targets, patch);
+    return;
+  }
+
+  const Overlay* old = overlay_.get();
+  auto next = std::make_shared<Overlay>();
+  next->rows = RankBitmap(targets);
+  next->offsets.reserve(rows + 1);
+  next->offsets.push_back(0);
+  std::uint64_t patched = 0;
+  for (const std::uint64_t size : patch.sizes) patched += size;
+  next->values.reserve((old == nullptr ? 0 : old->values.size()) + patched);
+  next->hidden = old == nullptr ? 0 : old->hidden;
+  // Kept rows come in rank order, so kept[i] is old->row(i).
+  for (std::size_t i = 0, k = 0; i < kept.size() || k < patch.rows.size();) {
+    if (k == patch.rows.size() || (i < kept.size() && kept[i] < patch.rows[k])) {
+      // The kept rows before the next patch row, copied in one block.
+      std::size_t j = i;
+      while (j < kept.size() &&
+             (k == patch.rows.size() || kept[j] < patch.rows[k])) {
+        ++j;
+      }
+      const std::uint64_t first = old->offsets[i];
+      const std::uint64_t at = next->values.size();
+      next->values.insert(next->values.end(), old->values.begin() + first,
+                          old->values.begin() + old->offsets[j]);
+      for (; i < j; ++i) {
+        next->rows.set(kept[i]);
+        next->offsets.push_back(old->offsets[i + 1] - first + at);
+      }
+      continue;
+    }
+    // Patch row k, merged into the kept row it replaces or its base row.
+    const std::uint32_t t = patch.rows[k];
+    const bool replaces = i < kept.size() && kept[i] == t;
+    const std::span<const VpRtt> ours =
+        replaces ? old->row(static_cast<std::uint32_t>(i)) : measurements(t);
+    if (!replaces) next->hidden += ours.size();  // a base row, now hidden
+    const std::size_t at = next->values.size();
+    next->values.resize(at + patch.sizes[k]);
+    merge_into(next->values.data() + at, ours, patch.other->measurements(t),
+               patch.sizes[k]);
+    next->rows.set(t);
+    next->offsets.push_back(next->values.size());
+    i += static_cast<std::size_t>(replaces);
+    ++k;
+  }
+  next->rows.finish();
+  overlay_ = std::move(next);
+}
+
+void CensusMatrix::rebase(std::size_t targets, const Patch& patch) {
+  auto fresh = std::make_shared<Rows>();
+  std::vector<std::uint64_t>& offsets = fresh->offsets;
+  offsets.assign(targets + 1, 0);
+  for (std::size_t t = 0, k = 0; t < targets; ++t) {
+    const bool patched = k < patch.rows.size() && patch.rows[k] == t;
+    offsets[t + 1] =
+        offsets[t] + (patched ? patch.sizes[k++] : row_or_empty(*this, t).size());
+  }
+  fresh->values.resize(offsets[targets]);
+  VpRtt* const v = fresh->values.data();
+  for (std::size_t t = 0, k = 0; t < targets; ++t) {
+    const auto ours = row_or_empty(*this, t);
+    if (k < patch.rows.size() && patch.rows[k] == t) {
+      merge_into(v + offsets[t], ours,
+                 patch.other->measurements(static_cast<std::uint32_t>(t)),
+                 patch.sizes[k++]);
+    } else {
+      std::copy(ours.begin(), ours.end(), v + offsets[t]);
+    }
+  }
+  base_ = std::move(fresh);
+  overlay_.reset();
+}
+
+CensusMatrix::Rows& CensusMatrix::own_rows() {
+  if (overlay_ != nullptr || base_ == nullptr) {
+    rebase(target_count(), Patch{});
+  } else if (base_.use_count() > 1) {
+    base_ = std::make_shared<Rows>(*base_);
+  }
+  return *base_;
 }
 
 void CensusMatrixBuilder::add(std::uint32_t target_index, std::uint16_t vp,
@@ -571,8 +746,9 @@ void CensusMatrixBuilder::freeze_into(CensusMatrix& into) {
   if (values == 0) return;
   const std::size_t targets = target_count_;
   const bool fresh = into.observation_count() == 0;
+  CensusMatrix::Rows& rows = into.own_rows();
   if (fresh) {
-    into.offsets_.assign(targets + 1, 0);
+    rows.offsets.assign(targets + 1, 0);
     frozen_vps_.clear();
   }
   // A staged VP already frozen into `into` may share rows with it; only
@@ -614,7 +790,7 @@ void CensusMatrixBuilder::freeze_into(CensusMatrix& into) {
       transpose_block(b0, b1);
       for (std::size_t t = b0; t < b1; ++t) {
         const auto ours = into.measurements(static_cast<std::uint32_t>(t));
-        gained[t + 1] = row_union_size(ours, staged_row(t - b0)) - ours.size();
+        gained[t + 1] = row_union(ours, staged_row(t - b0)).size - ours.size();
       }
       b1 = b0;
     }
@@ -627,9 +803,9 @@ void CensusMatrixBuilder::freeze_into(CensusMatrix& into) {
   // takes each block straight from the transposer; otherwise each row is
   // merged back to front into its final slot (see merge_row_back) and its
   // end offset rewritten, which no row below it reads.
-  into.values_.resize(into.observation_count() + gain);
-  VpRtt* const v = into.values_.data();
-  std::vector<std::uint64_t>& offsets = into.offsets_;
+  rows.values.resize(rows.values.size() + gain);
+  VpRtt* const v = rows.values.data();
+  std::vector<std::uint64_t>& offsets = rows.offsets;
   for (std::size_t b1 = targets; b1 > 0;) {
     const std::size_t b0 = b1 - std::min(b1, block);
     if (fresh) {

@@ -1,7 +1,6 @@
 #include "anycast/census/hitlist.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <limits>
 #include <mutex>
 
@@ -54,20 +53,14 @@ Hitlist::AddressIndex Hitlist::AddressIndex::build(
   for (const HitlistEntry& entry : entries) {
     top = std::max(top, entry.representative.slash24_index());
   }
-  index.words_.assign(top / 64 + 1, Word{});
+  index.slash24s_ = RankBitmap(std::size_t{top} + 1);
   for (const HitlistEntry& entry : entries) {
-    const std::uint32_t slash24 = entry.representative.slash24_index();
-    index.words_[slash24 >> 6].bits |= std::uint64_t{1} << (slash24 & 63);
-  }
-  std::uint32_t rank = 0;
-  for (Word& word : index.words_) {
-    word.rank = rank;
-    rank += static_cast<std::uint32_t>(std::popcount(word.bits));
+    index.slash24s_.set(entry.representative.slash24_index());
   }
   constexpr std::uint32_t kUnset = std::numeric_limits<std::uint32_t>::max();
-  index.first_target_.assign(rank, kUnset);
+  index.first_target_.assign(index.slash24s_.finish(), kUnset);
   for (std::size_t t = 0; t < entries.size(); ++t) {
-    std::uint32_t& first = index.first_target_[index.rank_of(
+    std::uint32_t& first = index.first_target_[*index.slash24s_.rank_if_set(
         entries[t].representative.slash24_index())];
     if (first == kUnset) first = static_cast<std::uint32_t>(t);
   }

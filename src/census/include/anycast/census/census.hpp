@@ -20,6 +20,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
+#include <memory>
 #include <new>
 #include <span>
 #include <string>
@@ -32,6 +33,7 @@
 #include "anycast/census/fastping.hpp"
 #include "anycast/census/greylist.hpp"
 #include "anycast/census/hitlist.hpp"
+#include "anycast/census/rank_bitmap.hpp"
 #include "anycast/net/internet.hpp"
 
 namespace anycast::census {
@@ -234,74 +236,150 @@ void canonicalise_run(std::vector<TargetRtt>& entries,
 
 }  // namespace detail
 
-/// Per-target collected measurements for one census (or a combination),
-/// frozen in CSR form: `values_` holds every row back to back, and
-/// `offsets_[t] .. offsets_[t+1]` delimits target t's row. Rows are
-/// vp-sorted with one entry per VP (the per-pair minimum). Instances are
-/// immutable once built — construction goes through `CensusMatrixBuilder`
-/// (or `combine_min`, which produces a fresh matrix in place).
+/// Per-target collected measurements for one census (or a combination)
+/// in CSR form: a base holds every row back to back, with `offsets[t] ..
+/// offsets[t+1]` delimiting target t's row. Rows are vp-sorted with one
+/// entry per VP (the per-pair minimum). Construction goes through
+/// `CensusMatrixBuilder`; afterwards only `combine_min` changes rows.
+///
+/// Storage is copy-on-write, so a matrix derived from another by a small
+/// `combine_min` shares almost everything with it:
+///  - The base is held by shared_ptr and never written while another
+///    matrix holds it; copying a matrix copies two pointers.
+///  - `combine_min` leaves the base alone and writes the rows it changes
+///    into a fresh overlay: a `RankBitmap` of those rows plus their
+///    contents as a small CSR of its own. `measurements` reads the
+///    overlay first (one bit test) and the base otherwise, so an
+///    overlaid row's old copy stays in the base, unread.
+///  - Compaction: once the overlay would hold more than a sixteenth of
+///    the rows, or the merge grows the target count, base and overlay are
+///    folded into a fresh base. The trigger counts rows, so the layout
+///    never depends on timing.
+///  - Every other write (spill, restore, a builder fold) first takes
+///    storage of its own: the overlay is folded in, and a base another
+///    matrix holds is copied. So a matrix that dies frees only the
+///    storage no other matrix reads.
 class CensusMatrix {
  public:
   CensusMatrix() = default;
   /// A matrix of `target_count` empty rows.
-  explicit CensusMatrix(std::size_t target_count)
-      : offsets_(target_count + 1, 0) {}
+  explicit CensusMatrix(std::size_t target_count);
 
   [[nodiscard]] std::span<const VpRtt> measurements(
       std::uint32_t target_index) const {
-    const std::uint64_t begin = offsets_[target_index];
-    return {values_.data() + begin, offsets_[target_index + 1] - begin};
+    if (overlay_ != nullptr) {
+      if (const auto rank = overlay_->rows.rank_if_set(target_index)) {
+        return overlay_->row(*rank);
+      }
+    }
+    const Rows& base = *base_;
+    const std::uint64_t begin = base.offsets[target_index];
+    return {base.values.data() + begin,
+            base.offsets[target_index + 1] - begin};
   }
   [[nodiscard]] std::size_t target_count() const {
-    return offsets_.empty() ? 0 : offsets_.size() - 1;
+    return base_ == nullptr || base_->offsets.empty()
+               ? 0
+               : base_->offsets.size() - 1;
   }
   /// Total stored (vp, target) samples across all rows.
-  [[nodiscard]] std::size_t observation_count() const {
-    return values_.size();
+  [[nodiscard]] std::size_t observation_count() const;
+  /// Rows the overlay holds: 0 for a built or freshly compacted matrix.
+  [[nodiscard]] std::size_t overlay_rows() const {
+    return overlay_ == nullptr ? 0 : overlay_->offsets.size() - 1;
   }
-  /// The CSR offset array: `target_count() + 1` cumulative row ends (or
-  /// empty for a default-constructed matrix). Exposed so sweeps can shard
-  /// targets into ranges of balanced *measurement* weight, not just
-  /// balanced row counts.
+  /// The base's CSR offset array: `target_count() + 1` cumulative row
+  /// ends (or empty for a default-constructed matrix). An overlaid row
+  /// keeps its base size here, so this is a weight for sharding sweeps
+  /// into ranges of balanced measurement count; read contents through
+  /// `measurements`.
   [[nodiscard]] std::span<const std::uint64_t> row_offsets() const {
-    return offsets_;
+    if (base_ == nullptr) return {};
+    return base_->offsets;
   }
 
   /// Number of targets with at least `min_vps` measurements.
   [[nodiscard]] std::size_t responsive_targets(std::size_t min_vps = 1) const;
 
   /// Point-wise minimum with `other` (same hitlist required): the
-  /// censuses-combination step. A linear two-matrix merge — each output
-  /// row is the vp-sorted union of the input rows with minima on common
-  /// VPs — performed in place: the arena grows once to the exact union
-  /// size and rows are merged back-to-front, so there is no per-row
-  /// allocation and no second value buffer whatever the row count. When
-  /// `changed` is non-null it receives, ascending, the rows the merge
-  /// changed: those where `other` added a VP or lowered an RTT.
+  /// censuses-combination step. Each output row is the vp-sorted union of
+  /// the input rows with minima on common VPs. Only the non-empty rows of
+  /// `other` are compared; the rows that change (where `other` adds a VP
+  /// or lowers an RTT) go into a fresh overlay, or into a fresh base when
+  /// that compacts (see the class comment). When `changed` is non-null it
+  /// receives those rows, ascending.
   void combine_min(const CensusMatrix& other,
                    std::vector<std::uint32_t>* changed = nullptr);
 
   // -- Spill tier (ShardedCensusMatrix's RSS-budget lever) ------------------
 
-  /// Freezes the value arena into the "ANCS" spill file at `path` and
-  /// remaps it read-only file-backed. Reads (`measurements`) keep
-  /// working; mutation restores first. Returns false (matrix unchanged)
-  /// when spilling is unavailable or fails.
-  bool spill_values(const std::string& path) { return values_.spill(path); }
-  /// Returns a spilled matrix's resident value pages to the kernel;
-  /// reads fault them back from the spill file. Bytes dropped (0 when
-  /// not spilled).
-  std::size_t drop_resident_values() { return values_.drop_resident(); }
-  /// Copies spilled values back into anonymous memory.
-  void restore_values() { values_.restore(); }
-  [[nodiscard]] bool values_spilled() const { return values_.spilled(); }
-  /// Value-arena payload bytes (resident upper bound when not dropped).
-  [[nodiscard]] std::size_t value_bytes() const { return values_.byte_size(); }
+  /// Freezes the rows into the "ANCS" spill file at `path` and remaps
+  /// them read-only file-backed. Takes storage of its own first, so the
+  /// overlay is folded in and a shared base is copied, never remapped.
+  /// Reads (`measurements`) keep working. Returns false when spilling is
+  /// unavailable or fails; the rows are unchanged either way.
+  bool spill_values(const std::string& path);
+  /// Returns a spilled base's resident pages to the kernel; reads fault
+  /// them back from the spill file, so this is safe on a shared base.
+  /// Bytes dropped (0 when not spilled).
+  std::size_t drop_resident_values() {
+    return base_ == nullptr ? 0 : base_->values.drop_resident();
+  }
+  /// Brings spilled rows back into anonymous memory of this matrix's own
+  /// (a sibling that shares the spilled base keeps reading the file).
+  void restore_values();
+  /// Whether the base lives in a file-backed mapping. An overlay written
+  /// since the spill stays in anonymous memory.
+  [[nodiscard]] bool values_spilled() const {
+    return base_ != nullptr && base_->values.spilled();
+  }
+  /// Value payload bytes this matrix reads, shared or not: base plus
+  /// overlay (overlaid rows' stale base copies included).
+  [[nodiscard]] std::size_t value_bytes() const;
+  /// The part of `value_bytes` in anonymous memory: everything but a
+  /// spilled base.
+  [[nodiscard]] std::size_t resident_value_bytes() const;
 
  private:
   friend class CensusMatrixBuilder;
-  detail::VpRttArena values_;           // all rows, back to back
-  std::vector<std::uint64_t> offsets_;  // per-target row boundaries
+
+  struct Rows {
+    detail::VpRttArena values;            // all rows, back to back
+    std::vector<std::uint64_t> offsets;   // per-target row boundaries
+  };
+  struct Overlay {
+    RankBitmap rows;                      // the rows held here
+    std::vector<std::uint64_t> offsets;   // by rank, like Rows::offsets
+    std::vector<VpRtt> values;
+    std::size_t hidden = 0;  // base values of the overlaid rows
+
+    [[nodiscard]] std::span<const VpRtt> row(std::uint32_t rank) const {
+      return {values.data() + offsets[rank],
+              offsets[rank + 1] - offsets[rank]};
+    }
+  };
+  /// Rows `combine_min` changes: ascending targets, each with its merged
+  /// size; the new content is the min-union with `other`'s row.
+  struct Patch {
+    std::vector<std::uint32_t> rows;
+    std::vector<std::uint64_t> sizes;
+    const CensusMatrix* other = nullptr;
+  };
+
+  /// This matrix's rows as private, overlay-free storage (see the class
+  /// comment); every write to a base goes through here.
+  Rows& own_rows();
+  /// Replaces base and overlay with one fresh base of `targets` rows,
+  /// `patch` applied.
+  void rebase(std::size_t targets, const Patch& patch);
+  /// A fresh overlay: the current one's rows plus `patch`, or a rebase
+  /// when that passes the compaction threshold.
+  void overlay_patch(const Patch& patch);
+  /// The overlaid rows, ascending (so in overlay rank order).
+  [[nodiscard]] std::vector<std::uint32_t> overlaid_rows() const;
+
+  std::shared_ptr<Rows> base_;               // null: no rows at all
+  std::shared_ptr<const Overlay> overlay_;   // null: nothing overlaid
 };
 
 /// Assembles a `CensusMatrix` from per-VP row fragments and/or loose

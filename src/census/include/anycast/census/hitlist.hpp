@@ -9,7 +9,6 @@
 // unreachability.
 #pragma once
 
-#include <bit>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -17,6 +16,7 @@
 #include <utility>
 #include <vector>
 
+#include "anycast/census/rank_bitmap.hpp"
 #include "anycast/ipaddr/ipv4.hpp"
 
 namespace anycast::net {
@@ -50,10 +50,9 @@ class Hitlist {
     /// The lowest target of `slash24`, or nullopt when no entry has it.
     [[nodiscard]] std::optional<std::uint32_t> lowest_target(
         std::uint32_t slash24) const {
-      const std::size_t w = slash24 >> 6;
-      if (w >= words_.size()) return std::nullopt;
-      if (((words_[w].bits >> (slash24 & 63)) & 1) == 0) return std::nullopt;
-      return first_target_[rank_of(slash24)];
+      const std::optional<std::uint32_t> rank = slash24s_.rank_if_set(slash24);
+      if (!rank) return std::nullopt;
+      return first_target_[*rank];
     }
     /// One entry per distinct /24 of the hitlist, in /24 order: the lowest
     /// target holding that /24.
@@ -62,19 +61,7 @@ class Hitlist {
     }
 
    private:
-    /// How many indexed /24s lie below `slash24`: its rank once indexed.
-    [[nodiscard]] std::uint32_t rank_of(std::uint32_t slash24) const {
-      const Word& word = words_[slash24 >> 6];
-      const std::uint64_t below = (std::uint64_t{1} << (slash24 & 63)) - 1;
-      return word.rank +
-             static_cast<std::uint32_t>(std::popcount(word.bits & below));
-    }
-
-    struct Word {
-      std::uint64_t bits = 0;  // bit b: /24 64*i + b has an entry
-      std::uint32_t rank = 0;  // distinct /24s in the words before
-    };
-    std::vector<Word> words_;
+    RankBitmap slash24s_;  // the hitlist's distinct /24s
     std::vector<std::uint32_t> first_target_;
   };
 

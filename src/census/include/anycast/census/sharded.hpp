@@ -22,6 +22,12 @@
 //  - Durability boundary: a spill file is published atomically
 //    (tmp+rename) and checksummed; a truncated file salvages to its
 //    whole-record prefix (read_spill_file).
+//  - Copy-on-write: each shard's rows are shared, immutable storage plus
+//    an overlay of the rows combine_min changed (CensusMatrix). Copying
+//    a matrix costs O(shards); a combine_min copies, merges and allocates
+//    only the rows it changes (plus the overlay they join); and a matrix
+//    that dies frees only what no other matrix reads. An overlay past
+//    1/16 of its shard's rows is compacted into a fresh shard base.
 //  - Content stamp: every matrix carries a stamp drawn from one
 //    process-wide counter. Construction, `build()` and every mutation
 //    (combine_min, the non-const `shard(s)`) draw a fresh one; a copy keeps
@@ -72,8 +78,10 @@ struct DataPlaneConfig {
 /// over its local range, so every row algorithm (analysis, diffing,
 /// hijack scans) runs per shard unchanged; `measurements()` routes
 /// global indices in O(1). Reads work on spilled shards — the kernel
-/// faults the pages back from the spill file — while mutation
-/// (combine_min) restores them to anonymous memory first.
+/// faults the pages back from the spill file. combine_min leaves a
+/// spilled shard file-backed and puts the rows it changes in the shard's
+/// overlay; only a write to the base itself (a compaction, a restore)
+/// brings it back to anonymous memory.
 class ShardedCensusMatrix {
  public:
   /// What the last `combine_min` changed: `rows` (ascending global target
@@ -87,6 +95,7 @@ class ShardedCensusMatrix {
   ShardedCensusMatrix() = default;
   ShardedCensusMatrix(std::size_t target_count, const DataPlaneConfig& plane);
   /// A copy holds the same rows, so it keeps the stamp and the record.
+  /// It shares every shard's storage: O(shards), whatever the row count.
   ShardedCensusMatrix(const ShardedCensusMatrix&) = default;
   ShardedCensusMatrix& operator=(const ShardedCensusMatrix&) = default;
   /// The moved-from matrix is left empty under a fresh stamp.
@@ -106,8 +115,9 @@ class ShardedCensusMatrix {
     return shards_[s];
   }
   /// Mutable shard access counts as a mutation: it draws a fresh stamp
-  /// and drops the change record. Do not hold the reference across a copy
-  /// of this matrix.
+  /// and drops the change record. Writes through it are copy-on-write
+  /// like every CensusMatrix write, so a copy of this matrix taken before
+  /// or after keeps its rows, stamp and residency.
   [[nodiscard]] CensusMatrix& shard(std::size_t s) {
     mark_mutated();
     return shards_[s];
@@ -137,28 +147,38 @@ class ShardedCensusMatrix {
   }
 
   /// Point-wise minimum with `other` (same shard size required; target
-  /// counts may differ). Spilled shards are restored before merging and
-  /// re-spilled afterwards if the budget demands it. Draws a fresh stamp
-  /// and records `{previous stamp, rows that changed}` as `last_change()`.
+  /// counts may differ). Each shard writes the rows it changes into a
+  /// fresh overlay (CensusMatrix::combine_min), so storage shared with
+  /// other matrices is never written and a spilled shard stays spilled;
+  /// the budget is enforced afterwards. Draws a fresh stamp and records
+  /// `{previous stamp, rows that changed}` as `last_change()`.
   void combine_min(const ShardedCensusMatrix& other);
 
   // -- Spill tier -----------------------------------------------------------
 
   /// Spills shard `s` to `<spill_dir>/shard<s>.ancs` and drops its
-  /// resident pages. Returns bytes dropped (0 on failure or no-op).
+  /// resident pages. A shard that shares its base with another matrix
+  /// spills a private copy, so the other matrix keeps its rows and
+  /// residency. Returns bytes dropped (0 on failure or no-op).
   std::size_t spill_shard(std::size_t s);
-  /// Restores shard `s` to anonymous memory.
+  /// Restores shard `s` to anonymous memory of this matrix's own.
   void restore_shard(std::size_t s);
   [[nodiscard]] bool shard_spilled(std::size_t s) const {
     return shards_[s].values_spilled();
   }
   /// Spills shards (index order) until resident value bytes fit the
   /// configured budget; no-op when rss_budget_mb == 0. Returns bytes
-  /// resident after enforcement.
+  /// resident after enforcement, in `resident_value_bytes` terms: spilling
+  /// a shared shard lowers this matrix's count, while the sibling that
+  /// shares it keeps its pages resident.
   std::size_t enforce_rss_budget();
-  /// Value bytes currently backed by anonymous (non-droppable) memory.
+  /// Value bytes this matrix reads from anonymous (non-droppable) memory:
+  /// overlays, and every base that is not spilled. Storage shared with
+  /// another matrix counts in full for each of them, so this is what
+  /// the matrix keeps alive, not its share of the process's RSS.
   [[nodiscard]] std::size_t resident_value_bytes() const;
-  /// Total value bytes across all shards, resident or spilled.
+  /// Total value bytes across all shards, resident or spilled, shared or
+  /// not (CensusMatrix::value_bytes).
   [[nodiscard]] std::size_t total_value_bytes() const;
 
  private:

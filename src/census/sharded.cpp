@@ -131,7 +131,7 @@ void ShardedCensusMatrix::combine_min(const ShardedCensusMatrix& other) {
   }
   ChangeRecord change{stamp_, {}};  // stays empty when nothing merges
   if (target_count_ == 0 && other.target_count_ != 0) {
-    *this = other;  // the copy lands fully resident (anonymous arenas)
+    *this = other;  // shares other's storage, spilled shards included
     for (std::uint32_t t = 0; t < target_count_; ++t) {
       if (!measurements(t).empty()) change.rows.push_back(t);
     }
@@ -148,7 +148,8 @@ void ShardedCensusMatrix::combine_min(const ShardedCensusMatrix& other) {
     // record comes out ascending.
     std::vector<std::uint32_t> local;
     for (std::size_t s = 0; s < other.shards_.size(); ++s) {
-      shards_[s].combine_min(other.shards_[s], &local);  // restores if spilled
+      // Changed rows go to the shard's overlay: a spilled base stays so.
+      shards_[s].combine_min(other.shards_[s], &local);
       const auto base = static_cast<std::uint32_t>(shard_base(s));
       for (const std::uint32_t t : local) change.rows.push_back(base + t);
     }
@@ -192,7 +193,7 @@ void ShardedCensusMatrix::restore_shard(std::size_t s) {
 std::size_t ShardedCensusMatrix::resident_value_bytes() const {
   std::size_t total = 0;
   for (const CensusMatrix& shard : shards_) {
-    if (!shard.values_spilled()) total += shard.value_bytes();
+    total += shard.resident_value_bytes();
   }
   return total;
 }
@@ -209,8 +210,10 @@ std::size_t ShardedCensusMatrix::enforce_rss_budget() {
   const std::size_t budget = plane_.rss_budget_mb * (std::size_t{1} << 20);
   for (std::size_t s = 0; s < shards_.size() && resident > budget; ++s) {
     if (shards_[s].values_spilled()) continue;
-    const std::size_t bytes = shards_[s].value_bytes();
-    if (spill_shard(s) != 0) resident -= bytes;
+    const std::size_t before = shards_[s].resident_value_bytes();
+    if (spill_shard(s) != 0) {
+      resident = resident - before + shards_[s].resident_value_bytes();
+    }
   }
   publish_residency_gauges(resident, total_value_bytes() - resident);
   return resident;

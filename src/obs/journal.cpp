@@ -92,16 +92,44 @@ struct LineWriter {
     std::memcpy(buffer + size, text.data(), n);
     size += n;
   }
+  /// Writes the JSON escape of `c` to `out`, as append_json_escaped
+  /// does: \n, \r and \t, \u00XX for the other control characters.
+  /// Returns its length.
+  static std::size_t escape(char c, char (&out)[8]) {
+    out[0] = '\\';
+    switch (c) {
+      case '"':
+      case '\\': out[1] = c; return 2;
+      case '\n': out[1] = 'n'; return 2;
+      case '\r': out[1] = 'r'; return 2;
+      case '\t': out[1] = 't'; return 2;
+      default:
+        if (static_cast<unsigned char>(c) >= 0x20) {
+          out[0] = c;
+          return 1;
+        }
+        return static_cast<std::size_t>(std::snprintf(
+            out, sizeof out, "\\u%04x",
+            static_cast<unsigned>(static_cast<unsigned char>(c))));
+    }
+  }
+  /// Appends `text` JSON-escaped. An escape that does not fit is dropped
+  /// whole, never half-written.
   void escaped(std::string_view text) {
     for (const char c : text) {
-      if (size + 2 > capacity) return;
-      if (c == '"' || c == '\\') buffer[size++] = '\\';
-      if (static_cast<unsigned char>(c) < 0x20) {
-        raw("\\n");  // journal strings are single-line by construction
-        continue;
-      }
-      buffer[size++] = c;
+      char out[8];
+      const std::size_t n = escape(c, out);
+      if (!fits(n)) return;
+      std::memcpy(buffer + size, out, n);
+      size += n;
     }
+  }
+  /// Bytes `escaped(text)` appends when nothing is dropped.
+  static std::size_t escaped_size(std::string_view text) {
+    std::size_t n = 0;
+    char out[8];
+    for (const char c : text) n += escape(c, out);
+    return n;
   }
   void number(const char* format, double value) {
     char tmp[64];
@@ -483,10 +511,14 @@ void Journal::emit(MetricClass cls, Severity sev, std::string_view key,
   bool truncated = false;
   for (const EventField& field : fields) {
     // Conservative worst case for one field: name, quotes, and a value.
-    const std::size_t worst = field.name.size() * 2 + 96 +
-                              (field.kind == EventField::Kind::kStr
-                                   ? field.str.size() * 2
-                                   : 0);
+    // A string counts at least twice its raw size, so a field is cut
+    // where it always was unless its control characters need more.
+    const std::size_t worst =
+        field.name.size() * 2 + 96 +
+        (field.kind == EventField::Kind::kStr
+             ? std::max(field.str.size() * 2,
+                        LineWriter::escaped_size(field.str))
+             : 0);
     if (!line.fits(worst + kTruncateReserve)) {
       truncated = true;
       break;

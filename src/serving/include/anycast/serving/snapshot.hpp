@@ -14,14 +14,22 @@
 //   - the matrix is held by shared_ptr, so publishing a round that the
 //     caller also keeps (the watch daemon's previous round and drift
 //     baseline) shares one resident copy instead of copying it;
+//   - a round derived from the published one (copy its matrix, then
+//     combine_min the churn) shares that matrix's storage: the copy is
+//     O(shards) and combine_min writes only the rows it changes into
+//     fresh per-shard overlays (census.hpp), so both are O(rows changed);
+//   - it diffs in O(rows changed) too: dirty_rows reads the matrix's
+//     change record instead of scanning (sharded.hpp);
 //   - the address index belongs to the census::Hitlist: a /24 rank bitmap
-//     built once per hitlist (one linear pass over entries in /24 order; a
-//     sort of (slash24, target) pairs only for out-of-order entries) and
-//     shared by every snapshot built from it, so build() does no
-//     O(n log n) work. What is left is the O(hitlist) target->outcome fill
-//     and the per-replica unit vectors;
-//   - a round derived by combine_min diffs in O(rows changed): dirty_rows
-//     reads the matrix's change record instead of scanning (sharded.hpp).
+//     built once per hitlist (three linear passes over the entries, in any
+//     order, no sort) and shared by every snapshot built from it. What
+//     build() does is the O(hitlist) target->outcome fill and the
+//     per-replica unit vectors;
+//   - retiring a derived snapshot frees only what it alone holds: its
+//     outcome index, its overlays, and a shard base only once a
+//     compaction has left no other snapshot reading it. A freshly
+//     collated matrix (each watch daemon round) shares nothing, so
+//     retiring one still frees the whole matrix, on the publishing thread.
 //
 // Query cost model:
 //   - is_anycast / outcome / replicas: one bounds check + one load in the
@@ -31,7 +39,8 @@
 //     one load of that /24's lowest target (~30 MB of index at 6.6M /24s).
 //   - lookup_batch: the same lookup unrolled over a span of targets into
 //     a caller-owned answer buffer — the millions-of-QPS path, one pin
-//     per batch instead of one per question.
+//     per batch instead of one per question. Each answer's row size reads
+//     the shard's overlay bitmap (one bit test) before the base offsets.
 //   - nearest_replica: chord-space scan over the target's replica list
 //     (unit vectors precomputed per city by the PR 7 kernels).
 //   - changed_since: the daemon's dirty-row machinery (analysis/

@@ -2,19 +2,23 @@
 // (merge correctness, histogram bucket edges, scrape determinism,
 // concurrent increments and first records racing scrapes — run under TSAN
 // via tools/run_sanitizers.sh) and the trace span tree (nesting,
-// cross-thread adoption, orphan handling).
+// cross-thread adoption, orphan handling), and the journal's JSON string
+// escaping.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstdint>
+#include <optional>
 #include <random>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
+#include "anycast/obs/journal.hpp"
 #include "anycast/obs/latency.hpp"
 #include "anycast/obs/metrics.hpp"
 #include "anycast/obs/trace.hpp"
@@ -717,6 +721,92 @@ TEST(LatencyHistoQuantiles, LatencyPrometheusPassesExpositionLint) {
     if (line.find("+Inf") != std::string_view::npos) inf_value = value;
   }
   EXPECT_EQ(inf_value, 3u);
+}
+
+// --- Journal string escaping -----------------------------------------------
+
+/// The decoded JSON string value of `"key":"..."` in `line`; nullopt when
+/// the key is absent or the value has a malformed or cut-short escape.
+std::optional<std::string> json_string_field(std::string_view line,
+                                             std::string_view key) {
+  const std::string open = "\"" + std::string(key) + "\":\"";
+  std::size_t at = line.find(open);
+  if (at == std::string_view::npos) return std::nullopt;
+  std::string out;
+  for (at += open.size(); at < line.size(); ++at) {
+    const char c = line[at];
+    if (c == '"') return out;
+    if (static_cast<unsigned char>(c) < 0x20) return std::nullopt;
+    if (c != '\\') {
+      out += c;
+      continue;
+    }
+    if (++at == line.size()) return std::nullopt;
+    switch (line[at]) {
+      case '"': out += '"'; break;
+      case '\\': out += '\\'; break;
+      case 'n': out += '\n'; break;
+      case 'r': out += '\r'; break;
+      case 't': out += '\t'; break;
+      case 'u': {
+        if (at + 4 >= line.size()) return std::nullopt;
+        const std::string hex(line.substr(at + 1, 4));
+        if (hex.find_first_not_of("0123456789abcdef") != std::string::npos) {
+          return std::nullopt;
+        }
+        out += static_cast<char>(std::stoi(hex, nullptr, 16));
+        at += 4;
+        break;
+      }
+      default: return std::nullopt;
+    }
+  }
+  return std::nullopt;  // unterminated
+}
+
+TEST(JournalEscaping, ControlCharactersRoundTripThroughALine) {
+  anycast::obs::Journal j;
+  j.set_recording(true);
+  const std::string value = "tab\there\rcr\x01one\nnl\"q\\b\x1f";
+  j.emit(MetricClass::kSemantic, anycast::obs::Severity::kInfo, "escape", 0,
+         {{"s", value}});
+  j.commit();
+  const std::string text = j.semantic_text();
+  ASSERT_EQ(std::count(text.begin(), text.end(), '\n'), 1);
+  EXPECT_NE(text.find("tab\\there\\rcr\\u0001one\\nnl"), std::string::npos);
+  EXPECT_EQ(json_string_field(text, "s"), value);
+}
+
+TEST(JournalEscaping, NearFullLinesNeverHalfWriteAnEscape) {
+  // Sizes sweep the 768-byte line buffer's edge: each \x01 takes six
+  // bytes, so somewhere in the sweep the field stops fitting.
+  bool fitted = false;
+  bool cut = false;
+  for (std::size_t n = 90; n <= 140; ++n) {
+    anycast::obs::Journal j;
+    j.set_recording(true);
+    const std::string value = "x" + std::string(n, '\x01') + "\t";
+    j.emit(MetricClass::kSemantic, anycast::obs::Severity::kInfo, "edge", 0,
+           {{"before", 1u}, {"s", value}, {"after", 2u}});
+    j.commit();
+    const std::string text = j.semantic_text();
+    SCOPED_TRACE("n=" + std::to_string(n));
+    ASSERT_EQ(std::count(text.begin(), text.end(), '\n'), 1);
+    ASSERT_GE(text.size(), 2u);
+    EXPECT_EQ(text.substr(text.size() - 2), "}\n");
+    // The field is whole or absent, and an absent one flags the line.
+    const bool truncated = text.find("\"truncated\":true") != std::string::npos;
+    if (text.find("\"s\":") == std::string::npos) {
+      EXPECT_TRUE(truncated);
+      cut = true;
+    } else {
+      EXPECT_EQ(json_string_field(text, "s"), value);
+      fitted = true;
+    }
+    EXPECT_EQ(text.find("\"after\":2") == std::string::npos, truncated);
+  }
+  EXPECT_TRUE(fitted);
+  EXPECT_TRUE(cut);
 }
 
 }  // namespace

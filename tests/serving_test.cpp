@@ -27,6 +27,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <thread>
 #include <utility>
@@ -598,6 +599,123 @@ TEST(ServingDiff, ChangedSinceOnDerivedSnapshotsMatchesFullDiffOracle) {
     prev = std::move(next);
   }
   EXPECT_TRUE(any_change) << "churn must actually move the landscape";
+}
+
+/// `m`'s rows under `plane`'s shard size (combine_min needs equal ones).
+census::ShardedCensusMatrix with_plane(const census::ShardedCensusMatrix& m,
+                                       const census::DataPlaneConfig& plane) {
+  census::ShardedCensusMatrixBuilder builder(m.target_count(), plane);
+  for (std::uint32_t t = 0; t < m.target_count(); ++t) {
+    for (const census::VpRtt& value : m.measurements(t)) {
+      builder.add(t, value.vp, value.rtt_ms);
+    }
+  }
+  return builder.build();
+}
+
+std::uint64_t row_digest(std::span<const census::VpRtt> row) {
+  std::uint64_t h = 0xCBF29CE484222325ULL;
+  for (const census::VpRtt& value : row) {
+    std::uint32_t bits = 0;
+    std::memcpy(&bits, &value.rtt_ms, sizeof bits);
+    h = (h ^ (std::uint64_t{value.vp} << 32 | bits)) * 0x100000001B3ULL;
+  }
+  return h;
+}
+
+std::vector<std::uint64_t> row_digests(const census::ShardedCensusMatrix& m) {
+  std::vector<std::uint64_t> out;
+  for (std::uint32_t t = 0; t < m.target_count(); ++t) {
+    out.push_back(row_digest(m.measurements(t)));
+  }
+  return out;
+}
+
+TEST(ServingStore, ReadersSeeWholeDerivedSnapshotsWhileRoundsRetire) {
+  // Each round copies the published matrix and folds a churn into it, so
+  // it shares storage with the snapshots readers still hold, spilled
+  // shards included; retiring a round must free only what no live
+  // snapshot reads. Readers check every row of the snapshot they pinned
+  // against that round's digests. Run under TSAN and ASAN by
+  // tools/run_sanitizers.sh.
+  constexpr std::size_t kTargets = 320;
+  constexpr std::size_t kVps = 16;
+  constexpr std::uint64_t kRounds = 60;
+  constexpr std::size_t kReaders = 3;
+  const fs::path spill_dir =
+      fs::temp_directory_path() /
+      ("anycast_serving_cow_" + std::to_string(::getpid()));
+  census::DataPlaneConfig plane;
+  plane.shard_targets = 64;
+  plane.spill_dir = spill_dir.string();
+  census::ShardedCensusMatrix base =
+      with_plane(synthetic_matrix(kTargets, kVps, 0xC0DEULL, {}, 0), plane);
+  (void)base.spill_shard(0);  // readers also read file-backed shards
+  (void)base.spill_shard(2);
+
+  std::vector<census::ShardedCensusMatrix> churns(kRounds + 1);
+  std::vector<std::vector<std::uint64_t>> digests(kRounds + 1);
+  digests[0] = row_digests(base);
+  {
+    census::ShardedCensusMatrix chain = base;
+    for (std::uint64_t round = 1; round <= kRounds; ++round) {
+      churns[round] = with_plane(
+          churn_matrix(kTargets, kVps, churn_rows(kTargets, 0xF00D ^ round),
+                       round),
+          plane);
+      chain.combine_min(churns[round]);
+      digests[round] = row_digests(chain);
+    }
+  }
+
+  serving::SnapshotStore store;
+  store.publish(serving::SnapshotView::build(base, {}, 0));
+  std::atomic<bool> stop{false};
+  std::atomic<std::uint64_t> torn{0};
+  std::atomic<std::uint64_t> reads{0};
+  std::vector<std::thread> readers;
+  for (std::size_t r = 0; r < kReaders; ++r) {
+    readers.emplace_back([&] {
+      while (!stop.load(std::memory_order_relaxed)) {
+        const serving::ReadGuard guard = store.acquire();
+        const census::ShardedCensusMatrix& matrix = guard->matrix();
+        const std::vector<std::uint64_t>& want = digests[guard->id()];
+        for (std::uint32_t t = 0; t < kTargets; ++t) {
+          if (row_digest(matrix.measurements(t)) != want[t]) {
+            torn.fetch_add(1, std::memory_order_relaxed);
+          }
+        }
+        reads.fetch_add(1, std::memory_order_relaxed);
+      }
+    });
+  }
+  while (reads.load() == 0) std::this_thread::yield();
+
+  for (std::uint64_t round = 1; round <= kRounds; ++round) {
+    serving::ReadGuard last = store.acquire();
+    census::ShardedCensusMatrix next = last->matrix();
+    next.combine_min(churns[round]);
+    serving::SnapshotView view =
+        serving::SnapshotView::build(std::move(next), {}, round);
+    last.release();
+    store.publish(std::move(view));
+    if (round % 4 == 0) std::this_thread::yield();
+  }
+  stop.store(true, std::memory_order_relaxed);
+  for (std::thread& t : readers) t.join();
+
+  EXPECT_EQ(torn.load(), 0U);
+  EXPECT_GT(reads.load(), 0U);
+  store.drain();
+  EXPECT_EQ(store.snapshots_freed(), kRounds);
+  {
+    const serving::ReadGuard current = store.acquire();
+    ASSERT_EQ(current->id(), kRounds);
+    EXPECT_EQ(row_digests(current->matrix()), digests[kRounds]);
+  }
+  base = census::ShardedCensusMatrix();
+  churns.clear();
+  fs::remove_all(spill_dir);
 }
 
 // --- Shared address index ---------------------------------------------------

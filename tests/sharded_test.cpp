@@ -967,5 +967,272 @@ TEST_F(ChangeRecordTest, GrowingCombineRecordsEveryChangedRow) {
   expect_rows_equal(empty, prev);
 }
 
+// --- Copy-on-write storage ---------------------------------------------------
+//
+// A copy shares every shard's storage and combine_min writes only fresh
+// overlays, so derived matrices must read exactly like deep ones, and a
+// write to one copy (shard write, spill, restore) must leave its sibling
+// as it was.
+
+class ShardedCopyOnWrite : public ShardedTest {};
+
+/// Independent oracle: per target, VP -> minimum RTT.
+using RowOracle = std::vector<std::map<std::uint16_t, float>>;
+
+void apply_min(RowOracle& oracle, const ShardedCensusMatrix& m) {
+  if (oracle.size() < m.target_count()) oracle.resize(m.target_count());
+  for (std::uint32_t t = 0; t < m.target_count(); ++t) {
+    for (const VpRtt& value : m.measurements(t)) {
+      const auto [it, fresh] = oracle[t].emplace(value.vp, value.rtt_ms);
+      if (!fresh) it->second = std::min(it->second, value.rtt_ms);
+    }
+  }
+}
+
+RowOracle oracle_of(const ShardedCensusMatrix& m) {
+  RowOracle oracle;
+  apply_min(oracle, m);
+  return oracle;
+}
+
+void expect_matches_oracle(const ShardedCensusMatrix& m,
+                           const RowOracle& oracle) {
+  ASSERT_EQ(m.target_count(), oracle.size());
+  std::size_t observations = 0;
+  for (std::uint32_t t = 0; t < m.target_count(); ++t) {
+    const auto row = m.measurements(t);
+    ASSERT_EQ(row.size(), oracle[t].size()) << "target " << t;
+    std::size_t i = 0;
+    for (const auto& [vp, rtt] : oracle[t]) {
+      EXPECT_EQ(row[i].vp, vp) << "target " << t;
+      EXPECT_EQ(row[i].rtt_ms, rtt) << "target " << t;
+      ++i;
+    }
+    observations += row.size();
+  }
+  EXPECT_EQ(m.observation_count(), observations);
+}
+
+std::size_t overlaid_row_count(const ShardedCensusMatrix& m) {
+  std::size_t rows = 0;
+  for (std::size_t s = 0; s < m.shard_count(); ++s) {
+    rows += m.shard(s).overlay_rows();
+  }
+  return rows;
+}
+
+TEST_F(ShardedCopyOnWrite, DerivedChainMatchesDeepCombinesForEveryShardSize) {
+  constexpr std::size_t kTargets = 300;
+  constexpr std::size_t kVps = 12;
+  constexpr int kRounds = 44;
+  for (const bool spill_base : {false, true}) {
+    for (const std::size_t shard_targets :
+         {std::size_t{1}, std::size_t{7}, std::size_t{64}, std::size_t{0}}) {
+      SCOPED_TRACE("shard_targets=" + std::to_string(shard_targets) +
+                   " spill_base=" + std::to_string(spill_base));
+      DataPlaneConfig plane;
+      plane.shard_targets = shard_targets;
+      plane.spill_dir = (dir_ / ("spill" + std::to_string(shard_targets) +
+                                 "_" + std::to_string(spill_base)))
+                            .string();
+      ShardedCensusMatrix prev =
+          random_matrix(kTargets, kVps, 3'000, 31 + shard_targets, plane);
+      if (spill_base) {
+        for (std::size_t s = 0; s < prev.shard_count(); ++s) {
+          if (prev.spill_shard(s) == 0) GTEST_SKIP() << "no spill tier";
+        }
+      }
+      RowOracle expected = oracle_of(prev);
+      bool overlaid = false;
+      bool compacted = false;
+      bool stayed_spilled = false;
+      for (int round = 1; round <= kRounds; ++round) {
+        SCOPED_TRACE("round " + std::to_string(round));
+        const ShardedCensusMatrix churn =
+            churn_of(prev, kTargets, kVps, 14, 1000 * shard_targets + round);
+        const std::size_t overlay_before = overlaid_row_count(prev);
+        ShardedCensusMatrix next = prev;
+        next.combine_min(churn);
+
+        // The deep path: a matrix that shares nothing, combined the same.
+        ShardedCensusMatrix deep = rebuilt(prev);
+        deep.combine_min(churn);
+        expect_rows_equal(next, deep);
+        const RowOracle before = expected;
+        apply_min(expected, churn);
+        expect_matches_oracle(next, expected);
+        expect_matches_oracle(prev, before);  // the base is untouched
+
+        EXPECT_EQ(next.last_change().base, prev.stamp());
+        EXPECT_EQ(next.last_change().rows, naive_diff(prev, next));
+
+        overlaid = overlaid || overlaid_row_count(next) > 0;
+        compacted = compacted || overlaid_row_count(next) < overlay_before;
+        for (std::size_t s = 0; s < next.shard_count(); ++s) {
+          if (prev.shard_spilled(s) && next.shard(s).overlay_rows() > 0) {
+            EXPECT_TRUE(next.shard_spilled(s)) << "shard " << s;
+            stayed_spilled = true;
+          }
+        }
+        prev = std::move(next);
+      }
+      if (shard_targets == 64 || shard_targets == 0) {
+        EXPECT_TRUE(overlaid) << "the chain never kept an overlay";
+        EXPECT_TRUE(compacted) << "the chain never crossed a compaction";
+        EXPECT_EQ(stayed_spilled, spill_base);
+      }
+    }
+  }
+}
+
+TEST_F(ShardedCopyOnWrite, CombiningWithADerivedMatrixReadsItsOverlay) {
+  // Sparse rows, so the derived matrix's overlay holds rows its base
+  // leaves empty, inside long runs of empty base rows that combine_min
+  // skips a stride at a time.
+  constexpr std::size_t kTargets = 1000;
+  for (const std::size_t shard_targets : {std::size_t{64}, std::size_t{0}}) {
+    SCOPED_TRACE("shard_targets=" + std::to_string(shard_targets));
+    DataPlaneConfig plane;
+    plane.shard_targets = shard_targets;
+    const ShardedCensusMatrix sparse =
+        random_matrix(kTargets, 8, 20, 61, plane);
+    ShardedCensusMatrix derived = sparse;
+    derived.combine_min(churn_of(sparse, kTargets, 8, 40, 62));
+    ASSERT_GT(overlaid_row_count(derived), 0u);
+
+    const ShardedCensusMatrix before =
+        random_matrix(kTargets, 8, 20, 63, plane);
+    ShardedCensusMatrix merged = before;
+    merged.combine_min(derived);
+    RowOracle expected = oracle_of(before);
+    apply_min(expected, derived);
+    expect_matches_oracle(merged, expected);
+    EXPECT_EQ(merged.last_change().rows, naive_diff(before, merged));
+  }
+}
+
+TEST_F(ShardedCopyOnWrite, WritesToOneCopyLeaveItsSiblingAlone) {
+  constexpr std::size_t kTargets = 300;
+  DataPlaneConfig plane;
+  plane.shard_targets = 64;
+  plane.spill_dir = (dir_ / "spill").string();
+  const ShardedCensusMatrix base =
+      random_matrix(kTargets, 12, 3'000, 41, plane);
+  ShardedCensusMatrix derived = base;
+  derived.combine_min(churn_of(base, kTargets, 12, 12, 42));
+  ASSERT_GT(overlaid_row_count(derived), 0u);
+
+  struct Seen {
+    RowOracle rows;
+    std::uint64_t stamp = 0;
+    std::size_t resident = 0;
+    std::vector<bool> spilled;
+  };
+  const auto seen = [](const ShardedCensusMatrix& m) {
+    Seen out{oracle_of(m), m.stamp(), m.resident_value_bytes(), {}};
+    for (std::size_t s = 0; s < m.shard_count(); ++s) {
+      out.spilled.push_back(m.shard_spilled(s));
+    }
+    return out;
+  };
+  const auto expect_unchanged = [&seen](const ShardedCensusMatrix& m,
+                                        const Seen& was) {
+    const Seen now = seen(m);
+    EXPECT_EQ(now.rows, was.rows);
+    EXPECT_EQ(now.stamp, was.stamp);
+    EXPECT_EQ(now.resident, was.resident);
+    EXPECT_EQ(now.spilled, was.spilled);
+  };
+
+  {  // A write through the mutable shard().
+    ShardedCensusMatrix writer = derived;
+    const Seen was = seen(derived);
+    CensusMatrix& shard = writer.shard(1);
+    CensusMatrixBuilder extra(shard.target_count());
+    extra.add(3, 40, 0.5F);  // a VP no row holds
+    shard.combine_min(extra.build());
+    expect_unchanged(derived, was);
+    EXPECT_EQ(writer.measurements(
+                  static_cast<std::uint32_t>(writer.shard_base(1) + 3))
+                  .back()
+                  .vp,
+              40);
+  }
+  {  // A spill: the spilling copy takes its own storage first.
+    ShardedCensusMatrix spiller = derived;
+    const Seen was = seen(derived);
+    if (spiller.spill_shard(2) == 0) GTEST_SKIP() << "no spill tier";
+    EXPECT_TRUE(spiller.shard_spilled(2));
+    EXPECT_EQ(spiller.shard(2).overlay_rows(), 0u);
+    expect_unchanged(derived, was);
+    expect_rows_equal(spiller, derived);
+  }
+  {  // A restore: the sibling sharing the spilled shard keeps reading it.
+    ShardedCensusMatrix spilled = derived;
+    ASSERT_GT(spilled.spill_shard(3), 0u);
+    const ShardedCensusMatrix sibling = spilled;
+    EXPECT_TRUE(sibling.shard_spilled(3));
+    const Seen was = seen(sibling);
+    spilled.restore_shard(3);
+    EXPECT_FALSE(spilled.shard_spilled(3));
+    expect_unchanged(sibling, was);
+    expect_rows_equal(spilled, sibling);
+  }
+  expect_rows_equal(derived, rebuilt(derived));
+}
+
+TEST_F(ShardedCopyOnWrite, ResidencyCountsWhatEachDerivedMatrixKeepsAlive) {
+  constexpr std::size_t kTargets = 4096;
+  constexpr std::size_t kBudget = std::size_t{1} << 20;
+  DataPlaneConfig plane;
+  plane.shard_targets = 512;
+  plane.rss_budget_mb = 1;
+  plane.spill_dir = (dir_ / "spill").string();
+  // ~3 MB of values: build() spills some shards to meet the 1 MiB budget.
+  const ShardedCensusMatrix base =
+      random_matrix(kTargets, 50, 400'000, 51, plane);
+  if (base.resident_value_bytes() == base.total_value_bytes()) {
+    GTEST_SKIP() << "no spill tier";
+  }
+  EXPECT_LE(base.resident_value_bytes(), kBudget);
+  const std::size_t base_resident = base.resident_value_bytes();
+  const RowOracle base_rows = oracle_of(base);
+
+  // A derived matrix reads every base it shares, and its overlays on top.
+  ShardedCensusMatrix derived = base;
+  const ShardedCensusMatrix churn = churn_of(base, kTargets, 50, 120, 52);
+  derived.combine_min(churn);
+  ASSERT_GT(overlaid_row_count(derived), 0u);
+  EXPECT_GT(derived.total_value_bytes(), base.total_value_bytes());
+  std::size_t overlay_bytes = 0;
+  for (std::size_t s = 0; s < derived.shard_count(); ++s) {
+    if (derived.shard_spilled(s)) {
+      EXPECT_TRUE(base.shard_spilled(s)) << "a merge never spills";
+    }
+    overlay_bytes += derived.shard(s).value_bytes() - base.shard(s).value_bytes();
+  }
+  EXPECT_EQ(derived.total_value_bytes(),
+            base.total_value_bytes() + overlay_bytes);
+  // combine_min enforced the budget on the derived matrix alone: it
+  // spilled its own copies, so the base keeps its residency and rows.
+  EXPECT_LE(derived.resident_value_bytes(), kBudget);
+  EXPECT_EQ(base.resident_value_bytes(), base_resident);
+  expect_matches_oracle(base, base_rows);
+  RowOracle derived_rows = base_rows;
+  apply_min(derived_rows, churn);
+  expect_matches_oracle(derived, derived_rows);
+
+  // Without a budget nothing is spilled and everything read is resident.
+  ShardedCensusMatrix unbudgeted =
+      random_matrix(kTargets, 50, 40'000, 53, unspilled(plane));
+  ShardedCensusMatrix unbudgeted_derived = unbudgeted;
+  unbudgeted_derived.combine_min(
+      churn_of(unbudgeted, kTargets, 50, 120, 54));
+  EXPECT_EQ(unbudgeted_derived.resident_value_bytes(),
+            unbudgeted_derived.total_value_bytes());
+  EXPECT_EQ(unbudgeted_derived.enforce_rss_budget(),
+            unbudgeted_derived.total_value_bytes());
+}
+
 }  // namespace
 }  // namespace anycast::census
