@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <initializer_list>
 #include <random>
@@ -15,6 +16,7 @@
 #include "anycast/census/hitlist.hpp"
 #include "anycast/census/record.hpp"
 #include "anycast/census/sharded.hpp"
+#include "anycast/net/fault.hpp"
 #include "anycast/net/platform.hpp"
 #include "legacy_census.hpp"
 
@@ -326,6 +328,162 @@ TEST(FastPing, OverdrivingLosesReplies) {
   EXPECT_GT(fast_result.drop_probability, 0.3);
   EXPECT_DOUBLE_EQ(slow_result.drop_probability, 0.0);
   EXPECT_LT(fast_result.echo_replies, slow_result.echo_replies * 0.8);
+}
+
+// --- The walk's observation stream, pinned ----------------------------------
+
+/// FNV-1a over every observation of `result`: target, kind and the bit
+/// patterns of RTT and timestamp, so any change to an RNG draw, a
+/// floating-point operation order or a routing decision moves it.
+std::uint64_t stream_digest(const FastPingResult& result,
+                            std::uint64_t h = 0xCBF29CE484222325ULL) {
+  const auto mix = [&h](std::uint64_t value) {
+    for (int byte = 0; byte < 8; ++byte) {
+      h = (h ^ ((value >> (8 * byte)) & 0xFFu)) * 0x100000001B3ULL;
+    }
+  };
+  for (const Observation& obs : result.observations) {
+    mix(obs.target_index);
+    mix(static_cast<std::uint64_t>(obs.kind));
+    mix(std::bit_cast<std::uint64_t>(obs.rtt_ms));
+    mix(std::bit_cast<std::uint64_t>(obs.time_s));
+  }
+  return h;
+}
+
+/// A walk that touches every branch of the prober: the full hitlist (dead
+/// space times out, so retry passes run), a blacklisted /24, prohibited
+/// replies, and a rate that overdrives some VPs into reply drops.
+FastPingConfig pinned_walk_config() {
+  FastPingConfig config;
+  config.seed = 2207;
+  config.probe_rate_pps = 4000.0;
+  config.retry_max_attempts = 2;
+  return config;
+}
+
+/// Outage, storm, flap and hijack on every VP; the hijack captures the
+/// first anycast targets of the hitlist.
+net::FaultPlan pinned_fault_plan(const Hitlist& hitlist) {
+  net::FaultSpec spec;
+  spec.seed = 2208;
+  spec.outage_rate = 1.0;
+  spec.storm_rate = 1.0;
+  spec.flap_rate = 1.0;
+  spec.hijack_vp_fraction = 1.0;
+  for (std::uint32_t t = 0; t < hitlist.size() &&
+                            spec.hijack_targets.size() < 6;
+       ++t) {
+    const net::TargetInfo* info =
+        tiny_world().target_for(hitlist[t].representative);
+    if (info != nullptr && info->kind == net::TargetInfo::Kind::kAnycast) {
+      spec.hijack_targets.push_back(t);
+    }
+  }
+  return net::FaultPlan(spec);
+}
+
+/// What the pinned walks exercised, summed over their VPs.
+struct WalkCoverage {
+  std::uint64_t anycast_echoes = 0;
+  std::uint64_t prohibited = 0;
+  std::uint64_t injected_timeouts = 0;
+  std::uint64_t retry_probes = 0;
+  std::uint64_t retry_recovered = 0;
+};
+
+/// Digests the pinned walks of six VPs over `world`, in VP order.
+std::uint64_t pinned_walks_digest(const net::SimulatedInternet& world,
+                                  const net::FaultPlan* faults,
+                                  WalkCoverage* coverage = nullptr) {
+  const Hitlist hitlist = Hitlist::from_world(world);
+  const auto vps = net::make_planetlab({.node_count = 6, .seed = 38});
+  Greylist blacklist;
+  blacklist.add(hitlist[hitlist.size() / 2].representative.slash24_index(),
+                net::ReplyKind::kAdminProhibited);
+  std::uint64_t h = 0xCBF29CE484222325ULL;
+  for (const net::VantagePoint& vp : vps) {
+    Greylist greylist;
+    const FastPingResult result = run_fastping(
+        world, vp, hitlist, blacklist, greylist, pinned_walk_config(), faults);
+    h = stream_digest(result, h);
+    if (coverage == nullptr) continue;
+    coverage->prohibited += result.errors;
+    coverage->injected_timeouts += result.injected_timeouts;
+    coverage->retry_probes += result.retry_probes;
+    coverage->retry_recovered += result.retry_recovered;
+    for (const Observation& obs : result.observations) {
+      const net::TargetInfo* info =
+          world.target_for(hitlist[obs.target_index].representative);
+      if (obs.kind == net::ReplyKind::kEchoReply &&
+          info->kind == net::TargetInfo::Kind::kAnycast) {
+        ++coverage->anycast_echoes;
+      }
+    }
+  }
+  return h;
+}
+
+TEST(CensusWalk, ObservationStreamIsPinned) {
+  WalkCoverage coverage;
+  EXPECT_EQ(pinned_walks_digest(tiny_world(), nullptr, &coverage),
+            0x9662CB57463C6D3FULL);
+  // The pinned walks cover every branch the digest is meant to guard.
+  EXPECT_GT(coverage.anycast_echoes, 1000u);
+  EXPECT_GT(coverage.prohibited, 0u);
+  EXPECT_GT(coverage.retry_probes, 0u);
+  EXPECT_GT(coverage.retry_recovered, 0u);
+}
+
+TEST(CensusWalk, FaultedObservationStreamIsPinned) {
+  const Hitlist hitlist = Hitlist::from_world(tiny_world());
+  const net::FaultPlan plan = pinned_fault_plan(hitlist);
+  ASSERT_EQ(plan.spec().hijack_targets.size(), 6u);
+  WalkCoverage coverage;
+  EXPECT_EQ(pinned_walks_digest(tiny_world(), &plan, &coverage),
+            0x40198C92B34AAF38ULL);
+  EXPECT_GT(coverage.anycast_echoes, 1000u);
+  EXPECT_GT(coverage.prohibited, 0u);
+  EXPECT_GT(coverage.injected_timeouts, 0u);
+  EXPECT_GT(coverage.retry_recovered, 0u);
+}
+
+/// Moves replicas of every multi-site deployment: each prefix of it keeps
+/// only the sites whose index parity matches the prefix's.
+void move_replicas(net::SimulatedInternet& world) {
+  for (std::size_t d = 0; d < world.deployments().size(); ++d) {
+    const net::Deployment& deployment = world.deployments()[d];
+    if (deployment.sites.size() < 3) continue;
+    for (std::size_t p = 0; p < deployment.prefixes.size(); ++p) {
+      const std::uint64_t parity =
+          p % 2 == 0 ? 0x5555555555555555ULL : 0xAAAAAAAAAAAAAAAAULL;
+      world.set_prefix_site_mask(
+          d, p, deployment.prefix_site_masks[p] & parity);
+    }
+  }
+}
+
+TEST(CensusWalk, WalkAfterMaskChangeMatchesFreshWorldWithThatMask) {
+  net::SimulatedInternet changed(tiny_world_config());
+  const std::uint64_t before = pinned_walks_digest(changed, nullptr);
+  move_replicas(changed);
+  const std::uint64_t after = pinned_walks_digest(changed, nullptr);
+  EXPECT_NE(after, before);  // the move reroutes probes
+
+  net::SimulatedInternet fresh(tiny_world_config());
+  move_replicas(fresh);
+  EXPECT_EQ(pinned_walks_digest(fresh, nullptr), after);
+  // And back: restoring the masks restores the walk.
+  net::SimulatedInternet restored(tiny_world_config());
+  move_replicas(restored);
+  (void)pinned_walks_digest(restored, nullptr);
+  for (std::size_t d = 0; d < tiny_world().deployments().size(); ++d) {
+    const net::Deployment& original = tiny_world().deployments()[d];
+    for (std::size_t p = 0; p < original.prefixes.size(); ++p) {
+      restored.set_prefix_site_mask(d, p, original.prefix_site_masks[p]);
+    }
+  }
+  EXPECT_EQ(pinned_walks_digest(restored, nullptr), before);
 }
 
 // --- CensusMatrix ----------------------------------------------------------
