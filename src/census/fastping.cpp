@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <stdexcept>
 
 #include "anycast/net/fault.hpp"
 #include "anycast/obs/journal.hpp"
@@ -121,11 +122,36 @@ std::string_view to_string(VpOutcome outcome) {
   return "unknown";
 }
 
+std::vector<const net::TargetInfo*> resolve_targets(
+    const net::SimulatedInternet& internet, const Hitlist& hitlist) {
+  std::vector<const net::TargetInfo*> targets;
+  targets.reserve(hitlist.size());
+  for (const HitlistEntry& entry : hitlist.entries()) {
+    targets.push_back(internet.target_for(entry.representative));
+  }
+  return targets;
+}
+
 FastPingResult run_fastping(const net::SimulatedInternet& internet,
                             const net::VantagePoint& vp,
                             const Hitlist& hitlist, const Greylist& blacklist,
                             Greylist& greylist, const FastPingConfig& config,
                             const net::FaultPlan* faults) {
+  return run_fastping(internet, vp, hitlist, resolve_targets(internet, hitlist),
+                      blacklist, greylist, config, faults);
+}
+
+FastPingResult run_fastping(const net::SimulatedInternet& internet,
+                            const net::VantagePoint& vp,
+                            const Hitlist& hitlist,
+                            std::span<const net::TargetInfo* const> targets,
+                            const Greylist& blacklist, Greylist& greylist,
+                            const FastPingConfig& config,
+                            const net::FaultPlan* faults) {
+  if (targets.size() != hitlist.size()) {
+    throw std::invalid_argument(
+        "run_fastping: resolved targets do not match the hitlist");
+  }
   FastPingResult result;
   if (hitlist.size() == 0) return result;
   result.drop_probability = reply_drop_probability(
@@ -151,12 +177,12 @@ FastPingResult run_fastping(const net::SimulatedInternet& internet,
                                 ? config.vp_deadline_hours * 3600.0
                                 : 0.0;
   double clock_s = 0.0;
+  net::SimulatedInternet::VpProber prober(internet, vp);
 
   // One probe to `target_index`, at fault-schedule position `step` (the
   // walk's LFSR step during the main pass, past-the-end during retries).
   const auto probe_once = [&](std::uint32_t target_index,
                               std::uint64_t step) {
-    const HitlistEntry& entry = hitlist[target_index];
     ++result.probes_sent;
     clock_s += seconds_per_probe * injector.dilation_at(step);
 
@@ -167,8 +193,8 @@ FastPingResult run_fastping(const net::SimulatedInternet& internet,
       reply = net::ProbeReply{net::ReplyKind::kTimeout, 0.0};
       ++result.injected_timeouts;
     } else {
-      reply = internet.probe(
-          vp, entry.representative, net::Protocol::kIcmpEcho, gen,
+      reply = prober.probe(
+          targets[target_index], net::Protocol::kIcmpEcho, gen,
           std::min(0.999,
                    result.drop_probability + injector.extra_drop_at(step)));
       if (injector.hijacked(target_index)) {
@@ -200,7 +226,8 @@ FastPingResult run_fastping(const net::SimulatedInternet& internet,
         break;
       default:
         ++result.errors;
-        greylist.add(entry.representative.slash24_index(), reply.kind);
+        greylist.add(hitlist[target_index].representative.slash24_index(),
+                     reply.kind);
         break;
     }
     return reply.kind;

@@ -12,6 +12,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string_view>
 #include <vector>
 
@@ -93,17 +94,38 @@ struct FastPingResult {
   std::uint64_t retry_recovered = 0;    // targets a retry pass recovered
 };
 
+/// Every hitlist entry's world target (the `TargetInfo` of its
+/// representative's /24; nullptr when the world has none), in hitlist
+/// order. A census resolves its hitlist once, in index order, and every
+/// walk reads the result, so no probe pays for an address lookup. This
+/// is the one address lookup under src/census (a CI gate keeps it so).
+std::vector<const net::TargetInfo*> resolve_targets(
+    const net::SimulatedInternet& internet, const Hitlist& hitlist);
+
 /// Probes every non-blacklisted hitlist entry once from `vp`, in LFSR
 /// order, then (when configured) retries timed-out targets with
 /// exponential backoff. Newly prohibited targets are recorded into
 /// `greylist`. When `faults` is non-null the walk runs under that plan's
 /// schedule for this VP: it may crash mid-walk, time out through an
 /// outage window, lose replies to a storm, or stall; with no plan the
-/// walk is bit-identical to the fault-free implementation.
+/// walk is bit-identical to the fault-free implementation. This form
+/// resolves the hitlist itself; a census resolves it once for all walks.
 FastPingResult run_fastping(const net::SimulatedInternet& internet,
                             const net::VantagePoint& vp,
                             const Hitlist& hitlist, const Greylist& blacklist,
                             Greylist& greylist, const FastPingConfig& config,
+                            const net::FaultPlan* faults = nullptr);
+
+/// The same walk over an already resolved hitlist: `targets` is
+/// `resolve_targets(internet, hitlist)`, one entry per hitlist entry
+/// (std::invalid_argument otherwise). Read-only, so concurrent walks
+/// share one.
+FastPingResult run_fastping(const net::SimulatedInternet& internet,
+                            const net::VantagePoint& vp,
+                            const Hitlist& hitlist,
+                            std::span<const net::TargetInfo* const> targets,
+                            const Greylist& blacklist, Greylist& greylist,
+                            const FastPingConfig& config,
                             const net::FaultPlan* faults = nullptr);
 
 /// Flushes one finished walk's funnel tally into the global metrics

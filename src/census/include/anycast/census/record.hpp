@@ -48,6 +48,12 @@ std::vector<std::uint8_t> encode_binary(
     std::span<const Observation> observations,
     std::size_t* dropped_oversized = nullptr);
 
+/// `encode_binary`, appended to `out` in place (the census file writer
+/// encodes its payload straight into the file buffer).
+void append_binary(std::vector<std::uint8_t>& out,
+                   std::span<const Observation> observations,
+                   std::size_t* dropped_oversized = nullptr);
+
 /// Decodes a binary buffer. Returns nullopt on a malformed buffer
 /// (bad magic, truncated payload).
 std::optional<std::vector<Observation>> decode_binary(

@@ -33,20 +33,20 @@ std::filesystem::path census_checkpoint_path(const std::filesystem::path& dir,
                                              std::uint32_t census_id,
                                              std::uint32_t vp_id);
 
-/// One VP's checkpointed walk: `run_fastping` (under `faults`, when given;
-/// timed into `census_walk_us`), then the walk's checkpoint written to
+/// One VP's checkpointed walk: `run_fastping` over the resolved
+/// `targets` (under `faults`, when given; timed into `census_walk_us`),
+/// then the walk's checkpoint written to
 /// `census_checkpoint_path(dir, census_id, vp.id)` and flagged complete
-/// when the walk completed. Returns the live result, RTTs unquantised.
+/// when the walk completed. The returned observations are decoded from
+/// the written payload, so their RTTs carry the file's quantisation.
 /// This is the rerun step of `resume_census_sharded` and the watch
 /// daemon's abort drill, so both leave byte-identical files.
-FastPingResult checkpointed_walk(const net::SimulatedInternet& internet,
-                                 const net::VantagePoint& vp,
-                                 const Hitlist& hitlist,
-                                 const Greylist& blacklist, Greylist& greylist,
-                                 const FastPingConfig& config,
-                                 const net::FaultPlan* faults,
-                                 const std::filesystem::path& dir,
-                                 std::uint32_t census_id);
+FastPingResult checkpointed_walk(
+    const net::SimulatedInternet& internet, const net::VantagePoint& vp,
+    const Hitlist& hitlist, std::span<const net::TargetInfo* const> targets,
+    const Greylist& blacklist, Greylist& greylist,
+    const FastPingConfig& config, const net::FaultPlan* faults,
+    const std::filesystem::path& dir, std::uint32_t census_id);
 
 /// Runs — or resumes — census `census_id` over checkpoint files in `dir`.
 /// For each available VP: a complete, CRC-valid checkpoint is reused

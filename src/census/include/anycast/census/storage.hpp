@@ -46,11 +46,29 @@ struct CensusFileHeader {
   }
 };
 
-/// Writes one VP's observation stream as a binary census file (format v2:
-/// header, payload, CRC32 trailer). The write is atomic — the bytes land
-/// in `path + ".tmp"` and are renamed over `path` — so a reader never
-/// sees a half-written checkpoint, and a crash leaves at worst a stale
-/// tmp file. Throws std::runtime_error on I/O failure.
+/// One VP's observation stream as census file bytes (format v2: header,
+/// payload, CRC32 trailer). The payload is encoded straight into the file
+/// buffer, once.
+struct EncodedCensusFile {
+  CensusFileHeader header;
+  std::vector<std::uint8_t> bytes;
+
+  /// The binary observation payload inside `bytes`: what `decode_binary`
+  /// reads back.
+  [[nodiscard]] std::span<const std::uint8_t> payload() const;
+};
+EncodedCensusFile encode_census_file(
+    const CensusFileHeader& header, std::span<const Observation> observations);
+
+/// Writes an encoded census file. The write is atomic — the bytes land in
+/// `path + ".tmp"` and are renamed over `path` — so a reader never sees a
+/// half-written checkpoint, and a crash leaves at worst a stale tmp file.
+/// Throws std::runtime_error on I/O failure (open, write or close), after
+/// removing the tmp file.
+void write_census_file(const std::filesystem::path& path,
+                       const EncodedCensusFile& file);
+
+/// Encodes and writes one VP's observation stream.
 void write_census_file(const std::filesystem::path& path,
                        const CensusFileHeader& header,
                        std::span<const Observation> observations);

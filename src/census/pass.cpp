@@ -8,6 +8,7 @@
 #include <chrono>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "anycast/census/fastping.hpp"
 #include "anycast/concurrency/thread_pool.hpp"
@@ -74,27 +75,18 @@ FastPingResult result_from_observations(std::vector<Observation> observations,
   return result;
 }
 
-/// The binary checkpoint quantises RTTs to 1/50 ms; run the live stream
-/// through the codec so in-memory rows are byte-identical to what a later
-/// collation of the on-disk state would produce.
-std::vector<Observation> quantised(
-    const std::vector<Observation>& observations) {
-  auto decoded = decode_binary(encode_binary(observations));
-  return decoded.has_value() ? std::move(*decoded)
-                             : std::vector<Observation>{};
-}
-
 /// `run_fastping`, timed into the wall-clock `census_walk_us` histogram
 /// (kTiming by construction — never part of the semantic contract, unlike
 /// the simulated duration_hours the walk flush records).
 FastPingResult timed_walk(const net::SimulatedInternet& internet,
                           const net::VantagePoint& vp, const Hitlist& hitlist,
+                          std::span<const net::TargetInfo* const> targets,
                           const Greylist& blacklist, Greylist& greylist,
                           const FastPingConfig& config,
                           const net::FaultPlan* faults) {
   const auto walk_start = std::chrono::steady_clock::now();
-  FastPingResult result =
-      run_fastping(internet, vp, hitlist, blacklist, greylist, config, faults);
+  FastPingResult result = run_fastping(internet, vp, hitlist, targets,
+                                       blacklist, greylist, config, faults);
   obs::LatencyHisto::get("census_walk_us", "us",
                          "wall-clock per-VP census walk latency")
       .record(static_cast<std::uint64_t>(
@@ -128,6 +120,7 @@ struct VpWork {
 /// matches what an uninterrupted census would have saved.
 void recover_vp(VpWork& work, const net::SimulatedInternet& internet,
                 const net::VantagePoint& vp, const Hitlist& hitlist,
+                std::span<const net::TargetInfo* const> targets,
                 const Greylist& blacklist, const FastPingConfig& config,
                 const net::FaultPlan* faults, const Checkpoints& checkpoints) {
   auto checkpoint = salvage_census_file(
@@ -140,10 +133,9 @@ void recover_vp(VpWork& work, const net::SimulatedInternet& internet,
     work.result = result_from_observations(
         std::move(checkpoint->observations), hitlist, work.greylist);
   } else {
-    work.result = checkpointed_walk(internet, vp, hitlist, blacklist,
-                                    work.greylist, config, faults,
+    work.result = checkpointed_walk(internet, vp, hitlist, targets,
+                                    blacklist, work.greylist, config, faults,
                                     checkpoints.dir, checkpoints.census_id);
-    work.result.observations = quantised(work.result.observations);
   }
   // The reuse-or-rerun decision is run-history dependent, so it is a
   // kTiming event — real operational data, outside the semantic
@@ -182,11 +174,15 @@ ShardedResumeReport census_pass(const net::SimulatedInternet& internet,
   CensusSummary& summary = report.output.summary;
   summary.vp_duration_hours.reserve(vps.size());
   summary.vp_outcomes.reserve(vps.size());
+  // Resolved once, in index order on this thread, then read by every
+  // lane: no probe of any walk repeats the address lookup.
+  const std::vector<const net::TargetInfo*> targets =
+      resolve_targets(internet, hitlist);
 
   // Map: each available VP walks (or recovers) with a *private* greylist
   // and reduces its own observations to a row fragment. Steps only read
-  // shared state (`internet`, `hitlist`, `blacklist`) and touch only their
-  // own checkpoint file, so they are independent.
+  // shared state (`internet`, `hitlist`, `targets`, `blacklist`) and touch
+  // only their own checkpoint file, so they are independent.
   const auto vp_step = [&](std::size_t i) -> VpWork {
     VpWork work;
     const net::VantagePoint& vp = vps[i];
@@ -195,10 +191,10 @@ ShardedResumeReport census_pass(const net::SimulatedInternet& internet,
     const obs::Span vp_span(checkpoints != nullptr ? "vp_recover" : "vp_walk",
                             vp.id);
     if (checkpoints != nullptr) {
-      recover_vp(work, internet, vp, hitlist, blacklist, config, faults,
-                 *checkpoints);
+      recover_vp(work, internet, vp, hitlist, targets, blacklist, config,
+                 faults, *checkpoints);
     } else {
-      work.result = timed_walk(internet, vp, hitlist, blacklist,
+      work.result = timed_walk(internet, vp, hitlist, targets, blacklist,
                                work.greylist, config, faults);
     }
     // Live, reused and rerun walks flush through one chokepoint (RTTs
@@ -268,22 +264,27 @@ std::filesystem::path census_checkpoint_path(const std::filesystem::path& dir,
                 std::to_string(vp_id) + ".anc");
 }
 
-FastPingResult checkpointed_walk(const net::SimulatedInternet& internet,
-                                 const net::VantagePoint& vp,
-                                 const Hitlist& hitlist,
-                                 const Greylist& blacklist, Greylist& greylist,
-                                 const FastPingConfig& config,
-                                 const net::FaultPlan* faults,
-                                 const std::filesystem::path& dir,
-                                 std::uint32_t census_id) {
-  FastPingResult result =
-      timed_walk(internet, vp, hitlist, blacklist, greylist, config, faults);
+FastPingResult checkpointed_walk(
+    const net::SimulatedInternet& internet, const net::VantagePoint& vp,
+    const Hitlist& hitlist, std::span<const net::TargetInfo* const> targets,
+    const Greylist& blacklist, Greylist& greylist,
+    const FastPingConfig& config, const net::FaultPlan* faults,
+    const std::filesystem::path& dir, std::uint32_t census_id) {
+  FastPingResult result = timed_walk(internet, vp, hitlist, targets,
+                                     blacklist, greylist, config, faults);
   CensusFileHeader header{vp.id, census_id, 0};
   if (result.outcome == VpOutcome::kCompleted) {
     header.flags |= kCensusFileComplete;
   }
-  write_census_file(census_checkpoint_path(dir, census_id, vp.id), header,
-                    result.observations);
+  // Encoded once: the file's payload is also the in-memory stream, so the
+  // rows carry exactly the RTT quantisation a later collation of the
+  // on-disk state reads back.
+  const EncodedCensusFile file =
+      encode_census_file(header, result.observations);
+  write_census_file(census_checkpoint_path(dir, census_id, vp.id), file);
+  auto decoded = decode_binary(file.payload());
+  result.observations =
+      decoded.has_value() ? std::move(*decoded) : std::vector<Observation>{};
   return result;
 }
 

@@ -149,6 +149,14 @@ std::vector<Observation> decode_textual(const std::string& text) {
 std::vector<std::uint8_t> encode_binary(
     std::span<const Observation> observations,
     std::size_t* dropped_oversized) {
+  std::vector<std::uint8_t> out;
+  append_binary(out, observations, dropped_oversized);
+  return out;
+}
+
+void append_binary(std::vector<std::uint8_t>& out,
+                   std::span<const Observation> observations,
+                   std::size_t* dropped_oversized) {
   // A target index needing more than the format's 24 bits cannot come
   // from a real hitlist (~14.7M routed /24s < 2^24): drop the corrupted
   // record and account for it, rather than wrapping the index into some
@@ -170,8 +178,7 @@ std::vector<std::uint8_t> encode_binary(
                         {{"dropped", dropped}, {"kept", kept}});
   }
 
-  std::vector<std::uint8_t> out;
-  out.reserve(8 + kept * binary_bytes_per_observation());
+  out.reserve(out.size() + 8 + kept * binary_bytes_per_observation());
   const auto put32 = [&out](std::uint32_t value) {
     out.push_back(static_cast<std::uint8_t>(value));
     out.push_back(static_cast<std::uint8_t>(value >> 8));
@@ -191,7 +198,6 @@ std::vector<std::uint8_t> encode_binary(
         std::min(255.0, std::max(0.0, obs.time_s / 64.0)));
     put32(obs.target_index | (offset64 << 24));
   }
-  return out;
 }
 
 namespace {

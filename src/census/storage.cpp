@@ -61,13 +61,20 @@ std::uint32_t load32(const std::uint8_t* at) {
 }
 
 /// RAII stdio handle: good enough for bulk binary I/O without iostream's
-/// locale machinery on the hot path.
+/// locale machinery on the hot path. A writer calls `close()` and checks
+/// it: the destructor's close is for the error paths and ignores failure.
 struct File {
   std::FILE* handle = nullptr;
   explicit File(const std::filesystem::path& path, const char* mode)
       : handle(std::fopen(path.string().c_str(), mode)) {}
   ~File() {
     if (handle != nullptr) std::fclose(handle);
+  }
+  /// Flushes and closes; false when either failed.
+  bool close() {
+    std::FILE* closing = handle;
+    handle = nullptr;
+    return std::fclose(closing) == 0;
   }
   File(const File&) = delete;
   File& operator=(const File&) = delete;
@@ -190,10 +197,15 @@ std::uint32_t crc32(std::span<const std::uint8_t> bytes) {
   return c ^ 0xFFFFFFFFu;
 }
 
-void write_census_file(const std::filesystem::path& path,
-                       const CensusFileHeader& header,
-                       std::span<const Observation> observations) {
-  std::vector<std::uint8_t> buffer;
+std::span<const std::uint8_t> EncodedCensusFile::payload() const {
+  return std::span<const std::uint8_t>(bytes).subspan(
+      kHeaderBytesV2, bytes.size() - kHeaderBytesV2 - kTrailerBytes);
+}
+
+EncodedCensusFile encode_census_file(
+    const CensusFileHeader& header, std::span<const Observation> observations) {
+  EncodedCensusFile file{header, {}};
+  std::vector<std::uint8_t>& buffer = file.bytes;
   buffer.reserve(kHeaderBytesV2 +
                  observations.size() * binary_bytes_per_observation() + 8 +
                  kTrailerBytes);
@@ -201,30 +213,39 @@ void write_census_file(const std::filesystem::path& path,
   append32(buffer, header.vp_id);
   append32(buffer, header.census_id);
   append32(buffer, header.flags);
-  const auto payload = encode_binary(observations);
-  buffer.insert(buffer.end(), payload.begin(), payload.end());
+  append_binary(buffer, observations);
   append32(buffer, crc32(buffer));
+  return file;
+}
 
+void write_census_file(const std::filesystem::path& path,
+                       const EncodedCensusFile& file) {
+  const std::vector<std::uint8_t>& buffer = file.bytes;
   // Atomic publication: a crash mid-write leaves at worst a stale .tmp,
   // never a half-written checkpoint under the real name.
   std::filesystem::path tmp = path;
   tmp += ".tmp";
   {
-    const File file(tmp, "wb");
-    if (file.handle == nullptr) {
+    File out(tmp, "wb");
+    if (out.handle == nullptr) {
       throw std::runtime_error("cannot open census file for writing: " +
                                tmp.string());
     }
-    if (std::fwrite(buffer.data(), 1, buffer.size(), file.handle) !=
+    // A failed write or close (which flushes) leaves no tmp behind.
+    const auto fail = [&tmp](const char* what) {
+      std::error_code ignored;
+      std::filesystem::remove(tmp, ignored);
+      throw std::runtime_error(what + tmp.string());
+    };
+    if (std::fwrite(buffer.data(), 1, buffer.size(), out.handle) !=
         buffer.size()) {
-      throw std::runtime_error("short write on census file: " + tmp.string());
+      out.close();
+      fail("short write on census file: ");
     }
-    if (std::fflush(file.handle) != 0) {
-      throw std::runtime_error("flush failed on census file: " +
-                               tmp.string());
-    }
+    if (!out.close()) fail("close failed on census file: ");
   }
   std::filesystem::rename(tmp, path);
+  const CensusFileHeader& header = file.header;
   storage_instruments().writes.inc();
   storage_instruments().write_bytes.add(buffer.size());
   // kTiming: which checkpoints get (re)written depends on run history.
@@ -234,6 +255,12 @@ void write_census_file(const std::filesystem::path& path,
                        {"census", header.census_id},
                        {"bytes", buffer.size()},
                        {"complete", (header.flags & kCensusFileComplete) != 0}});
+}
+
+void write_census_file(const std::filesystem::path& path,
+                       const CensusFileHeader& header,
+                       std::span<const Observation> observations) {
+  write_census_file(path, encode_census_file(header, observations));
 }
 
 std::optional<CensusFile> read_census_file(

@@ -348,10 +348,11 @@ WatchResult WatchDaemon::run(concurrency::ThreadPool* pool) {
       // mid-round. The restart's resume_census_sharded inherits these
       // checkpoints verbatim.
       std::size_t checkpointed = 0;
+      const auto targets = census::resolve_targets(internet_, hitlist_);
       for (std::size_t i = 0; i < vps_.size() / 2; ++i) {
         if (!census::vp_available(vps_[i], cfg)) continue;
         census::Greylist scratch;
-        (void)census::checkpointed_walk(internet_, vps_[i], hitlist_,
+        (void)census::checkpointed_walk(internet_, vps_[i], hitlist_, targets,
                                         blacklist_, scratch, cfg, faults,
                                         config_.out_dir,
                                         static_cast<std::uint32_t>(round));

@@ -89,11 +89,49 @@ struct TargetInfo {
   bool unicast_dns = false;  // answers port 53 / DNS queries
 };
 
-/// The simulated Internet. Thread-compatible: concurrent probes require
-/// external synchronisation (the census runner is single-threaded, like
-/// one fastping process).
+/// The simulated Internet. Its const members — `probe`, `catchment` and
+/// the lookups — only read the world, so any number of threads may call
+/// them at once: the census runs `probe` on every lane of its pool. The
+/// one mutator, `set_prefix_site_mask`, must not overlap any of them.
 class SimulatedInternet {
  public:
+  /// Probes from one VP, remembering what stays constant across its
+  /// walk: the VP's access delay, and the replica site it reaches per
+  /// (deployment, announcement mask). Keyed by the mask *value*, so a
+  /// `set_prefix_site_mask` between two probes can never make it serve a
+  /// stale site. Holds references to the world and the VP, so it must not
+  /// outlive either; not thread-safe: each walk owns one.
+  class VpProber {
+   public:
+    VpProber(const SimulatedInternet& internet, const VantagePoint& vp);
+
+    /// `SimulatedInternet::probe` to an already resolved target
+    /// (`target_for`'s answer; nullptr times out like an unrouted
+    /// address): the same reply and the same draws from `gen`.
+    [[nodiscard]] ProbeReply probe(const TargetInfo* target,
+                                   Protocol protocol, rng::Xoshiro256& gen,
+                                   double extra_drop_probability = 0.0);
+
+   private:
+    struct CatchmentKey {
+      std::uint64_t mask;
+      std::size_t deployment;
+      bool operator==(const CatchmentKey&) const = default;
+    };
+    struct CatchmentKeyHash {
+      std::size_t operator()(const CatchmentKey& key) const {
+        return std::hash<std::uint64_t>{}(
+            key.mask ^ (key.deployment * 0x9E3779B97F4A7C15ull));
+      }
+    };
+
+    const SimulatedInternet& internet_;
+    const VantagePoint& vp_;
+    double vp_access_ms_;
+    std::unordered_map<CatchmentKey, const ReplicaSite*, CatchmentKeyHash>
+        catchments_;
+  };
+
   explicit SimulatedInternet(const WorldConfig& config = {});
 
   [[nodiscard]] const WorldConfig& config() const { return config_; }
@@ -126,7 +164,10 @@ class SimulatedInternet {
   [[nodiscard]] ProbeReply probe(const VantagePoint& vp,
                                  ipaddr::IPv4Address dst, Protocol protocol,
                                  rng::Xoshiro256& gen,
-                                 double extra_drop_probability = 0.0) const;
+                                 double extra_drop_probability = 0.0) const {
+    return VpProber(*this, vp).probe(target_for(dst), protocol, gen,
+                                     extra_drop_probability);
+  }
 
   /// A CHAOS-class TXT query ("hostname.bind" / "id.server"), the
   /// DNS-specific enumeration side channel of Fan et al. [25]: DNS servers
@@ -164,7 +205,8 @@ class SimulatedInternet {
   /// count are ignored; a zero mask withdraws the prefix entirely (probes
   /// to it time out). `catchment` and `probe` read the mask live, so this
   /// is how watch-mode worlds grow, shrink, and move replicas between
-  /// rounds. Unsynchronised — mutate only between censuses.
+  /// rounds (a `VpProber` keys catchments by mask, so it follows too).
+  /// Unsynchronised — mutate only between censuses.
   std::uint64_t set_prefix_site_mask(std::size_t deployment_index,
                                      std::size_t prefix_index,
                                      std::uint64_t mask);
@@ -172,8 +214,13 @@ class SimulatedInternet {
  private:
   double path_inflation(const VantagePoint& vp,
                         std::uint32_t slash24_index) const;
-  double base_rtt_ms(const VantagePoint& vp, const geodesy::GeoPoint& where,
+  double vp_access_ms(const VantagePoint& vp) const;
+  double base_rtt_ms(const VantagePoint& vp, double vp_access_ms,
+                     const geodesy::GeoPoint& where,
                      std::uint32_t slash24_index) const;
+  const ReplicaSite* catchment_for_mask(const VantagePoint& vp,
+                                        std::size_t deployment_index,
+                                        std::uint64_t mask) const;
 
   WorldConfig config_;
   std::vector<Deployment> deployments_;

@@ -333,16 +333,19 @@ double SimulatedInternet::path_inflation(const VantagePoint& vp,
          std::exp(config_.inflation_mu + config_.inflation_sigma * z);
 }
 
+double SimulatedInternet::vp_access_ms(const VantagePoint& vp) const {
+  return hash01(config_.seed ^ 2, vp.id, 0) * config_.vp_access_ms_max;
+}
+
 double SimulatedInternet::base_rtt_ms(const VantagePoint& vp,
+                                      double vp_access_ms,
                                       const geodesy::GeoPoint& where,
                                       std::uint32_t slash24_index) const {
   const double distance = geodesy::distance_km(vp.location, where);
   const double propagation = geodesy::distance_to_min_rtt_ms(distance);
-  const double vp_access =
-      hash01(config_.seed ^ 2, vp.id, 0) * config_.vp_access_ms_max;
   const double target_access =
       hash01(config_.seed ^ 3, slash24_index, 0) * config_.target_access_ms_max;
-  return propagation * path_inflation(vp, slash24_index) + vp_access +
+  return propagation * path_inflation(vp, slash24_index) + vp_access_ms +
          target_access;
 }
 
@@ -397,8 +400,15 @@ std::optional<std::string> SimulatedInternet::chaos_query(
 const ReplicaSite* SimulatedInternet::catchment(
     const VantagePoint& vp, std::size_t deployment_index,
     std::size_t prefix_index) const {
+  return catchment_for_mask(
+      vp, deployment_index,
+      deployments_[deployment_index].prefix_site_masks[prefix_index]);
+}
+
+const ReplicaSite* SimulatedInternet::catchment_for_mask(
+    const VantagePoint& vp, std::size_t deployment_index,
+    std::uint64_t mask) const {
   const Deployment& deployment = deployments_[deployment_index];
-  const std::uint64_t mask = deployment.prefix_site_masks[prefix_index];
   const ReplicaSite* best = nullptr;
   double best_score = 0.0;
   for (std::size_t s = 0; s < deployment.sites.size(); ++s) {
@@ -460,11 +470,15 @@ std::uint64_t SimulatedInternet::set_prefix_site_mask(
   return previous;
 }
 
-ProbeReply SimulatedInternet::probe(const VantagePoint& vp,
-                                    ipaddr::IPv4Address dst,
-                                    Protocol protocol, rng::Xoshiro256& gen,
-                                    double extra_drop_probability) const {
-  const TargetInfo* info = target_for(dst);
+SimulatedInternet::VpProber::VpProber(const SimulatedInternet& internet,
+                                      const VantagePoint& vp)
+    : internet_(internet), vp_(vp), vp_access_ms_(internet.vp_access_ms(vp)) {}
+
+ProbeReply SimulatedInternet::VpProber::probe(const TargetInfo* info,
+                                              Protocol protocol,
+                                              rng::Xoshiro256& gen,
+                                              double extra_drop_probability) {
+  const WorldConfig& config = internet_.config_;
   if (info == nullptr || !info->alive ||
       info->kind == TargetInfo::Kind::kDead) {
     return {ReplyKind::kTimeout, 0.0};
@@ -477,24 +491,26 @@ ProbeReply SimulatedInternet::probe(const VantagePoint& vp,
   // Does anything answer this protocol?
   geodesy::GeoPoint where;
   if (info->kind == TargetInfo::Kind::kAnycast) {
-    const Deployment& deployment =
-        deployments_[static_cast<std::size_t>(info->deployment_index)];
-    const bool open53 = std::any_of(
-        deployment.tcp_services.begin(), deployment.tcp_services.end(),
-        [](const ServicePort& s) { return s.port == 53; });
-    const bool open80 = std::any_of(
-        deployment.tcp_services.begin(), deployment.tcp_services.end(),
-        [](const ServicePort& s) { return s.port == 80; });
+    const auto d = static_cast<std::size_t>(info->deployment_index);
+    const Deployment& deployment = internet_.deployments_[d];
+    const auto open = [&deployment](std::uint16_t port) {
+      return std::any_of(
+          deployment.tcp_services.begin(), deployment.tcp_services.end(),
+          [port](const ServicePort& s) { return s.port == port; });
+    };
     const bool answers = protocol == Protocol::kIcmpEcho ||
-                         (protocol == Protocol::kTcpSyn53 && open53) ||
-                         (protocol == Protocol::kTcpSyn80 && open80) ||
+                         (protocol == Protocol::kTcpSyn53 && open(53)) ||
+                         (protocol == Protocol::kTcpSyn80 && open(80)) ||
                          ((protocol == Protocol::kDnsUdp ||
                            protocol == Protocol::kDnsTcp) &&
                           deployment.serves_dns);
     if (!answers) return {ReplyKind::kTimeout, 0.0};
-    const ReplicaSite* site =
-        catchment(vp, static_cast<std::size_t>(info->deployment_index),
-                  static_cast<std::size_t>(info->prefix_index));
+    const std::uint64_t mask =
+        deployment.prefix_site_masks[static_cast<std::size_t>(
+            info->prefix_index)];
+    const auto [it, inserted] = catchments_.try_emplace({mask, d}, nullptr);
+    if (inserted) it->second = internet_.catchment_for_mask(vp_, d, mask);
+    const ReplicaSite* site = it->second;
     if (site == nullptr) return {ReplyKind::kTimeout, 0.0};
     where = site->location;
   } else {
@@ -510,15 +526,16 @@ ProbeReply SimulatedInternet::probe(const VantagePoint& vp,
 
   // Loss: floor + the census prober's self-inflicted reply aggregation
   // drops (Sec. 3.5).
-  if (rng::bernoulli(gen, config_.base_loss) ||
+  if (rng::bernoulli(gen, config.base_loss) ||
       rng::bernoulli(gen, extra_drop_probability)) {
     return {ReplyKind::kTimeout, 0.0};
   }
 
-  double rtt = base_rtt_ms(vp, where, info->slash24_index);
-  rtt += rng::exponential(gen, config_.jitter_mean_ms);
-  if (rng::bernoulli(gen, config_.spike_probability)) {
-    rtt += rng::exponential(gen, config_.spike_mean_ms);
+  double rtt =
+      internet_.base_rtt_ms(vp_, vp_access_ms_, where, info->slash24_index);
+  rtt += rng::exponential(gen, config.jitter_mean_ms);
+  if (rng::bernoulli(gen, config.spike_probability)) {
+    rtt += rng::exponential(gen, config.spike_mean_ms);
   }
   return {ReplyKind::kEchoReply, rtt};
 }

@@ -7,6 +7,7 @@
 #include <random>
 #include <set>
 #include <span>
+#include <stdexcept>
 #include <string>
 #include <tuple>
 
@@ -446,6 +447,123 @@ TEST(CensusWalk, FaultedObservationStreamIsPinned) {
   EXPECT_GT(coverage.prohibited, 0u);
   EXPECT_GT(coverage.injected_timeouts, 0u);
   EXPECT_GT(coverage.retry_recovered, 0u);
+}
+
+TEST(CensusProbe, ResolvedFormMatchesAddressFormForEveryTarget) {
+  const net::SimulatedInternet& world = tiny_world();
+  const auto vps = net::make_planetlab({.node_count = 3, .seed = 39});
+  constexpr net::Protocol kProtocols[] = {
+      net::Protocol::kIcmpEcho, net::Protocol::kTcpSyn53,
+      net::Protocol::kTcpSyn80, net::Protocol::kDnsUdp,
+      net::Protocol::kDnsTcp};
+  std::size_t echoes = 0;
+  for (const net::VantagePoint& vp : vps) {
+    net::SimulatedInternet::VpProber walk(world, vp);
+    rng::Xoshiro256 by_address(vp.id + 1);
+    rng::Xoshiro256 resolved(vp.id + 1);
+    // Each target twice, so the second pass answers from warm catchments.
+    for (int pass = 0; pass < 2; ++pass) {
+      for (const net::TargetInfo& info : world.targets()) {
+        const auto address =
+            ipaddr::IPv4Address::from_slash24_index(info.slash24_index, 1);
+        const net::TargetInfo* target = world.target_for(address);
+        ASSERT_EQ(target, &info);
+        for (const net::Protocol protocol : kProtocols) {
+          const double drop = pass == 0 ? 0.0 : 0.3;
+          const net::ProbeReply a =
+              world.probe(vp, address, protocol, by_address, drop);
+          const net::ProbeReply b =
+              walk.probe(target, protocol, resolved, drop);
+          ASSERT_EQ(a.kind, b.kind);
+          ASSERT_EQ(std::bit_cast<std::uint64_t>(a.rtt_ms),
+                    std::bit_cast<std::uint64_t>(b.rtt_ms));
+          if (a.kind == net::ReplyKind::kEchoReply) ++echoes;
+        }
+      }
+    }
+    // Same draws in the same order: the generators stay in lockstep.
+    EXPECT_EQ(resolved(), by_address());
+  }
+  EXPECT_GT(echoes, 1000u);
+}
+
+TEST(CensusProbe, UnknownAddressTimesOutInBothForms) {
+  const net::SimulatedInternet& world = tiny_world();
+  const auto vps = net::make_planetlab({.node_count = 1, .seed = 40});
+  const ipaddr::IPv4Address unknown(1, 2, 3, 4);
+  ASSERT_EQ(world.target_for(unknown), nullptr);
+  net::SimulatedInternet::VpProber walk(world, vps[0]);
+  rng::Xoshiro256 gen(5);
+  const net::ProbeReply a =
+      world.probe(vps[0], unknown, net::Protocol::kIcmpEcho, gen);
+  const net::ProbeReply b =
+      walk.probe(nullptr, net::Protocol::kIcmpEcho, gen);
+  EXPECT_EQ(a.kind, net::ReplyKind::kTimeout);
+  EXPECT_EQ(b.kind, net::ReplyKind::kTimeout);
+  EXPECT_EQ(a.rtt_ms, 0.0);
+  EXPECT_EQ(b.rtt_ms, 0.0);
+  // Neither form draws from the generator for an unrouted address.
+  EXPECT_EQ(gen(), rng::Xoshiro256(5)());
+}
+
+TEST(CensusProbe, ProberFollowsAMaskChange) {
+  // A prober warmed on every prefix, then every multi-site prefix moved
+  // to one other site: each probe must answer as a fresh address probe.
+  net::SimulatedInternet world(tiny_world_config());
+  const auto vps = net::make_planetlab({.node_count = 2, .seed = 43});
+  std::size_t moved = 0;
+  for (const net::VantagePoint& vp : vps) {
+    net::SimulatedInternet::VpProber walk(world, vp);
+    rng::Xoshiro256 warm(1);
+    for (const net::TargetInfo& info : world.targets()) {
+      (void)walk.probe(&info, net::Protocol::kIcmpEcho, warm);
+    }
+    for (std::size_t d = 0; d < world.deployments().size(); ++d) {
+      const net::Deployment& deployment = world.deployments()[d];
+      for (std::size_t p = 0; p < deployment.prefixes.size(); ++p) {
+        const net::ReplicaSite* reached = world.catchment(vp, d, p);
+        if (reached == nullptr || deployment.sites.size() < 2) continue;
+        const auto here =
+            static_cast<std::size_t>(reached - deployment.sites.data());
+        world.set_prefix_site_mask(
+            d, p, std::uint64_t{1} << ((here + 1) % deployment.sites.size()));
+        ++moved;
+      }
+    }
+    rng::Xoshiro256 by_address(2);
+    rng::Xoshiro256 resolved(2);
+    for (const net::TargetInfo& info : world.targets()) {
+      const net::ProbeReply a = world.probe(
+          vp, ipaddr::IPv4Address::from_slash24_index(info.slash24_index, 1),
+          net::Protocol::kIcmpEcho, by_address);
+      const net::ProbeReply b =
+          walk.probe(&info, net::Protocol::kIcmpEcho, resolved);
+      ASSERT_EQ(a.kind, b.kind);
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(a.rtt_ms),
+                std::bit_cast<std::uint64_t>(b.rtt_ms));
+    }
+  }
+  EXPECT_GT(moved, 100u);
+}
+
+TEST(CensusWalk, ResolvedTargetsMustMatchTheHitlist) {
+  const Hitlist hitlist = Hitlist::from_world(tiny_world());
+  std::vector<const net::TargetInfo*> targets =
+      resolve_targets(tiny_world(), hitlist);
+  ASSERT_EQ(targets.size(), hitlist.size());
+  const auto vps = net::make_planetlab({.node_count = 1, .seed = 42});
+  Greylist blacklist;
+  Greylist grey_a;
+  Greylist grey_b;
+  const FastPingResult resolved = run_fastping(
+      tiny_world(), vps[0], hitlist, targets, blacklist, grey_a, {});
+  const FastPingResult itself =
+      run_fastping(tiny_world(), vps[0], hitlist, blacklist, grey_b, {});
+  EXPECT_EQ(stream_digest(resolved), stream_digest(itself));
+  targets.pop_back();
+  EXPECT_THROW((void)run_fastping(tiny_world(), vps[0], hitlist, targets,
+                                  blacklist, grey_a, {}),
+               std::invalid_argument);
 }
 
 /// Moves replicas of every multi-site deployment: each prefix of it keeps

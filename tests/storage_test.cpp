@@ -216,6 +216,47 @@ TEST_F(StorageTest, AtomicWriteLeavesNoTmpFile) {
   EXPECT_FALSE(fs::exists(dir_ / "atomic.anc.tmp"));
 }
 
+TEST_F(StorageTest, FailedCloseThrowsAndLeavesNoFile) {
+  // The tmp name points at a device that takes writes into its buffer
+  // but fails them on flush, so only the close sees the error.
+  const fs::path path = dir_ / "c1_vp1.anc";
+  fs::path tmp = path;
+  tmp += ".tmp";
+  std::error_code ec;
+  fs::create_symlink("/dev/full", tmp, ec);
+  if (ec) GTEST_SKIP() << "cannot link /dev/full: " << ec.message();
+  EXPECT_THROW(write_census_file(path, {1, 1, kCensusFileComplete},
+                                 sample_stream()),
+               std::runtime_error);
+  EXPECT_FALSE(fs::exists(path));
+  EXPECT_FALSE(fs::is_symlink(tmp));
+}
+
+TEST_F(StorageTest, EncodedPayloadDecodesToTheWrittenStream) {
+  const auto stream = sample_stream();
+  const EncodedCensusFile file =
+      encode_census_file({3, 2, kCensusFileComplete}, stream);
+  EXPECT_EQ(std::vector<std::uint8_t>(file.payload().begin(),
+                                      file.payload().end()),
+            encode_binary(stream));
+  const fs::path path = dir_ / "c2_vp3.anc";
+  write_census_file(path, file);
+  const auto back = read_census_file(path);
+  ASSERT_TRUE(back.has_value());
+  EXPECT_EQ(back->header.vp_id, 3u);
+  EXPECT_EQ(back->header.census_id, 2u);
+  EXPECT_TRUE(back->header.complete());
+  const auto decoded = decode_binary(file.payload());
+  ASSERT_TRUE(decoded.has_value());
+  ASSERT_EQ(decoded->size(), back->observations.size());
+  for (std::size_t i = 0; i < decoded->size(); ++i) {
+    EXPECT_EQ((*decoded)[i].target_index, back->observations[i].target_index);
+    EXPECT_EQ((*decoded)[i].kind, back->observations[i].kind);
+    EXPECT_EQ((*decoded)[i].rtt_ms, back->observations[i].rtt_ms);
+    EXPECT_EQ((*decoded)[i].time_s, back->observations[i].time_s);
+  }
+}
+
 TEST_F(StorageTest, CompleteFlagRoundTrips) {
   const fs::path done = dir_ / "done.anc";
   const fs::path partial = dir_ / "partial.anc";
