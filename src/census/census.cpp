@@ -2,19 +2,17 @@
 
 #include <algorithm>
 #include <array>
-#include <cstdio>
-#include <filesystem>
 #include <iterator>
 
 #if defined(__linux__)
 #include <fcntl.h>
 #include <sys/mman.h>
-#include <sys/stat.h>
 #include <unistd.h>
 #endif
 
 #include "anycast/census/sharded.hpp"
 #include "anycast/census/storage.hpp"
+#include "anycast/obs/durable.hpp"
 #include "anycast/obs/journal.hpp"
 #include "anycast/obs/metrics.hpp"
 #include "anycast/rng/distributions.hpp"
@@ -123,22 +121,8 @@ bool VpRttArena::spill(const std::string& path) {
   std::memcpy(header + 4, &crc, 4);
   std::memcpy(header + 8, &count, 8);
 
-  const std::string tmp = path + ".tmp";
-  std::FILE* f = std::fopen(tmp.c_str(), "wb");
-  if (f == nullptr) return false;
-  const bool ok =
-      std::fwrite(header, 1, kSpillHeaderBytes, f) == kSpillHeaderBytes &&
-      std::fwrite(payload.data(), 1, payload.size(), f) == payload.size() &&
-      std::fflush(f) == 0 && ::fsync(::fileno(f)) == 0;
-  std::fclose(f);
-  if (!ok) {
-    std::remove(tmp.c_str());
-    return false;
-  }
-  std::error_code ec;
-  std::filesystem::rename(tmp, path, ec);
-  if (ec) {
-    std::remove(tmp.c_str());
+  if (obs::write_file_atomic(path, {std::as_bytes(std::span(header)),
+                                    std::as_bytes(std::span(payload))})) {
     return false;
   }
 

@@ -158,10 +158,11 @@ class VpRttArena {
     size_ = count;
   }
 
-  /// Spills the arena to `path` (checksummed "ANCS" file) and swaps the
-  /// anonymous mapping for a read-only file-backed one. Returns false —
-  /// with the arena unchanged — on non-Linux builds, empty arenas, or
-  /// any I/O failure. Defined in census.cpp.
+  /// Spills the arena to `path` (checksummed "ANCS" file, written by
+  /// obs::write_file_atomic) and swaps the anonymous mapping for a
+  /// read-only file-backed one. Returns false — with the arena unchanged
+  /// — on non-Linux builds, empty arenas, or any I/O failure. Defined in
+  /// census.cpp.
   bool spill(const std::string& path);
 
   /// Returns the resident pages of a spilled arena to the kernel

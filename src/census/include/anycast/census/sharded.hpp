@@ -19,9 +19,10 @@
 //    counters exactly once per assembled matrix (note_matrix_build) and
 //    emits only kTiming shard/spill events, so the semantic metric
 //    snapshot and committed journal stream are invariant to shard size.
-//  - Durability boundary: a spill file is published atomically
-//    (tmp+rename) and checksummed; a truncated file salvages to its
-//    whole-record prefix (read_spill_file).
+//  - Durability boundary: a spill file is published durably
+//    (obs::write_file_atomic: tmp, fsync, rename, directory fsync) and
+//    checksummed; a truncated file salvages to its whole-record prefix
+//    (read_spill_file).
 //  - Copy-on-write: each shard's rows are shared, immutable storage plus
 //    an overlay of the rows combine_min changed (CensusMatrix). Copying
 //    a matrix costs O(shards); a combine_min copies, merges and allocates

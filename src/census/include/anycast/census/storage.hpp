@@ -60,11 +60,11 @@ struct EncodedCensusFile {
 EncodedCensusFile encode_census_file(
     const CensusFileHeader& header, std::span<const Observation> observations);
 
-/// Writes an encoded census file. The write is atomic — the bytes land in
-/// `path + ".tmp"` and are renamed over `path` — so a reader never sees a
-/// half-written checkpoint, and a crash leaves at worst a stale tmp file.
-/// Throws std::runtime_error on I/O failure (open, write or close), after
-/// removing the tmp file.
+/// Writes an encoded census file through obs::write_file_atomic (tmp,
+/// fsync, rename, directory fsync), so a reader never sees a half-written
+/// checkpoint and a crash leaves at worst a stale tmp file. Throws
+/// std::runtime_error naming the cause on I/O failure, after removing the
+/// tmp file.
 void write_census_file(const std::filesystem::path& path,
                        const EncodedCensusFile& file);
 

@@ -7,6 +7,7 @@
 #include <stdexcept>
 
 #include "anycast/concurrency/thread_pool.hpp"
+#include "anycast/obs/durable.hpp"
 #include "anycast/obs/journal.hpp"
 #include "anycast/obs/metrics.hpp"
 #include "anycast/obs/trace.hpp"
@@ -20,7 +21,7 @@ namespace {
 struct StorageInstruments {
   obs::Counter writes = obs::metrics().counter(
       "checkpoint_writes", obs::MetricClass::kTiming,
-      "census checkpoint files published (atomic tmp+rename)");
+      "census checkpoint files published (obs::write_file_atomic)");
   obs::Counter write_bytes = obs::metrics().counter(
       "checkpoint_write_bytes", obs::MetricClass::kTiming,
       "bytes written to checkpoints, header and trailer included");
@@ -60,21 +61,15 @@ std::uint32_t load32(const std::uint8_t* at) {
          (static_cast<std::uint32_t>(at[3]) << 24);
 }
 
-/// RAII stdio handle: good enough for bulk binary I/O without iostream's
-/// locale machinery on the hot path. A writer calls `close()` and checks
-/// it: the destructor's close is for the error paths and ignores failure.
+/// RAII stdio read handle: good enough for bulk binary input without
+/// iostream's locale machinery on the hot path. (Writes go through
+/// obs::write_file_atomic.)
 struct File {
   std::FILE* handle = nullptr;
   explicit File(const std::filesystem::path& path, const char* mode)
       : handle(std::fopen(path.string().c_str(), mode)) {}
   ~File() {
     if (handle != nullptr) std::fclose(handle);
-  }
-  /// Flushes and closes; false when either failed.
-  bool close() {
-    std::FILE* closing = handle;
-    handle = nullptr;
-    return std::fclose(closing) == 0;
   }
   File(const File&) = delete;
   File& operator=(const File&) = delete;
@@ -221,30 +216,11 @@ EncodedCensusFile encode_census_file(
 void write_census_file(const std::filesystem::path& path,
                        const EncodedCensusFile& file) {
   const std::vector<std::uint8_t>& buffer = file.bytes;
-  // Atomic publication: a crash mid-write leaves at worst a stale .tmp,
-  // never a half-written checkpoint under the real name.
-  std::filesystem::path tmp = path;
-  tmp += ".tmp";
-  {
-    File out(tmp, "wb");
-    if (out.handle == nullptr) {
-      throw std::runtime_error("cannot open census file for writing: " +
-                               tmp.string());
-    }
-    // A failed write or close (which flushes) leaves no tmp behind.
-    const auto fail = [&tmp](const char* what) {
-      std::error_code ignored;
-      std::filesystem::remove(tmp, ignored);
-      throw std::runtime_error(what + tmp.string());
-    };
-    if (std::fwrite(buffer.data(), 1, buffer.size(), out.handle) !=
-        buffer.size()) {
-      out.close();
-      fail("short write on census file: ");
-    }
-    if (!out.close()) fail("close failed on census file: ");
+  if (const std::error_code ec =
+          obs::write_file_atomic(path, {std::as_bytes(std::span(buffer))})) {
+    throw std::runtime_error("cannot write census file " + path.string() +
+                             ": " + ec.message());
   }
-  std::filesystem::rename(tmp, path);
   const CensusFileHeader& header = file.header;
   storage_instruments().writes.inc();
   storage_instruments().write_bytes.add(buffer.size());

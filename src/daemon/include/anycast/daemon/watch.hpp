@@ -21,11 +21,11 @@
 //   - The fastping seed is fixed across rounds: a static world replays
 //     bit-identical rows, so every dirty row is signal (chaos, churn, or
 //     an escalation-induced retry change), not per-round noise.
-//   - Progress is persisted to `watch.state` (atomic tmp+rename) after
-//     each round: verdict history (replayed to restore the escalation
-//     ladder), per-round quarantined VPs (so baseline matrices can be
-//     re-collated from checkpoints without re-probing), and the
-//     accumulated blacklist.
+//   - Progress is persisted to `watch.state` (obs::write_file_atomic:
+//     tmp + fsync + rename + directory fsync) after each round: verdict
+//     history (replayed to restore the escalation ladder), per-round
+//     quarantined VPs (so baseline matrices can be re-collated from
+//     checkpoints without re-probing), and the accumulated blacklist.
 #pragma once
 
 #include <cstdint>

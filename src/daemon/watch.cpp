@@ -10,6 +10,7 @@
 #include "anycast/analysis/incremental.hpp"
 #include "anycast/census/resume.hpp"
 #include "anycast/census/storage.hpp"
+#include "anycast/obs/durable.hpp"
 #include "anycast/obs/journal.hpp"
 #include "anycast/obs/latency.hpp"
 #include "anycast/obs/telemetry.hpp"
@@ -150,8 +151,9 @@ census::ShardedCensusMatrix WatchDaemon::collate_round(
 }
 
 bool WatchDaemon::save_state(std::string* error) const {
-  // Rendered whole, then written tmp + fsync + rename: a crash leaves the
-  // previous state or this one, never a torn file load_state rejects.
+  // Rendered whole, then written durably (obs::write_file_atomic): a crash
+  // leaves the previous state or this one, never a torn file load_state
+  // rejects.
   const auto field = [](auto value) { return " " + std::to_string(value); };
   std::string body = std::string(kStateMagic) + "\n";
   body += "rounds_completed" + field(verdicts_.size()) + "\n";
@@ -173,8 +175,8 @@ bool WatchDaemon::save_state(std::string* error) const {
   }
   body += "end\n";
   const auto path = state_path(config_.out_dir);
-  if (!obs::write_file_atomic(path, body)) {
-    *error = "cannot write " + path.string();
+  if (const std::error_code ec = obs::write_file_atomic(path, body)) {
+    *error = "cannot write " + path.string() + ": " + ec.message();
     return false;
   }
   return true;

@@ -101,9 +101,11 @@ class Journal {
   void set_recording(bool recording);
   [[nodiscard]] bool recording() const;
 
-  /// Starts the file sink (truncating `path`) and recording. Returns
+  /// Starts the file sink (truncating `path`, then fsyncing its
+  /// directory so the new name is durable) and recording. Returns
   /// false — with the journal left closed — when the path is not
-  /// writable, so callers can fail fast before any probing starts.
+  /// writable (or its directory cannot be synced), so callers can fail
+  /// fast before any probing starts.
   bool open(const std::filesystem::path& path);
 
   /// Drains every thread arena: timing events stream to the file (when

@@ -22,7 +22,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <filesystem>
 #include <mutex>
 #include <optional>
 #include <string>
@@ -107,10 +106,5 @@ class TelemetryPlane {
 
 /// The process-global plane (leaked, like obs::metrics()).
 TelemetryPlane& telemetry();
-
-/// Write `body` to `path` via tmp file + fsync + rename, so a reader (or
-/// a crash) never observes a torn scrape. Returns false on any IO error.
-bool write_file_atomic(const std::filesystem::path& path,
-                       std::string_view body);
 
 }  // namespace anycast::obs

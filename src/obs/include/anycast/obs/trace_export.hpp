@@ -75,8 +75,8 @@ CounterSampler& counter_sampler();
     std::size_t orphan_spans);
 
 /// Takes a final sample of the global registry, then writes the global
-/// collector's spans plus all counter samples to `path`. Returns false
-/// (writing nothing) when the path cannot be opened.
+/// collector's spans plus all counter samples to `path` through
+/// write_file_atomic. Returns false (leaving `path` as it was) on failure.
 bool write_chrome_trace(const std::filesystem::path& path);
 
 }  // namespace anycast::obs

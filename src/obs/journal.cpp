@@ -13,6 +13,8 @@
 #include <unordered_map>
 #include <vector>
 
+#include "anycast/obs/durable.hpp"
+
 namespace anycast::obs {
 namespace {
 
@@ -375,6 +377,11 @@ bool Journal::recording() const {
 bool Journal::open(const std::filesystem::path& path) {
   std::FILE* file = std::fopen(path.string().c_str(), "wb");
   if (file == nullptr) return false;
+  // The commit barrier fsyncs the file; this makes its name durable too.
+  if (sync_directory(path.parent_path())) {
+    std::fclose(file);
+    return false;
+  }
   {
     const std::lock_guard lock(impl_->mutex);
     if (impl_->file != nullptr) std::fclose(impl_->file);

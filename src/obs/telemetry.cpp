@@ -1,12 +1,7 @@
 #include "anycast/obs/telemetry.hpp"
 
-#include <fcntl.h>
-#include <unistd.h>
-
 #include <array>
 #include <chrono>
-#include <cstdio>
-#include <system_error>
 
 #include "anycast/obs/journal.hpp"
 #include "anycast/obs/latency.hpp"
@@ -188,27 +183,6 @@ void TelemetryPlane::reset() {
 TelemetryPlane& telemetry() {
   static TelemetryPlane* global = new TelemetryPlane();
   return *global;
-}
-
-bool write_file_atomic(const std::filesystem::path& path,
-                       std::string_view body) {
-  const std::filesystem::path tmp = path.string() + ".tmp";
-  std::FILE* file = std::fopen(tmp.c_str(), "wb");
-  if (file == nullptr) return false;
-  const bool wrote =
-      body.empty() ||
-      std::fwrite(body.data(), 1, body.size(), file) == body.size();
-  bool ok = wrote && std::fflush(file) == 0;
-  if (ok) ok = ::fsync(::fileno(file)) == 0;
-  if (std::fclose(file) != 0) ok = false;
-  if (!ok) {
-    std::error_code ec;
-    std::filesystem::remove(tmp, ec);
-    return false;
-  }
-  std::error_code ec;
-  std::filesystem::rename(tmp, path, ec);
-  return !ec;
 }
 
 }  // namespace anycast::obs

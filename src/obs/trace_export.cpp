@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <mutex>
 
+#include "anycast/obs/durable.hpp"
 #include "anycast/obs/metrics.hpp"
 
 namespace anycast::obs {
@@ -162,14 +163,9 @@ std::string chrome_trace_json(const std::vector<SpanRecord>& spans,
 
 bool write_chrome_trace(const std::filesystem::path& path) {
   counter_sampler().sample_now();
-  const std::string json =
-      chrome_trace_json(trace().finished(), counter_sampler().samples(),
-                        trace().dropped(), trace().orphans());
-  std::FILE* file = std::fopen(path.string().c_str(), "wb");
-  if (file == nullptr) return false;
-  std::fwrite(json.data(), 1, json.size(), file);
-  std::fclose(file);
-  return true;
+  return !write_file_atomic(
+      path, chrome_trace_json(trace().finished(), counter_sampler().samples(),
+                              trace().dropped(), trace().orphans()));
 }
 
 }  // namespace anycast::obs

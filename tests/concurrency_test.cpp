@@ -26,6 +26,7 @@
 #include "anycast/geo/city_index.hpp"
 #include "anycast/net/fault.hpp"
 #include "anycast/net/platform.hpp"
+#include "anycast/obs/durable.hpp"
 #include "anycast/obs/metrics.hpp"
 #include "anycast/obs/slo.hpp"
 #include "anycast/portscan/scanner.hpp"
@@ -772,6 +773,71 @@ TEST_F(ParallelResumeTest, ChaosCrashThenParallelResumeEqualsUninterrupted) {
   }
 }
 
+std::uint64_t durable_writes() {
+  for (const obs::MetricValue& value : obs::metrics().scrape()) {
+    if (value.name == "durable_writes") return value.value;
+  }
+  return 0;
+}
+
+TEST_F(ParallelResumeTest,
+       CrashAtEveryDurableWriteThenResumeMatchesUninterrupted) {
+  // The process dies inside the k-th checkpoint write, for every k the
+  // census makes, leaving half a .tmp behind. A fault-free resume must
+  // rerun exactly the VPs without a published checkpoint and land on the
+  // uninterrupted census: data, funnel counters and every .anc byte.
+  const auto vps = net::make_planetlab({.node_count = 8, .seed = 91});
+  FastPingConfig config;
+  config.seed = 90;
+  const fs::path clean_dir = dir_ / "clean";
+  Greylist blacklist_clean;
+  const std::uint64_t writes_before = durable_writes();
+  const ShardedResumeReport clean = resume_census_sharded(
+      tiny_world(), vps, tiny_hitlist(), blacklist_clean, config, clean_dir,
+      /*census_id=*/1);
+  const std::uint64_t writes = durable_writes() - writes_before;
+  ASSERT_EQ(writes, clean.output.summary.active_vps);
+
+  ThreadPool pool(2);
+  for (std::uint64_t k = 1; k <= writes; ++k) {
+    SCOPED_TRACE("crash at durable write " + std::to_string(k));
+    const fs::path dir = dir_ / ("crash" + std::to_string(k));
+    Greylist blacklist_crash;
+    obs::testing::crash_at_durable_write(k);
+    EXPECT_THROW((void)resume_census_sharded(
+                     tiny_world(), vps, tiny_hitlist(), blacklist_crash,
+                     config, dir, /*census_id=*/1),
+                 obs::testing::CrashPoint);
+    obs::testing::crash_at_durable_write(0);
+
+    Greylist blacklist_resume;
+    const ShardedResumeReport resumed = resume_census_sharded(
+        tiny_world(), vps, tiny_hitlist(), blacklist_resume, config, dir,
+        /*census_id=*/1, {}, /*faults=*/nullptr, &pool);
+    // The dying write published nothing, so nothing needs salvage.
+    EXPECT_EQ(resumed.files_salvaged, 0u);
+    EXPECT_EQ(resumed.vps_reused, k - 1);
+    EXPECT_EQ(resumed.vps_rerun, writes - (k - 1));
+    EXPECT_EQ(resumed.output.summary.probes_sent,
+              clean.output.summary.probes_sent);
+    EXPECT_EQ(resumed.output.summary.echo_replies,
+              clean.output.summary.echo_replies);
+    EXPECT_EQ(resumed.output.summary.timeouts, clean.output.summary.timeouts);
+    EXPECT_EQ(resumed.output.summary.errors, clean.output.summary.errors);
+    expect_same_data(resumed.output.data, clean.output.data);
+    for (const net::VantagePoint& vp : vps) {
+      const auto clean_bytes =
+          read_bytes(census::census_checkpoint_path(clean_dir, 1, vp.id));
+      EXPECT_EQ(read_bytes(census::census_checkpoint_path(dir, 1, vp.id)),
+                clean_bytes)
+          << "vp " << vp.id;
+    }
+    for (const auto& entry : fs::directory_iterator(dir)) {
+      EXPECT_NE(entry.path().extension(), ".tmp") << entry.path();
+    }
+  }
+}
+
 TEST_F(ParallelResumeTest, ResumeIntoEmptyDirMatchesLiveCensus) {
   // Into an empty directory every VP reruns, so the checkpointed pass must
   // agree with the live one on everything but the RTTs' 1/50 ms
@@ -1008,6 +1074,8 @@ TEST_F(ParallelResumeTest, TimingMetricsAreExactlyTheDeclaredAllowlist) {
       "checkpoint_salvages",
       "checkpoint_write_bytes",
       "checkpoint_writes",
+      "durable_fsyncs",
+      "durable_writes",
       "pool_helper_dispatches",
       "pool_indices_by_caller",
       "pool_indices_by_helpers",

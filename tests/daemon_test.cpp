@@ -19,7 +19,9 @@
 #include "anycast/daemon/watch.hpp"
 #include "anycast/geo/city_index.hpp"
 #include "anycast/net/platform.hpp"
+#include "anycast/obs/durable.hpp"
 #include "anycast/obs/journal.hpp"
+#include "anycast/obs/metrics.hpp"
 #include "anycast/obs/slo.hpp"
 #include "anycast/obs/telemetry.hpp"
 
@@ -583,6 +585,62 @@ TEST_F(WatchTest, WatchdogAbortThenRestartMatchesUninterruptedCampaign) {
   EXPECT_GT(resumed.rounds[0].vps_reused, 0u);
   expect_same_records(resumed.rounds[0], clean.rounds[1]);
   expect_same_records(resumed.rounds[1], clean.rounds[2]);
+}
+
+std::uint64_t durable_writes() {
+  for (const obs::MetricValue& value : obs::metrics().scrape()) {
+    if (value.name == "durable_writes") return value.value;
+  }
+  return 0;
+}
+
+TEST_F(WatchTest, CrashAtEveryDurableWriteThenRestartMatchesUninterrupted) {
+  // The drill campaign of
+  // WatchdogAbortThenRestartMatchesUninterruptedCampaign, killed inside
+  // each of its durable writes in turn (round-1 checkpoints, the round-1
+  // state commit, the drill's round-2 checkpoints). Each restart must
+  // converge on the uninterrupted campaign, record for record and byte
+  // for byte in watch.state.
+  daemon::WatchConfig clean_config = base_config(dir_ / "clean");
+  clean_config.rounds = 3;
+  clean_config.churn = true;
+  const auto clean = run_watch(clean_config);
+  ASSERT_EQ(clean.exit_code, 0) << clean.error;
+  ASSERT_EQ(clean.rounds.size(), 3u);
+  const auto clean_state = read_bytes(dir_ / "clean" / "watch.state");
+
+  daemon::WatchConfig drill_config = base_config(dir_ / "drill");
+  drill_config.rounds = 3;
+  drill_config.churn = true;
+  drill_config.die_at_round = 2;
+  const std::uint64_t writes_before = durable_writes();
+  ASSERT_EQ(run_watch(drill_config).exit_code, daemon::kAbortedExitCode);
+  const std::uint64_t writes = durable_writes() - writes_before;
+  ASSERT_GT(writes, small_vps().size() / 2);
+
+  for (std::uint64_t k = 1; k <= writes; ++k) {
+    SCOPED_TRACE("crash at durable write " + std::to_string(k));
+    const fs::path dir = dir_ / ("crash" + std::to_string(k));
+    drill_config.out_dir = dir;
+    obs::testing::crash_at_durable_write(k);
+    EXPECT_THROW((void)run_watch(drill_config), obs::testing::CrashPoint);
+    obs::testing::crash_at_durable_write(0);
+
+    daemon::WatchConfig restart_config = base_config(dir);
+    restart_config.rounds = 3;
+    restart_config.churn = true;
+    const auto resumed = run_watch(restart_config);
+    EXPECT_EQ(resumed.exit_code, 0) << resumed.error;
+    EXPECT_EQ(resumed.rounds_completed, 3);
+    ASSERT_GE(resumed.rounds.size(), 2u);
+    ASSERT_LE(resumed.rounds.size(), 3u);
+    const std::size_t first = 3 - resumed.rounds.size();
+    for (std::size_t i = 0; i < resumed.rounds.size(); ++i) {
+      expect_same_records(resumed.rounds[i], clean.rounds[first + i]);
+    }
+    EXPECT_EQ(read_bytes(dir / "watch.state"), clean_state);
+    fs::remove_all(dir);
+  }
 }
 
 TEST_F(WatchTest, CompletedCampaignRestartsAsNoOp) {

@@ -2,14 +2,17 @@
 // (merge correctness, histogram bucket edges, scrape determinism,
 // concurrent increments and first records racing scrapes — run under TSAN
 // via tools/run_sanitizers.sh) and the trace span tree (nesting,
-// cross-thread adoption, orphan handling), and the journal's JSON string
-// escaping.
+// cross-thread adoption, orphan handling), the journal's JSON string
+// escaping, and the durable-write primitive (counters, errors, crash seam).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstdint>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <optional>
 #include <random>
 #include <stdexcept>
@@ -18,6 +21,7 @@
 #include <thread>
 #include <vector>
 
+#include "anycast/obs/durable.hpp"
 #include "anycast/obs/journal.hpp"
 #include "anycast/obs/latency.hpp"
 #include "anycast/obs/metrics.hpp"
@@ -807,6 +811,113 @@ TEST(JournalEscaping, NearFullLinesNeverHalfWriteAnEscape) {
   }
   EXPECT_TRUE(fitted);
   EXPECT_TRUE(cut);
+}
+
+// --- Durable writes ------------------------------------------------------
+
+std::uint64_t global_counter(std::string_view name) {
+  const auto values = anycast::obs::metrics().scrape();
+  const MetricValue* value = find(values, name);
+  return value != nullptr ? value->value : 0;
+}
+
+std::string file_text(const std::filesystem::path& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
+class DurableWrite : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    dir_ = std::filesystem::path(::testing::TempDir()) /
+           ("durable_" + std::string(::testing::UnitTest::GetInstance()
+                                         ->current_test_info()
+                                         ->name()));
+    std::filesystem::create_directories(dir_);
+  }
+  void TearDown() override { std::filesystem::remove_all(dir_); }
+
+  std::filesystem::path dir_;
+};
+
+TEST_F(DurableWrite, CountsOneWriteAndTwoFsyncsPerFile) {
+  // One fsync for the file, one for its directory after the rename.
+  constexpr std::uint64_t kWrites = 5;
+  const std::uint64_t writes = global_counter("durable_writes");
+  const std::uint64_t fsyncs = global_counter("durable_fsyncs");
+  for (std::uint64_t i = 0; i < kWrites; ++i) {
+    ASSERT_FALSE(anycast::obs::write_file_atomic(
+        dir_ / ("f" + std::to_string(i)), "payload " + std::to_string(i)));
+  }
+  EXPECT_EQ(global_counter("durable_writes") - writes, kWrites);
+  EXPECT_EQ(global_counter("durable_fsyncs") - fsyncs, 2 * kWrites);
+  // A write that fails publishes nothing and counts nothing.
+  EXPECT_TRUE(anycast::obs::write_file_atomic(dir_ / "missing" / "f", "x"));
+  EXPECT_EQ(global_counter("durable_writes") - writes, kWrites);
+}
+
+TEST_F(DurableWrite, JoinsPartsAndReportsTheCause) {
+  const std::string header = "head:";
+  const std::string payload = "payload";
+  ASSERT_FALSE(anycast::obs::write_file_atomic(
+      dir_ / "joined", {std::as_bytes(std::span(header)),
+                        std::as_bytes(std::span(payload))}));
+  EXPECT_EQ(file_text(dir_ / "joined"), "head:payload");
+
+  const std::error_code missing =
+      anycast::obs::write_file_atomic(dir_ / "missing" / "f", "x");
+  EXPECT_EQ(missing, std::errc::no_such_file_or_directory) << missing;
+
+  // A device that fails the flush: the error carries ENOSPC and the tmp
+  // (here a symlink to the device) is removed.
+  const std::filesystem::path full = dir_ / "full";
+  std::error_code ec;
+  std::filesystem::create_symlink("/dev/full", full.string() + ".tmp", ec);
+  if (ec) GTEST_SKIP() << "cannot link /dev/full: " << ec.message();
+  EXPECT_EQ(anycast::obs::write_file_atomic(full, "x"),
+            std::errc::no_space_on_device);
+  EXPECT_FALSE(std::filesystem::exists(full));
+  EXPECT_FALSE(std::filesystem::is_symlink(full.string() + ".tmp"));
+}
+
+TEST_F(DurableWrite, JournalOpenSyncsTheNewNamesDirectory) {
+  const std::uint64_t fsyncs = global_counter("durable_fsyncs");
+  anycast::obs::Journal journal;
+  ASSERT_TRUE(journal.open(dir_ / "run.jsonl"));
+  EXPECT_EQ(global_counter("durable_fsyncs") - fsyncs, 1u);
+}
+
+TEST_F(DurableWrite, CrashPointLeavesHalfTheBytesInTheTmp) {
+  namespace testing = anycast::obs::testing;
+  const std::filesystem::path path = dir_ / "state";
+  const std::filesystem::path tmp = path.string() + ".tmp";
+  const std::string first = "first version";
+  const std::string header = "0123";
+  const std::string payload = "456789";
+
+  testing::crash_at_durable_write(2);
+  ASSERT_FALSE(anycast::obs::write_file_atomic(path, first));
+  try {
+    (void)anycast::obs::write_file_atomic(
+        path, {std::as_bytes(std::span(header)),
+               std::as_bytes(std::span(payload))});
+    ADD_FAILURE() << "the second write should have crashed";
+  } catch (const testing::CrashPoint& crash) {
+    EXPECT_EQ(crash.path, path);
+  }
+  // Half of the joined parts, cut inside the second part; the published
+  // file is untouched.
+  EXPECT_EQ(file_text(tmp), "01234");
+  EXPECT_EQ(file_text(path), first);
+
+  // The seam disarmed itself: the next write publishes and clears the tmp.
+  ASSERT_FALSE(anycast::obs::write_file_atomic(path, payload));
+  EXPECT_EQ(file_text(path), payload);
+  EXPECT_FALSE(std::filesystem::exists(tmp));
+
+  testing::crash_at_durable_write(1);
+  testing::crash_at_durable_write(0);
+  EXPECT_FALSE(anycast::obs::write_file_atomic(path, first));
 }
 
 }  // namespace

@@ -32,6 +32,7 @@
 #include "anycast/concurrency/thread_pool.hpp"
 #include "anycast/geo/city_index.hpp"
 #include "anycast/net/platform.hpp"
+#include "anycast/obs/durable.hpp"
 #include "anycast/obs/metrics.hpp"
 
 namespace anycast::census {
@@ -238,6 +239,74 @@ TEST_F(ShardedTest, EnforceRssBudgetSpillsUntilUnderBudget) {
   for (const auto& [t, vp, rtt] : adds) resident_builder.add(t, vp, rtt);
   const ShardedCensusMatrix resident = resident_builder.build();
   EXPECT_EQ(resident.resident_value_bytes(), resident.total_value_bytes());
+}
+
+TEST_F(ShardedTest, CrashAtEveryDurableWriteOfASpilledBuild) {
+  // The build of EnforceRssBudgetSpillsUntilUnderBudget, killed inside
+  // each of its spill writes in turn. The dying write publishes nothing:
+  // the real name holds nothing or an intact earlier spill. A rebuild
+  // into the same spill dir is element-identical and leaves no tmp.
+  constexpr std::size_t kTargets = 4096;
+  const auto adds = sample_adds(kTargets, 50, 400'000);
+  DataPlaneConfig plane;
+  plane.shard_targets = 512;
+  plane.rss_budget_mb = 1;
+  plane.spill_dir = (dir_ / "spill").string();
+  CensusMatrixBuilder mono_builder(kTargets);
+  for (const auto& [t, vp, rtt] : adds) mono_builder.add(t, vp, rtt);
+  const CensusMatrix mono = mono_builder.build();
+  const auto spilled_build = [&] {
+    ShardedCensusMatrixBuilder builder(kTargets, plane);
+    for (const auto& [t, vp, rtt] : adds) builder.add(t, vp, rtt);
+    return builder.build();
+  };
+  const auto durable_writes = [] {
+    for (const obs::MetricValue& value : obs::metrics().scrape()) {
+      if (value.name == "durable_writes") return value.value;
+    }
+    return std::uint64_t{0};
+  };
+  const std::uint64_t writes_before = durable_writes();
+  const ShardedCensusMatrix clean = spilled_build();
+  const std::uint64_t writes = durable_writes() - writes_before;
+  ASSERT_GT(writes, 0u);
+
+  for (std::uint64_t k = 1; k <= writes; ++k) {
+    SCOPED_TRACE("crash at durable write " + std::to_string(k));
+    obs::testing::crash_at_durable_write(k);
+    try {
+      (void)spilled_build();
+      ADD_FAILURE() << "no crash";
+    } catch (const obs::testing::CrashPoint& crash) {
+      EXPECT_TRUE(fs::exists(crash.path.string() + ".tmp"));
+      if (fs::exists(crash.path)) {
+        EXPECT_TRUE(read_spill_file(crash.path.string()).has_value());
+      }
+    }
+    obs::testing::crash_at_durable_write(0);
+    const ShardedCensusMatrix rebuilt = spilled_build();
+    expect_rows_equal(rebuilt, mono);
+    for (std::size_t s = 0; s < rebuilt.shard_count(); ++s) {
+      EXPECT_EQ(rebuilt.shard_spilled(s), clean.shard_spilled(s)) << s;
+    }
+    for (const auto& entry : fs::directory_iterator(dir_ / "spill")) {
+      EXPECT_NE(entry.path().extension(), ".tmp") << entry.path();
+    }
+  }
+
+  // A failed spill leaves its shard resident and every row readable.
+  DataPlaneConfig resident_plane = plane;
+  resident_plane.rss_budget_mb = 0;
+  ShardedCensusMatrixBuilder builder(kTargets, resident_plane);
+  for (const auto& [t, vp, rtt] : adds) builder.add(t, vp, rtt);
+  ShardedCensusMatrix resident = builder.build();
+  for (std::size_t s = 0; s < resident.shard_count(); ++s) {
+    obs::testing::crash_at_durable_write(1);
+    EXPECT_THROW((void)resident.spill_shard(s), obs::testing::CrashPoint);
+    EXPECT_FALSE(resident.shard_spilled(s)) << s;
+  }
+  EXPECT_EQ(resident.resident_value_bytes(), resident.total_value_bytes());
+  expect_rows_equal(resident, mono);
 }
 
 TEST_F(ShardedTest, SpillFileStrictReadAndTruncatedSalvage) {

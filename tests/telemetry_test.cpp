@@ -14,6 +14,7 @@
 #include <thread>
 #include <vector>
 
+#include "anycast/obs/durable.hpp"
 #include "anycast/obs/latency.hpp"
 #include "anycast/obs/metrics.hpp"
 #include "anycast/obs/slo.hpp"
@@ -455,14 +456,15 @@ TEST(TelemetryPlaneTest, WriteFileAtomicNeverLeavesATornFile) {
   const fs::path dir = fs::path(::testing::TempDir()) / "telemetry_atomic";
   fs::create_directories(dir);
   const fs::path path = dir / "scrape.json";
-  ASSERT_TRUE(write_file_atomic(path, "first version\n"));
-  ASSERT_TRUE(write_file_atomic(path, "second version\n"));
+  // An empty error_code means the file was published.
+  ASSERT_FALSE(write_file_atomic(path, "first version\n"));
+  ASSERT_FALSE(write_file_atomic(path, "second version\n"));
   std::ifstream in(path);
   std::string body((std::istreambuf_iterator<char>(in)),
                    std::istreambuf_iterator<char>());
   EXPECT_EQ(body, "second version\n");
   EXPECT_FALSE(fs::exists(path.string() + ".tmp")) << "tmp must be renamed";
-  EXPECT_FALSE(write_file_atomic(dir / "no_such_dir" / "x.json", "body"));
+  EXPECT_TRUE(write_file_atomic(dir / "no_such_dir" / "x.json", "body"));
 }
 
 }  // namespace

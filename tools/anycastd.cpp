@@ -66,6 +66,7 @@
 #include "anycast/geo/city_index.hpp"
 #include "anycast/net/fault.hpp"
 #include "anycast/net/platform.hpp"
+#include "anycast/obs/durable.hpp"
 #include "anycast/obs/journal.hpp"
 #include "anycast/obs/metrics.hpp"
 #include "anycast/obs/progress.hpp"
@@ -98,7 +99,7 @@ constexpr tools::FlagHelp kCommonFlags[] = {
      "must be writable up front"},
     {"metrics-interval", "S",
      "also flush the telemetry document to --metrics-out every S seconds "
-     "(atomic tmp+rename, so `anycastd top` can tail it mid-run)"},
+     "(tmp + fsync + rename, so `anycastd top` never reads a torn file)"},
     {"slo", "SPEC",
      "SLO objectives, e.g. \"p99_lookup_us=50,availability=0.999\"; "
      "multi-window burn rates tracked live (watch journals availability "
@@ -1172,18 +1173,17 @@ int cmd_report(const Flags& flags) {
 }
 
 /// Proves an output path is writable before any probing starts: a census
-/// that runs for hours and then cannot save its scrape/journal/trace is
-/// the worst failure mode. Truncates/creates the file; the real payload
-/// overwrites it on exit.
+/// that runs for hours and then cannot save its scrape/trace is the worst
+/// failure mode. Publishes an empty file the same durable way the real
+/// payload replaces it on exit, so the directory's tmp + rename is proven
+/// too.
 int validate_out_path(const char* flag_name, const std::string& path) {
-  std::FILE* probe = std::fopen(path.c_str(), "wb");
-  if (probe == nullptr) {
+  if (const std::error_code ec = obs::write_file_atomic(path, "")) {
     std::fprintf(stderr,
-                 "anycastd: cannot open %s path for writing: %s\n",
-                 flag_name, path.c_str());
+                 "anycastd: cannot open %s path for writing: %s: %s\n",
+                 flag_name, path.c_str(), ec.message().c_str());
     return 2;
   }
-  std::fclose(probe);
   return 0;
 }
 
@@ -1200,9 +1200,10 @@ std::string metrics_document(const std::string& path) {
 }
 
 int write_metrics_out(const std::string& path) {
-  if (!obs::write_file_atomic(path, metrics_document(path))) {
-    std::fprintf(stderr, "anycastd: failed writing metrics to %s\n",
-                 path.c_str());
+  if (const std::error_code ec =
+          obs::write_file_atomic(path, metrics_document(path))) {
+    std::fprintf(stderr, "anycastd: failed writing metrics to %s: %s\n",
+                 path.c_str(), ec.message().c_str());
     return 1;
   }
   return 0;
@@ -1327,8 +1328,8 @@ int main(int argc, char** argv) {
       for (;;) {
         lock.unlock();
         obs::telemetry().tick();  // rotate windows + evaluate latency SLOs
-        const bool ok =
-            obs::write_file_atomic(*metrics_out, metrics_document(*metrics_out));
+        const bool ok = !obs::write_file_atomic(
+            *metrics_out, metrics_document(*metrics_out));
         lock.lock();
         if (ok) ++flushes;
         if (flusher_cv.wait_for(

@@ -8,8 +8,9 @@
 # matrices share storage copy-on-write), the
 # analysis-kernel property tests (kernel_test: guard-band fallbacks and the
 # tests/oracle code), the incremental-analysis tests (daemon_test: derived
-# rounds read the combine_min change record), and runs them under that
-# sanitizer. Run it from
+# rounds read the combine_min change record), the crash-point tests
+# (every *DurableWrite* test: the census, watch and spill runs killed at
+# each durable write), and runs them under that sanitizer. Run it from
 # anywhere; build trees live in <repo>/build-<sanitizer> (gitignored).
 #
 #   tools/run_sanitizers.sh                 # thread, address, undefined
@@ -68,7 +69,7 @@ run_gate() {
     "${prefix[@]}" ctest --test-dir "$build" --output-on-failure "$@"
   else
     "${prefix[@]}" ctest --test-dir "$build" --output-on-failure \
-      -R 'ThreadPool|ShardRanges|Parallel|Census|Resume|Fault|Metrics|Trace|Headline|Journal|Progress|Serving|Telemetry|LatencyHisto|TimeSeries|Slo|Kernel|Storage|Sharded|IncrementalAnalysis|ChangeRecord'
+      -R 'ThreadPool|ShardRanges|Parallel|Census|Resume|Fault|Metrics|Trace|Headline|Journal|Progress|Serving|Telemetry|LatencyHisto|TimeSeries|Slo|Kernel|Storage|Sharded|IncrementalAnalysis|ChangeRecord|DurableWrite'
   fi
   echo "$sanitizer sanitizer gate passed."
 }
