@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <vector>
 
 #include "anycast/concurrency/thread_pool.hpp"
 #include "anycast/geodesy/disk.hpp"
@@ -69,69 +70,75 @@ bool CensusAnalyzer::detect(std::span<const census::VpRtt> row) const {
   // If disks i and j are disjoint, d(i,j) > r_i + r_j, and the triangle
   // inequality d(i,j) <= d(i,P) + d(j,P) forces e_i + e_j > 0. The
   // contrapositive prunes: a pair with e_i + e_j <= -slack provably
-  // intersects and needs no distance lookup. Scanning pairs in descending
-  // excess order makes the prune monotone — once the sum dips below the
-  // slack for the best remaining partner, every later pair is bounded
-  // too. A unicast target's disks all roughly contain its one location,
-  // so nearly all excesses are <= 0 and the typical row costs one sort
-  // and no pair tests, instead of the full O(n^2) sweep. Only provably
-  // intersecting pairs are skipped and the surviving pairs run the exact
-  // comparison, so the verdict is identical to the full sweep for every
-  // row.
-  thread_local std::vector<double> radii;
-  thread_local std::vector<double> excess;
-  thread_local std::vector<std::uint32_t> order;
+  // intersects and needs no distance lookup. So when the two largest
+  // excesses sum below the slack, no pair can be disjoint: a unicast
+  // target's disks all roughly contain its one location, so nearly every
+  // row exits there in O(n), with no allocation, sort or pair test.
+  // The rest scan pairs in descending excess order, which makes the prune
+  // monotone: once the sum dips below the slack for the best remaining
+  // partner, every later pair is bounded too. Only provably intersecting
+  // pairs are skipped and the surviving pairs run the exact comparison,
+  // so the verdict is identical to the full sweep for every row.
   const std::size_t n = row.size();
-  radii.clear();
-  radii.reserve(n);
-  order.clear();
+  if (n < 2) return false;
+  // The valid disks, compacted in row order. A row longer than the stack
+  // buffer (more VPs than any platform here) takes one heap buffer.
+  struct Disk {
+    double radius;
+    double excess;     // filled only for the exact test
+    std::uint32_t vp;
+    std::uint32_t at;  // position among the valid disks: the sort's tie
+  };
+  constexpr std::size_t kStackDisks = 512;
+  Disk stack[kStackDisks];  // uninitialised: [0, k) is written before read
+  std::vector<Disk> heap;
+  Disk* disks = stack;
+  if (n > kStackDisks) {
+    heap.resize(n);
+    disks = heap.data();
+  }
+  std::size_t k = 0;
+  std::size_t witness = 0;
   for (std::size_t i = 0; i < n; ++i) {
     const double rtt = row[i].rtt_ms;
-    radii.push_back(rtt <= options_.max_rtt_ms
-                        ? geodesy::rtt_to_radius_km(rtt)
-                        : -1.0);
-    if (radii[i] >= 0.0) order.push_back(static_cast<std::uint32_t>(i));
+    const double radius = geodesy::rtt_to_radius_km(rtt);
+    if (!(rtt <= options_.max_rtt_ms && radius >= 0.0)) continue;
+    // The first disk of the smallest radius is the witness.
+    if (k == 0 || radius < disks[witness].radius) witness = k;
+    disks[k] = Disk{radius, 0.0, row[i].vp, static_cast<std::uint32_t>(k)};
+    ++k;
   }
-  if (order.size() < 2) return false;
+  if (k < 2) return false;
 
-  std::uint32_t witness = order[0];
-  for (const std::uint32_t i : order) {
-    if (radii[i] < radii[witness]) witness = i;
-  }
-  const double* witness_row = &vp_distance_km_[row[witness].vp * vps_.size()];
-  excess.assign(n, 0.0);
-  for (const std::uint32_t i : order) {
-    excess[i] = witness_row[row[i].vp] - radii[i];
-  }
-  // Top-2 shortcut: every pair sum is bounded by the two largest excesses,
-  // so the typical unicast row exits here in O(n) without sorting.
+  // Top-two bound: every pair sum is at most the two largest excesses.
+  const double* witness_row = &vp_distance_km_[disks[witness].vp * vps_.size()];
   double top1 = -std::numeric_limits<double>::infinity();
   double top2 = top1;
-  for (const std::uint32_t i : order) {
-    if (excess[i] > top1) {
-      top2 = top1;
-      top1 = excess[i];
-    } else if (excess[i] > top2) {
-      top2 = excess[i];
-    }
+  for (std::size_t i = 0; i < k; ++i) {
+    const double e = witness_row[disks[i].vp] - disks[i].radius;
+    top2 = std::max(top2, std::min(top1, e));
+    top1 = std::max(top1, e);
   }
   if (top1 + top2 <= -kWitnessSlackKm) return false;
-  std::sort(order.begin(), order.end(),
-            [&](std::uint32_t a, std::uint32_t b) {
-              if (excess[a] != excess[b]) return excess[a] > excess[b];
-              return a < b;
-            });
 
-  for (std::size_t a = 0; a + 1 < order.size(); ++a) {
-    const std::uint32_t i = order[a];
-    const double* distance_row = &vp_distance_km_[row[i].vp * vps_.size()];
-    for (std::size_t b = a + 1; b < order.size(); ++b) {
-      const std::uint32_t j = order[b];
-      if (excess[i] + excess[j] <= -kWitnessSlackKm) {
+  // Exact pair test in descending excess order (ties in row order).
+  for (std::size_t i = 0; i < k; ++i) {
+    disks[i].excess = witness_row[disks[i].vp] - disks[i].radius;
+  }
+  std::sort(disks, disks + k, [](const Disk& a, const Disk& b) {
+    if (a.excess != b.excess) return a.excess > b.excess;
+    return a.at < b.at;
+  });
+  for (std::size_t a = 0; a + 1 < k; ++a) {
+    const Disk& i = disks[a];
+    const double* distance_row = &vp_distance_km_[i.vp * vps_.size()];
+    for (std::size_t b = a + 1; b < k; ++b) {
+      const Disk& j = disks[b];
+      if (i.excess + j.excess <= -kWitnessSlackKm) {
         if (b == a + 1) return false;  // all later pairs are bounded too
         break;
       }
-      if (distance_row[row[j].vp] > radii[i] + radii[j]) return true;
+      if (distance_row[j.vp] > i.radius + j.radius) return true;
     }
   }
   return false;

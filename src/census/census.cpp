@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <iterator>
+#include <utility>
 
 #if defined(__linux__)
 #include <fcntl.h>
@@ -344,17 +345,19 @@ constexpr std::size_t kOverlayShareDivisor = 16;
 constexpr std::size_t kBlockValues = std::size_t{1} << 15;
 
 /// Lays VP-ascending canonical runs out as CSR rows, one target block at
-/// a time, blocks last to first. `count` takes every run's slice of the
-/// block (per-run cursors walking each run back to front, so a pass reads
-/// each run once) and prefix-sums the row sizes; `place` appends each
-/// run's slice in VP order. Rows therefore come out vp-sorted at exact
-/// offsets, and the block's values stay cache-resident between the two
-/// steps.
+/// a time, blocks last to first. Runs hold global target indices; row i
+/// of the output is target `base + i`. `count` takes every run's slice of
+/// the block (per-run cursors walking each run back to front, so a pass
+/// reads each run once) and prefix-sums the row sizes; `place` appends
+/// each run's slice in VP order. Rows therefore come out vp-sorted at
+/// exact offsets, and the block's values stay cache-resident between the
+/// two steps.
 class BlockTransposer {
  public:
-  BlockTransposer(std::span<const detail::TargetRun> runs,
+  BlockTransposer(std::span<const detail::TargetRun> runs, std::size_t base,
                   std::size_t targets, std::size_t values)
       : runs_(runs),
+        base_(base),
         end_(runs.size()),
         begin_(runs.size()),
         block_(std::clamp<std::size_t>(
@@ -379,15 +382,15 @@ class BlockTransposer {
   /// block's value count.
   std::uint64_t count(std::size_t b0, std::size_t b1,
                       std::uint64_t* row_begin) {
-    b0_ = b0;
+    g0_ = base_ + b0;
     const std::size_t n = b1 - b0;
     std::uint64_t* slots = slots_.data();
     std::fill(slots, slots + n + 1, 0);
     for (std::size_t r = 0; r < runs_.size(); ++r) {
       const TargetRtt* entries = runs_[r].entries.data();
       std::uint32_t p = end_[r];
-      for (; p > 0 && entries[p - 1].target_index >= b0; --p) {
-        ++slots[entries[p - 1].target_index - b0 + 1];
+      for (; p > 0 && entries[p - 1].target_index >= g0_; --p) {
+        ++slots[entries[p - 1].target_index - g0_ + 1];
       }
       begin_[r] = p;
     }
@@ -407,7 +410,7 @@ class BlockTransposer {
       const std::uint16_t vp = runs_[r].vp;
       const TargetRtt* entries = runs_[r].entries.data();
       for (std::uint32_t p = begin_[r]; p < end_[r]; ++p) {
-        out[slots[entries[p].target_index - b0_]++] =
+        out[slots[entries[p].target_index - g0_]++] =
             VpRtt{vp, entries[p].rtt_ms};
       }
     }
@@ -416,11 +419,12 @@ class BlockTransposer {
 
  private:
   std::span<const detail::TargetRun> runs_;
+  std::size_t base_;                  // global index of row 0
   std::vector<std::uint32_t> end_;    // end of each run's unread prefix
   std::vector<std::uint32_t> begin_;  // start of each run's counted slice
   std::size_t block_;
   std::vector<std::uint64_t> slots_;  // row sizes, then write positions
-  std::size_t b0_ = 0;
+  std::size_t g0_ = 0;                // global index of the block's row 0
 };
 
 /// Collapses each group of equal targets in a target-sorted vector to
@@ -439,8 +443,8 @@ void keep_target_minima(std::vector<TargetRtt>& entries) {
 }
 
 /// Two canonical runs of one VP merged into one, per-target minima.
-std::vector<TargetRtt> merge_runs(const std::vector<TargetRtt>& a,
-                                  const std::vector<TargetRtt>& b) {
+std::vector<TargetRtt> merge_runs(std::span<const TargetRtt> a,
+                                  std::span<const TargetRtt> b) {
   std::vector<TargetRtt> merged;
   merged.reserve(a.size() + b.size());
   std::size_t i = 0;
@@ -657,14 +661,16 @@ void CensusMatrixBuilder::add(std::uint32_t target_index, std::uint16_t vp,
 void CensusMatrixBuilder::add_fragment(std::uint16_t vp,
                                        std::vector<TargetRtt> fragment) {
   detail::canonicalise_run(fragment, target_count_);
-  add_run(vp, std::move(fragment));
+  if (fragment.empty()) return;
+  owned_.push_back(std::move(fragment));
+  add_view(vp, owned_.back());
 }
 
-void CensusMatrixBuilder::add_run(std::uint16_t vp,
-                                  std::vector<TargetRtt> run) {
+void CensusMatrixBuilder::add_view(std::uint16_t vp,
+                                   std::span<const TargetRtt> run) {
   if (run.empty()) return;
   staged_bytes_ += run.size() * sizeof(TargetRtt);
-  runs_.push_back(detail::TargetRun{vp, std::move(run)});
+  runs_.push_back(detail::TargetRun{vp, run});
 }
 
 CensusMatrix CensusMatrixBuilder::build() {
@@ -684,18 +690,17 @@ std::vector<detail::TargetRun> CensusMatrixBuilder::take_runs() {
         *std::max_element(loose_vps_.begin(), loose_vps_.end());
     std::vector<std::uint32_t> slot(std::size_t{top} + 1, 0);
     for (const std::uint16_t vp : loose_vps_) ++slot[vp];
-    const std::size_t first = runs.size();
-    for (std::size_t vp = 0; vp <= top; ++vp) {
-      if (slot[vp] == 0) continue;
-      runs.push_back(detail::TargetRun{static_cast<std::uint16_t>(vp), {}});
-      runs.back().entries.reserve(slot[vp]);
-      slot[vp] = static_cast<std::uint32_t>(runs.size() - 1);
-    }
+    std::vector<std::vector<TargetRtt>> grouped(std::size_t{top} + 1);
+    for (std::size_t vp = 0; vp <= top; ++vp) grouped[vp].reserve(slot[vp]);
     for (std::size_t i = 0; i < loose_.size(); ++i) {
-      runs[slot[loose_vps_[i]]].entries.push_back(loose_[i]);
+      grouped[loose_vps_[i]].push_back(loose_[i]);
     }
-    for (std::size_t r = first; r < runs.size(); ++r) {
-      detail::canonicalise_run(runs[r].entries, target_count_);
+    for (std::size_t vp = 0; vp <= top; ++vp) {
+      if (grouped[vp].empty()) continue;
+      detail::canonicalise_run(grouped[vp], target_base_ + target_count_);
+      owned_.push_back(std::move(grouped[vp]));
+      runs.push_back(
+          detail::TargetRun{static_cast<std::uint16_t>(vp), owned_.back()});
     }
     loose_ = {};
     loose_vps_ = {};
@@ -711,9 +716,8 @@ std::vector<detail::TargetRun> CensusMatrixBuilder::take_runs() {
   for (std::size_t r = 0; r < runs.size(); ++r) {
     if (runs[r].entries.empty()) continue;
     if (kept > 0 && runs[kept - 1].vp == runs[r].vp) {
-      runs[kept - 1].entries =
-          merge_runs(runs[kept - 1].entries, runs[r].entries);
-      runs[r].entries = {};
+      owned_.push_back(merge_runs(runs[kept - 1].entries, runs[r].entries));
+      runs[kept - 1].entries = owned_.back();
     } else {
       if (kept != r) runs[kept] = std::move(runs[r]);
       ++kept;
@@ -725,6 +729,9 @@ std::vector<detail::TargetRun> CensusMatrixBuilder::take_runs() {
 
 void CensusMatrixBuilder::freeze_into(CensusMatrix& into) {
   const std::vector<detail::TargetRun> runs = take_runs();
+  // The entries the runs view, when this builder owns them: released
+  // when the freeze returns.
+  const std::vector<std::vector<TargetRtt>> owned = std::exchange(owned_, {});
   std::size_t values = 0;
   for (const detail::TargetRun& run : runs) values += run.entries.size();
   if (values == 0) return;
@@ -748,7 +755,7 @@ void CensusMatrixBuilder::freeze_into(CensusMatrix& into) {
       frozen.size() < frozen_vps_.size() + staged_vps.size();
   frozen_vps_ = std::move(frozen);
 
-  BlockTransposer transposer(runs, targets, values);
+  BlockTransposer transposer(runs, target_base_, targets, values);
   const std::size_t block = transposer.block_targets();
   std::vector<std::uint64_t> local(block + 1);
   std::vector<VpRtt> buffer;

@@ -122,14 +122,21 @@ std::string_view to_string(VpOutcome outcome) {
   return "unknown";
 }
 
-std::vector<const net::TargetInfo*> resolve_targets(
-    const net::SimulatedInternet& internet, const Hitlist& hitlist) {
-  std::vector<const net::TargetInfo*> targets;
-  targets.reserve(hitlist.size());
-  for (const HitlistEntry& entry : hitlist.entries()) {
-    targets.push_back(internet.target_for(entry.representative));
+ResolvedHitlist resolve_targets(const net::SimulatedInternet& internet,
+                                const Hitlist& hitlist,
+                                const Greylist& blacklist) {
+  ResolvedHitlist resolved;
+  resolved.targets.reserve(hitlist.size());
+  resolved.blacklisted.assign(hitlist.size(), false);
+  for (std::size_t i = 0; i < hitlist.size(); ++i) {
+    const auto& representative = hitlist[i].representative;
+    resolved.targets.push_back(internet.target_for(representative));
+    if (blacklist.size() != 0 &&
+        blacklist.contains(representative.slash24_index())) {
+      resolved.blacklisted[i] = true;
+    }
   }
-  return targets;
+  return resolved;
 }
 
 FastPingResult run_fastping(const net::SimulatedInternet& internet,
@@ -137,21 +144,24 @@ FastPingResult run_fastping(const net::SimulatedInternet& internet,
                             const Hitlist& hitlist, const Greylist& blacklist,
                             Greylist& greylist, const FastPingConfig& config,
                             const net::FaultPlan* faults) {
-  return run_fastping(internet, vp, hitlist, resolve_targets(internet, hitlist),
-                      blacklist, greylist, config, faults);
+  return run_fastping(internet, vp, hitlist,
+                      resolve_targets(internet, hitlist, blacklist), greylist,
+                      config, faults);
 }
 
 FastPingResult run_fastping(const net::SimulatedInternet& internet,
                             const net::VantagePoint& vp,
                             const Hitlist& hitlist,
-                            std::span<const net::TargetInfo* const> targets,
-                            const Greylist& blacklist, Greylist& greylist,
-                            const FastPingConfig& config,
+                            const ResolvedHitlist& resolved,
+                            Greylist& greylist, const FastPingConfig& config,
                             const net::FaultPlan* faults) {
-  if (targets.size() != hitlist.size()) {
+  if (resolved.targets.size() != hitlist.size() ||
+      resolved.blacklisted.size() != hitlist.size()) {
     throw std::invalid_argument(
         "run_fastping: resolved targets do not match the hitlist");
   }
+  const std::vector<const net::TargetInfo*>& targets = resolved.targets;
+  const std::vector<bool>& blacklisted = resolved.blacklisted;
   FastPingResult result;
   if (hitlist.size() == 0) return result;
   result.drop_probability = reply_drop_probability(
@@ -242,8 +252,7 @@ FastPingResult run_fastping(const net::SimulatedInternet& internet,
       break;
     }
     const std::uint64_t this_step = step++;
-    const HitlistEntry& entry = hitlist[*index];
-    if (blacklist.contains(entry.representative.slash24_index())) {
+    if (blacklisted[*index]) {
       ++blacklist_skips;
       continue;
     }

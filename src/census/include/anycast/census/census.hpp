@@ -221,11 +221,13 @@ class VpRttArena {
 inline constexpr std::uint32_t kSpillMagic = 0x53434E41;  // "ANCS"
 inline constexpr std::size_t kSpillHeaderBytes = 16;
 
-/// One VP's entries for one matrix: strictly target-ascending, every
-/// target below the matrix's target count (a "canonical run").
+/// A view of one VP's entries for one matrix: strictly target-ascending,
+/// every target inside the matrix's target range (a "canonical run").
+/// Whoever staged the run owns the entries and keeps them alive until
+/// the run is frozen.
 struct TargetRun {
   std::uint16_t vp = 0;
-  std::vector<TargetRtt> entries;
+  std::span<const TargetRtt> entries;
 };
 
 /// Makes `entries` a canonical run in place: drops targets at or beyond
@@ -384,11 +386,13 @@ class CensusMatrix {
 };
 
 /// Assembles a `CensusMatrix` from per-VP row fragments and/or loose
-/// observations. Staged input is held as canonical runs (one VP's
-/// entries, strictly target-ascending): a target-sorted fragment — what
-/// `vp_row_fragment` emits — is kept as it is; an unsorted one, and the
-/// loose adds (grouped by VP), are sorted and collapsed to per-target
-/// minima first. A freeze orders the runs by VP (stable, since callers
+/// observations. Staged input is held as views of canonical runs (one
+/// VP's entries, strictly target-ascending): a target-sorted fragment —
+/// what `vp_row_fragment` emits — is kept as it is; an unsorted one, and
+/// the loose adds (grouped by VP), are sorted and collapsed to per-target
+/// minima first. The sharded builder stages views of slices of the
+/// fragments it holds, in global target indices, into one such builder
+/// per shard. A freeze orders the runs by VP (stable, since callers
 /// such as `collate_census_files_sharded` see VPs in path order) and
 /// merges runs that repeat a VP into one, keeping per-target minima.
 /// It then transposes them into CSR rows one target block at a time,
@@ -402,6 +406,12 @@ class CensusMatrixBuilder {
  public:
   explicit CensusMatrixBuilder(std::size_t target_count)
       : target_count_(target_count) {}
+  // Staged runs view entries the builder (or its sharded owner) holds, so
+  // a copy would view another builder's storage. Moving keeps them valid.
+  CensusMatrixBuilder(const CensusMatrixBuilder&) = delete;
+  CensusMatrixBuilder& operator=(const CensusMatrixBuilder&) = delete;
+  CensusMatrixBuilder(CensusMatrixBuilder&&) = default;
+  CensusMatrixBuilder& operator=(CensusMatrixBuilder&&) = default;
 
   /// Adds one observation (used when no per-VP fragment exists, e.g.
   /// ad-hoc matrices in tests and studies).
@@ -427,8 +437,15 @@ class CensusMatrixBuilder {
  private:
   friend class ShardedCensusMatrixBuilder;
 
-  /// Stages a canonical run as it is (the sharded builder's cut runs).
-  void add_run(std::uint16_t vp, std::vector<TargetRtt> run);
+  /// A stage for the targets [target_base, target_base + target_count):
+  /// every staged index, loose or in a run, is global, and the transpose
+  /// subtracts the base (the sharded builder's per-shard stages).
+  CensusMatrixBuilder(std::size_t target_count, std::uint32_t target_base)
+      : target_count_(target_count), target_base_(target_base) {}
+
+  /// Stages a view of a canonical run inside this stage's range without
+  /// copying it; the caller keeps the entries alive until the next freeze.
+  void add_view(std::uint16_t vp, std::span<const TargetRtt> run);
   /// Folds the staged input into `into` and resets the stage. `into` has
   /// this builder's target count and is either empty or holds only what
   /// this builder froze into it since it was last empty. An empty `into`
@@ -441,11 +458,18 @@ class CensusMatrixBuilder {
   /// `detail::note_matrix_build`).
   void freeze_into(CensusMatrix& into);
   /// Hands out the staged input as VP-ascending canonical runs, one per
-  /// VP, and resets the stage.
+  /// VP, and resets the stage. Runs built here (grouped loose adds,
+  /// merged repeats of a VP) join `owned_`, which the caller clears once
+  /// the runs are frozen.
   std::vector<detail::TargetRun> take_runs();
 
   std::size_t target_count_ = 0;
+  std::uint32_t target_base_ = 0;
   std::vector<detail::TargetRun> runs_;
+  // Entries this builder owns: taken fragments and the runs take_runs
+  // builds. Moving a vector keeps its buffer, so views into them stay
+  // valid as this grows.
+  std::vector<std::vector<TargetRtt>> owned_;
   // Loose observations from add(), as parallel arrays (entry i pairs
   // loose_[i] with loose_vps_[i]).
   std::vector<TargetRtt> loose_;

@@ -12,7 +12,6 @@
 #pragma once
 
 #include <cstdint>
-#include <span>
 #include <string_view>
 #include <vector>
 
@@ -94,13 +93,23 @@ struct FastPingResult {
   std::uint64_t retry_recovered = 0;    // targets a retry pass recovered
 };
 
-/// Every hitlist entry's world target (the `TargetInfo` of its
-/// representative's /24; nullptr when the world has none), in hitlist
-/// order. A census resolves its hitlist once, in index order, and every
-/// walk reads the result, so no probe pays for an address lookup. This
-/// is the one address lookup under src/census (a CI gate keeps it so).
-std::vector<const net::TargetInfo*> resolve_targets(
-    const net::SimulatedInternet& internet, const Hitlist& hitlist);
+/// One census's hitlist, resolved once, in hitlist order: each entry's
+/// world target (the `TargetInfo` of its representative's /24; nullptr
+/// when the world has none) and whether the census's blacklist skips it.
+/// Every walk of the census reads it, so no walk position pays for an
+/// address lookup or a blacklist hash: the skip test is one bit load.
+struct ResolvedHitlist {
+  std::vector<const net::TargetInfo*> targets;
+  std::vector<bool> blacklisted;
+};
+
+/// Resolves `hitlist` against `internet` and `blacklist`. This is the one
+/// address lookup under src/census (a CI gate keeps it so). The blacklist
+/// does not change during a census (new offenders go to each walk's
+/// greylist and merge afterwards), so one resolution serves every walk.
+ResolvedHitlist resolve_targets(const net::SimulatedInternet& internet,
+                                const Hitlist& hitlist,
+                                const Greylist& blacklist);
 
 /// Probes every non-blacklisted hitlist entry once from `vp`, in LFSR
 /// order, then (when configured) retries timed-out targets with
@@ -116,16 +125,15 @@ FastPingResult run_fastping(const net::SimulatedInternet& internet,
                             Greylist& greylist, const FastPingConfig& config,
                             const net::FaultPlan* faults = nullptr);
 
-/// The same walk over an already resolved hitlist: `targets` is
-/// `resolve_targets(internet, hitlist)`, one entry per hitlist entry
-/// (std::invalid_argument otherwise). Read-only, so concurrent walks
-/// share one.
+/// The same walk over an already resolved hitlist: `resolved` is
+/// `resolve_targets(internet, hitlist, blacklist)`, one entry per hitlist
+/// entry (std::invalid_argument otherwise). Read-only, so concurrent
+/// walks share one.
 FastPingResult run_fastping(const net::SimulatedInternet& internet,
                             const net::VantagePoint& vp,
                             const Hitlist& hitlist,
-                            std::span<const net::TargetInfo* const> targets,
-                            const Greylist& blacklist, Greylist& greylist,
-                            const FastPingConfig& config,
+                            const ResolvedHitlist& resolved,
+                            Greylist& greylist, const FastPingConfig& config,
                             const net::FaultPlan* faults = nullptr);
 
 /// Flushes one finished walk's funnel tally into the global metrics

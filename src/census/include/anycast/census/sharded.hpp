@@ -68,8 +68,10 @@ struct DataPlaneConfig {
   std::size_t rss_budget_mb = 0;
   /// Where spill files land (`shard<N>.ancs`). Required for spilling.
   std::string spill_dir;
-  /// Staged-fragment bytes the builder holds before flushing the
-  /// heaviest shard into its frozen accumulator.
+  /// Staged-fragment bytes the builder holds before it freezes every
+  /// staged shard so the RSS budget can spill them. Takes effect only
+  /// with `rss_budget_mb` and `spill_dir` set: without a spill, a flush
+  /// cannot lower memory.
   std::size_t stage_budget_mb = 256;
 };
 
@@ -198,27 +200,32 @@ class ShardedCensusMatrix {
   static std::uint64_t next_content_stamp() noexcept;
 };
 
-/// Streams per-VP row fragments into a ShardedCensusMatrix under a
-/// bounded memory envelope. A fragment is made a canonical run
-/// (target-sorted fragments, what `vp_row_fragment` emits, only pay a
-/// linear check) and cut into per-shard runs by binary search on the
-/// shard boundaries; each run is copied in bulk at its exact size, or
-/// moved whole when the fragment lies in one shard. Runs are staged per
-/// shard in a CensusMatrixBuilder. When the staged bytes (fragment
-/// entries plus loose `add()`s) exceed the stage budget, the heaviest
-/// shard is flushed: its runs are transposed in VP order into its
-/// frozen accumulator — straight into the arena the first time, by an
-/// in-place fold (grow once, merge rows back to front) afterwards. The
-/// fold keeps per-(vp, target) minima and is associative, so the flush
-/// schedule cannot change the result. `build()` flushes the remainder in
-/// shard order, counts ONE logical matrix build, and enforces the RSS
-/// budget by spilling frozen shards.
+/// Streams per-VP row fragments into a ShardedCensusMatrix. A fragment
+/// is made a canonical run (target-sorted fragments, what
+/// `vp_row_fragment` emits, only pay a linear check) and kept whole, in
+/// global target indices; each shard it spans stages a view of its slice,
+/// found by binary search on the shard boundaries, so no entry is copied
+/// or rebased before the transpose (which subtracts the shard base).
+/// Loose `add()`s are staged per shard. A flush transposes a shard's
+/// staged runs in VP order into its frozen accumulator — straight into
+/// the arena the first time, by an in-place fold (grow once, merge rows
+/// back to front) afterwards. The fold keeps per-(vp, target) minima and
+/// is associative, so the flush schedule cannot change the result.
 ///
-/// An early flush moves a shard's entries from staged runs (8 bytes
-/// each) into its accumulator (8 bytes per value), so by itself it does
-/// not lower memory: it does only when rows repeat (vp, target) pairs,
-/// which the fold collapses, or when an RSS budget then spills the
-/// frozen shard.
+/// When a flush happens, and the memory envelope:
+///  - With no RSS budget (or no spill dir), each shard freezes exactly
+///    once, in `build()`, in shard order. A flush would only move entries
+///    from staged runs (8 bytes each) into an accumulator (8 bytes per
+///    value), so the staged fragments and the frozen shards coexist until
+///    `build()` returns: peak ~ 2 x 8 bytes per sample.
+///  - With an RSS budget and a spill dir, once the staged bytes (fragment
+///    entries plus loose adds) pass `stage_budget_mb`, every staged shard
+///    freezes in shard order, each followed by `enforce_rss_budget`
+///    (which spills frozen shards), and then the fragments are released.
+///    Staging then stays under the stage budget plus one fragment.
+///
+/// `build()` flushes the remainder in shard order, counts ONE logical
+/// matrix build, and enforces the RSS budget by spilling frozen shards.
 class ShardedCensusMatrixBuilder {
  public:
   explicit ShardedCensusMatrixBuilder(std::size_t target_count,
@@ -228,15 +235,17 @@ class ShardedCensusMatrixBuilder {
   /// under the same budget as fragments, at its real staged size.
   void add(std::uint32_t target_index, std::uint16_t vp, float rtt_ms);
 
-  /// Adds one VP's whole row fragment, splitting it across shards by
-  /// global target index. Entries may come in any order and repeat a
-  /// target (an unsorted fragment is sorted and collapsed to per-target
-  /// minima first); entries at or beyond `target_count()` are dropped.
+  /// Adds one VP's whole row fragment, taking ownership; each shard it
+  /// spans stages a view of its slice. Entries may come in any order and
+  /// repeat a target (an unsorted fragment is sorted and collapsed to
+  /// per-target minima first); entries at or beyond `target_count()` are
+  /// dropped.
   void add_fragment(std::uint16_t vp, std::vector<TargetRtt> fragment);
 
   [[nodiscard]] std::size_t target_count() const { return target_count_; }
   [[nodiscard]] std::size_t shard_count() const { return shard_count_; }
-  /// Bytes of input currently staged (pre-freeze).
+  /// Bytes of input currently staged (pre-freeze): 0 right after a
+  /// flush, which releases every staged fragment.
   [[nodiscard]] std::size_t staged_bytes() const { return staged_bytes_; }
 
   /// Freezes everything into the final matrix and resets the builder.
@@ -244,15 +253,19 @@ class ShardedCensusMatrixBuilder {
 
  private:
   void flush_shard(std::size_t s);
+  /// Freezes every staged shard in shard order, then releases the
+  /// fragments their views read.
+  void flush_all();
   void enforce_stage_budget();
 
   std::size_t target_count_ = 0;
   std::size_t shard_targets_ = 1;
   std::size_t shard_count_ = 0;
   DataPlaneConfig plane_;
-  std::vector<CensusMatrixBuilder> stage_;   // per-shard staged runs
+  std::vector<std::vector<TargetRtt>> fragments_;  // whole, canonical
+  std::vector<CensusMatrixBuilder> stage_;  // per-shard views, loose adds
   std::size_t staged_bytes_ = 0;
-  ShardedCensusMatrix result_;               // frozen accumulators
+  ShardedCensusMatrix result_;              // frozen accumulators
 };
 
 /// Runs one full census: every VP probes every non-blacklisted target,

@@ -80,13 +80,12 @@ FastPingResult result_from_observations(std::vector<Observation> observations,
 /// the simulated duration_hours the walk flush records).
 FastPingResult timed_walk(const net::SimulatedInternet& internet,
                           const net::VantagePoint& vp, const Hitlist& hitlist,
-                          std::span<const net::TargetInfo* const> targets,
-                          const Greylist& blacklist, Greylist& greylist,
+                          const ResolvedHitlist& resolved, Greylist& greylist,
                           const FastPingConfig& config,
                           const net::FaultPlan* faults) {
   const auto walk_start = std::chrono::steady_clock::now();
-  FastPingResult result = run_fastping(internet, vp, hitlist, targets,
-                                       blacklist, greylist, config, faults);
+  FastPingResult result = run_fastping(internet, vp, hitlist, resolved,
+                                       greylist, config, faults);
   obs::LatencyHisto::get("census_walk_us", "us",
                          "wall-clock per-VP census walk latency")
       .record(static_cast<std::uint64_t>(
@@ -120,8 +119,7 @@ struct VpWork {
 /// matches what an uninterrupted census would have saved.
 void recover_vp(VpWork& work, const net::SimulatedInternet& internet,
                 const net::VantagePoint& vp, const Hitlist& hitlist,
-                std::span<const net::TargetInfo* const> targets,
-                const Greylist& blacklist, const FastPingConfig& config,
+                const ResolvedHitlist& resolved, const FastPingConfig& config,
                 const net::FaultPlan* faults, const Checkpoints& checkpoints) {
   auto checkpoint = salvage_census_file(
       census_checkpoint_path(checkpoints.dir, checkpoints.census_id, vp.id));
@@ -133,8 +131,8 @@ void recover_vp(VpWork& work, const net::SimulatedInternet& internet,
     work.result = result_from_observations(
         std::move(checkpoint->observations), hitlist, work.greylist);
   } else {
-    work.result = checkpointed_walk(internet, vp, hitlist, targets,
-                                    blacklist, work.greylist, config, faults,
+    work.result = checkpointed_walk(internet, vp, hitlist, resolved,
+                                    work.greylist, config, faults,
                                     checkpoints.dir, checkpoints.census_id);
   }
   // The reuse-or-rerun decision is run-history dependent, so it is a
@@ -176,12 +174,12 @@ ShardedResumeReport census_pass(const net::SimulatedInternet& internet,
   summary.vp_outcomes.reserve(vps.size());
   // Resolved once, in index order on this thread, then read by every
   // lane: no probe of any walk repeats the address lookup.
-  const std::vector<const net::TargetInfo*> targets =
-      resolve_targets(internet, hitlist);
+  const ResolvedHitlist resolved =
+      resolve_targets(internet, hitlist, blacklist);
 
   // Map: each available VP walks (or recovers) with a *private* greylist
   // and reduces its own observations to a row fragment. Steps only read
-  // shared state (`internet`, `hitlist`, `targets`, `blacklist`) and touch
+  // shared state (`internet`, `hitlist`, `resolved`) and touch
   // only their own checkpoint file, so they are independent.
   const auto vp_step = [&](std::size_t i) -> VpWork {
     VpWork work;
@@ -191,10 +189,10 @@ ShardedResumeReport census_pass(const net::SimulatedInternet& internet,
     const obs::Span vp_span(checkpoints != nullptr ? "vp_recover" : "vp_walk",
                             vp.id);
     if (checkpoints != nullptr) {
-      recover_vp(work, internet, vp, hitlist, targets, blacklist, config,
+      recover_vp(work, internet, vp, hitlist, resolved, config,
                  faults, *checkpoints);
     } else {
-      work.result = timed_walk(internet, vp, hitlist, targets, blacklist,
+      work.result = timed_walk(internet, vp, hitlist, resolved,
                                work.greylist, config, faults);
     }
     // Live, reused and rerun walks flush through one chokepoint (RTTs
@@ -266,12 +264,11 @@ std::filesystem::path census_checkpoint_path(const std::filesystem::path& dir,
 
 FastPingResult checkpointed_walk(
     const net::SimulatedInternet& internet, const net::VantagePoint& vp,
-    const Hitlist& hitlist, std::span<const net::TargetInfo* const> targets,
-    const Greylist& blacklist, Greylist& greylist,
+    const Hitlist& hitlist, const ResolvedHitlist& resolved, Greylist& greylist,
     const FastPingConfig& config, const net::FaultPlan* faults,
     const std::filesystem::path& dir, std::uint32_t census_id) {
-  FastPingResult result = timed_walk(internet, vp, hitlist, targets,
-                                     blacklist, greylist, config, faults);
+  FastPingResult result =
+      timed_walk(internet, vp, hitlist, resolved, greylist, config, faults);
   CensusFileHeader header{vp.id, census_id, 0};
   if (result.outcome == VpOutcome::kCompleted) {
     header.flags |= kCensusFileComplete;

@@ -229,7 +229,9 @@ ShardedCensusMatrixBuilder::ShardedCensusMatrixBuilder(
   stage_.reserve(shard_count_);
   for (std::size_t s = 0; s < shard_count_; ++s) {
     const std::size_t base = s * shard_targets_;
-    stage_.emplace_back(std::min(shard_targets_, target_count - base));
+    stage_.push_back(CensusMatrixBuilder(
+        std::min(shard_targets_, target_count - base),
+        static_cast<std::uint32_t>(base)));
   }
   // Touch the instrument family so every data-plane metric is registered
   // the moment a sharded builder exists, not only once a flush happens.
@@ -239,9 +241,7 @@ ShardedCensusMatrixBuilder::ShardedCensusMatrixBuilder(
 void ShardedCensusMatrixBuilder::add(std::uint32_t target_index,
                                      std::uint16_t vp, float rtt_ms) {
   if (target_index >= target_count_) return;  // damaged record
-  const std::size_t s = target_index / shard_targets_;
-  stage_[s].add(static_cast<std::uint32_t>(target_index - s * shard_targets_),
-                vp, rtt_ms);
+  stage_[target_index / shard_targets_].add(target_index, vp, rtt_ms);
   staged_bytes_ += CensusMatrixBuilder::kLooseEntryBytes;
   enforce_stage_budget();
 }
@@ -251,50 +251,39 @@ void ShardedCensusMatrixBuilder::add_fragment(std::uint16_t vp,
   detail::canonicalise_run(fragment, target_count_);
   if (fragment.empty()) return;
   staged_bytes_ += fragment.size() * sizeof(TargetRtt);
-  // Cut the target-sorted fragment at the shard boundaries it spans.
-  const std::size_t first = fragment.front().target_index / shard_targets_;
-  const std::size_t last = fragment.back().target_index / shard_targets_;
-  const auto rebase = [](std::span<TargetRtt> run, std::size_t base) {
-    if (base == 0) return;
-    for (TargetRtt& entry : run) {
-      entry.target_index -= static_cast<std::uint32_t>(base);
-    }
-  };
-  if (first == last) {
-    rebase(fragment, first * shard_targets_);
-    stage_[first].add_run(vp, std::move(fragment));
-  } else {
-    auto begin = fragment.begin();
-    for (std::size_t s = first; s <= last; ++s) {
-      const auto end =
-          s == last ? fragment.end()
-                    : std::lower_bound(
-                          begin, fragment.end(), (s + 1) * shard_targets_,
-                          [](const TargetRtt& entry, std::size_t bound) {
-                            return entry.target_index < bound;
-                          });
-      std::vector<TargetRtt> run(begin, end);
-      rebase(run, s * shard_targets_);
-      stage_[s].add_run(vp, std::move(run));
-      begin = end;
-    }
-    fragment = {};  // release the input before any flush allocates
+  fragments_.push_back(std::move(fragment));
+  // Each shard stages a view of its slice of the target-sorted fragment.
+  const std::span<const TargetRtt> whole = fragments_.back();
+  const std::size_t last = whole.back().target_index / shard_targets_;
+  auto begin = whole.begin();
+  for (std::size_t s = begin->target_index / shard_targets_; s <= last; ++s) {
+    const auto end =
+        s == last ? whole.end()
+                  : std::lower_bound(
+                        begin, whole.end(), (s + 1) * shard_targets_,
+                        [](const TargetRtt& entry, std::size_t bound) {
+                          return entry.target_index < bound;
+                        });
+    stage_[s].add_view(vp, {begin, end});
+    begin = end;
   }
   enforce_stage_budget();
 }
 
 void ShardedCensusMatrixBuilder::enforce_stage_budget() {
-  if (plane_.stage_budget_mb == 0) return;  // unlimited staging
-  const std::size_t budget = plane_.stage_budget_mb * (std::size_t{1} << 20);
-  while (staged_bytes_ > budget) {
-    std::size_t heaviest = 0;
-    for (std::size_t s = 1; s < shard_count_; ++s) {
-      if (stage_[s].staged_bytes() > stage_[heaviest].staged_bytes()) {
-        heaviest = s;
-      }
-    }
-    flush_shard(heaviest);
+  // A flush lowers memory only when the frozen shards can then spill.
+  if (plane_.stage_budget_mb == 0 || plane_.rss_budget_mb == 0 ||
+      plane_.spill_dir.empty()) {
+    return;
   }
+  if (staged_bytes_ > plane_.stage_budget_mb * (std::size_t{1} << 20)) {
+    flush_all();
+  }
+}
+
+void ShardedCensusMatrixBuilder::flush_all() {
+  for (std::size_t s = 0; s < shard_count_; ++s) flush_shard(s);
+  fragments_ = {};  // every view into them is frozen
 }
 
 void ShardedCensusMatrixBuilder::flush_shard(std::size_t s) {
@@ -315,7 +304,7 @@ void ShardedCensusMatrixBuilder::flush_shard(std::size_t s) {
 }
 
 ShardedCensusMatrix ShardedCensusMatrixBuilder::build() {
-  for (std::size_t s = 0; s < shard_count_; ++s) flush_shard(s);
+  flush_all();
   detail::note_matrix_build(result_.observation_count());
   const std::size_t resident = result_.enforce_rss_budget();
   publish_residency_gauges(resident, result_.total_value_bytes() - resident);

@@ -350,12 +350,13 @@ WatchResult WatchDaemon::run(concurrency::ThreadPool* pool) {
       // mid-round. The restart's resume_census_sharded inherits these
       // checkpoints verbatim.
       std::size_t checkpointed = 0;
-      const auto targets = census::resolve_targets(internet_, hitlist_);
+      const census::ResolvedHitlist resolved =
+          census::resolve_targets(internet_, hitlist_, blacklist_);
       for (std::size_t i = 0; i < vps_.size() / 2; ++i) {
         if (!census::vp_available(vps_[i], cfg)) continue;
         census::Greylist scratch;
-        (void)census::checkpointed_walk(internet_, vps_[i], hitlist_, targets,
-                                        blacklist_, scratch, cfg, faults,
+        (void)census::checkpointed_walk(internet_, vps_[i], hitlist_, resolved,
+                                        scratch, cfg, faults,
                                         config_.out_dir,
                                         static_cast<std::uint32_t>(round));
         ++checkpointed;

@@ -49,9 +49,26 @@ std::error_code sync_directory(const std::filesystem::path& dir) {
   return ec;
 }
 
+std::error_code sync_file(std::FILE* file) {
+  if (std::fflush(file) != 0) return last_error();
+  if (::fsync(::fileno(file)) == 0) {
+    instruments().fsyncs.inc();
+  } else if (errno != EINVAL) {
+    return last_error();
+  }
+  return {};
+}
+
 std::error_code write_file_atomic(
     const std::filesystem::path& path,
     std::initializer_list<std::span<const std::byte>> parts) {
+  std::error_code status_ec;  // a missing path is the usual case
+  const std::filesystem::file_status existing =
+      std::filesystem::status(path, status_ec);
+  if (std::filesystem::exists(existing) &&
+      !std::filesystem::is_regular_file(existing)) {
+    return std::make_error_code(std::errc::invalid_argument);
+  }
   // The armed seam counts down to the one write it kills.
   std::uint64_t left = g_crash_countdown.load(std::memory_order_relaxed);
   while (left != 0 && !g_crash_countdown.compare_exchange_weak(

@@ -7,6 +7,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <cstdio>
 #include <filesystem>
 #include <initializer_list>
 #include <span>
@@ -19,6 +20,9 @@ namespace anycast::obs {
 /// checks fclose, renames over `path` and fsyncs the parent directory, so
 /// the rename itself survives a crash. On failure the tmp is removed and
 /// the errno comes back; an empty error_code means `path` holds the parts.
+/// An existing `path` that is not a regular file (a device, a FIFO, a
+/// directory) is refused with EINVAL before anything is written: the
+/// rename would replace the special file itself.
 /// Counts kTiming `durable_writes` per file and `durable_fsyncs` per fsync.
 std::error_code write_file_atomic(
     const std::filesystem::path& path,
@@ -31,6 +35,12 @@ inline std::error_code write_file_atomic(const std::filesystem::path& path,
 /// fsyncs directory `dir` ("." when empty) so the names in it are durable.
 /// A filesystem that cannot sync directories (EINVAL) is not an error.
 std::error_code sync_directory(const std::filesystem::path& dir);
+
+/// Commit barrier of an append-only file (the journal): fflush, then
+/// fsync, so every byte written to `file` so far is durable. A file that
+/// cannot be synced (EINVAL: a pipe, a character device) is not an error;
+/// a failed flush (ENOSPC, EIO) is. Counts `durable_fsyncs`.
+std::error_code sync_file(std::FILE* file);
 
 namespace testing {
 

@@ -33,6 +33,7 @@
 #include <initializer_list>
 #include <string>
 #include <string_view>
+#include <system_error>
 #include <type_traits>
 
 #include "anycast/obs/metrics.hpp"
@@ -122,6 +123,13 @@ class Journal {
 
   /// `commit()` and closes the file. Recording stays on if set.
   void close();
+
+  /// The file sink's first failure since `open()`: a short write, a
+  /// failed flush, or a failed commit barrier (obs::sync_file) or close.
+  /// Empty while every committed batch is durable. Events keep being
+  /// recorded in memory either way; callers surface this in their exit
+  /// code.
+  [[nodiscard]] std::error_code write_error() const;
 
   /// Canonical text of every committed semantic event, in commit order.
   /// This is the journal's deterministic fingerprint, the event-stream

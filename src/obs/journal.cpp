@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cerrno>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -191,6 +192,7 @@ struct Journal::Impl {
   std::string committed_semantic;
   std::uint64_t recorded = 0;  // drained timing + committed semantic
   std::FILE* file = nullptr;
+  std::error_code write_error;  // the file sink's first failure since open
 
   std::mutex limiter_mutex;  // timing-class path only
   /// Checked lock-free before limiter_mutex so an unconfigured limiter
@@ -270,10 +272,7 @@ struct Journal::Impl {
           staged_semantic.emplace_back(header.order, std::string(payload));
         } else {
           ++recorded;
-          if (file != nullptr) {
-            std::fwrite(payload.data(), 1, payload.size(), file);
-            std::fwrite("\n", 1, 1, file);
-          }
+          write_line(payload);
         }
       }
       log->drained_pos = c;
@@ -282,8 +281,26 @@ struct Journal::Impl {
     }
   }
 
-  /// Sorts and writes the staged semantic batch, then fsyncs. Caller
+  /// Keeps the file sink's first failure: `ec`, or errno when `ec` is
+  /// empty. Caller holds `mutex`.
+  void fail(std::error_code ec = {}) {
+    if (!ec) ec = {errno != 0 ? errno : EIO, std::generic_category()};
+    if (!write_error) write_error = ec;
+  }
+
+  /// Appends `line` and a newline to the file, when one is open. Caller
   /// holds `mutex`.
+  void write_line(std::string_view line) {
+    if (file == nullptr) return;
+    if (std::fwrite(line.data(), 1, line.size(), file) != line.size() ||
+        std::fputc('\n', file) == EOF) {
+      fail();
+    }
+  }
+
+  /// Sorts and writes the staged semantic batch, then runs the commit
+  /// barrier (obs::sync_file); a failed write or barrier is remembered in
+  /// `write_error`. Caller holds `mutex`.
   void commit_batch() {
     drain();
     std::stable_sort(staged_semantic.begin(), staged_semantic.end(),
@@ -294,15 +311,11 @@ struct Journal::Impl {
       ++recorded;
       committed_semantic += line;
       committed_semantic += '\n';
-      if (file != nullptr) {
-        std::fwrite(line.data(), 1, line.size(), file);
-        std::fwrite("\n", 1, 1, file);
-      }
+      write_line(line);
     }
     staged_semantic.clear();
     if (file != nullptr) {
-      std::fflush(file);
-      ::fsync(::fileno(file));
+      if (const std::error_code ec = sync_file(file)) fail(ec);
     }
   }
 };
@@ -386,6 +399,7 @@ bool Journal::open(const std::filesystem::path& path) {
     const std::lock_guard lock(impl_->mutex);
     if (impl_->file != nullptr) std::fclose(impl_->file);
     impl_->file = file;
+    impl_->write_error = {};
   }
   set_recording(true);
   return true;
@@ -394,7 +408,7 @@ bool Journal::open(const std::filesystem::path& path) {
 void Journal::flush() {
   const std::lock_guard lock(impl_->mutex);
   impl_->drain();
-  if (impl_->file != nullptr) std::fflush(impl_->file);
+  if (impl_->file != nullptr && std::fflush(impl_->file) != 0) impl_->fail();
 }
 
 void Journal::commit() {
@@ -406,9 +420,14 @@ void Journal::close() {
   const std::lock_guard lock(impl_->mutex);
   impl_->commit_batch();
   if (impl_->file != nullptr) {
-    std::fclose(impl_->file);
+    if (std::fclose(impl_->file) != 0) impl_->fail();
     impl_->file = nullptr;
   }
+}
+
+std::error_code Journal::write_error() const {
+  const std::lock_guard lock(impl_->mutex);
+  return impl_->write_error;
 }
 
 std::string Journal::semantic_text() const {
@@ -472,6 +491,7 @@ void Journal::reset() {
       std::fclose(impl_->file);
       impl_->file = nullptr;
     }
+    impl_->write_error = {};
   }
   impl_->dropped.store(0, std::memory_order_relaxed);
   impl_->rate_limited.store(0, std::memory_order_relaxed);

@@ -23,7 +23,9 @@
 //   - the address index belongs to the census::Hitlist: a /24 rank bitmap
 //     built once per hitlist (three linear passes over the entries, in any
 //     order, no sort) and shared by every snapshot built from it. What
-//     build() does is the O(hitlist) target->outcome fill and the
+//     build() does is the target->outcome rank bitmap (16 bytes per 64
+//     targets, ~1.6 MB at 6.6M targets, where a dense 4-byte-per-target
+//     index faulted in ~26 MB of fresh pages every round) and the
 //     per-replica unit vectors;
 //   - retiring a derived snapshot frees only what it alone holds: its
 //     outcome index, its overlays, and a shard base only once a
@@ -32,8 +34,10 @@
 //     retiring one still frees the whole matrix, on the publishing thread.
 //
 // Query cost model:
-//   - is_anycast / outcome / replicas: one bounds check + one load in the
-//     dense target->outcome index, then (for replicas) the outcome row.
+//   - is_anycast / outcome / replicas: one bounds check + one bit test in
+//     the target->outcome rank bitmap; for an anycast target one popcount
+//     and one load in the rank->outcome array, then (for replicas) the
+//     outcome row.
 //   - target_of_address: constant time, whatever the hitlist size: one
 //     bit test and one popcount in the 64-/24 word covering the key, then
 //     one load of that /24's lowest target (~30 MB of index at 6.6M /24s).
@@ -59,6 +63,7 @@
 #include "anycast/analysis/analyzer.hpp"
 #include "anycast/analysis/diff.hpp"
 #include "anycast/census/hitlist.hpp"
+#include "anycast/census/rank_bitmap.hpp"
 #include "anycast/census/sharded.hpp"
 #include "anycast/geodesy/chord.hpp"
 
@@ -104,9 +109,7 @@ class SnapshotView {
                             const census::Hitlist* hitlist = nullptr);
 
   [[nodiscard]] std::uint64_t id() const { return id_; }
-  [[nodiscard]] std::size_t target_count() const {
-    return outcome_of_.size();  // one slot per matrix row
-  }
+  [[nodiscard]] std::size_t target_count() const { return target_count_; }
   [[nodiscard]] std::size_t anycast_count() const { return outcomes_.size(); }
   [[nodiscard]] const census::ShardedCensusMatrix& matrix() const {
     return *matrix_;
@@ -118,14 +121,12 @@ class SnapshotView {
   /// Point lookups. Out-of-range targets answer "not anycast"/nullptr —
   /// a serving plane must never crash on a hostile query.
   [[nodiscard]] bool is_anycast(std::uint32_t target) const {
-    return target < outcome_of_.size() && outcome_of_[target] != kNoOutcome;
+    return outcome_index(target) != kNoOutcome;
   }
   [[nodiscard]] const analysis::TargetOutcome* outcome(
       std::uint32_t target) const {
-    if (target >= outcome_of_.size() || outcome_of_[target] == kNoOutcome) {
-      return nullptr;
-    }
-    return &outcomes_[outcome_of_[target]];
+    const std::uint32_t oi = outcome_index(target);
+    return oi == kNoOutcome ? nullptr : &outcomes_[oi];
   }
   /// The geolocated replica set of an anycast target (empty for unicast
   /// or unknown targets).
@@ -178,10 +179,20 @@ class SnapshotView {
       concurrency::ThreadPool* pool = nullptr) const;
 
  private:
+  /// The outcomes_ index of `target`'s outcome; kNoOutcome when it has
+  /// none or lies past the matrix.
+  [[nodiscard]] std::uint32_t outcome_index(std::uint32_t target) const {
+    if (target >= target_count_) return kNoOutcome;
+    const std::optional<std::uint32_t> rank = outcome_rows_.rank_if_set(target);
+    return rank.has_value() ? outcome_at_rank_[*rank] : kNoOutcome;
+  }
+
   std::uint64_t id_ = 0;
   std::shared_ptr<const census::ShardedCensusMatrix> matrix_;  // never null
   std::vector<analysis::TargetOutcome> outcomes_;  // sorted by target_index
-  std::vector<std::uint32_t> outcome_of_;  // target -> outcomes_ index
+  std::size_t target_count_ = 0;       // one per matrix row
+  census::RankBitmap outcome_rows_;    // targets that have an outcome
+  std::vector<std::uint32_t> outcome_at_rank_;  // rank -> outcomes_ index
   // Unit vectors of every replica location, concatenated in outcome order;
   // replica_units_[replica_unit_offset_[i] + k] is replica k of outcome i.
   // Precomputed once so nearest_replica runs libm-free dot products.

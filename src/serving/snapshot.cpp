@@ -37,17 +37,25 @@ SnapshotView SnapshotView::build(
   if (matrix != nullptr) view.matrix_ = std::move(matrix);
   view.outcomes_ = std::move(outcomes);
 
-  view.outcome_of_.assign(view.matrix_->target_count(), kNoOutcome);
-  view.replica_unit_offset_.reserve(view.outcomes_.size() + 1);
+  const std::size_t targets = view.matrix_->target_count();
+  view.target_count_ = targets;
+  view.outcome_rows_ = census::RankBitmap(targets);
   std::size_t total_replicas = 0;
   for (const analysis::TargetOutcome& outcome : view.outcomes_) {
+    if (outcome.target_index < targets) {
+      view.outcome_rows_.set(outcome.target_index);
+    }
     total_replicas += outcome.result.replicas.size();
   }
+  view.outcome_at_rank_.assign(view.outcome_rows_.finish(), kNoOutcome);
+  view.replica_unit_offset_.reserve(view.outcomes_.size() + 1);
   view.replica_units_.reserve(total_replicas);
   for (std::size_t i = 0; i < view.outcomes_.size(); ++i) {
     const analysis::TargetOutcome& outcome = view.outcomes_[i];
-    if (outcome.target_index < view.outcome_of_.size()) {
-      view.outcome_of_[outcome.target_index] = static_cast<std::uint32_t>(i);
+    if (outcome.target_index < targets) {
+      // A later outcome for the same target wins.
+      view.outcome_at_rank_[*view.outcome_rows_.rank_if_set(
+          outcome.target_index)] = static_cast<std::uint32_t>(i);
     }
     view.replica_unit_offset_.push_back(
         static_cast<std::uint32_t>(view.replica_units_.size()));
@@ -64,17 +72,16 @@ SnapshotView SnapshotView::build(
 
 void SnapshotView::lookup_batch(std::span<const std::uint32_t> targets,
                                 PointAnswer* out) const {
-  const std::size_t known = outcome_of_.size();
   const census::ShardedCensusMatrix& matrix = *matrix_;
   for (std::size_t i = 0; i < targets.size(); ++i) {
     const std::uint32_t t = targets[i];
     PointAnswer answer;
-    if (t < known) {
+    if (t < target_count_) {
       const std::span<const census::VpRtt> row = matrix.measurements(t);
       answer.responsive = row.empty() ? 0 : 1;
       answer.vp_count = static_cast<std::uint16_t>(
           std::min<std::size_t>(row.size(), 0xFFFF));
-      const std::uint32_t oi = outcome_of_[t];
+      const std::uint32_t oi = outcome_index(t);
       if (oi != kNoOutcome) {
         answer.anycast = 1;
         answer.replica_count =
@@ -89,8 +96,7 @@ const core::Replica* SnapshotView::nearest_replica(std::uint32_t target,
                                                    double lat_deg,
                                                    double lon_deg,
                                                    double* distance_km) const {
-  if (target >= outcome_of_.size()) return nullptr;
-  const std::uint32_t oi = outcome_of_[target];
+  const std::uint32_t oi = outcome_index(target);
   if (oi == kNoOutcome) return nullptr;
   const analysis::TargetOutcome& outcome = outcomes_[oi];
   if (outcome.result.replicas.empty()) return nullptr;

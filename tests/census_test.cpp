@@ -548,22 +548,67 @@ TEST(CensusProbe, ProberFollowsAMaskChange) {
 
 TEST(CensusWalk, ResolvedTargetsMustMatchTheHitlist) {
   const Hitlist hitlist = Hitlist::from_world(tiny_world());
-  std::vector<const net::TargetInfo*> targets =
-      resolve_targets(tiny_world(), hitlist);
-  ASSERT_EQ(targets.size(), hitlist.size());
-  const auto vps = net::make_planetlab({.node_count = 1, .seed = 42});
   Greylist blacklist;
+  ResolvedHitlist resolved = resolve_targets(tiny_world(), hitlist, blacklist);
+  ASSERT_EQ(resolved.targets.size(), hitlist.size());
+  ASSERT_EQ(resolved.blacklisted.size(), hitlist.size());
+  const auto vps = net::make_planetlab({.node_count = 1, .seed = 42});
   Greylist grey_a;
   Greylist grey_b;
-  const FastPingResult resolved = run_fastping(
-      tiny_world(), vps[0], hitlist, targets, blacklist, grey_a, {});
+  const FastPingResult walked =
+      run_fastping(tiny_world(), vps[0], hitlist, resolved, grey_a, {});
   const FastPingResult itself =
       run_fastping(tiny_world(), vps[0], hitlist, blacklist, grey_b, {});
-  EXPECT_EQ(stream_digest(resolved), stream_digest(itself));
-  targets.pop_back();
-  EXPECT_THROW((void)run_fastping(tiny_world(), vps[0], hitlist, targets,
-                                  blacklist, grey_a, {}),
+  EXPECT_EQ(stream_digest(walked), stream_digest(itself));
+  ResolvedHitlist short_skip = resolved;
+  short_skip.blacklisted.pop_back();
+  EXPECT_THROW((void)run_fastping(tiny_world(), vps[0], hitlist, short_skip,
+                                  grey_a, {}),
                std::invalid_argument);
+  resolved.targets.pop_back();
+  EXPECT_THROW((void)run_fastping(tiny_world(), vps[0], hitlist, resolved,
+                                  grey_a, {}),
+               std::invalid_argument);
+}
+
+TEST(CensusWalk, SkipTableMatchesTheBlacklistForAnySize) {
+  // The resolved skip bits stand in for a blacklist lookup at every walk
+  // position: the observation stream, the greylist and the skip count
+  // match a walk that tests the blacklist itself, for an empty list, one
+  // census's greylist, and a list of 100k /24s mostly outside the hitlist.
+  const Hitlist hitlist = Hitlist::from_world(tiny_world());
+  const auto vps = net::make_planetlab({.node_count = 2, .seed = 42});
+  Greylist seeded;
+  (void)run_fastping(tiny_world(), vps[0], hitlist, Greylist{}, seeded, {});
+  ASSERT_GT(seeded.size(), 0u);
+  Greylist wide = seeded;
+  std::mt19937_64 gen(24);
+  while (wide.size() < 100'000) {
+    (void)wide.add(static_cast<std::uint32_t>(gen() % (1u << 24)),
+                   net::ReplyKind::kAdminProhibited);
+  }
+  for (const Greylist* blacklist : {&seeded, &wide}) {
+    SCOPED_TRACE("blacklist of " + std::to_string(blacklist->size()));
+    const ResolvedHitlist resolved =
+        resolve_targets(tiny_world(), hitlist, *blacklist);
+    std::size_t skipped = 0;
+    for (std::size_t i = 0; i < hitlist.size(); ++i) {
+      const bool listed =
+          blacklist->contains(hitlist[i].representative.slash24_index());
+      ASSERT_EQ(resolved.blacklisted[i], listed) << "entry " << i;
+      skipped += listed ? 1 : 0;
+    }
+    ASSERT_GT(skipped, 0u);
+    Greylist grey;
+    const FastPingResult walked =
+        run_fastping(tiny_world(), vps[1], hitlist, resolved, grey, {});
+    // Every position either probed once or skipped once.
+    EXPECT_EQ(walked.probes_sent - walked.retry_probes + skipped,
+              hitlist.size());
+    for (const Observation& obs : walked.observations) {
+      ASSERT_FALSE(resolved.blacklisted[obs.target_index]);
+    }
+  }
 }
 
 /// Moves replicas of every multi-site deployment: each prefix of it keeps

@@ -82,6 +82,20 @@ if(NOT geojson MATCHES "FeatureCollection")
   message(FATAL_ERROR "GeoJSON export malformed")
 endif()
 
+# A GeoJSON path that cannot be written fails with a diagnostic and exit
+# 1, never a signal. /dev/full is refused before anything is written, so
+# the device node is never replaced.
+execute_process(
+  COMMAND ${ANYCASTD} analyze --in ${WORK_DIR}/c1 --vps 12 --unicast 400
+          --geojson /dev/full
+  RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+if(NOT rc EQUAL 1)
+  message(FATAL_ERROR "analyze --geojson /dev/full did not exit 1 (${rc})")
+endif()
+if(NOT err MATCHES "failed writing GeoJSON to /dev/full")
+  message(FATAL_ERROR "analyze --geojson /dev/full diagnostic missing: ${err}")
+endif()
+
 execute_process(
   COMMAND ${ANYCASTD} portscan --top 10 --unicast 100
           --metrics-out ${WORK_DIR}/portscan.prom
@@ -355,6 +369,23 @@ foreach(flag journal-out trace-out)
     message(FATAL_ERROR "census ran despite an unwritable --${flag} path")
   endif()
 endforeach()
+
+# A journal whose device fills fails its commit barrier: the census still
+# finishes, then exits 1 and names the journal.
+file(CREATE_LINK /dev/full ${WORK_DIR}/full.jsonl SYMBOLIC RESULT link_rc)
+if(link_rc EQUAL 0)
+  execute_process(
+    COMMAND ${ANYCASTD} census --out ${WORK_DIR}/d_full --vps 2 --unicast 50
+            --journal-out ${WORK_DIR}/full.jsonl
+    RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+  if(NOT rc EQUAL 1)
+    message(FATAL_ERROR "census with a full journal device did not exit 1 "
+                        "(${rc}): ${err}")
+  endif()
+  if(NOT err MATCHES "failed writing journal to")
+    message(FATAL_ERROR "full journal device diagnostic missing: ${err}")
+  endif()
+endif()
 
 # Drift diff: the same census at a different thread count must journal a
 # byte-identical semantic stream — `report --diff` proves it (rc 0).

@@ -342,6 +342,172 @@ TEST(DetectKernel, WitnessPrefilterMatchesFullSweep) {
   EXPECT_LT(detected, 2950);
 }
 
+/// Random rows over `vps`: each VP's RTT is consistent with one hidden
+/// site, then drawn from `levels` values when `levels` > 0 (so radii tie),
+/// with a few speed-of-light violations and out-of-range RTTs mixed in.
+std::vector<census::VpRtt> random_row(std::span<const net::VantagePoint> vps,
+                                      std::size_t entries, int levels,
+                                      rng::Xoshiro256& gen) {
+  const GeoPoint site = random_point(gen);
+  std::vector<census::VpRtt> row;
+  for (std::size_t i = 0; i < entries; ++i) {
+    census::VpRtt sample;
+    sample.vp = static_cast<std::uint16_t>(i);
+    const double base =
+        geodesy::distance_km(vps[i].believed_location, site) / 100.0;
+    double rtt = base * rng::uniform(gen, 1.0, 1.5) + rng::uniform(gen, 0.0, 5.0);
+    if (levels > 0) rtt = std::ceil(rtt / (300.0 / levels)) * (300.0 / levels);
+    if (rng::uniform01(gen) < 0.02) rtt = rng::uniform(gen, 0.1, 2.0);
+    if (rng::uniform01(gen) < 0.02) rtt = rng::uniform(gen, 600.0, 900.0);
+    sample.rtt_ms = static_cast<float>(rtt);
+    row.push_back(sample);
+  }
+  return row;
+}
+
+TEST(DetectKernel, TiesForTheSmallestRadiusMatchFullSweep) {
+  const auto vps = net::make_planetlab({.node_count = 60, .seed = 11});
+  const analysis::CensusAnalyzer analyzer(vps, geo::world_index());
+  const double max_rtt = core::Options{}.max_rtt_ms;
+  rng::Xoshiro256 gen(60602);
+  int detected = 0;
+  for (int round = 0; round < 2000; ++round) {
+    // Few RTT levels: many rows hold several disks of the smallest radius.
+    const int levels = 2 + static_cast<int>(rng::uniform_index(gen, 12));
+    const auto row =
+        random_row(vps, 2 + rng::uniform_index(gen, vps.size() - 2), levels, gen);
+    const bool fast = analyzer.detect(row);
+    ASSERT_EQ(fast, oracle::detect_scan(vps, row, max_rtt)) << "round " << round;
+    detected += fast ? 1 : 0;
+  }
+  EXPECT_GT(detected, 20);
+  EXPECT_LT(detected, 1980);
+
+  // Two far-apart VPs tied at the smallest radius are the disjoint pair;
+  // a third, larger disk covers both.
+  std::size_t far = 1;
+  for (std::size_t j = 1; j < vps.size(); ++j) {
+    if (geodesy::distance_km(vps[0].believed_location, vps[j].believed_location) >
+        geodesy::distance_km(vps[0].believed_location,
+                             vps[far].believed_location)) {
+      far = j;
+    }
+  }
+  const double apart_km =
+      geodesy::distance_km(vps[0].believed_location, vps[far].believed_location);
+  const auto rtt_for = [](double radius_km) {
+    return static_cast<float>(geodesy::distance_to_min_rtt_ms(radius_km));
+  };
+  const float tied = rtt_for(apart_km * 0.4);
+  const std::vector<census::VpRtt> tied_disjoint = {
+      {static_cast<std::uint16_t>(2), rtt_for(30000.0)},
+      {0, tied},
+      {static_cast<std::uint16_t>(far), tied}};
+  EXPECT_TRUE(analyzer.detect(tied_disjoint));
+  EXPECT_TRUE(oracle::detect_scan(vps, tied_disjoint, max_rtt));
+  const float overlapping = rtt_for(apart_km * 0.6);
+  const std::vector<census::VpRtt> tied_overlapping = {
+      {0, overlapping}, {static_cast<std::uint16_t>(far), overlapping}};
+  EXPECT_FALSE(analyzer.detect(tied_overlapping));
+  EXPECT_FALSE(oracle::detect_scan(vps, tied_overlapping, max_rtt));
+}
+
+TEST(DetectKernel, RttAtTheLimitIsValidAndAtMostOneValidNeverDetects) {
+  const auto vps = net::make_planetlab({.node_count = 60, .seed = 11});
+  // A 20 ms limit (2,000 km disks), so the limit itself decides verdicts.
+  core::Options options;
+  options.max_rtt_ms = 20.0;
+  const analysis::CensusAnalyzer analyzer(vps, geo::world_index(), options);
+  std::size_t a = 0;
+  std::size_t b = 0;
+  for (std::size_t i = 0; i < vps.size(); ++i) {
+    for (std::size_t j = i + 1; j < vps.size(); ++j) {
+      if (geodesy::distance_km(vps[i].believed_location,
+                               vps[j].believed_location) > 4500.0) {
+        a = i;
+        b = j;
+      }
+    }
+  }
+  ASSERT_NE(a, b) << "no VP pair 4,500 km apart";
+  const auto va = static_cast<std::uint16_t>(a);
+  const auto vb = static_cast<std::uint16_t>(b);
+  const float limit = 20.0F;
+  const float past = std::nextafter(limit, 1000.0F);
+  const auto check = [&](const std::vector<census::VpRtt>& row, bool expect,
+                         const char* what) {
+    EXPECT_EQ(analyzer.detect(row), expect) << what;
+    EXPECT_EQ(oracle::detect_scan(vps, row, options.max_rtt_ms), expect)
+        << what;
+  };
+  check({{va, limit}, {vb, limit}}, true, "both at the limit: disjoint");
+  check({{va, limit}, {vb, past}}, false, "one past the limit");
+  check({}, false, "empty row");
+  check({{va, 1.0F}}, false, "one entry");
+  check({{va, 1.0F}, {vb, past}, {0, 700.0F}}, false, "one valid of three");
+  check({{va, std::nanf("")}, {vb, 1.0F}}, false, "NaN is invalid");
+  check({{va, -1.0F}, {vb, 1.0F}}, false, "negative RTT is invalid");
+  check({{va, limit}, {vb, std::nanf("")}, {vb, limit}}, true,
+        "invalid entries between the disjoint pair");
+}
+
+TEST(DetectKernel, PairDisjointByLessThanTheSlackDetects) {
+  // Two disks apart by under the prefilter's 1 m slack: the witness is
+  // the smaller disk, so the two excesses sum to exactly that margin and
+  // the top-two bound must not prune the row.
+  const auto vps = net::make_planetlab({.node_count = 60, .seed = 11});
+  const analysis::CensusAnalyzer analyzer(vps, geo::world_index());
+  const double max_rtt = core::Options{}.max_rtt_ms;
+  const double apart_km =
+      geodesy::distance_km(vps[0].believed_location, vps[1].believed_location);
+  ASSERT_GT(apart_km, 100.0);
+  const float small = static_cast<float>(
+      geodesy::distance_to_min_rtt_ms(apart_km * 0.3));
+  const double small_km = geodesy::rtt_to_radius_km(small);
+  // The largest float RTT whose disk still misses the other by > 0 km.
+  float large = static_cast<float>(
+      geodesy::distance_to_min_rtt_ms(apart_km - small_km));
+  while (apart_km - small_km - geodesy::rtt_to_radius_km(large) <= 0.0) {
+    large = std::nextafter(large, 0.0F);
+  }
+  while (apart_km - small_km -
+             geodesy::rtt_to_radius_km(std::nextafter(large, 1000.0F)) > 0.0) {
+    large = std::nextafter(large, 1000.0F);
+  }
+  const double margin = apart_km - small_km - geodesy::rtt_to_radius_km(large);
+  ASSERT_GT(margin, 0.0);
+  ASSERT_LT(margin, 1e-3);
+  const std::vector<census::VpRtt> row = {{0, small}, {1, large}};
+  EXPECT_TRUE(oracle::detect_scan(vps, row, max_rtt));
+  EXPECT_TRUE(analyzer.detect(row));
+}
+
+TEST(DetectKernel, RowsLongerThanTheStackBufferMatchFullSweep) {
+  // More valid RTTs than the kernel's stack buffer holds (512).
+  const auto vps = net::make_planetlab({.node_count = 700, .seed = 12});
+  ASSERT_GT(vps.size(), 600u);
+  const analysis::CensusAnalyzer analyzer(vps, geo::world_index());
+  const double max_rtt = core::Options{}.max_rtt_ms;
+  rng::Xoshiro256 gen(60603);
+  int detected = 0;
+  for (int round = 0; round < 60; ++round) {
+    const std::size_t entries = 513 + rng::uniform_index(gen, vps.size() - 513);
+    const auto row = random_row(vps, entries, round % 3 == 0 ? 8 : 0, gen);
+    const bool fast = analyzer.detect(row);
+    ASSERT_EQ(fast, oracle::detect_scan(vps, row, max_rtt)) << "round " << round;
+    detected += fast ? 1 : 0;
+  }
+  // Long rows almost always hold a violation; a consistent one must not
+  // detect.
+  EXPECT_GT(detected, 0);
+  std::vector<census::VpRtt> consistent;
+  for (std::size_t i = 0; i < 600; ++i) {
+    consistent.push_back({static_cast<std::uint16_t>(i), 599.0F});
+  }
+  EXPECT_FALSE(analyzer.detect(consistent));
+  EXPECT_FALSE(oracle::detect_scan(vps, consistent, max_rtt));
+}
+
 // ---- Whole-pipeline equality: kernel vs oracle iGreedy and sweep ------------
 
 /// Field-for-field equality of two iGreedy results, coordinates and radii

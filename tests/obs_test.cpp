@@ -887,6 +887,33 @@ TEST_F(DurableWrite, JournalOpenSyncsTheNewNamesDirectory) {
   EXPECT_EQ(global_counter("durable_fsyncs") - fsyncs, 1u);
 }
 
+TEST_F(DurableWrite, JournalKeepsAFailedCommitBarrier) {
+  // A journal on a device that fails the flush: the commit barrier's
+  // error is kept (the first one) until the next open, and a path that is
+  // not a regular file is never replaced by a durable publish.
+  const std::filesystem::path full = dir_ / "full.jsonl";
+  std::error_code ec;
+  std::filesystem::create_symlink("/dev/full", full, ec);
+  if (ec) GTEST_SKIP() << "cannot link /dev/full: " << ec.message();
+  anycast::obs::Journal journal;
+  ASSERT_TRUE(journal.open(full));
+  EXPECT_FALSE(journal.write_error());
+  journal.emit(anycast::obs::MetricClass::kSemantic,
+               anycast::obs::Severity::kInfo, "test.event", 1, {{"n", 1}});
+  journal.commit();
+  EXPECT_EQ(journal.write_error(), std::errc::no_space_on_device);
+  journal.close();
+  EXPECT_EQ(journal.write_error(), std::errc::no_space_on_device);
+  ASSERT_TRUE(journal.open(dir_ / "ok.jsonl"));
+  EXPECT_FALSE(journal.write_error());
+  journal.close();
+
+  EXPECT_EQ(anycast::obs::write_file_atomic(full, "x"),
+            std::errc::invalid_argument);
+  EXPECT_TRUE(std::filesystem::is_symlink(full));
+  EXPECT_FALSE(std::filesystem::exists(full.string() + ".tmp"));
+}
+
 TEST_F(DurableWrite, CrashPointLeavesHalfTheBytesInTheTmp) {
   namespace testing = anycast::obs::testing;
   const std::filesystem::path path = dir_ / "state";

@@ -88,6 +88,16 @@ void expect_rows_equal(const ShardedCensusMatrix& sharded,
   }
 }
 
+std::uint64_t counter_value(std::string_view name) {
+  for (const obs::MetricValue& value : obs::metrics().scrape()) {
+    if (value.name == name) return value.value;
+  }
+  return 0;
+}
+
+/// Shard freezes so far (`census_shard_flushes`).
+std::uint64_t flush_count() { return counter_value("census_shard_flushes"); }
+
 TEST_F(ShardedTest, ElementIdenticalForAnyShardSize) {
   constexpr std::size_t kTargets = 509;
   const auto adds = sample_adds(kTargets, 40, 6000);
@@ -139,15 +149,19 @@ TEST_F(ShardedTest, FragmentsSplitAcrossShardsInAnyOrder) {
 }
 
 TEST_F(ShardedTest, StageFlushScheduleCannotChangeTheResult) {
-  // A 1 MiB stage budget forces mid-stream freezes and in-place folds;
-  // the unbounded builder freezes everything at build(). Same elements
-  // either way — the flush schedule is unobservable in the output.
+  // A 1 MiB stage budget under an RSS budget with a spill dir forces
+  // mid-stream freezes and in-place folds; the unbounded builder freezes
+  // everything at build(). Same elements either way — the flush schedule
+  // is unobservable in the output.
   constexpr std::size_t kTargets = 2000;
-  const auto adds = sample_adds(kTargets, 60, 200'000);
+  const auto adds = sample_adds(kTargets, 60, 600'000);  // ~2 MB staged
 
   DataPlaneConfig bounded;
   bounded.shard_targets = 256;
   bounded.stage_budget_mb = 1;
+  bounded.rss_budget_mb = 1024;  // enables early flushes; never spills here
+  bounded.spill_dir = (dir_ / "spill").string();
+  const std::uint64_t flushes_before = flush_count();
   ShardedCensusMatrixBuilder bounded_builder(kTargets, bounded);
   DataPlaneConfig unbounded;
   unbounded.shard_targets = 256;
@@ -171,6 +185,8 @@ TEST_F(ShardedTest, StageFlushScheduleCannotChangeTheResult) {
   }
   const CensusMatrix mono = mono_builder.build();
   const ShardedCensusMatrix a = bounded_builder.build();
+  // Several folds per shard: more flushes than shards.
+  EXPECT_GT(flush_count() - flushes_before, a.shard_count());
   const ShardedCensusMatrix b = unbounded_builder.build();
   expect_rows_equal(a, mono);
   expect_rows_equal(b, mono);
@@ -357,7 +373,8 @@ TEST_F(ShardedTest, SpillFileStrictReadAndTruncatedSalvage) {
 
 TEST_F(ShardedTest, LooseAddsHonourTheStageBudget) {
   // add() stages 10 bytes an entry (a TargetRtt plus its VP id) under the
-  // same budget as fragments: over budget, the heaviest shard flushes.
+  // same budget as fragments: over budget, with an RSS budget and a spill
+  // dir set, every staged shard flushes.
   constexpr std::size_t kTargets = 3000;
   const auto adds = sample_adds(kTargets, 70, 300'000);  // ~3 MB staged
   constexpr std::size_t kBudget = std::size_t{1} << 20;
@@ -365,6 +382,9 @@ TEST_F(ShardedTest, LooseAddsHonourTheStageBudget) {
   DataPlaneConfig bounded;
   bounded.shard_targets = 256;
   bounded.stage_budget_mb = 1;
+  bounded.rss_budget_mb = 1024;  // enables early flushes; never spills here
+  bounded.spill_dir = (dir_ / "spill").string();
+  const std::uint64_t flushes_before = flush_count();
   ShardedCensusMatrixBuilder bounded_builder(kTargets, bounded);
   DataPlaneConfig unbounded = bounded;
   unbounded.stage_budget_mb = 0;
@@ -380,6 +400,7 @@ TEST_F(ShardedTest, LooseAddsHonourTheStageBudget) {
   EXPECT_EQ(unbounded_builder.staged_bytes(),
             adds.size() * CensusMatrixBuilder::kLooseEntryBytes);
   const ShardedCensusMatrix a = bounded_builder.build();
+  EXPECT_GT(flush_count() - flushes_before, a.shard_count());
   const ShardedCensusMatrix b = unbounded_builder.build();
   expect_rows_equal(a, b);
   EXPECT_EQ(a.observation_count(), b.observation_count());
@@ -518,6 +539,11 @@ TEST_F(ShardedTest, BuilderMatchesReferenceForEveryShapeBudgetAndShard) {
         DataPlaneConfig plane;
         plane.shard_targets = shard_targets;
         plane.stage_budget_mb = budget_mb;
+        // Early flushes need an RSS budget and a spill dir; this one is
+        // never reached, so nothing spills.
+        plane.rss_budget_mb = 1024;
+        plane.spill_dir = (dir_ / "spill").string();
+        const std::uint64_t flushes_before = flush_count();
         ShardedCensusMatrixBuilder builder(kTargets, plane);
         for (const BuilderInput& input : inputs) {
           if (!input.loose) {
@@ -529,6 +555,9 @@ TEST_F(ShardedTest, BuilderMatchesReferenceForEveryShapeBudgetAndShard) {
           }
         }
         const ShardedCensusMatrix matrix = builder.build();
+        if (budget_mb == 1) {  // ~1.4 MB staged: at least one early flush
+          EXPECT_GT(flush_count() - flushes_before, matrix.shard_count());
+        }
         ASSERT_EQ(matrix.target_count(), kTargets);
         EXPECT_EQ(matrix.observation_count(), reference.size());
         for (std::uint32_t t = 0; t < kTargets; ++t) {
@@ -542,6 +571,145 @@ TEST_F(ShardedTest, BuilderMatchesReferenceForEveryShapeBudgetAndShard) {
       }
     }
   }
+}
+
+TEST_F(ShardedTest, FragmentsSpanningEveryShardMatchTheOneShardBuilder) {
+  // Every fragment holds every target, so each one is viewed by every
+  // shard, at the first and last entry of each shard's slice.
+  constexpr std::size_t kTargets = 4099;
+  std::vector<std::vector<TargetRtt>> fragments;
+  for (std::uint16_t vp = 0; vp < 40; ++vp) {  // ~1.3 MB staged
+    std::vector<TargetRtt> fragment;
+    for (std::uint32_t t = 0; t < kTargets; ++t) {
+      fragment.push_back({t, 1.0F + static_cast<float>((t * 13 + vp * 7) % 401)});
+    }
+    if (vp == 5) std::reverse(fragment.begin(), fragment.end());
+    fragments.push_back(std::move(fragment));
+  }
+  CensusMatrixBuilder mono_builder(kTargets);
+  for (std::uint16_t vp = 0; vp < fragments.size(); ++vp) {
+    mono_builder.add_fragment(vp, fragments[vp]);
+  }
+  const CensusMatrix mono = mono_builder.build();
+  for (const std::size_t shard_targets : {1UL, 31UL, 4096UL, 0UL}) {
+    SCOPED_TRACE("shard_targets " + std::to_string(shard_targets));
+    DataPlaneConfig plane;
+    plane.shard_targets = shard_targets;
+    plane.stage_budget_mb = 1;  // passed, but no RSS budget: no flush
+    const std::uint64_t flushes_before = flush_count();
+    ShardedCensusMatrixBuilder builder(kTargets, plane);
+    for (std::uint16_t vp = 0; vp < fragments.size(); ++vp) {
+      builder.add_fragment(vp, fragments[vp]);
+    }
+    EXPECT_EQ(builder.staged_bytes(),
+              fragments.size() * kTargets * sizeof(TargetRtt));
+    const ShardedCensusMatrix sharded = builder.build();
+    // No RSS budget: each shard freezes exactly once, in build().
+    EXPECT_EQ(flush_count() - flushes_before, sharded.shard_count());
+    EXPECT_EQ(builder.staged_bytes(), 0u);
+    expect_rows_equal(sharded, mono);
+  }
+}
+
+TEST_F(ShardedTest, RepeatedVpViewsAndLooseAddsFoldToMinima) {
+  // One VP staged twice in one shard (two views of different fragments),
+  // plus loose add()s of the same VP on the same targets, beside another
+  // VP's view: every (vp, target) keeps its minimum.
+  constexpr std::size_t kTargets = 200;
+  std::vector<TargetRtt> first;
+  std::vector<TargetRtt> second;
+  std::vector<TargetRtt> other;
+  for (std::uint32_t t = 0; t < kTargets; ++t) {
+    if (t % 2 == 0) first.push_back({t, 10.0F + static_cast<float>(t % 7)});
+    if (t % 3 == 0) second.push_back({t, 9.0F + static_cast<float>(t % 5)});
+    other.push_back({t, 30.0F});
+  }
+  const auto feed = [&](auto& builder) {
+    builder.add_fragment(4, first);
+    builder.add_fragment(2, other);
+    builder.add_fragment(4, second);
+    for (std::uint32_t t = 0; t < kTargets; t += 5) {
+      builder.add(t, 4, 9.5F);
+      builder.add(t, 2, 31.0F);  // never below the view's 30 ms
+    }
+  };
+  std::map<std::pair<std::uint32_t, std::uint16_t>, float> reference;
+  const auto keep_min = [&](std::uint32_t t, std::uint16_t vp, float rtt) {
+    const auto [it, fresh] = reference.emplace(std::make_pair(t, vp), rtt);
+    if (!fresh) it->second = std::min(it->second, rtt);
+  };
+  for (const TargetRtt& e : first) keep_min(e.target_index, 4, e.rtt_ms);
+  for (const TargetRtt& e : second) keep_min(e.target_index, 4, e.rtt_ms);
+  for (const TargetRtt& e : other) keep_min(e.target_index, 2, e.rtt_ms);
+  for (std::uint32_t t = 0; t < kTargets; t += 5) {
+    keep_min(t, 4, 9.5F);
+    keep_min(t, 2, 31.0F);
+  }
+  for (const std::size_t shard_targets : {0UL, 64UL, 1UL}) {
+    SCOPED_TRACE("shard_targets " + std::to_string(shard_targets));
+    DataPlaneConfig plane;
+    plane.shard_targets = shard_targets;
+    ShardedCensusMatrixBuilder builder(kTargets, plane);
+    feed(builder);
+    const ShardedCensusMatrix matrix = builder.build();
+    EXPECT_EQ(matrix.observation_count(), reference.size());
+    for (std::uint32_t t = 0; t < kTargets; ++t) {
+      std::vector<VpRtt> expected;
+      for (const std::uint16_t vp : {2, 4}) {
+        const auto it = reference.find({t, vp});
+        if (it != reference.end()) expected.push_back({vp, it->second});
+      }
+      const auto got = matrix.measurements(t);
+      ASSERT_EQ(got.size(), expected.size()) << "target " << t;
+      for (std::size_t i = 0; i < got.size(); ++i) {
+        EXPECT_EQ(got[i].vp, expected[i].vp) << "target " << t;
+        EXPECT_EQ(got[i].rtt_ms, expected[i].rtt_ms) << "target " << t;
+      }
+    }
+  }
+}
+
+TEST_F(ShardedTest, FlushAllUnderAnRssBudgetReleasesStagedFragments) {
+  // Over the stage budget with an RSS budget and a spill dir, every staged
+  // shard freezes in shard order, the RSS budget spills frozen shards and
+  // the staged fragments are released: staged bytes drop to 0 on every
+  // flush. The result is the one-shard builder's.
+  constexpr std::size_t kTargets = 4096;
+  constexpr std::size_t kVps = 240;  // ~18 KiB a fragment, ~4.3 MB in all
+  DataPlaneConfig plane;
+  plane.shard_targets = 512;
+  plane.stage_budget_mb = 1;
+  plane.rss_budget_mb = 1;
+  plane.spill_dir = (dir_ / "spill").string();
+  CensusMatrixBuilder mono_builder(kTargets);
+  ShardedCensusMatrixBuilder builder(kTargets, plane);
+  const std::uint64_t flushes_before = flush_count();
+  const std::uint64_t spills_before = counter_value("census_shard_spills");
+  std::size_t releases = 0;
+  for (std::uint16_t vp = 0; vp < kVps; ++vp) {
+    std::vector<TargetRtt> fragment = sorted_fragment(vp, kTargets);
+    const std::size_t bytes = fragment.size() * sizeof(TargetRtt);
+    mono_builder.add_fragment(vp, fragment);
+    const std::size_t staged_before = builder.staged_bytes();
+    const std::uint64_t flushes = flush_count();
+    builder.add_fragment(vp, std::move(fragment));
+    if (flush_count() != flushes) {
+      // A flush froze every staged shard and released every fragment.
+      EXPECT_EQ(builder.staged_bytes(), 0u) << "vp " << vp;
+      EXPECT_GT(staged_before + bytes, std::size_t{1} << 20) << "vp " << vp;
+      EXPECT_EQ(flush_count() - flushes, builder.shard_count()) << "vp " << vp;
+      ++releases;
+    } else {
+      EXPECT_EQ(builder.staged_bytes(), staged_before + bytes) << "vp " << vp;
+      EXPECT_LE(builder.staged_bytes(), std::size_t{1} << 20) << "vp " << vp;
+    }
+  }
+  EXPECT_GE(releases, 3u);
+  const ShardedCensusMatrix sharded = builder.build();
+  EXPECT_GT(flush_count() - flushes_before, 3 * sharded.shard_count());
+  EXPECT_GT(counter_value("census_shard_spills"), spills_before);
+  EXPECT_LE(sharded.resident_value_bytes(), std::size_t{1} << 20);
+  expect_rows_equal(sharded, mono_builder.build());
 }
 
 // --- Whole-pipeline identity -------------------------------------------------
@@ -746,13 +914,6 @@ TEST_F(ShardedTest, AnalysisAndDirtyRowsMatchMonolithic) {
 // rebuilding both matrices: equal rows, fresh stamps, no record.
 
 class ChangeRecordTest : public ShardedTest {};
-
-std::uint64_t counter_value(std::string_view name) {
-  for (const obs::MetricValue& value : obs::metrics().scrape()) {
-    if (value.name == name) return value.value;
-  }
-  return 0;
-}
 
 std::uint64_t derived_calls() {
   return counter_value("analysis_dirty_rows_derived");

@@ -14,7 +14,7 @@
 //   anycastd analyze  --in DIR [--geojson FILE] [--top N]
 //       collate per-VP files (salvaging damaged ones), detect/enumerate/
 //       geolocate, print the characterisation; optionally export replicas
-//       as GeoJSON
+//       as GeoJSON (exit 1 when FILE cannot be written)
 //   anycastd serve    --in DIR [--queries FILE] [--against DIR]
 //       publish DIR's census as an immutable snapshot and answer
 //       point/replicas/batch/nearest/diff queries from a request file or
@@ -106,7 +106,8 @@ constexpr tools::FlagHelp kCommonFlags[] = {
      "transitions as semantic events)"},
     {"journal-out", "FILE",
      "record the flight-recorder event journal (JSONL; semantic events "
-     "deterministic, fsynced at census boundaries); writable up front"},
+     "deterministic, fsynced at census boundaries); writable up front; "
+     "a failed write or fsync exits 1"},
     {"trace-out", "FILE",
      "write a Chrome-trace/Perfetto JSON of spans + counter tracks on "
      "exit (load in ui.perfetto.dev); FILE must be writable up front"},
@@ -729,8 +730,12 @@ int cmd_analyze(const Flags& flags) {
   }
 
   if (const auto geojson_path = flags.get("geojson")) {
-    std::ofstream out(*geojson_path);
-    out << analysis::census_geojson(report);
+    if (const std::error_code ec = obs::write_file_atomic(
+            *geojson_path, analysis::census_geojson(report))) {
+      std::fprintf(stderr, "analyze: failed writing GeoJSON to %s: %s\n",
+                   geojson_path->c_str(), ec.message().c_str());
+      return 1;
+    }
     std::printf("\nwrote GeoJSON to %s\n", geojson_path->c_str());
   }
   return reject_unknown(flags);
@@ -1379,6 +1384,11 @@ int main(int argc, char** argv) {
     }
   }
   obs::journal().close();  // flush + commit any tail, fsync, release
+  if (const std::error_code ec = obs::journal().write_error()) {
+    std::fprintf(stderr, "anycastd: failed writing journal to %s: %s\n",
+                 journal_out->c_str(), ec.message().c_str());
+    if (rc == 0) rc = 1;
+  }
   if (verbose) print_verbose_summary();
   return rc;
 }
