@@ -15,7 +15,7 @@
 ///    violation transitions emit kSemantic journal events and are
 ///    drift-gated across thread counts.
 ///  * `p<q>_<stage>_<unit>=<bound>` — a latency objective over a serving
-///    stage histogram (stage in parse|lookup|nearest|diff|query, unit in
+///    stage histogram (stage in lookup|nearest|diff|query, unit in
 ///    us|ms, q in {50, 90, 99, 999, ...} read as a quantile digit string).
 ///    The implied budget is 1 - q: `p99_lookup_us=50` means "at most 1% of
 ///    lookups may exceed 50us". Windows are fed from LatencyHisto snapshot
@@ -54,7 +54,7 @@ struct SloObjective {
 
   // Latency objectives only:
   double quantile = 0.0;
-  std::string stage;            // parse|lookup|nearest|diff|query
+  std::string stage;            // lookup|nearest|diff|query
   std::uint64_t threshold_ns = 0;
   std::string histo_name;       // "serving_<stage>_ns"
 };

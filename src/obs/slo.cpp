@@ -52,8 +52,8 @@ bool parse_double(std::string_view text, double* out) {
 }
 
 bool valid_stage(std::string_view stage) {
-  return stage == "parse" || stage == "lookup" || stage == "nearest" ||
-         stage == "diff" || stage == "query";
+  return stage == "lookup" || stage == "nearest" || stage == "diff" ||
+         stage == "query";
 }
 
 bool parse_latency_key(std::string_view key, SloObjective* obj,
@@ -88,8 +88,8 @@ bool parse_latency_key(std::string_view key, SloObjective* obj,
     return false;
   }
   if (!valid_stage(stage)) {
-    *error = "unknown stage in SLO objective (want parse|lookup|nearest|"
-             "diff|query): " + std::string(key);
+    *error = "unknown stage in SLO objective (want lookup|nearest|diff|"
+             "query): " + std::string(key);
     return false;
   }
   if (unit != "us" && unit != "ms") {

@@ -1,11 +1,15 @@
 // The serving line protocol: text queries in, deterministic text out.
 //
-// One query per line, `#` comments and blank lines skipped:
+// One query per line, `#` comments and blank lines skipped. Tokens are
+// separated by runs of spaces and tabs; leading and trailing ones are
+// ignored:
 //
 //   point <key>                 anycast verdict + row stats for one target
 //   replicas <key>              enumerated, geolocated replica set
 //   batch <key> <key> ...       vectorized point lookups, aggregate answer
 //   nearest <key> <lat> <lon>   closest replica to a client coordinate
+//                               (finite decimal degrees; hex, inf and
+//                               nan answer `bad coordinate`)
 //   diff                        landscape delta vs. the previous snapshot
 //   stats                       live telemetry: snapshot id, query count,
 //                               qps (last per-second window), p50/p99/p999
@@ -26,23 +30,27 @@
 // serve loop's cross-run answer comparison therefore must not include
 // them.
 //
-// Every query is recorded into the per-stage LatencyHisto set
-// (serving_parse_ns, serving_{lookup,nearest,diff}_ns, serving_query_ns)
-// unless obs::set_latency_recording(false); malformed lines additionally
-// bump serving_errors and the telemetry error window.
+// Every query is recorded into serving_query_ns and, for the verbs that
+// have one, its stage histogram (serving_lookup_ns for point/replicas/
+// batch, serving_nearest_ns, serving_diff_ns) unless
+// obs::set_latency_recording(false). Both record the same whole-answer
+// interval, so the SLO stages are lookup|nearest|diff|query. Malformed
+// lines additionally bump serving_errors and the telemetry error window.
 //
 // Cost model. The data verbs (point/batch/replicas/nearest) allocate
-// nothing once `out` has room for the answer: a line is walked token by
-// token and never stored (a batch of any length tokenises without
-// allocating), the answer is appended straight into `out`, integers and
-// the fixed-precision %.4f/%.1f fields go through std::to_chars
-// (`append_fixed`), and a batch resolves its keys into a 16-entry buffer
-// it looks up and sums as it fills. A dotted key costs one rank-bitmap
-// probe (SnapshotView::target_of_address). Recording costs three clock
-// reads and three histogram records, each a relaxed bump of the calling
-// thread's own shard. The telemetry verbs (stats/slo/metricsdump) and
-// `diff` keep printf formatting and allocate: they are not on the query
-// hot path.
+// nothing once `out` has room for the answer. One pass over the line
+// keeps its first four tokens and counts the rest; a batch walks its keys
+// once more, from the end of the verb. No line is stored, so a batch of
+// any length tokenises without allocating. The answer is appended
+// straight into `out`: integers and the fixed-precision %.4f/%.1f fields
+// go through std::to_chars (`append_fixed`), and a batch resolves its
+// keys into a 16-entry buffer it looks up and sums as it fills. A dotted
+// key costs one rank-bitmap probe (SnapshotView::target_of_address).
+// Recording costs two clock reads (~20 ns each) and two histogram records
+// (~3.5 ns each, a relaxed bump of the calling thread's own shard): a
+// large share of a ~300 ns point query (ROADMAP item 4). The telemetry
+// verbs (stats/slo/metricsdump) and `diff` keep printf formatting and
+// allocate: they are not on the query hot path.
 //
 // Used by `anycastd serve` (file or stdin batch loop) and by the watch
 // daemon's in-campaign serve thread; tests drive it directly.

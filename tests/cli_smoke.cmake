@@ -619,6 +619,35 @@ if(NOT err MATCHES "bad --slo spec")
   message(FATAL_ERROR "bad --slo error message missing: ${err}")
 endif()
 
+# The retired `parse` stage is refused, and the error names the stages.
+execute_process(
+  COMMAND ${ANYCASTD} serve --in ${WORK_DIR}/c1 --vps 12 --unicast 400
+          --queries ${WORK_DIR}/queries.txt --slo "p99_parse_us=5"
+  RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+if(NOT rc EQUAL 2)
+  message(FATAL_ERROR "--slo p99_parse_us exited ${rc}, want 2: ${err}")
+endif()
+if(NOT err MATCHES "want lookup\\|nearest\\|diff\\|query")
+  message(FATAL_ERROR "--slo stage error does not list the stages: ${err}")
+endif()
+
+# A non-finite or hex coordinate is a malformed query, not a distance.
+foreach(coord nan inf 0x10)
+  file(WRITE ${WORK_DIR}/coord_queries.txt "nearest 2 ${coord} 0\n")
+  execute_process(
+    COMMAND ${ANYCASTD} serve --in ${WORK_DIR}/c1 --vps 12 --unicast 400
+            --queries ${WORK_DIR}/coord_queries.txt
+    RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+  if(NOT rc EQUAL 2)
+    message(FATAL_ERROR "nearest with coordinate ${coord} exited ${rc}, "
+                        "want 2: ${out}${err}")
+  endif()
+  if(NOT err MATCHES "serve: bad query at line 1: bad coordinate")
+    message(FATAL_ERROR "nearest ${coord}: bad coordinate error missing: "
+                        "${err}")
+  endif()
+endforeach()
+
 # --metrics-interval without a --metrics-out sink is refused.
 execute_process(
   COMMAND ${ANYCASTD} serve --in ${WORK_DIR}/c1 --vps 12 --unicast 400

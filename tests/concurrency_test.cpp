@@ -1089,7 +1089,6 @@ TEST_F(ParallelResumeTest, TimingMetricsAreExactlyTheDeclaredAllowlist) {
       "serving_errors",
       "serving_lookup_ns",
       "serving_nearest_ns",
-      "serving_parse_ns",
       "serving_publish_us",
       "serving_publishes",
       "serving_queries",

@@ -101,8 +101,8 @@ constexpr tools::FlagHelp kCommonFlags[] = {
      "also flush the telemetry document to --metrics-out every S seconds "
      "(tmp + fsync + rename, so `anycastd top` never reads a torn file)"},
     {"slo", "SPEC",
-     "SLO objectives, e.g. \"p99_lookup_us=50,availability=0.999\"; "
-     "multi-window burn rates tracked live (watch journals availability "
+     "SLO objectives, e.g. \"p99_lookup_us=50,availability=0.999\" "
+     "(latency stages: lookup|nearest|diff|query); multi-window burn rates tracked live (watch journals availability "
      "transitions as semantic events)"},
     {"journal-out", "FILE",
      "record the flight-recorder event journal (JSONL; semantic events "
