@@ -1,9 +1,9 @@
 #include "anycast/obs/slo.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 
 namespace anycast::obs {
 namespace {
@@ -38,15 +38,15 @@ std::string_view trim(std::string_view s) {
   return s;
 }
 
+/// A finite decimal number: nan, inf and hex spellings are refused.
 bool parse_double(std::string_view text, double* out) {
-  if (text.empty()) return false;
-  char buffer[64];
-  if (text.size() >= sizeof buffer) return false;
-  std::copy(text.begin(), text.end(), buffer);
-  buffer[text.size()] = '\0';
-  char* end = nullptr;
-  const double value = std::strtod(buffer, &end);
-  if (end != buffer + text.size()) return false;
+  double value = 0.0;
+  const auto [ptr, ec] = std::from_chars(text.data(), text.data() + text.size(),
+                                         value, std::chars_format::general);
+  if (ec != std::errc{} || ptr != text.data() + text.size() ||
+      !std::isfinite(value)) {
+    return false;
+  }
   *out = value;
   return true;
 }

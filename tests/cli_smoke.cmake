@@ -619,6 +619,19 @@ if(NOT err MATCHES "bad --slo spec")
   message(FATAL_ERROR "bad --slo error message missing: ${err}")
 endif()
 
+# A non-finite SLO value is a bad spec, not an objective NaN slips past.
+execute_process(
+  COMMAND ${ANYCASTD} serve --in ${WORK_DIR}/c1 --vps 12 --unicast 400
+          --queries ${WORK_DIR}/queries.txt
+          --slo "p99_query_us=nan,availability=nan"
+  RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+if(NOT rc EQUAL 2)
+  message(FATAL_ERROR "--slo nan values exited ${rc}, want 2: ${err}")
+endif()
+if(NOT err MATCHES "bad --slo spec")
+  message(FATAL_ERROR "--slo nan error message missing: ${err}")
+endif()
+
 # The retired `parse` stage is refused, and the error names the stages.
 execute_process(
   COMMAND ${ANYCASTD} serve --in ${WORK_DIR}/c1 --vps 12 --unicast 400

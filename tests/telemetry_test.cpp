@@ -269,7 +269,8 @@ TEST(SloSpecTest, RejectsMalformedSpecs) {
        {"availability=1.5", "availability=0", "availability=x",
         "p99_bogus_us=50", "p99_parse_us=50", "p99_lookup_parsecs=50",
         "p0_lookup_us=50", "pxx_lookup_us=50", "p99_lookup_us=-1",
-        "unknown=1", "noequals"}) {
+        "unknown=1", "noequals", "availability=nan", "p99_query_us=nan",
+        "p99_query_us=inf", "availability=0x0.8p0"}) {
     std::string error;
     EXPECT_FALSE(parse_slo_spec(bad, &error).has_value()) << bad;
     EXPECT_FALSE(error.empty()) << bad;
