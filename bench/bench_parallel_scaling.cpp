@@ -38,7 +38,7 @@
 // Global operator new/delete overrides counting every allocation in the
 // process. Relaxed atomics: the counters are read only between phases,
 // and exact interleaving within a phase does not matter. The CSR value
-// arena maps its buffer directly (mmap/mremap, see census.hpp) and so
+// arena maps its buffer directly (mmap, see census.hpp) and so
 // bypasses these counters — that undercounts the columnar side by the
 // O(1) mappings per build/combine, which cannot change any verdict
 // against the legacy side's one allocation per row and growth step.

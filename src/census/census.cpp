@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <iterator>
 #include <utility>
 
 #if defined(__linux__)
@@ -57,10 +56,10 @@ const CensusInstruments& census_instruments() {
 
 /// Matrix instruments, fed by CensusMatrixBuilder::build and the arena.
 /// The build/value counters are kSemantic — one logical build per census
-/// whatever the shard size (see note_matrix_build). The arena counters
-/// are kTiming: how many mappings it takes to assemble the same matrix
-/// is a data-plane layout detail that legitimately varies with the shard
-/// size and spill schedule.
+/// whatever the shard size (see note_matrix_build). The arena counter is
+/// kTiming: how many mappings it takes to assemble the same matrix is a
+/// data-plane layout detail that legitimately varies with the shard size
+/// and spill schedule.
 struct MatrixInstruments {
   obs::Counter builds = obs::metrics().counter(
       "census_matrix_builds", obs::MetricClass::kSemantic,
@@ -68,9 +67,6 @@ struct MatrixInstruments {
   obs::Counter values = obs::metrics().counter(
       "census_matrix_values", obs::MetricClass::kSemantic,
       "canonical (vp, target) samples across built matrices");
-  obs::Counter arena_remaps = obs::metrics().counter(
-      "census_arena_remaps", obs::MetricClass::kTiming,
-      "in-place arena regrowths (mremap/realloc, beyond the first map)");
   obs::Counter arena_maps = obs::metrics().counter(
       "census_arena_maps", obs::MetricClass::kTiming,
       "fresh arena mappings (first allocation of a buffer)");
@@ -85,14 +81,7 @@ const MatrixInstruments& matrix_instruments() {
 
 namespace detail {
 
-void note_arena_remap(bool fresh_mapping) {
-  const MatrixInstruments& in = matrix_instruments();
-  if (fresh_mapping) {
-    in.arena_maps.inc();
-  } else {
-    in.arena_remaps.inc();
-  }
-}
+void note_arena_map() { matrix_instruments().arena_maps.inc(); }
 
 void note_matrix_build(std::size_t value_count) {
   matrix_instruments().builds.inc();
@@ -172,7 +161,7 @@ void VpRttArena::restore() {
   map_base_ = nullptr;
   map_len_ = 0;
   spilled_ = false;
-  note_arena_remap(/*fresh_mapping=*/true);
+  note_arena_map();
 #endif
 }
 
@@ -282,50 +271,23 @@ RowUnion row_union(std::span<const VpRtt> ours, std::span<const VpRtt> theirs) {
   return {size, lowered || size != ours.size()};
 }
 
-/// Merges the vp-sorted row `theirs` into the row stored at
-/// `v[ours_begin, ours_end)`, back to front, taking minima on common VPs;
-/// the union ends at `v[write_end]`. Writes never clobber unread input:
-/// the write cursor w and our read cursor i keep w - i >= write_end -
-/// ours_end >= 0 (outputs remaining can never be fewer than our elements
-/// remaining), and w == i only arises when the rest of `theirs`
-/// duplicates the rest of ours, so the theirs-only branch cannot fire
-/// there. Merging rows last to first, each into a slot at or above its
-/// old start, therefore grows a whole arena in place.
-void merge_row_back(VpRtt* v, std::uint64_t ours_begin, std::uint64_t ours_end,
-                    std::span<const VpRtt> theirs, std::uint64_t write_end) {
-  std::uint64_t i = ours_end;
-  std::uint64_t w = write_end;
-  std::size_t j = theirs.size();
-  while (i > ours_begin && j > 0) {
-    const VpRtt a = v[i - 1];
-    const VpRtt b = theirs[j - 1];
-    if (a.vp > b.vp) {
-      v[--w] = a;
-      --i;
-    } else if (b.vp > a.vp) {
-      v[--w] = b;
-      --j;
-    } else {
-      v[--w] = VpRtt{a.vp, std::min(a.rtt_ms, b.rtt_ms)};
-      --i;
-      --j;
-    }
-  }
-  while (i > ours_begin) {
-    --w;
-    --i;
-    v[w] = v[i];
-  }
-  while (j > 0) v[--w] = theirs[--j];
-}
-
-/// Writes the min-union of `ours` and `theirs`, `size` values (see
-/// row_union), to `out`: `ours` copied to the front, `theirs` merged in
-/// back to front.
+/// Writes the min-union of the vp-sorted rows `ours` and `theirs` (see
+/// row_union) to `out`, taking minima on common VPs.
 void merge_into(VpRtt* out, std::span<const VpRtt> ours,
-                std::span<const VpRtt> theirs, std::uint64_t size) {
-  std::copy(ours.begin(), ours.end(), out);
-  merge_row_back(out, 0, ours.size(), theirs, size);
+                std::span<const VpRtt> theirs) {
+  std::size_t i = 0;
+  std::size_t j = 0;
+  while (i < ours.size() && j < theirs.size()) {
+    const VpRtt a = ours[i];
+    const VpRtt b = theirs[j];
+    *out++ = a.vp < b.vp   ? a
+             : b.vp < a.vp ? b
+                           : VpRtt{a.vp, std::min(a.rtt_ms, b.rtt_ms)};
+    i += static_cast<std::size_t>(a.vp <= b.vp);
+    j += static_cast<std::size_t>(b.vp <= a.vp);
+  }
+  out = std::ranges::copy(ours.subspan(i), out).out;
+  std::ranges::copy(theirs.subspan(j), out);
 }
 
 /// Row `t` of `m`, empty past its end.
@@ -344,88 +306,57 @@ constexpr std::size_t kOverlayShareDivisor = 16;
 /// Values per transposed block: 32k VpRtt (256 KiB) fit in L2.
 constexpr std::size_t kBlockValues = std::size_t{1} << 15;
 
-/// Lays VP-ascending canonical runs out as CSR rows, one target block at
-/// a time, blocks last to first. Runs hold global target indices; row i
-/// of the output is target `base + i`. `count` takes every run's slice of
-/// the block (per-run cursors walking each run back to front, so a pass
-/// reads each run once) and prefix-sums the row sizes; `place` appends
-/// each run's slice in VP order. Rows therefore come out vp-sorted at
-/// exact offsets, and the block's values stay cache-resident between the
-/// two steps.
-class BlockTransposer {
- public:
-  BlockTransposer(std::span<const detail::TargetRun> runs, std::size_t base,
-                  std::size_t targets, std::size_t values)
-      : runs_(runs),
-        base_(base),
-        end_(runs.size()),
-        begin_(runs.size()),
-        block_(std::clamp<std::size_t>(
-            kBlockValues * targets / std::max<std::size_t>(values, 1), 1,
-            std::max<std::size_t>(targets, 1))),
-        slots_(block_ + 1) {
-    rewind();
+/// Lays VP-ascending canonical runs out as the CSR rows of targets
+/// [base, base + targets): `values` entries into `v`, row ends into
+/// `offsets[1..targets]`. Runs hold global target indices. It walks one
+/// target block at a time, blocks last to first: count every run's slice
+/// of the block (per-run cursors walking each run back to front, so the
+/// walk reads each run once), prefix-sum the row sizes, then place each
+/// run's slice in VP order. Rows therefore come out vp-sorted at exact
+/// offsets, and the block's values stay cache-resident between the steps.
+void transpose_runs(std::span<const detail::TargetRun> runs, std::size_t base,
+                    std::size_t targets, std::uint64_t values, VpRtt* v,
+                    std::uint64_t* offsets) {
+  const std::size_t block = std::clamp<std::size_t>(
+      kBlockValues * targets / std::max<std::size_t>(values, 1), 1,
+      std::max<std::size_t>(targets, 1));
+  std::vector<std::uint32_t> end(runs.size());    // each run's unread prefix
+  std::vector<std::uint32_t> begin(runs.size());  // its slice of the block
+  for (std::size_t r = 0; r < runs.size(); ++r) {
+    end[r] = static_cast<std::uint32_t>(runs[r].entries.size());
   }
-
-  [[nodiscard]] std::size_t block_targets() const { return block_; }
-
-  /// Returns the cursors to the run ends, for another backward pass.
-  void rewind() {
-    for (std::size_t r = 0; r < runs_.size(); ++r) {
-      end_[r] = static_cast<std::uint32_t>(runs_[r].entries.size());
-    }
-  }
-
-  /// Counts the rows of targets [b0, b1), the block below the previous
-  /// one (at most `block_targets()` targets): row_begin[i] = the block's
-  /// values before target b0 + i, for i in [0, b1 - b0]. Returns the
-  /// block's value count.
-  std::uint64_t count(std::size_t b0, std::size_t b1,
-                      std::uint64_t* row_begin) {
-    g0_ = base_ + b0;
+  // Row sizes, then each row's write position.
+  std::vector<std::uint64_t> slot_buffer(block + 1);
+  std::uint64_t* const slots = slot_buffer.data();
+  for (std::size_t b1 = targets; b1 > 0;) {
+    const std::size_t b0 = b1 - std::min(b1, block);
+    const std::size_t g0 = base + b0;  // global index of the block's row 0
     const std::size_t n = b1 - b0;
-    std::uint64_t* slots = slots_.data();
     std::fill(slots, slots + n + 1, 0);
-    for (std::size_t r = 0; r < runs_.size(); ++r) {
-      const TargetRtt* entries = runs_[r].entries.data();
-      std::uint32_t p = end_[r];
-      for (; p > 0 && entries[p - 1].target_index >= g0_; --p) {
-        ++slots[entries[p - 1].target_index - g0_ + 1];
+    for (std::size_t r = 0; r < runs.size(); ++r) {
+      const TargetRtt* entries = runs[r].entries.data();
+      std::uint32_t p = end[r];
+      for (; p > 0 && entries[p - 1].target_index >= g0; --p) {
+        ++slots[entries[p - 1].target_index - g0 + 1];
       }
-      begin_[r] = p;
+      begin[r] = p;
     }
-    for (std::size_t i = 0; i < n; ++i) {
-      row_begin[i] = slots[i];
-      slots[i + 1] += slots[i];
-    }
-    row_begin[n] = slots[n];
-    return slots[n];
-  }
-
-  /// Places the counted block's values at `out` (row i starting at
-  /// out + row_begin[i]) and moves the cursors below the block.
-  void place(VpRtt* out) {
-    std::uint64_t* slots = slots_.data();
-    for (std::size_t r = 0; r < runs_.size(); ++r) {
-      const std::uint16_t vp = runs_[r].vp;
-      const TargetRtt* entries = runs_[r].entries.data();
-      for (std::uint32_t p = begin_[r]; p < end_[r]; ++p) {
-        out[slots[entries[p].target_index - g0_]++] =
+    for (std::size_t i = 0; i < n; ++i) slots[i + 1] += slots[i];
+    values -= slots[n];
+    for (std::size_t i = 1; i <= n; ++i) offsets[b0 + i] = values + slots[i];
+    VpRtt* const out = v + values;
+    for (std::size_t r = 0; r < runs.size(); ++r) {
+      const std::uint16_t vp = runs[r].vp;
+      const TargetRtt* entries = runs[r].entries.data();
+      for (std::uint32_t p = begin[r]; p < end[r]; ++p) {
+        out[slots[entries[p].target_index - g0]++] =
             VpRtt{vp, entries[p].rtt_ms};
       }
     }
-    end_.swap(begin_);
+    end.swap(begin);
+    b1 = b0;
   }
-
- private:
-  std::span<const detail::TargetRun> runs_;
-  std::size_t base_;                  // global index of row 0
-  std::vector<std::uint32_t> end_;    // end of each run's unread prefix
-  std::vector<std::uint32_t> begin_;  // start of each run's counted slice
-  std::size_t block_;
-  std::vector<std::uint64_t> slots_;  // row sizes, then write positions
-  std::size_t g0_ = 0;                // global index of the block's row 0
-};
+}
 
 /// Collapses each group of equal targets in a target-sorted vector to
 /// its minimum RTT, in place.
@@ -606,8 +537,7 @@ void CensusMatrix::overlay_patch(const Patch& patch) {
     if (!replaces) next->hidden += ours.size();  // a base row, now hidden
     const std::size_t at = next->values.size();
     next->values.resize(at + patch.sizes[k]);
-    merge_into(next->values.data() + at, ours, patch.other->measurements(t),
-               patch.sizes[k]);
+    merge_into(next->values.data() + at, ours, patch.other->measurements(t));
     next->rows.set(t);
     next->offsets.push_back(next->values.size());
     i += static_cast<std::size_t>(replaces);
@@ -626,14 +556,14 @@ void CensusMatrix::rebase(std::size_t targets, const Patch& patch) {
     offsets[t + 1] =
         offsets[t] + (patched ? patch.sizes[k++] : row_or_empty(*this, t).size());
   }
-  fresh->values.resize(offsets[targets]);
+  fresh->values.allocate(offsets[targets]);
   VpRtt* const v = fresh->values.data();
   for (std::size_t t = 0, k = 0; t < targets; ++t) {
     const auto ours = row_or_empty(*this, t);
     if (k < patch.rows.size() && patch.rows[k] == t) {
       merge_into(v + offsets[t], ours,
-                 patch.other->measurements(static_cast<std::uint32_t>(t)),
-                 patch.sizes[k++]);
+                 patch.other->measurements(static_cast<std::uint32_t>(t)));
+      ++k;
     } else {
       std::copy(ours.begin(), ours.end(), v + offsets[t]);
     }
@@ -674,8 +604,7 @@ void CensusMatrixBuilder::add_view(std::uint16_t vp,
 }
 
 CensusMatrix CensusMatrixBuilder::build() {
-  CensusMatrix matrix(target_count_);
-  freeze_into(matrix);
+  CensusMatrix matrix = freeze();
   detail::note_matrix_build(matrix.observation_count());
   return matrix;
 }
@@ -727,98 +656,20 @@ std::vector<detail::TargetRun> CensusMatrixBuilder::take_runs() {
   return runs;
 }
 
-void CensusMatrixBuilder::freeze_into(CensusMatrix& into) {
+CensusMatrix CensusMatrixBuilder::freeze() {
   const std::vector<detail::TargetRun> runs = take_runs();
   // The entries the runs view, when this builder owns them: released
   // when the freeze returns.
   const std::vector<std::vector<TargetRtt>> owned = std::exchange(owned_, {});
+  CensusMatrix matrix(target_count_);
   std::size_t values = 0;
   for (const detail::TargetRun& run : runs) values += run.entries.size();
-  if (values == 0) return;
-  const std::size_t targets = target_count_;
-  const bool fresh = into.observation_count() == 0;
-  CensusMatrix::Rows& rows = into.own_rows();
-  if (fresh) {
-    rows.offsets.assign(targets + 1, 0);
-    frozen_vps_.clear();
-  }
-  // A staged VP already frozen into `into` may share rows with it; only
-  // then can a row gain fewer values than it has staged.
-  std::vector<std::uint16_t> staged_vps;
-  staged_vps.reserve(runs.size());
-  for (const detail::TargetRun& run : runs) staged_vps.push_back(run.vp);
-  std::vector<std::uint16_t> frozen;
-  frozen.reserve(frozen_vps_.size() + staged_vps.size());
-  std::set_union(frozen_vps_.begin(), frozen_vps_.end(), staged_vps.begin(),
-                 staged_vps.end(), std::back_inserter(frozen));
-  const bool repeats_vp =
-      frozen.size() < frozen_vps_.size() + staged_vps.size();
-  frozen_vps_ = std::move(frozen);
-
-  BlockTransposer transposer(runs, target_base_, targets, values);
-  const std::size_t block = transposer.block_targets();
-  std::vector<std::uint64_t> local(block + 1);
-  std::vector<VpRtt> buffer;
-  const auto transpose_block = [&](std::size_t b0, std::size_t b1) {
-    const std::uint64_t n = transposer.count(b0, b1, local.data());
-    if (buffer.size() < n) buffer.resize(n);
-    transposer.place(buffer.data());
-  };
-  const auto staged_row = [&](std::size_t i) {
-    return std::span<const VpRtt>(buffer.data() + local[i],
-                                  local[i + 1] - local[i]);
-  };
-
-  // gained[t]: values rows [0, t) gain. Without a repeated VP every
-  // staged value is new, and the backward pass derives it from the block
-  // counts; with one, a first backward pass sizes each row's union.
-  std::vector<std::uint64_t> gained;
-  std::uint64_t gain = values;
-  if (repeats_vp) {
-    gained.assign(targets + 1, 0);
-    for (std::size_t b1 = targets; b1 > 0;) {
-      const std::size_t b0 = b1 - std::min(b1, block);
-      transpose_block(b0, b1);
-      for (std::size_t t = b0; t < b1; ++t) {
-        const auto ours = into.measurements(static_cast<std::uint32_t>(t));
-        gained[t + 1] = row_union(ours, staged_row(t - b0)).size - ours.size();
-      }
-      b1 = b0;
-    }
-    for (std::size_t t = 0; t < targets; ++t) gained[t + 1] += gained[t];
-    gain = gained[targets];
-    transposer.rewind();
-  }
-
-  // Grow the arena once, then fill it last block to first: a fresh matrix
-  // takes each block straight from the transposer; otherwise each row is
-  // merged back to front into its final slot (see merge_row_back) and its
-  // end offset rewritten, which no row below it reads.
-  rows.values.resize(rows.values.size() + gain);
-  VpRtt* const v = rows.values.data();
-  std::vector<std::uint64_t>& offsets = rows.offsets;
-  for (std::size_t b1 = targets; b1 > 0;) {
-    const std::size_t b0 = b1 - std::min(b1, block);
-    if (fresh) {
-      gain -= transposer.count(b0, b1, local.data());
-      transposer.place(v + gain);
-      for (std::size_t t = b0; t < b1; ++t) {
-        offsets[t + 1] = gain + local[t - b0 + 1];
-      }
-    } else {
-      transpose_block(b0, b1);
-      if (!repeats_vp) gain -= local[b1 - b0];
-      for (std::size_t t = b1; t-- > b0;) {
-        const std::uint64_t end =
-            offsets[t + 1] +
-            (repeats_vp ? gained[t + 1] : gain + local[t - b0 + 1]);
-        merge_row_back(v, offsets[t], offsets[t + 1], staged_row(t - b0),
-                       end);
-        offsets[t + 1] = end;
-      }
-    }
-    b1 = b0;
-  }
+  if (values == 0) return matrix;
+  CensusMatrix::Rows& rows = matrix.own_rows();
+  rows.values.allocate(values);
+  transpose_runs(runs, target_base_, target_count_, values, rows.values.data(),
+                 rows.offsets.data());
+  return matrix;
 }
 
 std::vector<TargetRtt> vp_row_fragment(std::span<const Observation>

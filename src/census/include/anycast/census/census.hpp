@@ -56,31 +56,29 @@ struct TargetRtt {
 namespace detail {
 
 /// Out-of-line metrics hook (defined in census.cpp) so this header does
-/// not pull in the obs registry: counts one mmap/mremap-backed arena
-/// resize into `census_arena_remaps`.
-void note_arena_remap(bool fresh_mapping);
+/// not pull in the obs registry: counts one fresh arena mapping into
+/// `census_arena_maps`.
+void note_arena_map();
 
 /// Counts one logical matrix build of `value_count` canonical samples
 /// into `census_matrix_builds`/`census_matrix_values`. The sharded
 /// builder calls this exactly once per assembled matrix — however many
-/// per-shard `build_uncounted` passes it took — so the semantic counters
-/// are invariant to the shard size.
+/// per-shard freezes it took — so the semantic counters are invariant to
+/// the shard size.
 void note_matrix_build(std::size_t value_count);
 
-/// Growable buffer of (trivially copyable) VpRtt for census-scale value
-/// arenas. std::vector growth must allocate-copy-free — transiently
-/// doubling resident memory on a buffer this large — so the arena
-/// resizes in place instead: mmap/mremap/munmap directly on Linux (no
-/// copy on growth, pages returned to the kernel the moment the buffer
-/// dies, residency independent of allocator history), realloc elsewhere.
+/// Fixed-size buffer of (trivially copyable) VpRtt for census-scale value
+/// arenas, sized once by `allocate`: mmap/munmap directly on Linux (pages
+/// returned to the kernel the moment the buffer dies, residency
+/// independent of allocator history), malloc elsewhere.
 ///
-/// On top of the anonymous growth path the arena has an explicit spill
-/// tier (Linux only): `spill()` freezes the contents into a checksummed
-/// file and swaps the anonymous mapping for a read-only file-backed one,
+/// On top of the anonymous mapping the arena has an explicit spill tier
+/// (Linux only): `spill()` freezes the contents into a checksummed file
+/// and swaps the anonymous mapping for a read-only file-backed one,
 /// `drop_resident()` returns the resident pages to the kernel (reads
 /// transparently fault them back from the file), and `restore()` copies
 /// the contents back into a private anonymous mapping before any
-/// mutation. `resize()` restores automatically, so mutating callers
+/// mutation. Mutable access restores automatically, so mutating callers
 /// never observe the spilled state.
 class VpRttArena {
  public:
@@ -128,33 +126,24 @@ class VpRttArena {
     return data_;
   }
   [[nodiscard]] std::size_t size() const { return size_; }
-  VpRtt& operator[](std::size_t i) { return data()[i]; }
-  const VpRtt& operator[](std::size_t i) const { return data_[i]; }
 
-  /// Exact-size resize: contents up to min(old, new) are preserved, new
-  /// slots are zero pages on Linux and uninitialised otherwise — either
-  /// way every caller writes them all before reading. A spilled arena is
-  /// restored to anonymous memory first.
-  void resize(std::size_t count) {
-    if (spilled_) restore();
-    if (count == 0) {
-      release();
-      return;
-    }
+  /// Drops the contents and maps `count` fresh slots: zero pages on
+  /// Linux, uninitialised otherwise — either way every caller writes them
+  /// all before reading.
+  void allocate(std::size_t count) {
+    release();
+    if (count == 0) return;
 #if defined(__linux__)
-    void* grown =
-        data_ == nullptr
-            ? ::mmap(nullptr, count * sizeof(VpRtt), PROT_READ | PROT_WRITE,
-                     MAP_PRIVATE | MAP_ANONYMOUS, -1, 0)
-            : ::mremap(data_, size_ * sizeof(VpRtt), count * sizeof(VpRtt),
-                       MREMAP_MAYMOVE);
-    if (grown == MAP_FAILED) throw std::bad_alloc();
+    void* fresh = ::mmap(nullptr, count * sizeof(VpRtt),
+                         PROT_READ | PROT_WRITE, MAP_PRIVATE | MAP_ANONYMOUS,
+                         -1, 0);
+    if (fresh == MAP_FAILED) throw std::bad_alloc();
 #else
-    void* grown = std::realloc(data_, count * sizeof(VpRtt));
-    if (grown == nullptr) throw std::bad_alloc();
+    void* fresh = std::malloc(count * sizeof(VpRtt));
+    if (fresh == nullptr) throw std::bad_alloc();
 #endif
-    note_arena_remap(data_ == nullptr);
-    data_ = static_cast<VpRtt*>(grown);
+    note_arena_map();
+    data_ = static_cast<VpRtt*>(fresh);
     size_ = count;
   }
 
@@ -203,7 +192,7 @@ class VpRttArena {
   }
 
   void assign(const VpRttArena& other) {
-    resize(other.size_);
+    allocate(other.size_);
     if (size_ != 0) std::memcpy(data(), other.data_, size_ * sizeof(VpRtt));
   }
 
@@ -258,10 +247,10 @@ void canonicalise_run(std::vector<TargetRtt>& entries,
 ///    the rows, or the merge grows the target count, base and overlay are
 ///    folded into a fresh base. The trigger counts rows, so the layout
 ///    never depends on timing.
-///  - Every other write (spill, restore, a builder fold) first takes
-///    storage of its own: the overlay is folded in, and a base another
-///    matrix holds is copied. So a matrix that dies frees only the
-///    storage no other matrix reads.
+///  - Every other write (spill, restore) first takes storage of its
+///    own: the overlay is folded in, and a base another matrix holds is
+///    copied. So a matrix that dies frees only the storage no other
+///    matrix reads.
 class CensusMatrix {
  public:
   CensusMatrix() = default;
@@ -446,17 +435,11 @@ class CensusMatrixBuilder {
   /// Stages a view of a canonical run inside this stage's range without
   /// copying it; the caller keeps the entries alive until the next freeze.
   void add_view(std::uint16_t vp, std::span<const TargetRtt> run);
-  /// Folds the staged input into `into` and resets the stage. `into` has
-  /// this builder's target count and is either empty or holds only what
-  /// this builder froze into it since it was last empty. An empty `into`
-  /// is filled by the blocked transpose straight into its arena. A
-  /// populated one is merged in place: its arena grows once, and blocks,
-  /// last to first, are transposed into a small buffer whose rows merge
-  /// back to front into the arena (the `combine_min` row merge). When a
-  /// staged VP was frozen into `into` before, a first backward pass sizes
-  /// each row's union. Does not count a matrix build (see
+  /// Freezes the staged input into a fresh matrix of this builder's
+  /// target count, by the blocked transpose straight into its arena, and
+  /// resets the stage. Does not count a matrix build (see
   /// `detail::note_matrix_build`).
-  void freeze_into(CensusMatrix& into);
+  [[nodiscard]] CensusMatrix freeze();
   /// Hands out the staged input as VP-ascending canonical runs, one per
   /// VP, and resets the stage. Runs built here (grouped loose adds,
   /// merged repeats of a VP) join `owned_`, which the caller clears once
@@ -475,8 +458,6 @@ class CensusMatrixBuilder {
   std::vector<TargetRtt> loose_;
   std::vector<std::uint16_t> loose_vps_;
   std::size_t staged_bytes_ = 0;
-  // VPs frozen into the matrix freeze_into last filled, ascending.
-  std::vector<std::uint16_t> frozen_vps_;
 };
 
 /// Reduces one VP's observation stream to its per-target minimum echo

@@ -12,17 +12,18 @@
 // Invariants:
 //  - Element identity: for ANY shard size and flush/spill schedule, the
 //    assembled matrix is element-identical to a single CensusMatrixBuilder
-//    fed the same fragments. Both keep per-(vp, target) minima, and the
-//    in-place fold is associative, so the staged partial freezes commute
-//    with the one-shot build.
+//    fed the same fragments. A flush only moves staged runs to a side-run
+//    file, each shard freezes once from all of its runs, and both keep
+//    per-(vp, target) minima, so the schedule cannot show in the output.
 //  - Semantic invariance: the sharded path bumps the kSemantic matrix
 //    counters exactly once per assembled matrix (note_matrix_build) and
 //    emits only kTiming shard/spill events, so the semantic metric
 //    snapshot and committed journal stream are invariant to shard size.
-//  - Durability boundary: a spill file is published durably
+//  - Durability boundary: spill and side-run files are published durably
 //    (obs::write_file_atomic: tmp, fsync, rename, directory fsync) and
-//    checksummed; a truncated file salvages to its whole-record prefix
-//    (read_spill_file).
+//    checksummed; a truncated spill file salvages to its whole-record
+//    prefix (read_spill_file), a damaged side-run file is refused
+//    (read_side_runs).
 //  - Copy-on-write: each shard's rows are shared, immutable storage plus
 //    an overlay of the rows combine_min changed (CensusMatrix). Copying
 //    a matrix costs O(shards); a combine_min copies, merges and allocates
@@ -46,6 +47,7 @@
 #include <optional>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "anycast/census/census.hpp"
@@ -66,13 +68,9 @@ struct DataPlaneConfig {
   /// frozen shards are spilled to `spill_dir` and their pages dropped,
   /// coldest (lowest index) first.
   std::size_t rss_budget_mb = 0;
-  /// Where spill files land (`shard<N>.ancs`). Required for spilling.
+  /// Where spill files (`shard<N>.ancs`) and side runs (`runs<N>.ancr`)
+  /// land; required for spilling. One builder at a time may flush here.
   std::string spill_dir;
-  /// Staged-fragment bytes the builder holds before it freezes every
-  /// staged shard so the RSS budget can spill them. Takes effect only
-  /// with `rss_budget_mb` and `spill_dir` set: without a spill, a flush
-  /// cannot lower memory.
-  std::size_t stage_budget_mb = 256;
 };
 
 /// A census matrix split into fixed-size target-range shards. Target t
@@ -170,8 +168,9 @@ class ShardedCensusMatrix {
     return shards_[s].values_spilled();
   }
   /// Spills shards (index order) until resident value bytes fit the
-  /// configured budget; no-op when rss_budget_mb == 0. Returns bytes
-  /// resident after enforcement, in `resident_value_bytes` terms: spilling
+  /// configured budget (none when rss_budget_mb == 0 or there is no spill
+  /// dir) and publishes the residency gauges. Returns bytes resident
+  /// after enforcement, in `resident_value_bytes` terms: spilling
   /// a shared shard lowers this matrix's count, while the sibling that
   /// shares it keeps its pages resident.
   std::size_t enforce_rss_budget();
@@ -206,26 +205,25 @@ class ShardedCensusMatrix {
 /// global target indices; each shard it spans stages a view of its slice,
 /// found by binary search on the shard boundaries, so no entry is copied
 /// or rebased before the transpose (which subtracts the shard base).
-/// Loose `add()`s are staged per shard. A flush transposes a shard's
-/// staged runs in VP order into its frozen accumulator — straight into
-/// the arena the first time, by an in-place fold (grow once, merge rows
-/// back to front) afterwards. The fold keeps per-(vp, target) minima and
-/// is associative, so the flush schedule cannot change the result.
+/// Loose `add()`s are staged per shard. `build()` freezes each shard
+/// exactly once, in shard order, by the blocked transpose of all its runs
+/// (CensusMatrixBuilder::freeze), which merges a VP's repeated runs into
+/// one of per-target minima.
 ///
 /// When a flush happens, and the memory envelope:
-///  - With no RSS budget (or no spill dir), each shard freezes exactly
-///    once, in `build()`, in shard order. A flush would only move entries
-///    from staged runs (8 bytes each) into an accumulator (8 bytes per
-///    value), so the staged fragments and the frozen shards coexist until
-///    `build()` returns: peak ~ 2 x 8 bytes per sample.
+///  - With no RSS budget (or no spill dir), nothing flushes: the staged
+///    fragments and the frozen shards coexist until `build()` returns,
+///    peak ~ 2 x 8 bytes per sample.
 ///  - With an RSS budget and a spill dir, once the staged bytes (fragment
-///    entries plus loose adds) pass `stage_budget_mb`, every staged shard
-///    freezes in shard order, each followed by `enforce_rss_budget`
-///    (which spills frozen shards), and then the fragments are released.
-///    Staging then stays under the stage budget plus one fragment.
+///    entries plus loose adds) pass a quarter of the budget, a flush
+///    writes every staged shard's runs (VP-ascending, one per VP) as one
+///    section of a side-run file, `<spill_dir>/runs<N>.ancr`, and releases
+///    the fragments. `build()` reads each shard's sections back, freezes
+///    the shard beside what is still staged and calls
+///    `enforce_rss_budget`, so a shard is spilled at most once; then it
+///    removes the side-run files.
 ///
-/// `build()` flushes the remainder in shard order, counts ONE logical
-/// matrix build, and enforces the RSS budget by spilling frozen shards.
+/// `build()` counts ONE logical matrix build and resets the builder.
 class ShardedCensusMatrixBuilder {
  public:
   explicit ShardedCensusMatrixBuilder(std::size_t target_count,
@@ -251,12 +249,18 @@ class ShardedCensusMatrixBuilder {
   /// Freezes everything into the final matrix and resets the builder.
   [[nodiscard]] ShardedCensusMatrix build();
 
+  /// Removes the side-run files a build did not consume.
+  ~ShardedCensusMatrixBuilder() { remove_side_runs(); }
+  ShardedCensusMatrixBuilder(const ShardedCensusMatrixBuilder&) = delete;
+  ShardedCensusMatrixBuilder& operator=(const ShardedCensusMatrixBuilder&) =
+      delete;
+
  private:
-  void flush_shard(std::size_t s);
-  /// Freezes every staged shard in shard order, then releases the
-  /// fragments their views read.
+  /// Writes every staged shard's runs to one side-run file, then releases
+  /// the fragments their views read. Throws when the write fails.
   void flush_all();
   void enforce_stage_budget();
+  void remove_side_runs();
 
   std::size_t target_count_ = 0;
   std::size_t shard_targets_ = 1;
@@ -265,7 +269,9 @@ class ShardedCensusMatrixBuilder {
   std::vector<std::vector<TargetRtt>> fragments_;  // whole, canonical
   std::vector<CensusMatrixBuilder> stage_;  // per-shard views, loose adds
   std::size_t staged_bytes_ = 0;
-  ShardedCensusMatrix result_;              // frozen accumulators
+  std::vector<std::string> side_runs_;      // one file per flush, in order
+  // Per shard, its sections: {index into side_runs_, byte offset}.
+  std::vector<std::vector<std::pair<std::size_t, std::uint64_t>>> sections_;
 };
 
 /// Runs one full census: every VP probes every non-blacklisted target,
@@ -305,5 +311,27 @@ struct SpillFileContents {
 
 std::optional<SpillFileContents> read_spill_file(const std::string& path,
                                                  bool salvage = false);
+
+/// One section of a side-run file (a budgeted flush writes one section per
+/// staged shard, back to back): a 24-byte header (magic "ANCR", CRC-32 of
+/// the rest, shard, run count, entry count), a `{vp, size}` table of
+/// VP-ascending canonical runs, then their entries (global targets).
+struct SideRunSection {
+  struct Run {
+    std::uint32_t vp = 0;
+    std::uint32_t size = 0;  // entries
+  };
+  std::size_t shard = 0;
+  std::vector<Run> runs;
+  std::vector<TargetRtt> entries;  // the runs, back to back
+};
+
+/// Reads the section at byte `offset` of side-run file `path` strictly
+/// (magic, CRC, counts, VPs ascending, each run's targets ascending inside
+/// its shard: `shard_targets` a shard, `target_count` in all). A mismatch
+/// throws a std::runtime_error naming the file, offset and fault.
+SideRunSection read_side_runs(const std::string& path, std::uint64_t offset,
+                              std::size_t shard_targets,
+                              std::size_t target_count);
 
 }  // namespace anycast::census

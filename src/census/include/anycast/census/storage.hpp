@@ -132,7 +132,8 @@ ShardedCensusMatrix collate_census_files_sharded(
 
 /// CRC-32 (IEEE 802.3, reflected 0xEDB88320) over `bytes` — the census
 /// file trailer and spill-file checksum, exposed for tests and external
-/// tooling. Computed eight bytes per step (slicing-by-8).
-std::uint32_t crc32(std::span<const std::uint8_t> bytes);
+/// tooling. Computed eight bytes per step (slicing-by-8). Passing the CRC
+/// of earlier bytes as `crc` continues it over `bytes`.
+std::uint32_t crc32(std::span<const std::uint8_t> bytes, std::uint32_t crc = 0);
 
 }  // namespace anycast::census

@@ -2,13 +2,16 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstdio>
 #include <cstring>
+#include <deque>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <stdexcept>
 #include <utility>
 
 #include "anycast/census/storage.hpp"
+#include "anycast/obs/durable.hpp"
 #include "anycast/obs/journal.hpp"
 #include "anycast/obs/metrics.hpp"
 
@@ -24,7 +27,7 @@ namespace {
 struct DataPlaneInstruments {
   obs::Counter flushes = obs::metrics().counter(
       "census_shard_flushes", obs::MetricClass::kTiming,
-      "staged shard freezes combined into their accumulator");
+      "staged shard batches written to a side-run file or frozen");
   obs::Counter spills = obs::metrics().counter(
       "census_shard_spills", obs::MetricClass::kTiming,
       "frozen shards spilled to disk under the RSS budget");
@@ -61,9 +64,36 @@ std::size_t shard_count_for(std::size_t target_count,
                            : (target_count + shard_targets - 1) / shard_targets;
 }
 
-void publish_residency_gauges(std::size_t resident, std::size_t spilled) {
-  data_plane_instruments().resident_bytes.set(static_cast<double>(resident));
-  data_plane_instruments().spilled_bytes.set(static_cast<double>(spilled));
+void note_flush(std::size_t s, std::size_t staged_bytes) {
+  data_plane_instruments().flushes.inc();
+  obs::journal().emit(obs::MetricClass::kTiming, obs::Severity::kInfo,
+                      "shard.flush", s,
+                      {{"shard", s}, {"staged_bytes", staged_bytes}});
+}
+
+// A side-run section's header (see read_side_runs); its CRC covers the
+// header past the CRC, the run table and the entries.
+constexpr std::uint32_t kSideRunMagic = 0x52434E41;  // "ANCR"
+struct SideRunHeader {
+  std::uint32_t magic = kSideRunMagic;
+  std::uint32_t crc = 0;
+  std::uint32_t shard = 0;
+  std::uint32_t runs = 0;
+  std::uint64_t entries = 0;
+};
+static_assert(sizeof(SideRunHeader) == 24 && sizeof(TargetRtt) == 8 &&
+              sizeof(SideRunSection::Run) == 8);
+
+/// A section's CRC over its parts: the header, then the rest.
+std::uint32_t section_crc(std::span<const std::span<const std::byte>> parts) {
+  std::uint32_t crc = 0;
+  for (std::size_t i = 0; i < parts.size(); ++i) {
+    const std::span<const std::byte> part = parts[i].subspan(i == 0 ? 8 : 0);
+    crc = crc32({reinterpret_cast<const std::uint8_t*>(part.data()),
+                 part.size()},
+                crc);
+  }
+  return crc;
 }
 
 }  // namespace
@@ -206,16 +236,19 @@ std::size_t ShardedCensusMatrix::total_value_bytes() const {
 
 std::size_t ShardedCensusMatrix::enforce_rss_budget() {
   std::size_t resident = resident_value_bytes();
-  if (plane_.rss_budget_mb == 0 || plane_.spill_dir.empty()) return resident;
+  const bool budgeted = plane_.rss_budget_mb != 0 && !plane_.spill_dir.empty();
   const std::size_t budget = plane_.rss_budget_mb * (std::size_t{1} << 20);
-  for (std::size_t s = 0; s < shards_.size() && resident > budget; ++s) {
+  for (std::size_t s = 0; budgeted && s < shards_.size() && resident > budget;
+       ++s) {
     if (shards_[s].values_spilled()) continue;
     const std::size_t before = shards_[s].resident_value_bytes();
     if (spill_shard(s) != 0) {
       resident = resident - before + shards_[s].resident_value_bytes();
     }
   }
-  publish_residency_gauges(resident, total_value_bytes() - resident);
+  const DataPlaneInstruments& in = data_plane_instruments();
+  in.resident_bytes.set(static_cast<double>(resident));
+  in.spilled_bytes.set(static_cast<double>(total_value_bytes() - resident));
   return resident;
 }
 
@@ -225,7 +258,7 @@ ShardedCensusMatrixBuilder::ShardedCensusMatrixBuilder(
       shard_targets_(shard_size_for(target_count, plane)),
       shard_count_(shard_count_for(target_count, shard_targets_)),
       plane_(plane),
-      result_(target_count, plane) {
+      sections_(shard_count_) {
   stage_.reserve(shard_count_);
   for (std::size_t s = 0; s < shard_count_; ++s) {
     const std::size_t base = s * shard_targets_;
@@ -271,62 +304,106 @@ void ShardedCensusMatrixBuilder::add_fragment(std::uint16_t vp,
 }
 
 void ShardedCensusMatrixBuilder::enforce_stage_budget() {
-  // A flush lowers memory only when the frozen shards can then spill.
-  if (plane_.stage_budget_mb == 0 || plane_.rss_budget_mb == 0 ||
-      plane_.spill_dir.empty()) {
-    return;
-  }
-  if (staged_bytes_ > plane_.stage_budget_mb * (std::size_t{1} << 20)) {
+  // Staging may take a quarter of the RSS budget; a flush lowers memory
+  // only when there is a spill dir to write the side runs to.
+  if (plane_.rss_budget_mb != 0 && !plane_.spill_dir.empty() &&
+      staged_bytes_ > plane_.rss_budget_mb * (std::size_t{1} << 20) / 4) {
     flush_all();
   }
 }
 
 void ShardedCensusMatrixBuilder::flush_all() {
-  for (std::size_t s = 0; s < shard_count_; ++s) flush_shard(s);
-  fragments_ = {};  // every view into them is frozen
+  // One file per flush (two fsyncs), a section per staged shard: header,
+  // run table and runs, written straight from the views.
+  std::deque<SideRunHeader> headers;  // stable: the parts view them
+  std::deque<std::vector<SideRunSection::Run>> tables;
+  std::vector<std::span<const std::byte>> parts;
+  std::uint64_t offset = 0;
+  for (std::size_t s = 0; s < shard_count_; ++s) {
+    if (stage_[s].staged_bytes() == 0) continue;
+    note_flush(s, stage_[s].staged_bytes());
+    const std::vector<detail::TargetRun> runs = stage_[s].take_runs();
+    SideRunHeader& header = headers.emplace_back();
+    std::vector<SideRunSection::Run>& table = tables.emplace_back();
+    header.shard = static_cast<std::uint32_t>(s);
+    for (const detail::TargetRun& run : runs) {
+      table.push_back({run.vp, static_cast<std::uint32_t>(run.entries.size())});
+      header.entries += run.entries.size();
+    }
+    header.runs = static_cast<std::uint32_t>(table.size());
+    const std::size_t first = parts.size();
+    parts.push_back(std::as_bytes(std::span(&header, 1)));
+    parts.push_back(std::as_bytes(std::span(table)));
+    for (const detail::TargetRun& run : runs) {
+      parts.push_back(std::as_bytes(run.entries));
+    }
+    header.crc = section_crc(std::span(parts).subspan(first));
+    sections_[s].emplace_back(side_runs_.size(), offset);
+    offset += sizeof header + 8 * (header.runs + header.entries);
+  }
+  const std::string path = plane_.spill_dir + "/runs" +
+                           std::to_string(side_runs_.size()) + ".ancr";
+  std::error_code ec;
+  std::filesystem::create_directories(plane_.spill_dir, ec);
+  if (const std::error_code write = obs::write_file_atomic(path, parts)) {
+    throw std::runtime_error("census side runs: cannot write " + path + ": " +
+                             write.message());
+  }
+  side_runs_.push_back(path);
+  for (CensusMatrixBuilder& stage : stage_) stage.owned_ = {};
+  fragments_ = {};  // every view into them is on disk
+  staged_bytes_ = 0;
 }
 
-void ShardedCensusMatrixBuilder::flush_shard(std::size_t s) {
-  const std::size_t staged = stage_[s].staged_bytes();
-  if (staged == 0) return;
-  // The first flush transposes into an empty accumulator; later ones fold
-  // in place, keeping per-(vp, target) minima — associative, so the flush
-  // schedule cannot change the final matrix.
-  stage_[s].freeze_into(result_.shards_[s]);
-  staged_bytes_ -= staged;
-  data_plane_instruments().flushes.inc();
-  obs::journal().emit(obs::MetricClass::kTiming, obs::Severity::kInfo,
-                      "shard.flush", s,
-                      {{"shard", s},
-                       {"staged_bytes", staged},
-                       {"values", result_.shards_[s].observation_count()}});
-  result_.enforce_rss_budget();
+void ShardedCensusMatrixBuilder::remove_side_runs() {
+  std::error_code ignored;
+  for (const std::string& path : side_runs_) {
+    std::filesystem::remove(path, ignored);
+  }
+  side_runs_.clear();
+  sections_.assign(shard_count_, {});
 }
 
 ShardedCensusMatrix ShardedCensusMatrixBuilder::build() {
-  flush_all();
-  detail::note_matrix_build(result_.observation_count());
-  const std::size_t resident = result_.enforce_rss_budget();
-  publish_residency_gauges(resident, result_.total_value_bytes() - resident);
-
-  ShardedCensusMatrix out = std::move(result_);
-  out.mark_mutated();  // the flushes wrote the shards directly
-  result_ = ShardedCensusMatrix(target_count_, plane_);
+  ShardedCensusMatrix out;
+  out.target_count_ = target_count_;
+  out.shard_targets_ = shard_targets_;
+  out.plane_ = plane_;
+  out.shards_.reserve(shard_count_);
+  for (std::size_t s = 0; s < shard_count_; ++s) {
+    // The shard's side runs join what it still stages; its one freeze
+    // merges a VP's runs from every flush.
+    CensusMatrixBuilder& stage = stage_[s];
+    for (const auto& [file, offset] : sections_[s]) {
+      SideRunSection section = read_side_runs(side_runs_[file], offset,
+                                              shard_targets_, target_count_);
+      if (section.shard != s) {
+        throw std::runtime_error("side-run file " + side_runs_[file] +
+                                 ": section of the wrong shard");
+      }
+      stage.owned_.push_back(std::move(section.entries));
+      const TargetRtt* at = stage.owned_.back().data();
+      for (const SideRunSection::Run& run : section.runs) {
+        stage.add_view(static_cast<std::uint16_t>(run.vp), {at, run.size});
+        at += run.size;
+      }
+    }
+    if (stage.staged_bytes() != 0) note_flush(s, stage.staged_bytes());
+    out.shards_.push_back(stage.freeze());
+    out.enforce_rss_budget();
+  }
+  fragments_ = {};
   staged_bytes_ = 0;
+  remove_side_runs();
+  detail::note_matrix_build(out.observation_count());
   return out;
 }
 
 std::optional<SpillFileContents> read_spill_file(const std::string& path,
                                                  bool salvage) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) return std::nullopt;
-  std::vector<std::uint8_t> buffer;
-  std::uint8_t chunk[64 * 1024];
-  std::size_t got = 0;
-  while ((got = std::fread(chunk, 1, sizeof chunk, f)) > 0) {
-    buffer.insert(buffer.end(), chunk, chunk + got);
-  }
-  std::fclose(f);
+  std::ifstream in(path, std::ios::binary);  // a missing file reads empty
+  const std::vector<std::uint8_t> buffer(std::istreambuf_iterator<char>(in),
+                                         {});
   if (buffer.size() < detail::kSpillHeaderBytes) return std::nullopt;
   std::uint32_t magic = 0;
   std::uint32_t stored_crc = 0;
@@ -365,6 +442,62 @@ std::optional<SpillFileContents> read_spill_file(const std::string& path,
                         {{"path", path}, {"records", records}});
   }
   return out;
+}
+
+SideRunSection read_side_runs(const std::string& path, std::uint64_t offset,
+                              std::size_t shard_targets,
+                              std::size_t target_count) {
+  const auto fail = [&](const std::string& what) {
+    throw std::runtime_error("side-run file " + path + " at byte " +
+                             std::to_string(offset) + ": " + what);
+  };
+  std::error_code ec;
+  const std::uint64_t bytes = std::filesystem::file_size(path, ec);
+  std::ifstream in(path, std::ios::binary);
+  in.seekg(static_cast<std::streamoff>(offset));
+  SideRunHeader header;
+  if (ec || !in.read(reinterpret_cast<char*>(&header), sizeof header) ||
+      header.magic != kSideRunMagic) {
+    fail("no section header");
+  }
+  const std::uint64_t left = (bytes - offset - sizeof header) / 8;
+  if (header.entries > left || header.runs > left - header.entries) {
+    fail("counts run past the end of the file");
+  }
+  SideRunSection section;
+  section.shard = header.shard;
+  section.runs.resize(header.runs);
+  section.entries.resize(header.entries);
+  const std::span<const SideRunSection::Run> runs = section.runs;
+  const std::span<const TargetRtt> entries = section.entries;
+  in.read(reinterpret_cast<char*>(section.runs.data()),
+          static_cast<std::streamsize>(runs.size_bytes()));
+  in.read(reinterpret_cast<char*>(section.entries.data()),
+          static_cast<std::streamsize>(entries.size_bytes()));
+  const std::span<const std::byte> parts[] = {
+      std::as_bytes(std::span(&header, 1)), std::as_bytes(runs),
+      std::as_bytes(entries)};
+  if (!in || section_crc(parts) != header.crc) fail("CRC mismatch");
+  const std::size_t first = std::size_t{header.shard} * shard_targets;
+  const std::size_t end = std::min(first + shard_targets, target_count);
+  std::uint64_t at = 0;
+  for (std::size_t r = 0; r < runs.size(); ++r) {
+    if (runs[r].vp > 0xFFFF || (r > 0 && runs[r].vp <= runs[r - 1].vp) ||
+        runs[r].size == 0 || runs[r].size > entries.size() - at) {
+      fail("bad run table");
+    }
+    std::size_t floor = first;
+    for (const TargetRtt& entry : entries.subspan(at, runs[r].size)) {
+      if (entry.target_index < floor || entry.target_index >= end) {
+        fail("target " + std::to_string(entry.target_index) +
+             " out of order or outside shard " + std::to_string(header.shard));
+      }
+      floor = std::size_t{entry.target_index} + 1;
+    }
+    at += runs[r].size;
+  }
+  if (at != entries.size()) fail("run sizes do not add up");
+  return section;
 }
 
 }  // namespace anycast::census

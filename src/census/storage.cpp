@@ -173,9 +173,9 @@ std::optional<CensusFile> read_intact(const std::filesystem::path& path) {
 
 }  // namespace
 
-std::uint32_t crc32(std::span<const std::uint8_t> bytes) {
+std::uint32_t crc32(std::span<const std::uint8_t> bytes, std::uint32_t crc) {
   static const CrcTables table = make_crc_tables();
-  std::uint32_t c = 0xFFFFFFFFu;
+  std::uint32_t c = crc ^ 0xFFFFFFFFu;
   const std::uint8_t* at = bytes.data();
   std::size_t left = bytes.size();
   for (; left >= 8; at += 8, left -= 8) {

@@ -61,7 +61,7 @@ std::error_code sync_file(std::FILE* file) {
 
 std::error_code write_file_atomic(
     const std::filesystem::path& path,
-    std::initializer_list<std::span<const std::byte>> parts) {
+    std::span<const std::span<const std::byte>> parts) {
   std::error_code status_ec;  // a missing path is the usual case
   const std::filesystem::file_status existing =
       std::filesystem::status(path, status_ec);

@@ -26,7 +26,12 @@ namespace anycast::obs {
 /// Counts kTiming `durable_writes` per file and `durable_fsyncs` per fsync.
 std::error_code write_file_atomic(
     const std::filesystem::path& path,
-    std::initializer_list<std::span<const std::byte>> parts);
+    std::span<const std::span<const std::byte>> parts);
+inline std::error_code write_file_atomic(
+    const std::filesystem::path& path,
+    std::initializer_list<std::span<const std::byte>> parts) {
+  return write_file_atomic(path, std::span(parts.begin(), parts.size()));
+}
 inline std::error_code write_file_atomic(const std::filesystem::path& path,
                                          std::string_view body) {
   return write_file_atomic(path, {std::as_bytes(std::span(body))});

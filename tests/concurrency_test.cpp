@@ -1059,7 +1059,6 @@ TEST_F(ParallelResumeTest, TimingMetricsAreExactlyTheDeclaredAllowlist) {
       "analysis_dirty_rows_derived",
       "analysis_dirty_rows_scanned",
       "census_arena_maps",
-      "census_arena_remaps",
       "census_blacklist_skips",
       "census_shard_flushes",
       "census_shard_resident_bytes",

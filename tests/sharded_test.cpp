@@ -95,7 +95,13 @@ std::uint64_t counter_value(std::string_view name) {
   return 0;
 }
 
-/// Shard freezes so far (`census_shard_flushes`).
+/// A side-run section's size in its file: header, run table, entries.
+std::uint64_t section_bytes(const SideRunSection& section) {
+  return 24 + 8 * (section.runs.size() + section.entries.size());
+}
+
+/// Staged shard batches flushed to side runs or frozen so far
+/// (`census_shard_flushes`).
 std::uint64_t flush_count() { return counter_value("census_shard_flushes"); }
 
 TEST_F(ShardedTest, ElementIdenticalForAnyShardSize) {
@@ -149,23 +155,21 @@ TEST_F(ShardedTest, FragmentsSplitAcrossShardsInAnyOrder) {
 }
 
 TEST_F(ShardedTest, StageFlushScheduleCannotChangeTheResult) {
-  // A 1 MiB stage budget under an RSS budget with a spill dir forces
-  // mid-stream freezes and in-place folds; the unbounded builder freezes
-  // everything at build(). Same elements either way — the flush schedule
-  // is unobservable in the output.
+  // A 4 MiB RSS budget with a spill dir stages at most 1 MiB, forcing
+  // mid-stream side-run flushes that build() merges; the unbounded builder
+  // stages everything until build(). Same elements either way — the flush
+  // schedule is unobservable in the output.
   constexpr std::size_t kTargets = 2000;
   const auto adds = sample_adds(kTargets, 60, 600'000);  // ~2 MB staged
 
   DataPlaneConfig bounded;
   bounded.shard_targets = 256;
-  bounded.stage_budget_mb = 1;
-  bounded.rss_budget_mb = 1024;  // enables early flushes; never spills here
+  bounded.rss_budget_mb = 4;  // stages 1 MiB; the ~1 MB of values fit
   bounded.spill_dir = (dir_ / "spill").string();
   const std::uint64_t flushes_before = flush_count();
   ShardedCensusMatrixBuilder bounded_builder(kTargets, bounded);
   DataPlaneConfig unbounded;
-  unbounded.shard_targets = 256;
-  unbounded.stage_budget_mb = 0;  // stage everything, single freeze
+  unbounded.shard_targets = 256;  // no RSS budget: stage everything
   ShardedCensusMatrixBuilder unbounded_builder(kTargets, unbounded);
   CensusMatrixBuilder mono_builder(kTargets);
 
@@ -185,7 +189,7 @@ TEST_F(ShardedTest, StageFlushScheduleCannotChangeTheResult) {
   }
   const CensusMatrix mono = mono_builder.build();
   const ShardedCensusMatrix a = bounded_builder.build();
-  // Several folds per shard: more flushes than shards.
+  // Side runs from several flushes per shard: more flushes than shards.
   EXPECT_GT(flush_count() - flushes_before, a.shard_count());
   const ShardedCensusMatrix b = unbounded_builder.build();
   expect_rows_equal(a, mono);
@@ -259,9 +263,11 @@ TEST_F(ShardedTest, EnforceRssBudgetSpillsUntilUnderBudget) {
 
 TEST_F(ShardedTest, CrashAtEveryDurableWriteOfASpilledBuild) {
   // The build of EnforceRssBudgetSpillsUntilUnderBudget, killed inside
-  // each of its spill writes in turn. The dying write publishes nothing:
-  // the real name holds nothing or an intact earlier spill. A rebuild
-  // into the same spill dir is element-identical and leaves no tmp.
+  // each of its durable writes in turn: its 1 MiB budget stages 256 KiB,
+  // so the ~4 MB of adds flush side-run files before build() spills. The
+  // dying write publishes nothing: the real name holds nothing or an
+  // intact earlier file. A rebuild into the same spill dir is
+  // element-identical and leaves no tmp and no side-run file.
   constexpr std::size_t kTargets = 4096;
   const auto adds = sample_adds(kTargets, 50, 400'000);
   DataPlaneConfig plane;
@@ -283,9 +289,16 @@ TEST_F(ShardedTest, CrashAtEveryDurableWriteOfASpilledBuild) {
     return std::uint64_t{0};
   };
   const std::uint64_t writes_before = durable_writes();
+  const std::uint64_t flushes_before = flush_count();
   const ShardedCensusMatrix clean = spilled_build();
   const std::uint64_t writes = durable_writes() - writes_before;
-  ASSERT_GT(writes, 0u);
+  ASSERT_GT(flush_count() - flushes_before, clean.shard_count());
+  const auto side_runs_decode = [&](const fs::path& path) {
+    for (std::uint64_t at = 0; at < fs::file_size(path);) {
+      at += section_bytes(read_side_runs(path.string(), at, 512, kTargets));
+    }
+  };
+  std::size_t side_run_crashes = 0;
 
   for (std::uint64_t k = 1; k <= writes; ++k) {
     SCOPED_TRACE("crash at durable write " + std::to_string(k));
@@ -295,7 +308,11 @@ TEST_F(ShardedTest, CrashAtEveryDurableWriteOfASpilledBuild) {
       ADD_FAILURE() << "no crash";
     } catch (const obs::testing::CrashPoint& crash) {
       EXPECT_TRUE(fs::exists(crash.path.string() + ".tmp"));
-      if (fs::exists(crash.path)) {
+      const bool side_run = crash.path.extension() == ".ancr";
+      side_run_crashes += static_cast<std::size_t>(side_run);
+      if (side_run && fs::exists(crash.path)) {
+        EXPECT_NO_THROW(side_runs_decode(crash.path));
+      } else if (fs::exists(crash.path)) {
         EXPECT_TRUE(read_spill_file(crash.path.string()).has_value());
       }
     }
@@ -307,8 +324,11 @@ TEST_F(ShardedTest, CrashAtEveryDurableWriteOfASpilledBuild) {
     }
     for (const auto& entry : fs::directory_iterator(dir_ / "spill")) {
       EXPECT_NE(entry.path().extension(), ".tmp") << entry.path();
+      EXPECT_NE(entry.path().extension(), ".ancr") << entry.path();
     }
   }
+  EXPECT_GT(side_run_crashes, 0u);
+  EXPECT_LT(side_run_crashes, writes);  // the spills crashed too
 
   // A failed spill leaves its shard resident and every row readable.
   DataPlaneConfig resident_plane = plane;
@@ -381,13 +401,12 @@ TEST_F(ShardedTest, LooseAddsHonourTheStageBudget) {
 
   DataPlaneConfig bounded;
   bounded.shard_targets = 256;
-  bounded.stage_budget_mb = 1;
-  bounded.rss_budget_mb = 1024;  // enables early flushes; never spills here
+  bounded.rss_budget_mb = 4;  // stages kBudget; the ~1.7 MB of values fit
   bounded.spill_dir = (dir_ / "spill").string();
   const std::uint64_t flushes_before = flush_count();
   ShardedCensusMatrixBuilder bounded_builder(kTargets, bounded);
   DataPlaneConfig unbounded = bounded;
-  unbounded.stage_budget_mb = 0;
+  unbounded.rss_budget_mb = 0;
   ShardedCensusMatrixBuilder unbounded_builder(kTargets, unbounded);
   std::size_t peak = 0;
   for (const auto& [t, vp, rtt] : adds) {
@@ -532,16 +551,15 @@ TEST_F(ShardedTest, BuilderMatchesReferenceForEveryShapeBudgetAndShard) {
       rows[key.first].push_back({key.second, rtt});
     }
 
-    for (const std::size_t budget_mb : {0UL, 1UL, 256UL}) {
+    // RSS budgets staging nothing early, 1 MiB and 256 MiB (a quarter
+    // each); the ~1.4 MB of values never reach them, so nothing spills.
+    for (const std::size_t budget_mb : {0UL, 4UL, 1024UL}) {
       for (const std::size_t shard_targets : {1UL, 31UL, 4096UL, kTargets}) {
         SCOPED_TRACE(shape + " budget " + std::to_string(budget_mb) +
                      " MiB, shard " + std::to_string(shard_targets));
         DataPlaneConfig plane;
         plane.shard_targets = shard_targets;
-        plane.stage_budget_mb = budget_mb;
-        // Early flushes need an RSS budget and a spill dir; this one is
-        // never reached, so nothing spills.
-        plane.rss_budget_mb = 1024;
+        plane.rss_budget_mb = budget_mb;
         plane.spill_dir = (dir_ / "spill").string();
         const std::uint64_t flushes_before = flush_count();
         ShardedCensusMatrixBuilder builder(kTargets, plane);
@@ -555,7 +573,7 @@ TEST_F(ShardedTest, BuilderMatchesReferenceForEveryShapeBudgetAndShard) {
           }
         }
         const ShardedCensusMatrix matrix = builder.build();
-        if (budget_mb == 1) {  // ~1.4 MB staged: at least one early flush
+        if (budget_mb == 4) {  // ~1.4 MB staged: at least one early flush
           EXPECT_GT(flush_count() - flushes_before, matrix.shard_count());
         }
         ASSERT_EQ(matrix.target_count(), kTargets);
@@ -594,8 +612,7 @@ TEST_F(ShardedTest, FragmentsSpanningEveryShardMatchTheOneShardBuilder) {
   for (const std::size_t shard_targets : {1UL, 31UL, 4096UL, 0UL}) {
     SCOPED_TRACE("shard_targets " + std::to_string(shard_targets));
     DataPlaneConfig plane;
-    plane.shard_targets = shard_targets;
-    plane.stage_budget_mb = 1;  // passed, but no RSS budget: no flush
+    plane.shard_targets = shard_targets;  // no RSS budget: no flush
     const std::uint64_t flushes_before = flush_count();
     ShardedCensusMatrixBuilder builder(kTargets, plane);
     for (std::uint16_t vp = 0; vp < fragments.size(); ++vp) {
@@ -670,16 +687,16 @@ TEST_F(ShardedTest, RepeatedVpViewsAndLooseAddsFoldToMinima) {
 }
 
 TEST_F(ShardedTest, FlushAllUnderAnRssBudgetReleasesStagedFragments) {
-  // Over the stage budget with an RSS budget and a spill dir, every staged
-  // shard freezes in shard order, the RSS budget spills frozen shards and
-  // the staged fragments are released: staged bytes drop to 0 on every
-  // flush. The result is the one-shard builder's.
+  // Over the stage budget (a quarter of the RSS budget) with a spill dir,
+  // every staged shard's runs go to a side-run file and the staged
+  // fragments are released: staged bytes drop to 0 on every flush. The
+  // RSS budget spills frozen shards; the result is the one-shard
+  // builder's.
   constexpr std::size_t kTargets = 4096;
-  constexpr std::size_t kVps = 240;  // ~18 KiB a fragment, ~4.3 MB in all
+  constexpr std::size_t kVps = 480;  // ~18 KiB a fragment, ~8.6 MB in all
   DataPlaneConfig plane;
   plane.shard_targets = 512;
-  plane.stage_budget_mb = 1;
-  plane.rss_budget_mb = 1;
+  plane.rss_budget_mb = 4;  // stages 1 MiB
   plane.spill_dir = (dir_ / "spill").string();
   CensusMatrixBuilder mono_builder(kTargets);
   ShardedCensusMatrixBuilder builder(kTargets, plane);
@@ -694,7 +711,7 @@ TEST_F(ShardedTest, FlushAllUnderAnRssBudgetReleasesStagedFragments) {
     const std::uint64_t flushes = flush_count();
     builder.add_fragment(vp, std::move(fragment));
     if (flush_count() != flushes) {
-      // A flush froze every staged shard and released every fragment.
+      // A flush wrote out every staged shard and released every fragment.
       EXPECT_EQ(builder.staged_bytes(), 0u) << "vp " << vp;
       EXPECT_GT(staged_before + bytes, std::size_t{1} << 20) << "vp " << vp;
       EXPECT_EQ(flush_count() - flushes, builder.shard_count()) << "vp " << vp;
@@ -708,8 +725,123 @@ TEST_F(ShardedTest, FlushAllUnderAnRssBudgetReleasesStagedFragments) {
   const ShardedCensusMatrix sharded = builder.build();
   EXPECT_GT(flush_count() - flushes_before, 3 * sharded.shard_count());
   EXPECT_GT(counter_value("census_shard_spills"), spills_before);
-  EXPECT_LE(sharded.resident_value_bytes(), std::size_t{1} << 20);
+  EXPECT_LE(sharded.resident_value_bytes(), std::size_t{4} << 20);
   expect_rows_equal(sharded, mono_builder.build());
+}
+
+TEST_F(ShardedTest, BudgetedBuildSpillsEachShardAtMostOnce) {
+  // Many flushes and values well over the RSS budget: each shard is
+  // frozen once, in build(), so it is spilled at most once, and no
+  // side-run file outlives build().
+  constexpr std::size_t kTargets = 4096;
+  DataPlaneConfig plane;
+  plane.shard_targets = 512;
+  plane.rss_budget_mb = 4;  // stages 1 MiB
+  plane.spill_dir = (dir_ / "spill").string();
+  CensusMatrixBuilder mono_builder(kTargets);
+  ShardedCensusMatrixBuilder builder(kTargets, plane);
+  const std::uint64_t flushes_before = flush_count();
+  const std::uint64_t spills_before = counter_value("census_shard_spills");
+  for (std::uint16_t vp = 0; vp < 600; ++vp) {  // ~10.8 MB of values
+    mono_builder.add_fragment(vp, sorted_fragment(vp, kTargets));
+    builder.add_fragment(vp, sorted_fragment(vp, kTargets));
+  }
+  const ShardedCensusMatrix sharded = builder.build();
+  // At least three flushes of every shard, then its freeze.
+  EXPECT_GE(flush_count() - flushes_before, 4 * sharded.shard_count());
+  EXPECT_GT(sharded.total_value_bytes(), std::size_t{8} << 20);
+  const std::uint64_t spills = counter_value("census_shard_spills") -
+                               spills_before;
+  EXPECT_GT(spills, 0u);
+  EXPECT_LE(spills, sharded.shard_count());
+  for (const auto& entry : fs::directory_iterator(dir_ / "spill")) {
+    EXPECT_NE(entry.path().extension(), ".ancr") << entry.path();
+  }
+  expect_rows_equal(sharded, mono_builder.build());
+}
+
+TEST_F(ShardedTest, SideRunFilesReadBackStrictly) {
+  // A flush's side-run file holds each staged shard's runs, VP-ascending,
+  // exactly as staged; any damage, or a range the targets do not fit,
+  // throws.
+  constexpr std::size_t kTargets = 4096;
+  DataPlaneConfig plane;
+  plane.shard_targets = 1000;
+  plane.rss_budget_mb = 1;  // stages 256 KiB: ~15 fragments
+  plane.spill_dir = (dir_ / "spill").string();
+  ShardedCensusMatrixBuilder builder(kTargets, plane);
+  std::size_t staged_entries = 0;
+  for (std::uint16_t vp = 0; builder.staged_bytes() != 0 || vp == 0; ++vp) {
+    std::vector<TargetRtt> fragment = sorted_fragment(vp, kTargets);
+    staged_entries += fragment.size();
+    builder.add_fragment(vp, std::move(fragment));
+  }
+  const fs::path side_run = dir_ / "spill" / "runs0.ancr";
+  const fs::path copy = dir_ / "copy.ancr";
+  fs::copy_file(side_run, copy);
+  (void)builder.build();
+  EXPECT_FALSE(fs::exists(side_run));
+
+  std::size_t entries = 0;
+  std::uint64_t at = 0;
+  std::uint64_t last = 0;
+  for (std::size_t s = 0; s < 5; ++s) {
+    const SideRunSection section =
+        read_side_runs(copy.string(), at, 1000, kTargets);
+    EXPECT_EQ(section.shard, s);
+    const std::size_t first = s * 1000;
+    std::size_t next = 0;
+    for (std::size_t r = 0; r < section.runs.size(); ++r) {
+      const std::uint32_t vp = section.runs[r].vp;
+      EXPECT_EQ(vp, r);  // every VP reached every shard
+      std::vector<TargetRtt> expected;
+      for (const TargetRtt& entry : sorted_fragment(vp, kTargets)) {
+        if (entry.target_index >= first && entry.target_index < first + 1000) {
+          expected.push_back(entry);
+        }
+      }
+      ASSERT_EQ(section.runs[r].size, expected.size());
+      for (const TargetRtt& entry : expected) {
+        EXPECT_EQ(section.entries[next].target_index, entry.target_index);
+        EXPECT_EQ(section.entries[next].rtt_ms, entry.rtt_ms);
+        ++next;
+      }
+    }
+    EXPECT_EQ(next, section.entries.size());
+    entries += next;
+    last = std::exchange(at, at + section_bytes(section));
+  }
+  EXPECT_EQ(at, fs::file_size(copy));
+  EXPECT_EQ(entries, staged_entries);
+  // Shards of 999 targets: shard 0's runs hold target 999.
+  EXPECT_THROW((void)read_side_runs(copy.string(), 0, 999, kTargets),
+               std::runtime_error);
+
+  const auto damaged = [&](std::size_t byte) {
+    const fs::path path = dir_ / "damaged.ancr";
+    fs::copy_file(copy, path, fs::copy_options::overwrite_existing);
+    std::fstream file(path, std::ios::in | std::ios::out | std::ios::binary);
+    file.seekg(static_cast<std::streamoff>(byte));
+    const char flipped = static_cast<char>(file.get() ^ 0x10);
+    file.seekp(static_cast<std::streamoff>(byte));
+    file.put(flipped);
+    return path.string();
+  };
+  const std::size_t bytes = fs::file_size(copy);
+  for (const auto& [byte, offset] :
+       {std::pair<std::size_t, std::uint64_t>{0, 0},  // magic
+        {8, 0},                                       // shard, under the CRC
+        {bytes - 3, last}}) {                         // an entry
+    EXPECT_THROW((void)read_side_runs(damaged(byte), offset, 1000, kTargets),
+                 std::runtime_error)
+        << "byte " << byte;
+  }
+  fs::resize_file(copy, bytes - 8);
+  EXPECT_THROW((void)read_side_runs(copy.string(), last, 1000, kTargets),
+               std::runtime_error);
+  EXPECT_THROW((void)read_side_runs((dir_ / "missing.ancr").string(), 0, 1000,
+                                    kTargets),
+               std::runtime_error);
 }
 
 // --- Whole-pipeline identity -------------------------------------------------

@@ -134,8 +134,8 @@ constexpr tools::FlagHelp kDataPlaneFlags[] = {
      "targets per census shard (0 = one shard); any value "
      "yields identical output"},
     {"rss-budget-mb", "MB",
-     "resident-value budget; frozen shards beyond it spill to "
-     "<dir>/spill and fault back on access (0 = never spill)"},
+     "resident-value budget, a quarter of it for staging; shards past it "
+     "spill to <dir>/spill and fault back on access (0 = never spill)"},
 };
 
 constexpr tools::FlagHelp kWatchFlags[] = {

@@ -4,8 +4,8 @@
 # Configures a dedicated build tree per sanitizer (-DANYCAST_SANITIZE=...),
 # builds the concurrency-sensitive tests (storage_test included: collation
 # fans per-file work over a thread pool), the sharded data-plane tests
-# (sharded_test: in-place folds move and merge arena rows, and derived
-# matrices share storage copy-on-write), the
+# (sharded_test: budgeted builds write side-run files and read them back
+# into views, and derived matrices share storage copy-on-write), the
 # analysis-kernel property tests (kernel_test: guard-band fallbacks and the
 # tests/oracle code), the incremental-analysis tests (daemon_test: derived
 # rounds read the combine_min change record), the crash-point tests
