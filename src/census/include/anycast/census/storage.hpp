@@ -20,8 +20,11 @@
 #pragma once
 
 #include <filesystem>
+#include <map>
 #include <optional>
 #include <span>
+#include <string>
+#include <string_view>
 #include <vector>
 
 #include "anycast/census/census.hpp"
@@ -74,10 +77,9 @@ void write_census_file(const std::filesystem::path& path,
                        std::span<const Observation> observations);
 
 /// Reads a census file back. Returns nullopt on a missing, truncated, or
-/// corrupted file (the analysis must survive partial uploads). Both v2
-/// (CRC-trailed) and legacy v1 (no trailer) files are accepted; a v2 file
-/// whose CRC does not match its contents is rejected. Every call counts
-/// once into `checkpoint_reads_ok` or `checkpoint_read_failures`.
+/// corrupted file (the analysis must survive partial uploads): the magic,
+/// the CRC trailer and the payload codec must all check out. Every call
+/// counts once into `checkpoint_reads_ok` or `checkpoint_read_failures`.
 struct CensusFile {
   CensusFileHeader header;
   std::vector<Observation> observations;
@@ -93,6 +95,12 @@ std::optional<CensusFile> read_census_file(
 std::optional<CensusFile> salvage_census_file(
     const std::filesystem::path& path);
 
+/// The header alone, read without the payload or its CRC: nullopt when
+/// the file is missing, shorter than a header, or not a census file.
+/// Lets a reader check that a file holds the VP and census its name says.
+std::optional<CensusFileHeader> read_census_file_header(
+    const std::filesystem::path& path);
+
 /// What collation did with each input file.
 struct CollateStats {
   std::size_t files_ok = 0;        // read back intact
@@ -100,7 +108,6 @@ struct CollateStats {
   std::size_t files_skipped = 0;   // unreadable beyond salvage, or VP id
                                    // beyond the 16-bit row format
   std::uint64_t observations = 0;  // echo-reply rows recorded
-  std::uint32_t max_vp_id = 0;     // highest header vp_id collated
 };
 
 /// Collates per-VP census files into the per-target sharded CSR matrix:
@@ -122,13 +129,27 @@ struct CollateStats {
 /// `target_count` sizes the result (hitlist size). When `salvage` is
 /// true, damaged files contribute their valid record prefix; otherwise
 /// they are skipped whole. A file whose header vp_id does not fit a
-/// row's 16-bit VP field is skipped rather than aliased onto another VP;
-/// callers that index a platform by VP id check `max_vp_id` against its
-/// size. Each call records one `collate` trace span.
+/// row's 16-bit VP field is skipped rather than aliased onto another VP.
+/// Each call records one `collate` trace span.
 ShardedCensusMatrix collate_census_files_sharded(
     std::span<const std::filesystem::path> paths, std::size_t target_count,
     const DataPlaneConfig& plane, CollateStats* stats, bool salvage = true,
     concurrency::ThreadPool* pool = nullptr);
+
+/// What a census directory records about the census it holds, once, as
+/// `<dir>/census.manifest`: key -> value, where the keys are the flags
+/// that fixed what was probed plus the hitlist's size and CRC.
+using CensusManifest = std::map<std::string, std::string>;
+
+/// Text form: a version line, one `key=value` line per entry in key
+/// order, then `crc=` and the CRC-32 of every byte before it.
+std::string encode_census_manifest(const CensusManifest& manifest);
+
+/// The strict inverse of encode_census_manifest: nullopt, with `*error`
+/// set, for another version, a truncation, a CRC mismatch, or a line that
+/// is not `key=value` or repeats a key.
+std::optional<CensusManifest> decode_census_manifest(std::string_view text,
+                                                     std::string* error);
 
 /// CRC-32 (IEEE 802.3, reflected 0xEDB88320) over `bytes` — the census
 /// file trailer and spill-file checksum, exposed for tests and external

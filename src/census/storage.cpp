@@ -41,11 +41,22 @@ const StorageInstruments& storage_instruments() {
   return instruments;
 }
 
-constexpr std::uint32_t kFileMagicV1 = 0x46434E41;  // "ANCF" (no trailer)
-constexpr std::uint32_t kFileMagicV2 = 0x32434E41;  // "ANC2" (CRC trailer)
-constexpr std::size_t kHeaderBytesV1 = 12;  // magic, vp, census
-constexpr std::size_t kHeaderBytesV2 = 16;  // magic, vp, census, flags
-constexpr std::size_t kTrailerBytes = 4;    // CRC32 of everything before
+constexpr std::uint32_t kFileMagic = 0x32434E41;  // "ANC2"
+constexpr std::size_t kHeaderBytes = 16;   // magic, vp, census, flags
+constexpr std::size_t kTrailerBytes = 4;   // CRC32 of everything before
+
+constexpr std::string_view kManifestMagic = "anycast-census-manifest ";
+constexpr std::string_view kManifestVersion = "anycast-census-manifest 1\n";
+
+/// The manifest's last line: the CRC-32 of `text`, every byte before it.
+std::string crc_line(std::string_view text) {
+  char line[16];
+  std::snprintf(line, sizeof line, "crc=%08x\n",
+                crc32(std::span(reinterpret_cast<const std::uint8_t*>(
+                                    text.data()),
+                                text.size())));
+  return line;
+}
 
 void append32(std::vector<std::uint8_t>& out, std::uint32_t value) {
   out.push_back(static_cast<std::uint8_t>(value));
@@ -122,27 +133,17 @@ std::optional<std::vector<std::uint8_t>> slurp(
   return buffer;
 }
 
-/// Parses the version-dependent header. Returns the payload offset, or 0
-/// when the magic is unknown or the buffer too short for its header.
-std::size_t parse_header(const std::vector<std::uint8_t>& buffer,
-                         CensusFileHeader& header, bool& has_trailer) {
-  if (buffer.size() >= kHeaderBytesV2 &&
-      load32(buffer.data()) == kFileMagicV2) {
-    header.vp_id = load32(buffer.data() + 4);
-    header.census_id = load32(buffer.data() + 8);
-    header.flags = load32(buffer.data() + 12);
-    has_trailer = true;
-    return kHeaderBytesV2;
+/// Parses the header at the front of `bytes`; false when the buffer is
+/// too short for one or the magic is wrong.
+bool parse_header(std::span<const std::uint8_t> bytes,
+                  CensusFileHeader& header) {
+  if (bytes.size() < kHeaderBytes || load32(bytes.data()) != kFileMagic) {
+    return false;
   }
-  if (buffer.size() >= kHeaderBytesV1 &&
-      load32(buffer.data()) == kFileMagicV1) {
-    header.vp_id = load32(buffer.data() + 4);
-    header.census_id = load32(buffer.data() + 8);
-    header.flags = kCensusFileComplete;  // v1 had no notion of partial files
-    has_trailer = false;
-    return kHeaderBytesV1;
-  }
-  return 0;
+  header.vp_id = load32(bytes.data() + 4);
+  header.census_id = load32(bytes.data() + 8);
+  header.flags = load32(bytes.data() + 12);
+  return true;
 }
 
 /// The strict read without accounting: magic, CRC and codec must all
@@ -151,21 +152,17 @@ std::optional<CensusFile> read_intact(const std::filesystem::path& path) {
   const auto buffer = slurp(path);
   if (!buffer.has_value()) return std::nullopt;
   CensusFile out;
-  bool has_trailer = false;
-  const std::size_t payload_at = parse_header(*buffer, out.header,
-                                              has_trailer);
-  if (payload_at == 0) return std::nullopt;
-  std::size_t payload_end = buffer->size();
-  if (has_trailer) {
-    if (buffer->size() < payload_at + kTrailerBytes) return std::nullopt;
-    payload_end -= kTrailerBytes;
-    const std::uint32_t stored = load32(buffer->data() + payload_end);
-    const std::uint32_t actual =
-        crc32(std::span<const std::uint8_t>(buffer->data(), payload_end));
-    if (stored != actual) return std::nullopt;
+  if (!parse_header(*buffer, out.header) ||
+      buffer->size() < kHeaderBytes + kTrailerBytes) {
+    return std::nullopt;
   }
+  const std::size_t payload_end = buffer->size() - kTrailerBytes;
+  const std::uint32_t stored = load32(buffer->data() + payload_end);
+  const std::uint32_t actual =
+      crc32(std::span<const std::uint8_t>(buffer->data(), payload_end));
+  if (stored != actual) return std::nullopt;
   auto decoded = decode_binary(std::span<const std::uint8_t>(
-      buffer->data() + payload_at, payload_end - payload_at));
+      buffer->data() + kHeaderBytes, payload_end - kHeaderBytes));
   if (!decoded.has_value()) return std::nullopt;
   out.observations = std::move(*decoded);
   return out;
@@ -194,17 +191,17 @@ std::uint32_t crc32(std::span<const std::uint8_t> bytes, std::uint32_t crc) {
 
 std::span<const std::uint8_t> EncodedCensusFile::payload() const {
   return std::span<const std::uint8_t>(bytes).subspan(
-      kHeaderBytesV2, bytes.size() - kHeaderBytesV2 - kTrailerBytes);
+      kHeaderBytes, bytes.size() - kHeaderBytes - kTrailerBytes);
 }
 
 EncodedCensusFile encode_census_file(
     const CensusFileHeader& header, std::span<const Observation> observations) {
   EncodedCensusFile file{header, {}};
   std::vector<std::uint8_t>& buffer = file.bytes;
-  buffer.reserve(kHeaderBytesV2 +
+  buffer.reserve(kHeaderBytes +
                  observations.size() * binary_bytes_per_observation() + 8 +
                  kTrailerBytes);
-  append32(buffer, kFileMagicV2);
+  append32(buffer, kFileMagic);
   append32(buffer, header.vp_id);
   append32(buffer, header.census_id);
   append32(buffer, header.flags);
@@ -259,17 +256,14 @@ std::optional<CensusFile> salvage_census_file(
   const auto buffer = slurp(path);
   if (!buffer.has_value()) return std::nullopt;
   CensusFile out;
-  bool has_trailer = false;
-  const std::size_t payload_at = parse_header(*buffer, out.header,
-                                              has_trailer);
-  if (payload_at == 0) return std::nullopt;
+  if (!parse_header(*buffer, out.header)) return std::nullopt;
   // Whatever follows the header is a genuine record-stream prefix: the
   // trailer only ever exists at the very end of an intact file, so a
   // truncated file lost it along with the tail. decode_binary_prefix caps
   // at the declared count, which also drops a dangling trailer when only
   // the payload was damaged.
   auto decoded = decode_binary_prefix(std::span<const std::uint8_t>(
-      buffer->data() + payload_at, buffer->size() - payload_at));
+      buffer->data() + kHeaderBytes, buffer->size() - kHeaderBytes));
   if (!decoded.has_value()) return std::nullopt;
   out.observations = std::move(*decoded);
   out.salvaged = true;
@@ -282,6 +276,55 @@ std::optional<CensusFile> salvage_census_file(
                        {"census", out.header.census_id},
                        {"records", out.observations.size()}});
   return out;
+}
+
+std::optional<CensusFileHeader> read_census_file_header(
+    const std::filesystem::path& path) {
+  const File file(path, "rb");
+  std::array<std::uint8_t, kHeaderBytes> bytes{};
+  CensusFileHeader header;
+  if (file.handle == nullptr ||
+      std::fread(bytes.data(), 1, bytes.size(), file.handle) != bytes.size() ||
+      !parse_header(bytes, header)) {
+    return std::nullopt;
+  }
+  return header;
+}
+
+std::string encode_census_manifest(const CensusManifest& manifest) {
+  std::string text(kManifestVersion);
+  for (const auto& [key, value] : manifest) text += key + '=' + value + '\n';
+  return text + crc_line(text);
+}
+
+std::optional<CensusManifest> decode_census_manifest(std::string_view text,
+                                                     std::string* error) {
+  const auto fail = [&](std::string_view why) {
+    if (error != nullptr) *error = why;
+    return std::nullopt;
+  };
+  if (!text.starts_with(kManifestVersion)) {
+    return fail(text.starts_with(kManifestMagic)
+                    ? "unsupported manifest version"
+                    : "not a census manifest");
+  }
+  const std::size_t crc_at = text.rfind("\ncrc=") + 1;
+  if (crc_at == 0 || !text.ends_with('\n')) return fail("truncated manifest");
+  if (text.substr(crc_at) != crc_line(text.substr(0, crc_at))) {
+    return fail("crc mismatch");
+  }
+  CensusManifest manifest;
+  for (std::size_t at = kManifestVersion.size(); at < crc_at;) {
+    const std::size_t end = text.find('\n', at);
+    const std::string_view line = text.substr(at, end - at);
+    const std::size_t eq = line.find('=');
+    if (eq == std::string_view::npos ||
+        !manifest.emplace(line.substr(0, eq), line.substr(eq + 1)).second) {
+      return fail("malformed or duplicate line");
+    }
+    at = end + 1;
+  }
+  return manifest;
 }
 
 ShardedCensusMatrix collate_census_files_sharded(
@@ -331,7 +374,6 @@ ShardedCensusMatrix collate_census_files_sharded(
     } else {
       ++local.files_ok;
     }
-    local.max_vp_id = std::max(local.max_vp_id, loaded.vp_id);
     local.observations += loaded.echo_in_range;
     builder.add_fragment(static_cast<std::uint16_t>(loaded.vp_id),
                          std::move(loaded.fragment));

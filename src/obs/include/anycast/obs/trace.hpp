@@ -15,6 +15,7 @@
 // record buffer and counts drops rather than growing unbounded.
 #pragma once
 
+#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <string>
@@ -22,6 +23,14 @@
 #include <vector>
 
 namespace anycast::obs {
+
+/// The observability clock: steady-clock nanoseconds. Spans, journal
+/// events, progress ticks and trace counter samples all read it.
+inline std::int64_t steady_ns() {
+  return std::chrono::duration_cast<std::chrono::nanoseconds>(
+             std::chrono::steady_clock::now().time_since_epoch())
+      .count();
+}
 
 /// One finished span. `start_ns` is relative to the collector's epoch
 /// (construction or last reset), so records are comparable within a run.

@@ -5,7 +5,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cerrno>
-#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <memory>
@@ -15,15 +14,10 @@
 #include <vector>
 
 #include "anycast/obs/durable.hpp"
+#include "anycast/obs/trace.hpp"
 
 namespace anycast::obs {
 namespace {
-
-std::int64_t steady_ns() {
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
 
 /// Frame header preceding each serialised event in a thread arena.
 struct FrameHeader {

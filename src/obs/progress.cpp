@@ -1,18 +1,11 @@
 #include "anycast/obs/progress.hpp"
 
-#include <chrono>
 #include <vector>
 
 #include "anycast/obs/trace.hpp"
 
 namespace anycast::obs {
 namespace {
-
-std::int64_t steady_ns() {
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
 
 std::uint64_t counter_value(const std::vector<MetricValue>& values,
                             std::string_view name) {

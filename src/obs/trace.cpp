@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <mutex>
@@ -14,12 +13,6 @@ namespace {
 // Per-thread stack of open span ids. The global collector is the only
 // span sink, so one stack per thread suffices.
 thread_local std::vector<std::uint32_t> g_open_spans;
-
-std::int64_t steady_ns() {
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
 
 }  // namespace
 

@@ -1,7 +1,6 @@
 #include "anycast/obs/trace_export.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <mutex>
 
@@ -10,12 +9,6 @@
 
 namespace anycast::obs {
 namespace {
-
-std::int64_t steady_ns() {
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
 
 void append_number(std::string& out, const char* format, double value) {
   char tmp[64];

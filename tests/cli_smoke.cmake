@@ -14,6 +14,19 @@ function(metric_value json name out_var)
   set(${out_var} "${value}" PARENT_SCOPE)
 endfunction()
 
+# Runs anycastd with ARGN and requires exit 2, never a signal, with a
+# diagnostic on stderr matching `pattern`.
+function(expect_exit2 label pattern)
+  execute_process(COMMAND ${ANYCASTD} ${ARGN}
+    RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+  if(NOT rc STREQUAL "2")
+    message(FATAL_ERROR "${label}: expected exit 2, got '${rc}': ${out}${err}")
+  endif()
+  if(NOT err MATCHES "${pattern}")
+    message(FATAL_ERROR "${label}: diagnostic missing '${pattern}': ${err}")
+  endif()
+endfunction()
+
 execute_process(
   COMMAND ${ANYCASTD} census --out ${WORK_DIR}/c1 --vps 12 --unicast 400
           --metrics-out ${WORK_DIR}/metrics.json --verbose
@@ -67,7 +80,7 @@ if(NOT anc_count EQUAL 12)
 endif()
 
 execute_process(
-  COMMAND ${ANYCASTD} analyze --in ${WORK_DIR}/c1 --vps 12 --unicast 400
+  COMMAND ${ANYCASTD} analyze --in ${WORK_DIR}/c1
           --geojson ${WORK_DIR}/map.geojson
   RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
 if(NOT rc EQUAL 0)
@@ -86,7 +99,7 @@ endif()
 # 1, never a signal. /dev/full is refused before anything is written, so
 # the device node is never replaced.
 execute_process(
-  COMMAND ${ANYCASTD} analyze --in ${WORK_DIR}/c1 --vps 12 --unicast 400
+  COMMAND ${ANYCASTD} analyze --in ${WORK_DIR}/c1
           --geojson /dev/full
   RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
 if(NOT rc EQUAL 1)
@@ -136,7 +149,7 @@ file(WRITE ${WORK_DIR}/queries.txt
   "# smoke queries\npoint 0\nbatch 0 1 2 3 4 5 6 7\nreplicas 2\n"
   "nearest 2 48.85 2.35\n")
 execute_process(
-  COMMAND ${ANYCASTD} serve --in ${WORK_DIR}/c1 --vps 12 --unicast 400
+  COMMAND ${ANYCASTD} serve --in ${WORK_DIR}/c1
           --queries ${WORK_DIR}/queries.txt
   RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
 if(NOT rc EQUAL 0)
@@ -152,32 +165,88 @@ if(NOT err MATCHES "serve: answered 4 queries from snapshot 1")
   message(FATAL_ERROR "serve missing summary line: ${err}")
 endif()
 
-# Platform mismatch: c1 holds checkpoints from VPs 0..11, so reading it
-# with a 4-VP platform must fail cleanly with exit 2 and name the --vps
-# it needs — never index past the platform (exit by signal) or answer
-# from the wrong VPs (exit 0).
-foreach(verb analyze serve report)
-  set(extra)
+# c1 records its world in c1/census.manifest, so the readers take no
+# world flags: a recorded flag exits 2 and names the manifest (resume
+# included), where a wrong --vps used to be accepted or re-derived.
+foreach(verb analyze serve report resume)
+  set(args ${verb} --in ${WORK_DIR}/c1)
   if(verb STREQUAL "serve")
-    set(extra --queries ${WORK_DIR}/queries.txt)
+    list(APPEND args --queries ${WORK_DIR}/queries.txt)
+  elseif(verb STREQUAL "resume")
+    set(args resume --out ${WORK_DIR}/c1)
   endif()
-  execute_process(
-    COMMAND ${ANYCASTD} ${verb} --in ${WORK_DIR}/c1 --vps 4 --unicast 400
-            ${extra}
-    RESULT_VARIABLE rc OUTPUT_VARIABLE mismatch_out
-    ERROR_VARIABLE mismatch_err)
-  if(NOT rc STREQUAL "2")
-    message(FATAL_ERROR "${verb} --vps 4 on a 12-VP census: expected exit 2, "
-                        "got '${rc}': ${mismatch_out}${mismatch_err}")
+  expect_exit2("${verb} --vps 4"
+               "--vps is recorded in ${WORK_DIR}/c1/census.manifest"
+               ${args} --vps 4)
+endforeach()
+
+# A damaged census directory exits 2 with a diagnostic on every reader:
+# no manifest, a manifest with one changed byte, a truncated manifest,
+# and a checkpoint whose header names another VP than its file name.
+file(READ ${WORK_DIR}/c1/census.manifest manifest_text)
+string(REPLACE "vps=12" "vps=13" flipped_manifest "${manifest_text}")
+string(SUBSTRING "${manifest_text}" 0 100 truncated_manifest)
+foreach(damage missing flipped truncated mislabelled)
+  set(d ${WORK_DIR}/c_${damage})
+  file(REMOVE_RECURSE ${d})
+  file(COPY ${WORK_DIR}/c1/ DESTINATION ${d})
+  if(damage STREQUAL "missing")
+    file(REMOVE ${d}/census.manifest)
+    set(pattern "refusing ${d}/census.manifest: cannot read it")
+  elseif(damage STREQUAL "flipped")
+    file(WRITE ${d}/census.manifest "${flipped_manifest}")
+    set(pattern "refusing ${d}/census.manifest: crc mismatch")
+  elseif(damage STREQUAL "truncated")
+    file(WRITE ${d}/census.manifest "${truncated_manifest}")
+    set(pattern "refusing ${d}/census.manifest: truncated manifest")
+  else()
+    execute_process(COMMAND ${CMAKE_COMMAND} -E copy ${d}/census1_vp2.anc
+                            ${d}/census1_vp3.anc)
+    set(pattern "refusing ${d}/census1_vp3.anc: it holds VP 2 of census 1")
   endif()
-  if(NOT mismatch_err MATCHES "rerun with --vps 12")
-    message(FATAL_ERROR "${verb} mismatch diagnostic missing: ${mismatch_err}")
+  expect_exit2("analyze (${damage})" "${pattern}" analyze --in ${d})
+  expect_exit2("serve (${damage})" "${pattern}" serve --in ${d}
+               --queries ${WORK_DIR}/queries.txt)
+  expect_exit2("report (${damage})" "${pattern}" report --in ${d})
+  expect_exit2("resume (${damage})" "${pattern}" resume --out ${d})
+endforeach()
+
+# A census of another world is refused as serve's --against baseline, and
+# a fresh census into a directory that records another census exits 2
+# instead of mixing the two.
+execute_process(
+  COMMAND ${ANYCASTD} census --out ${WORK_DIR}/c_seed7 --vps 12 --unicast 400
+          --seed 7
+  RESULT_VARIABLE rc OUTPUT_VARIABLE seed7_out ERROR_VARIABLE seed7_err)
+if(NOT rc EQUAL 0)
+  message(FATAL_ERROR "seed-7 census failed (${rc}): ${seed7_out}${seed7_err}")
+endif()
+expect_exit2("serve --against another world"
+             "refusing --against ${WORK_DIR}/c_seed7"
+             serve --in ${WORK_DIR}/c1 --against ${WORK_DIR}/c_seed7
+             --queries ${WORK_DIR}/queries.txt)
+expect_exit2("census into another census's directory"
+             "c1/census.manifest records another census \\(census-id is 1"
+             census --out ${WORK_DIR}/c1 --vps 12 --unicast 400
+             --census-id 2)
+
+# Numeric flags must parse whole and in range: each bad value exits 2 and
+# is named, before any probing (no directory appears).
+foreach(bad "--vps;-3" "--vps;abc" "--vps;12x" "--vps;0" "--rate;nan"
+        "--availability;nan" "--unicast;-1")
+  string(REPLACE ";" " " bad_text "${bad}")
+  expect_exit2("census ${bad_text}" "bad flag value: ${bad_text}"
+               census --out ${WORK_DIR}/c_badflag ${bad})
+  if(EXISTS ${WORK_DIR}/c_badflag)
+    message(FATAL_ERROR "census ${bad_text} created its directory")
   endif()
 endforeach()
+expect_exit2("analyze --top -1" "bad flag value: --top -1"
+             analyze --in ${WORK_DIR}/c1 --top -1)
 
 # The same answers must be byte-identical on a second run.
 execute_process(
-  COMMAND ${ANYCASTD} serve --in ${WORK_DIR}/c1 --vps 12 --unicast 400
+  COMMAND ${ANYCASTD} serve --in ${WORK_DIR}/c1
           --queries ${WORK_DIR}/queries.txt
   RESULT_VARIABLE rc OUTPUT_VARIABLE out2 ERROR_VARIABLE err)
 if(NOT rc EQUAL 0 OR NOT out STREQUAL out2)
@@ -188,7 +257,7 @@ endif()
 # line named, and NO answers emitted for the lines before it.
 file(WRITE ${WORK_DIR}/bad_queries.txt "point 0\nbogus 12 13\n")
 execute_process(
-  COMMAND ${ANYCASTD} serve --in ${WORK_DIR}/c1 --vps 12 --unicast 400
+  COMMAND ${ANYCASTD} serve --in ${WORK_DIR}/c1
           --queries ${WORK_DIR}/bad_queries.txt
   RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
 if(NOT rc EQUAL 2)
@@ -204,7 +273,7 @@ endif()
 # An unwritable --metrics-out during serve fails fast, before the
 # snapshot is even loaded.
 execute_process(
-  COMMAND ${ANYCASTD} serve --in ${WORK_DIR}/c1 --vps 12 --unicast 400
+  COMMAND ${ANYCASTD} serve --in ${WORK_DIR}/c1
           --queries ${WORK_DIR}/queries.txt
           --metrics-out ${WORK_DIR}/no_such_dir/serve_metrics.json
   RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
@@ -254,23 +323,40 @@ if(NOT chaos_count EQUAL 12)
 endif()
 
 # Destroy one checkpoint (simulating a crash mid-write) and delete
-# another; resume must re-run exactly those VPs and reuse the rest.
+# another; resume, which takes its world and chaos flags from the
+# manifest, must reuse every complete checkpoint, re-run the rest, and
+# rewrite both damaged files byte for byte.
+file(MAKE_DIRECTORY ${WORK_DIR}/c2_orig)
+file(COPY ${WORK_DIR}/c2/census1_vp3.anc ${WORK_DIR}/c2/census1_vp5.anc
+     DESTINATION ${WORK_DIR}/c2_orig)
 file(WRITE ${WORK_DIR}/c2/census1_vp3.anc "not a census file")
 file(REMOVE ${WORK_DIR}/c2/census1_vp5.anc)
 
 execute_process(
-  COMMAND ${ANYCASTD} resume --out ${WORK_DIR}/c2 --vps 12 --unicast 400
-          --retries 2 --quarantine-drop 0.5
+  COMMAND ${ANYCASTD} resume --out ${WORK_DIR}/c2
   RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
 if(NOT rc EQUAL 0)
   message(FATAL_ERROR "resume failed (${rc}): ${out}${err}")
 endif()
-if(NOT out MATCHES "resume: [0-9]+ checkpoints reused, [0-9]+ VPs re-run")
-  message(FATAL_ERROR "resume output missing reuse summary: ${out}")
+# Re-run: VPs 2, 5 and 11, whose walks crashed (incomplete checkpoints
+# re-run on every resume), and the damaged VP 3.
+if(NOT out MATCHES "resume: 8 checkpoints reused, 4 VPs re-run")
+  message(FATAL_ERROR "resume did not re-run exactly VPs 2, 3, 5 and 11: "
+                      "${out}")
 endif()
+foreach(vp 3 5)
+  execute_process(
+    COMMAND ${CMAKE_COMMAND} -E compare_files
+            ${WORK_DIR}/c2_orig/census1_vp${vp}.anc
+            ${WORK_DIR}/c2/census1_vp${vp}.anc
+    RESULT_VARIABLE differs)
+  if(NOT differs EQUAL 0)
+    message(FATAL_ERROR "resume rewrote census1_vp${vp}.anc differently")
+  endif()
+endforeach()
 
 execute_process(
-  COMMAND ${ANYCASTD} analyze --in ${WORK_DIR}/c2 --vps 12 --unicast 400
+  COMMAND ${ANYCASTD} analyze --in ${WORK_DIR}/c2
   RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
 if(NOT rc EQUAL 0)
   message(FATAL_ERROR "chaos analyze failed (${rc}): ${out}${err}")
@@ -283,7 +369,7 @@ endif()
 # chaos census of the same world).
 file(WRITE ${WORK_DIR}/diff_query.txt "diff\n")
 execute_process(
-  COMMAND ${ANYCASTD} serve --in ${WORK_DIR}/c2 --vps 12 --unicast 400
+  COMMAND ${ANYCASTD} serve --in ${WORK_DIR}/c2
           --against ${WORK_DIR}/c1 --queries ${WORK_DIR}/diff_query.txt
   RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
 if(NOT rc EQUAL 0)
@@ -298,10 +384,11 @@ endif()
 # from the recoverable remainder only under --allow-salvage.
 file(MAKE_DIRECTORY ${WORK_DIR}/c_bad)
 file(GLOB c1_files ${WORK_DIR}/c1/*.anc)
-file(COPY ${c1_files} DESTINATION ${WORK_DIR}/c_bad)
+file(COPY ${c1_files} ${WORK_DIR}/c1/census.manifest
+     DESTINATION ${WORK_DIR}/c_bad)
 file(WRITE ${WORK_DIR}/c_bad/census1_vp4.anc "garbage, not a census file")
 execute_process(
-  COMMAND ${ANYCASTD} serve --in ${WORK_DIR}/c_bad --vps 12 --unicast 400
+  COMMAND ${ANYCASTD} serve --in ${WORK_DIR}/c_bad
           --queries ${WORK_DIR}/queries.txt
   RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
 if(rc EQUAL 0)
@@ -311,7 +398,7 @@ if(NOT err MATCHES "failed checksum validation")
   message(FATAL_ERROR "serve refusal message missing: ${err}")
 endif()
 execute_process(
-  COMMAND ${ANYCASTD} serve --in ${WORK_DIR}/c_bad --vps 12 --unicast 400
+  COMMAND ${ANYCASTD} serve --in ${WORK_DIR}/c_bad
           --queries ${WORK_DIR}/queries.txt --allow-salvage
   RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
 if(NOT rc EQUAL 0)
@@ -429,7 +516,7 @@ endif()
 
 # Run report: checkpoints + journal render as one Markdown document.
 execute_process(
-  COMMAND ${ANYCASTD} report --in ${WORK_DIR}/d1 --vps 12 --unicast 400
+  COMMAND ${ANYCASTD} report --in ${WORK_DIR}/d1
           --journal ${WORK_DIR}/d1.jsonl
   RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
 if(NOT rc EQUAL 0)
@@ -445,18 +532,11 @@ if(NOT out MATCHES "census.walk")
   message(FATAL_ERROR "run report missing journal event table: ${out}")
 endif()
 
-# Resume with no checkpoints on disk must refuse with a clear one-line
-# error and a nonzero exit, instead of silently running a fresh census.
-execute_process(
-  COMMAND ${ANYCASTD} resume --out ${WORK_DIR}/never_ran --vps 4
-          --unicast 100
-  RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
-if(rc EQUAL 0)
-  message(FATAL_ERROR "resume with nothing to resume did not fail")
-endif()
-if(NOT err MATCHES "resume: no checkpoint for census [0-9]+ in")
-  message(FATAL_ERROR "resume-nothing error message missing: ${err}")
-endif()
+# Resume with no census manifest on disk must refuse with a clear
+# one-line error and exit 2, instead of silently running a fresh census.
+expect_exit2("resume with nothing to resume"
+             "resume: refusing ${WORK_DIR}/never_ran/census.manifest: cannot read it"
+             resume --out ${WORK_DIR}/never_ran)
 
 # Watch leg: a churning multi-round campaign must journal a byte-identical
 # semantic stream at any thread count — the tentpole determinism contract.
@@ -519,6 +599,12 @@ if(NOT out MATCHES "zero drift: [0-9]+ semantic events identical")
   message(FATAL_ERROR "watch drift diff output malformed: ${out}")
 endif()
 
+# A watch directory has no census manifest: analyze refuses it rather
+# than collating all its rounds as one census.
+expect_exit2("analyze of a watch directory"
+             "refusing ${WORK_DIR}/w2/census.manifest: cannot read it"
+             analyze --in ${WORK_DIR}/w2)
+
 # Watchdog drill: the daemon aborts round 2 mid-walk with the dedicated
 # exit code, and a plain restart over the same directory resumes the
 # half-done round and finishes the campaign.
@@ -552,7 +638,7 @@ endif()
 file(WRITE ${WORK_DIR}/telemetry_queries.txt
   "point 0\nbatch 0 1 2 3\nstats\nslo\nmetricsdump\n")
 execute_process(
-  COMMAND ${ANYCASTD} serve --in ${WORK_DIR}/c1 --vps 12 --unicast 400
+  COMMAND ${ANYCASTD} serve --in ${WORK_DIR}/c1
           --queries ${WORK_DIR}/telemetry_queries.txt
           --slo "p99_query_us=5000,availability=0.999"
           --metrics-out ${WORK_DIR}/live.json --metrics-interval 0.2
@@ -609,7 +695,7 @@ endif()
 
 # A malformed --slo spec is rejected before any work starts.
 execute_process(
-  COMMAND ${ANYCASTD} serve --in ${WORK_DIR}/c1 --vps 12 --unicast 400
+  COMMAND ${ANYCASTD} serve --in ${WORK_DIR}/c1
           --queries ${WORK_DIR}/queries.txt --slo "p99_bogus=1"
   RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
 if(NOT rc EQUAL 2)
@@ -621,7 +707,7 @@ endif()
 
 # A non-finite SLO value is a bad spec, not an objective NaN slips past.
 execute_process(
-  COMMAND ${ANYCASTD} serve --in ${WORK_DIR}/c1 --vps 12 --unicast 400
+  COMMAND ${ANYCASTD} serve --in ${WORK_DIR}/c1
           --queries ${WORK_DIR}/queries.txt
           --slo "p99_query_us=nan,availability=nan"
   RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
@@ -634,7 +720,7 @@ endif()
 
 # The retired `parse` stage is refused, and the error names the stages.
 execute_process(
-  COMMAND ${ANYCASTD} serve --in ${WORK_DIR}/c1 --vps 12 --unicast 400
+  COMMAND ${ANYCASTD} serve --in ${WORK_DIR}/c1
           --queries ${WORK_DIR}/queries.txt --slo "p99_parse_us=5"
   RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
 if(NOT rc EQUAL 2)
@@ -648,7 +734,7 @@ endif()
 foreach(coord nan inf 0x10)
   file(WRITE ${WORK_DIR}/coord_queries.txt "nearest 2 ${coord} 0\n")
   execute_process(
-    COMMAND ${ANYCASTD} serve --in ${WORK_DIR}/c1 --vps 12 --unicast 400
+    COMMAND ${ANYCASTD} serve --in ${WORK_DIR}/c1
             --queries ${WORK_DIR}/coord_queries.txt
     RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
   if(NOT rc EQUAL 2)
@@ -663,7 +749,7 @@ endforeach()
 
 # --metrics-interval without a --metrics-out sink is refused.
 execute_process(
-  COMMAND ${ANYCASTD} serve --in ${WORK_DIR}/c1 --vps 12 --unicast 400
+  COMMAND ${ANYCASTD} serve --in ${WORK_DIR}/c1
           --queries ${WORK_DIR}/queries.txt --metrics-interval 1
   RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
 if(NOT rc EQUAL 2)

@@ -79,5 +79,95 @@ TEST(Flags, EmptyUnknownWhenAllQueried) {
   EXPECT_TRUE(flags.unknown().empty());
 }
 
+TEST(Flags, NumericValuesMustParseWhole) {
+  const Flags flags =
+      parse({"--vps", "12x", "--rate", "1e3", "--top", "abc", "--seed", "-3"});
+  EXPECT_EQ(flags.get_int("vps", 200), 200);  // refused, reads as fallback
+  EXPECT_EQ(flags.bad(), "--vps 12x");        // the first bad value is kept
+  EXPECT_DOUBLE_EQ(flags.get_double("rate", 1.0), 1000.0);
+  EXPECT_EQ(flags.get_int("top", 5), 5);
+  EXPECT_EQ(flags.get_int("seed", 0), -3);  // no range: negatives are fine
+  EXPECT_EQ(flags.bad(), "--vps 12x");
+}
+
+TEST(Flags, RefusedNumericValues) {
+  const struct {
+    std::vector<const char*> args;
+    std::string bad;
+  } cases[] = {
+      {{"--vps", "abc"}, "--vps abc"},
+      {{"--vps", "-3"}, "--vps -3"},
+      {{"--vps", "0"}, "--vps 0"},
+      {{"--vps", ""}, "--vps "},
+      {{"--vps", "0x10"}, "--vps 0x10"},
+      {{"--vps", " 5"}, "--vps  5"},
+      {{"--vps", "99999999999999999999"}, "--vps 99999999999999999999"},
+      {{"--unicast", "-1"}, "--unicast -1"},
+      {{"--unicast", "4294967296"}, "--unicast 4294967296"},
+      {{"--rate", "nan"}, "--rate nan"},
+      {{"--rate", "inf"}, "--rate inf"},
+      {{"--rate", "-inf"}, "--rate -inf"},
+      {{"--rate", "1e999"}, "--rate 1e999"},
+      {{"--rate", "3.5pps"}, "--rate 3.5pps"},
+      {{"--chaos", "maybe"}, "--chaos maybe"},
+  };
+  for (const auto& c : cases) {
+    const Flags flags = parse(c.args);
+    (void)flags.get_int("vps", 200, 1, 1000);
+    (void)flags.get_int("unicast", 6000, 0, 4294967295);
+    (void)flags.get_double("rate", 1000.0);
+    (void)flags.get_bool("chaos");
+    EXPECT_EQ(flags.bad(), c.bad);
+  }
+  const Flags fine = parse({"--vps", "1000", "--unicast", "0", "--rate",
+                            "-2.5", "--chaos", "no"});
+  EXPECT_EQ(fine.get_int("vps", 200, 1, 1000), 1000);
+  EXPECT_EQ(fine.get_int("unicast", 6000, 0, 4294967295), 0);
+  EXPECT_DOUBLE_EQ(fine.get_double("rate", 1000.0), -2.5);
+  EXPECT_FALSE(fine.get_bool("chaos", true));
+  EXPECT_TRUE(fine.bad().empty());
+}
+
+TEST(Flags, EffectiveValuesReadBackThroughTheSameGetters) {
+  const Flags flags = parse({"--seed", "007", "--rate", "1e3", "--chaos",
+                             "--out", "dir"});
+  (void)flags.get_int("seed", 2015);
+  (void)flags.get_int("vps", 200);
+  (void)flags.get_double("rate", 1000.0);
+  (void)flags.get_double("storm-drop", 0.15);
+  (void)flags.get_bool("chaos");
+  (void)flags.get_bool("resume");
+  (void)flags.get("out");
+  const std::map<std::string, std::string> want = {
+      {"chaos", "true"}, {"out", "dir"},         {"rate", "1000"},
+      {"resume", "false"}, {"seed", "7"},        {"storm-drop", "0.15"},
+      {"vps", "200"}};
+  EXPECT_EQ(flags.effective(), want);
+
+  const Flags back = Flags::of(want);
+  EXPECT_EQ(back.get_int("seed", 2015), 7);
+  EXPECT_DOUBLE_EQ(back.get_double("storm-drop", 0.5), 0.15);
+  EXPECT_TRUE(back.get_bool("chaos"));
+  (void)back.get_int("vps", 1);
+  (void)back.get_double("rate", 1.0);
+  (void)back.get_bool("resume", true);
+  (void)back.get("out");
+  EXPECT_EQ(back.effective(), want);
+}
+
+TEST(Flags, FreshCopyRecordsOnlyItsOwnQueriesUntilAdopted) {
+  const Flags flags = parse({"--vps", "-1", "--threads", "2"});
+  (void)flags.get_int("threads", 0);
+  const Flags copy = flags.fresh();
+  EXPECT_TRUE(copy.effective().empty());
+  (void)copy.get_int("vps", 200, 1);
+  EXPECT_EQ(copy.effective().size(), 1u);
+  EXPECT_TRUE(flags.bad().empty());
+  EXPECT_EQ(flags.unknown(), std::vector<std::string>{"vps"});
+  flags.adopt_queries(copy);
+  EXPECT_TRUE(flags.unknown().empty());
+  EXPECT_EQ(flags.bad(), "--vps -1");
+}
+
 }  // namespace
 }  // namespace anycast::tools

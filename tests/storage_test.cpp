@@ -5,6 +5,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <random>
 #include <string_view>
 #include <thread>
 
@@ -328,9 +329,11 @@ TEST_F(StorageTest, SalvageOfIntactFileIsNotMarkedSalvaged) {
   EXPECT_TRUE(loaded->header.complete());
 }
 
-TEST_F(StorageTest, LegacyV1FormatStillReadable) {
+TEST_F(StorageTest, LegacyV1FormatRefused) {
   // Hand-build a v1 file: "ANCF" magic, vp, census — no flags word, no
-  // CRC trailer — followed by the shared binary payload.
+  // CRC trailer — followed by the shared binary payload. Nothing writes
+  // v1, and with no checksum it cannot be told from a damaged file: it is
+  // refused, not read as a complete walk.
   const auto stream = sample_stream();
   std::vector<std::uint8_t> bytes;
   const auto append32 = [&bytes](std::uint32_t value) {
@@ -350,13 +353,156 @@ TEST_F(StorageTest, LegacyV1FormatStillReadable) {
             static_cast<std::streamsize>(bytes.size()));
   out.close();
 
-  const auto loaded = read_census_file(path);
-  ASSERT_TRUE(loaded.has_value());
-  EXPECT_EQ(loaded->header.vp_id, 11u);
-  EXPECT_EQ(loaded->header.census_id, 4u);
-  // v1 predates partial checkpoints: every v1 file counts as complete.
-  EXPECT_TRUE(loaded->header.complete());
-  EXPECT_EQ(loaded->observations.size(), stream.size());
+  EXPECT_FALSE(read_census_file(path).has_value());
+  EXPECT_FALSE(salvage_census_file(path).has_value());
+  EXPECT_FALSE(read_census_file_header(path).has_value());
+}
+
+TEST_F(StorageTest, HeaderReadsWithoutThePayload) {
+  const fs::path path = dir_ / "header.anc";
+  write_census_file(path, {7, 3, kCensusFileComplete}, sample_stream());
+  fs::resize_file(path, 16);  // the header survives a lost payload
+  const auto header = read_census_file_header(path);
+  ASSERT_TRUE(header.has_value());
+  EXPECT_EQ(header->vp_id, 7u);
+  EXPECT_EQ(header->census_id, 3u);
+  fs::resize_file(path, 15);
+  EXPECT_FALSE(read_census_file_header(path).has_value());
+  EXPECT_FALSE(read_census_file_header(dir_ / "missing.anc").has_value());
+}
+
+CensusManifest sample_manifest() {
+  return {{"census-id", "1"}, {"hitlist-size", "2292"}, {"rate", "1000"},
+          {"seed", "2015"}, {"vps", "12"}};
+}
+
+TEST(CensusManifest, RoundTripsAndEndsInItsCrc) {
+  const std::string text = encode_census_manifest(sample_manifest());
+  EXPECT_TRUE(text.starts_with("anycast-census-manifest 1\ncensus-id=1\n"))
+      << text;
+  EXPECT_NE(text.find("\nvps=12\ncrc="), std::string::npos) << text;
+  std::string error;
+  const auto decoded = decode_census_manifest(text, &error);
+  ASSERT_TRUE(decoded.has_value()) << error;
+  EXPECT_EQ(*decoded, sample_manifest());
+}
+
+TEST(CensusManifest, StrictReaderRefusals) {
+  const std::string good = encode_census_manifest(sample_manifest());
+  // Re-signs a hand-edited body so only the edit is at fault.
+  const auto signed_text = [](std::string body) {
+    const std::uint32_t crc = crc32(std::span(
+        reinterpret_cast<const std::uint8_t*>(body.data()), body.size()));
+    char line[16];
+    std::snprintf(line, sizeof line, "crc=%08x\n", crc);
+    return body + line;
+  };
+  const std::string body = good.substr(0, good.rfind("crc="));
+  std::string flipped = good;
+  flipped[30] ^= 0x01;
+  const struct {
+    std::string text;
+    std::string_view why;
+  } cases[] = {
+      {"", "not a census manifest"},
+      {flipped, "crc mismatch"},
+      {good.substr(0, good.size() - 1), "truncated manifest"},
+      {body, "truncated manifest"},
+      {good + "x=1\n", "crc mismatch"},
+      {good + "crc=00000000\n", "crc mismatch"},
+      {signed_text("anycast-census-manifest 2\n"), "unsupported manifest"},
+      {signed_text(body + "vps=13\n"), "malformed or duplicate line"},
+      {signed_text(body + "novalue\n"), "malformed or duplicate line"},
+  };
+  for (const auto& c : cases) {
+    std::string error;
+    EXPECT_FALSE(decode_census_manifest(c.text, &error).has_value()) << c.why;
+    EXPECT_NE(error.find(c.why), std::string::npos)
+        << "want '" << c.why << "', got '" << error << "'";
+  }
+}
+
+/// One seeded mutant of `bytes`: a bit flip, a truncation, or a splice
+/// that copies a random slice of the original over a random place.
+std::string mutate(const std::string& bytes, std::mt19937& rng, int& kind) {
+  const auto pick = [&](std::size_t n) {
+    return std::uniform_int_distribution<std::size_t>(0, n)(rng);
+  };
+  std::string out = bytes;
+  kind = static_cast<int>(pick(2));
+  if (kind == 0) {
+    out[pick(out.size() - 1)] ^= static_cast<char>(1u << pick(7));
+  } else if (kind == 1) {
+    out.resize(pick(out.size() - 1));
+  } else {
+    const std::size_t from = pick(bytes.size() - 1);
+    const std::size_t length = pick(std::min<std::size_t>(
+        24, bytes.size() - from));
+    const std::size_t to = pick(out.size() - 1);
+    out.erase(out.begin() + static_cast<std::ptrdiff_t>(to),
+              out.begin() + static_cast<std::ptrdiff_t>(
+                                std::min(out.size(), to + length)));
+    out.insert(out.begin() + static_cast<std::ptrdiff_t>(to),
+               bytes.begin() + static_cast<std::ptrdiff_t>(from),
+               bytes.begin() + static_cast<std::ptrdiff_t>(from + length));
+  }
+  return out;
+}
+
+TEST(FileFormatMutation, ManifestMutantsAreRefusedOrIntact) {
+  const CensusManifest original = sample_manifest();
+  const std::string valid = encode_census_manifest(original);
+  std::mt19937 rng(2718);
+  for (int i = 0; i < 3000; ++i) {
+    int kind = 0;
+    const std::string mutant = mutate(valid, rng, kind);
+    std::string error;
+    const auto decoded = decode_census_manifest(mutant, &error);
+    if (decoded.has_value()) {
+      EXPECT_EQ(*decoded, original) << "mutant " << i << " kind " << kind;
+    } else {
+      EXPECT_FALSE(error.empty()) << "mutant " << i << " kind " << kind;
+    }
+  }
+}
+
+TEST_F(StorageTest, CheckpointMutantsAreRefusedOrIntact) {
+  const fs::path path = dir_ / "valid.anc";
+  write_census_file(path, {5, 1, kCensusFileComplete}, sample_stream());
+  const auto intact = read_census_file(path);
+  ASSERT_TRUE(intact.has_value());
+  const std::string valid = [&] {
+    std::ifstream in(path, std::ios::binary);
+    return std::string(std::istreambuf_iterator<char>(in), {});
+  }();
+  const auto same = [](const Observation& a, const Observation& b) {
+    return a.target_index == b.target_index && a.kind == b.kind &&
+           a.time_s == b.time_s && a.rtt_ms == b.rtt_ms;
+  };
+  std::mt19937 rng(3141);
+  const fs::path hurt = dir_ / "mutant.anc";
+  for (int i = 0; i < 600; ++i) {
+    SCOPED_TRACE("mutant " + std::to_string(i));
+    int kind = 0;
+    const std::string mutant = mutate(valid, rng, kind);
+    std::ofstream(hurt, std::ios::binary | std::ios::trunc) << mutant;
+    if (const auto strict = read_census_file(hurt)) {
+      EXPECT_EQ(strict->header.vp_id, 5u);
+      ASSERT_EQ(strict->observations.size(), intact->observations.size());
+      for (std::size_t k = 0; k < strict->observations.size(); ++k) {
+        EXPECT_TRUE(same(strict->observations[k], intact->observations[k]));
+      }
+    }
+    (void)read_census_file_header(hurt);
+    const auto rescued = salvage_census_file(hurt);
+    if (kind != 1 || !rescued.has_value()) continue;
+    // A truncation salvages a prefix of the walk, never a complete one.
+    EXPECT_FALSE(rescued->header.complete());
+    ASSERT_LE(rescued->observations.size(), intact->observations.size());
+    for (std::size_t k = 0; k < rescued->observations.size(); ++k) {
+      EXPECT_TRUE(same(rescued->observations[k], intact->observations[k]));
+    }
+  }
 }
 
 TEST_F(StorageTest, CollateStatsSeparateSalvagedFromSkipped) {
@@ -465,7 +611,6 @@ TEST_F(StorageTest, CollationIsThreadCountInvariant) {
         EXPECT_EQ(stats.files_salvaged, serial_stats.files_salvaged);
         EXPECT_EQ(stats.files_skipped, serial_stats.files_skipped);
         EXPECT_EQ(stats.observations, serial_stats.observations);
-        EXPECT_EQ(stats.max_vp_id, serial_stats.max_vp_id);
         ASSERT_EQ(pooled.target_count(), serial.target_count());
         for (std::uint32_t t = 0; t < kTargets; ++t) {
           const auto a = serial.measurements(t);
@@ -513,7 +658,6 @@ TEST_F(StorageTest, VpIdBeyondSixteenBitsSkippedNotAliased) {
       collate_census_files_sharded(paths, 400, {}, &stats);
   EXPECT_EQ(stats.files_ok, 1u);
   EXPECT_EQ(stats.files_skipped, 1u);
-  EXPECT_EQ(stats.max_vp_id, 12u);
   std::size_t rows = 0;
   for (std::uint32_t t = 0; t < data.target_count(); ++t) {
     for (const VpRtt& sample : data.measurements(t)) {

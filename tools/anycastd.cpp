@@ -5,12 +5,16 @@
 //   anycastd world    [--seed N] [--unicast N]
 //       print the simulated world's deployment inventory
 //   anycastd census   --out DIR [--vps N] [--rate PPS] [--census-id N]
-//       run one census; write one checkpoint file per VP into DIR.
-//       --chaos injects deterministic faults (crashes, outages, reply
-//       storms, stragglers); --resume reuses complete checkpoints and
-//       re-runs only missing/crashed VPs
-//   anycastd resume   --out DIR [...census flags]
-//       alias for `census --resume`: recover a killed census
+//       run one census; write DIR/census.manifest (every flag that fixes
+//       what is probed, defaults included, plus the hitlist's size and
+//       CRC), then one checkpoint file per VP. --chaos injects
+//       deterministic faults (crashes, outages, reply storms,
+//       stragglers). A DIR whose manifest records another census is
+//       refused (exit 2)
+//   anycastd resume   --out DIR [--threads N] [data plane flags]
+//       recover a killed census: the world and probe settings come from
+//       DIR's manifest; complete checkpoints are reused and only missing
+//       or crashed VPs re-run
 //   anycastd analyze  --in DIR [--geojson FILE] [--top N]
 //       collate per-VP files (salvaging damaged ones), detect/enumerate/
 //       geolocate, print the characterisation; optionally export replicas
@@ -19,7 +23,7 @@
 //       publish DIR's census as an immutable snapshot and answer
 //       point/replicas/batch/nearest/diff queries from a request file or
 //       stdin; refuses snapshots that fail checksum validation unless
-//       --allow-salvage
+//       --allow-salvage, and an --against DIR from another world
 //   anycastd portscan [--top N]
 //       TCP portscan of the top anycast ASes (Sec. 4.3)
 //   anycastd diff     --out DIR
@@ -34,6 +38,12 @@
 //       anycastd flushes via --metrics-interval: latency histograms,
 //       per-second serving / per-round census series, SLO burn rates
 //
+// World flags (--seed, --unicast, --vps) and the probe and chaos knobs are
+// taken by world, census, watch, portscan and diff. resume, analyze, serve
+// and report read them from DIR/census.manifest instead: passing one
+// exits 2 and names the manifest, as does a DIR with no manifest or a
+// damaged one, and a checkpoint whose header names another VP or census.
+//
 // All commands are deterministic in --seed (and --chaos-seed). The
 // telemetry plane (--slo, --metrics-interval, the serve verbs
 // stats/slo/metricsdump) reports live wall-clock state and is kTiming
@@ -41,6 +51,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <climits>
 #include <condition_variable>
 #include <cstdio>
 #include <filesystem>
@@ -87,9 +98,12 @@ using namespace anycast;
 using tools::Flags;
 
 constexpr tools::FlagHelp kCommonFlags[] = {
-    {"seed", "N", "world/census seed (default 2015)"},
-    {"unicast", "N", "unicast /24s per liveness class (default 6000)"},
-    {"vps", "N", "PlanetLab vantage points (default 200)"},
+    {"seed", "N",
+     "world/census seed (default 2015); world, census, watch, portscan "
+     "and diff only: the other commands read DIR/census.manifest"},
+    {"unicast", "N",
+     "unicast /24s per liveness class (default 6000); as --seed"},
+    {"vps", "N", "PlanetLab vantage points, 1..65536 (default 200); as --seed"},
     {"threads", "N",
      "worker threads for census/analyze/diff (default: all cores; "
      "1 = serial; output is identical for any value)"},
@@ -126,7 +140,6 @@ constexpr tools::FlagHelp kCensusFlags[] = {
     {"retry-budget", "N", "max retry probes per VP, 0 = unlimited (0)"},
     {"deadline-hours", "H", "cut off VPs exceeding this wall clock (off)"},
     {"quarantine-drop", "F", "quarantine VPs with timeout rate > F (off)"},
-    {"resume", "", "reuse complete checkpoints; re-run the rest"},
 };
 
 constexpr tools::FlagHelp kDataPlaneFlags[] = {
@@ -185,7 +198,9 @@ int usage() {
                "report|top> [flags]\n"
                "  common flags:\n");
   tools::print_flag_help(stderr, kCommonFlags);
-  std::fprintf(stderr, "  census / resume:\n");
+  std::fprintf(stderr,
+               "  census (recorded in DIR/census.manifest; resume, analyze, "
+               "serve and report\n  refuse them and the world flags):\n");
   tools::print_flag_help(stderr, kCensusFlags);
   tools::print_flag_help(stderr, kChaosFlags);
   std::fprintf(stderr, "  data plane (census / resume / watch / analyze):\n");
@@ -195,6 +210,7 @@ int usage() {
   std::fprintf(stderr, "  top (dashboard over a --metrics-interval file):\n");
   tools::print_flag_help(stderr, kTopFlags);
   std::fprintf(stderr,
+               "  resume:   --out DIR (runtime flags only)\n"
                "  analyze:  --in DIR [--geojson FILE] [--top N]\n"
                "  serve:    --in DIR [--queries FILE] [--against DIR]\n"
                "            [--allow-salvage]  answer point/replicas/batch/\n"
@@ -213,8 +229,8 @@ int usage() {
 net::WorldConfig world_config_from(const Flags& flags) {
   net::WorldConfig config;
   config.seed = static_cast<std::uint64_t>(flags.get_int("seed", 2015));
-  const auto unicast =
-      static_cast<std::uint32_t>(flags.get_int("unicast", 6000));
+  const auto unicast = static_cast<std::uint32_t>(
+      flags.get_int("unicast", 6000, 0, UINT32_MAX));
   config.unicast_alive_slash24 = unicast;
   config.unicast_silent_slash24 = unicast;
   config.unicast_dead_slash24 = unicast;
@@ -223,7 +239,8 @@ net::WorldConfig world_config_from(const Flags& flags) {
 
 std::vector<net::VantagePoint> platform_from(const Flags& flags) {
   return net::make_planetlab(
-      {.node_count = static_cast<int>(flags.get_int("vps", 200)),
+      // Census rows store the VP id in 16 bits.
+      {.node_count = static_cast<int>(flags.get_int("vps", 200, 1, 65536)),
        .seed = static_cast<std::uint64_t>(flags.get_int("seed", 2015)) ^
                0xF1E1D});
 }
@@ -232,8 +249,7 @@ std::vector<net::VantagePoint> platform_from(const Flags& flags) {
 /// serial path. Results never depend on the value (merge order is fixed).
 concurrency::ThreadPool pool_from(const Flags& flags) {
   return concurrency::ThreadPool(
-      static_cast<std::size_t>(std::max<std::int64_t>(
-          0, flags.get_int("threads", 0))));
+      static_cast<std::size_t>(flags.get_int("threads", 0, 0)));
 }
 
 /// Attaches the --progress heartbeat to a pool for one phase and, on
@@ -267,6 +283,10 @@ ProgressGuard maybe_start_progress(concurrency::ThreadPool& pool,
 }
 
 int reject_unknown(const Flags& flags) {
+  if (!flags.bad().empty()) {
+    std::fprintf(stderr, "bad flag value: %s\n", flags.bad().c_str());
+    return 2;
+  }
   const auto unknown = flags.unknown();
   if (unknown.empty()) return 0;
   for (const std::string& name : unknown) {
@@ -296,7 +316,7 @@ int cmd_world(const Flags& flags) {
               internet.deployments().size());
   std::printf("\n%-18s %-9s %6s %6s %7s %6s\n", "AS", "category", "sites",
               "IP/24", "ports", "DNS");
-  const auto top = static_cast<std::size_t>(flags.get_int("top", 20));
+  const auto top = static_cast<std::size_t>(flags.get_int("top", 20, 0));
   if (const int rc = reject_unknown(flags)) return rc;
   for (std::size_t d = 0; d < top && d < internet.deployments().size();
        ++d) {
@@ -315,14 +335,15 @@ int cmd_world(const Flags& flags) {
 census::FastPingConfig fastping_config_from(const Flags& flags) {
   census::FastPingConfig fastping;
   fastping.seed = static_cast<std::uint64_t>(flags.get_int("seed", 2015)) +
-                  static_cast<std::uint64_t>(flags.get_int("census-id", 1));
+                  static_cast<std::uint64_t>(
+                      flags.get_int("census-id", 1, 0, UINT32_MAX));
   fastping.probe_rate_pps = flags.get_double("rate", 1000.0);
   fastping.vp_availability = flags.get_double("availability", 1.0);
   fastping.retry_max_attempts =
-      static_cast<int>(flags.get_int("retries", 0));
+      static_cast<int>(flags.get_int("retries", 0, 0, INT_MAX));
   fastping.retry_backoff_s = flags.get_double("retry-backoff", 1.0);
   fastping.retry_probe_budget =
-      static_cast<std::uint64_t>(flags.get_int("retry-budget", 0));
+      static_cast<std::uint64_t>(flags.get_int("retry-budget", 0, 0));
   fastping.vp_deadline_hours = flags.get_double("deadline-hours", 0.0);
   fastping.quarantine_drop_rate = flags.get_double("quarantine-drop", 1.0);
   return fastping;
@@ -334,51 +355,12 @@ census::FastPingConfig fastping_config_from(const Flags& flags) {
 census::DataPlaneConfig data_plane_from(const Flags& flags,
                                         const fs::path& base_dir) {
   census::DataPlaneConfig plane;
-  plane.shard_targets = static_cast<std::size_t>(
-      std::max<std::int64_t>(0, flags.get_int("shard-targets", 0)));
-  plane.rss_budget_mb = static_cast<std::size_t>(
-      std::max<std::int64_t>(0, flags.get_int("rss-budget-mb", 0)));
+  plane.shard_targets =
+      static_cast<std::size_t>(flags.get_int("shard-targets", 0, 0));
+  plane.rss_budget_mb =
+      static_cast<std::size_t>(flags.get_int("rss-budget-mb", 0, 0));
   plane.spill_dir = (base_dir / "spill").string();
   return plane;
-}
-
-/// One census directory collated into a matrix.
-struct CollatedDir {
-  census::ShardedCensusMatrix data;
-  census::CollateStats stats;
-  std::size_t files = 0;
-};
-
-/// Collates DIR's `.anc` checkpoints in path order, fanning the per-file
-/// work over `pool`'s lanes. Returns 0, or the exit code after a
-/// diagnostic prefixed by `command`: 1 when DIR holds no checkpoints, 2
-/// when one names a VP beyond the `vp_count`-VP platform (the analysis
-/// indexes the platform by VP id).
-int collate_dir(const char* command, const std::string& dir,
-                std::size_t target_count, std::size_t vp_count,
-                const census::DataPlaneConfig& plane, bool salvage,
-                concurrency::ThreadPool* pool, CollatedDir& out) {
-  std::vector<fs::path> files;
-  for (const auto& entry : fs::directory_iterator(dir)) {
-    if (entry.path().extension() == ".anc") files.push_back(entry.path());
-  }
-  std::sort(files.begin(), files.end());
-  if (files.empty()) {
-    std::fprintf(stderr, "%s: no .anc files in %s\n", command, dir.c_str());
-    return 1;
-  }
-  out.files = files.size();
-  out.data = census::collate_census_files_sharded(files, target_count, plane,
-                                                  &out.stats, salvage, pool);
-  if (out.stats.max_vp_id >= vp_count) {
-    std::fprintf(stderr,
-                 "%s: %s holds checkpoints from VP %u, beyond the %zu-VP "
-                 "platform; rerun with --vps %u (the census's --vps)\n",
-                 command, dir.c_str(), out.stats.max_vp_id, vp_count,
-                 out.stats.max_vp_id + 1);
-    return 2;
-  }
-  return 0;
 }
 
 /// The classic four-fault spec from the kChaosFlags knobs.
@@ -401,48 +383,198 @@ std::optional<net::FaultPlan> fault_plan_from(const Flags& flags) {
   return net::FaultPlan(spec);
 }
 
-int cmd_census(const Flags& flags, bool resume) {
-  const auto out_dir = flags.get("out");
-  if (!out_dir.has_value()) {
-    std::fprintf(stderr, "census: --out DIR is required\n");
+/// What a census directory's manifest pins, built from one Flags: the
+/// world, its platform and hitlist, the prober and fault settings, and
+/// the manifest: every flag the builders read, plus the hitlist's size
+/// and CRC.
+struct CensusWorld {
+  explicit CensusWorld(const Flags& flags)
+      : internet(world_config_from(flags)),
+        vps(platform_from(flags)),
+        hitlist(census::Hitlist::from_world(internet).without_dead()),
+        fastping(fastping_config_from(flags)),
+        plan(fault_plan_from(flags)),
+        census_id(static_cast<std::uint32_t>(
+            flags.get_int("census-id", 1, 0, UINT32_MAX))),
+        manifest(flags.effective()) {
+    std::vector<std::uint8_t> addresses;
+    for (const census::HitlistEntry& entry : hitlist.entries()) {
+      for (int shift = 0; shift < 32; shift += 8) {
+        addresses.push_back(
+            static_cast<std::uint8_t>(entry.representative.value() >> shift));
+      }
+    }
+    manifest["hitlist-size"] = std::to_string(hitlist.size());
+    manifest["hitlist-crc"] = std::to_string(census::crc32(addresses));
+  }
+
+  net::SimulatedInternet internet;
+  std::vector<net::VantagePoint> vps;
+  census::Hitlist hitlist;
+  census::FastPingConfig fastping;
+  std::optional<net::FaultPlan> plan;
+  std::uint32_t census_id;
+  census::CensusManifest manifest;
+};
+
+fs::path manifest_path(const std::string& dir) {
+  return fs::path(dir) / "census.manifest";
+}
+
+/// How the manifest `rebuilt` from `recorded`'s flags differs from it,
+/// naming the first differing key; empty when they agree.
+std::string manifest_difference(const census::CensusManifest& recorded,
+                                const census::CensusManifest& rebuilt) {
+  for (const auto& [key, value] : rebuilt) {
+    const auto it = recorded.find(key);
+    if (it == recorded.end()) return "missing key " + key;
+    if (it->second != value) {
+      return key + " is " + it->second + " there, " + value + " here";
+    }
+  }
+  for (const auto& [key, value] : recorded) {
+    if (!rebuilt.contains(key)) return "unknown key " + key;
+  }
+  return {};
+}
+
+/// One census directory: its world, the checkpoints it holds, and once
+/// collated, their matrix.
+struct CensusDir {
+  std::unique_ptr<CensusWorld> world;
+  std::vector<fs::path> files;  // existing checkpoints, in platform order
+  census::ShardedCensusMatrix data;
+  census::CollateStats stats;
+};
+
+/// Opens DIR through its manifest: refuses a flag in `flags` that the
+/// manifest records, rebuilds the world from the manifest alone and
+/// requires it to rebuild the same manifest (hitlist included), then lists
+/// `census_checkpoint_path(dir, census_id, vp.id)` for each platform VP
+/// whose file exists, refusing one whose header names another VP or
+/// census. Returns 0, or 2 after a diagnostic prefixed by `command`.
+int open_census(const char* command, const Flags& flags,
+                const std::string& dir, CensusDir& out) {
+  const fs::path path = manifest_path(dir);
+  const auto text = slurp_text(path.string());
+  std::string error = "cannot read it: not a census directory";
+  const auto manifest =
+      text.has_value() ? census::decode_census_manifest(*text, &error)
+                       : std::nullopt;
+  if (manifest.has_value()) {
+    for (const auto& [name, value] : *manifest) {
+      if (flags.has(name)) {
+        std::fprintf(stderr,
+                     "%s: --%s is recorded in %s (%s=%s); drop the flag\n",
+                     command, name.c_str(), path.c_str(), name.c_str(),
+                     value.c_str());
+        return 2;
+      }
+    }
+    const Flags recorded = Flags::of(*manifest);
+    out.world = std::make_unique<CensusWorld>(recorded);
+    error = recorded.bad().empty()
+                ? manifest_difference(*manifest, out.world->manifest)
+                : "bad value " + recorded.bad();
+  }
+  if (!error.empty()) {
+    std::fprintf(stderr, "%s: refusing %s: %s\n", command, path.c_str(),
+                 error.c_str());
     return 2;
   }
-  const net::SimulatedInternet internet(world_config_from(flags));
-  const auto vps = platform_from(flags);
-  const census::Hitlist hitlist =
-      census::Hitlist::from_world(internet).without_dead();
+  const CensusWorld& world = *out.world;
+  for (const net::VantagePoint& vp : world.vps) {
+    fs::path file = census::census_checkpoint_path(dir, world.census_id, vp.id);
+    std::error_code ec;
+    if (!fs::exists(file, ec)) continue;
+    const auto header = census::read_census_file_header(file);
+    if (header.has_value() &&
+        (header->vp_id != vp.id || header->census_id != world.census_id)) {
+      std::fprintf(stderr,
+                   "%s: refusing %s: it holds VP %u of census %u, not VP %u "
+                   "of census %u\n",
+                   command, file.c_str(), header->vp_id, header->census_id,
+                   vp.id, world.census_id);
+      return 2;
+    }
+    out.files.push_back(std::move(file));
+  }
+  return 0;
+}
 
-  const census::FastPingConfig fastping = fastping_config_from(flags);
-  const auto plan = fault_plan_from(flags);
-  const auto census_id =
-      static_cast<std::uint32_t>(flags.get_int("census-id", 1));
-  resume = resume || flags.get_bool("resume");
+/// Collates an opened census's checkpoints, fanning the per-file work
+/// over `pool`'s lanes. Returns 0, or 1 after a diagnostic prefixed by
+/// `command` when the directory holds none.
+int collate(const char* command, const std::string& dir,
+            const census::DataPlaneConfig& plane, bool salvage,
+            concurrency::ThreadPool* pool, CensusDir& census) {
+  if (census.files.empty()) {
+    std::fprintf(stderr, "%s: no checkpoints of census %u in %s\n", command,
+                 census.world->census_id, dir.c_str());
+    return 1;
+  }
+  census.data = census::collate_census_files_sharded(
+      census.files, census.world->hitlist.size(), plane, &census.stats,
+      salvage, pool);
+  return 0;
+}
+
+/// `census` runs a fresh census from the command line's flags; `resume`
+/// recovers a killed one from its directory alone, everything but the
+/// runtime flags coming from the manifest. No manifest means nothing to
+/// resume: a mistyped directory, not a request for a fresh census that
+/// would hide the mistake behind hours of probing.
+int cmd_census(const Flags& flags, bool resume) {
+  const char* command = resume ? "resume" : "census";
+  const auto out_dir = flags.get("out");
+  if (!out_dir.has_value()) {
+    std::fprintf(stderr, "%s: --out DIR is required\n", command);
+    return 2;
+  }
+  CensusDir dir;
+  if (resume) {
+    if (const int rc = open_census(command, flags, *out_dir, dir)) return rc;
+  } else {
+    // Built from a fresh copy, so the manifest holds exactly the flags
+    // the builders read.
+    const Flags recorded = flags.fresh();
+    dir.world = std::make_unique<CensusWorld>(recorded);
+    flags.adopt_queries(recorded);
+  }
+  const CensusWorld& world = *dir.world;
   const census::DataPlaneConfig plane = data_plane_from(flags, *out_dir);
   concurrency::ThreadPool pool = pool_from(flags);
   if (const int rc = reject_unknown(flags)) return rc;
 
-  if (resume) {
-    // A resume with nothing to resume is a mis-typed directory or census
-    // id, not a request for a fresh census — silently starting one would
-    // hide the mistake behind hours of probing.
-    const bool any_checkpoint = std::any_of(
-        vps.begin(), vps.end(), [&](const net::VantagePoint& vp) {
-          return fs::exists(
-              census::census_checkpoint_path(*out_dir, census_id, vp.id));
-        });
-    if (!any_checkpoint) {
+  if (!resume) {
+    // One directory holds one census: a manifest that records another is
+    // refused rather than mixed with this one's checkpoints.
+    const fs::path path = manifest_path(*out_dir);
+    const std::string text = census::encode_census_manifest(world.manifest);
+    if (const auto old = slurp_text(path.string()); old && *old != text) {
+      std::string why;
+      const auto recorded = census::decode_census_manifest(*old, &why);
+      if (recorded.has_value()) {
+        why = manifest_difference(*recorded, world.manifest);
+      }
       std::fprintf(stderr,
-                   "resume: no checkpoint for census %u in %s — nothing to "
-                   "resume (run `anycastd census` first)\n",
-                   census_id, out_dir->c_str());
+                   "census: %s records another census (%s); use another "
+                   "--out, or `anycastd resume --out %s`\n",
+                   path.c_str(), why.c_str(), out_dir->c_str());
+      return 2;
+    }
+    std::error_code ec;
+    fs::create_directories(*out_dir, ec);
+    if (const std::error_code write_ec = obs::write_file_atomic(path, text)) {
+      std::fprintf(stderr, "census: cannot write %s: %s\n", path.c_str(),
+                   write_ec.message().c_str());
       return 1;
     }
-  }
-  if (!resume) {
     // A fresh census owns its checkpoints: drop leftovers so stale
     // complete files from an earlier run cannot masquerade as this one's.
-    for (const net::VantagePoint& vp : vps) {
-      fs::remove(census::census_checkpoint_path(*out_dir, census_id, vp.id));
+    for (const net::VantagePoint& vp : world.vps) {
+      fs::remove(
+          census::census_checkpoint_path(*out_dir, world.census_id, vp.id));
     }
   }
   census::Greylist blacklist;
@@ -451,15 +583,16 @@ int cmd_census(const Flags& flags, bool resume) {
     const ProgressGuard progress =
         maybe_start_progress(pool, flags, "census");
     report = census::resume_census_sharded(
-        internet, vps, hitlist, blacklist, fastping, *out_dir, census_id,
-        plane, plan.has_value() ? &*plan : nullptr, &pool);
+        world.internet, world.vps, world.hitlist, blacklist, world.fastping,
+        *out_dir, world.census_id, plane,
+        world.plan.has_value() ? &*world.plan : nullptr, &pool);
   }
   const census::CensusSummary& summary = report.output.summary;
 
   std::printf(
       "census %u: %zu VPs x %zu targets -> %llu echo replies, %llu ICMP "
       "errors (%zu greylisted)\n",
-      census_id, vps.size(), hitlist.size(),
+      world.census_id, world.vps.size(), world.hitlist.size(),
       static_cast<unsigned long long>(summary.echo_replies),
       static_cast<unsigned long long>(summary.errors),
       summary.greylist_new);
@@ -681,34 +814,36 @@ int cmd_analyze(const Flags& flags) {
     std::fprintf(stderr, "analyze: --in DIR is required\n");
     return 2;
   }
-  // The same world/platform parameters must be supplied as at census time.
-  const net::SimulatedInternet internet(world_config_from(flags));
-  const auto vps = platform_from(flags);
-  const census::Hitlist hitlist =
-      census::Hitlist::from_world(internet).without_dead();
-
-  concurrency::ThreadPool pool = pool_from(flags);
-  CollatedDir collated;
-  if (const int rc = collate_dir("analyze", *in_dir, hitlist.size(),
-                                 vps.size(), data_plane_from(flags, *in_dir),
-                                 /*salvage=*/true, &pool, collated)) {
+  const auto geojson_path = flags.get("geojson");
+  const auto top = static_cast<std::size_t>(flags.get_int("top", 15, 0));
+  CensusDir opened;
+  if (const int rc = open_census("analyze", flags, *in_dir, opened)) {
     return rc;
   }
-  const census::ShardedCensusMatrix& data = collated.data;
+  const census::DataPlaneConfig plane = data_plane_from(flags, *in_dir);
+  concurrency::ThreadPool pool = pool_from(flags);
+  if (const int rc = reject_unknown(flags)) return rc;
+
+  if (const int rc = collate("analyze", *in_dir, plane, /*salvage=*/true,
+                             &pool, opened)) {
+    return rc;
+  }
+  const CensusWorld& world = *opened.world;
+  const census::ShardedCensusMatrix& data = opened.data;
   std::printf(
       "collated %zu files (%zu salvaged, %zu skipped), %zu responsive "
       "targets\n",
-      collated.files, collated.stats.files_salvaged,
-      collated.stats.files_skipped, data.responsive_targets(2));
+      opened.files.size(), opened.stats.files_salvaged,
+      opened.stats.files_skipped, data.responsive_targets(2));
 
-  const analysis::CensusAnalyzer analyzer(vps, geo::world_index());
+  const analysis::CensusAnalyzer analyzer(world.vps, geo::world_index());
   std::vector<analysis::TargetOutcome> outcomes;
   {
     const ProgressGuard progress =
         maybe_start_progress(pool, flags, "analyze");
-    outcomes = analyzer.analyze(data, hitlist, /*min_vps=*/2, &pool);
+    outcomes = analyzer.analyze(data, world.hitlist, /*min_vps=*/2, &pool);
   }
-  analysis::CensusReport report(internet, std::move(outcomes));
+  analysis::CensusReport report(world.internet, std::move(outcomes));
   const analysis::GlanceRow all = report.glance_all();
   std::printf(
       "anycast: %zu /24 in %zu ASes, %llu replicas, %zu cities, %zu "
@@ -716,7 +851,6 @@ int cmd_analyze(const Flags& flags) {
       all.ip24, all.ases, static_cast<unsigned long long>(all.replicas),
       all.cities, all.countries);
 
-  const auto top = static_cast<std::size_t>(flags.get_int("top", 15));
   std::printf("\n%-18s %-9s %14s %6s\n", "AS", "category", "replicas//24",
               "IP/24");
   for (std::size_t i = 0; i < top && i < report.ases().size(); ++i) {
@@ -729,7 +863,7 @@ int cmd_analyze(const Flags& flags) {
                 as_report.detected_ip24);
   }
 
-  if (const auto geojson_path = flags.get("geojson")) {
+  if (geojson_path.has_value()) {
     if (const std::error_code ec = obs::write_file_atomic(
             *geojson_path, analysis::census_geojson(report))) {
       std::fprintf(stderr, "analyze: failed writing GeoJSON to %s: %s\n",
@@ -738,40 +872,49 @@ int cmd_analyze(const Flags& flags) {
     }
     std::printf("\nwrote GeoJSON to %s\n", geojson_path->c_str());
   }
-  return reject_unknown(flags);
+  return 0;
 }
 
-/// Loads one checkpoint directory into a served snapshot: collate,
+/// Loads one opened census directory into a served snapshot: collate,
 /// analyze, freeze. Strict by default — a serving plane must not silently
 /// answer from a snapshot whose files failed their checksums; pass
 /// `allow_salvage` to serve the recovered prefix anyway. Returns 0, or
 /// the exit code after a diagnostic.
 int load_snapshot(const census::DataPlaneConfig& plane, const std::string& dir,
-                  std::uint64_t id, bool allow_salvage,
-                  std::span<const net::VantagePoint> vps,
-                  const census::Hitlist& hitlist,
+                  CensusDir& opened, std::uint64_t id, bool allow_salvage,
                   concurrency::ThreadPool* pool, serving::SnapshotView& out) {
-  CollatedDir collated;
-  if (const int rc = collate_dir("serve", dir, hitlist.size(), vps.size(),
-                                 plane, allow_salvage, pool, collated)) {
+  if (const int rc =
+          collate("serve", dir, plane, allow_salvage, pool, opened)) {
     return rc;
   }
-  const census::CollateStats& stats = collated.stats;
+  const census::CollateStats& stats = opened.stats;
   if (!allow_salvage && (stats.files_salvaged > 0 || stats.files_skipped > 0)) {
     std::fprintf(stderr,
                  "serve: refusing snapshot %s: %zu of %zu files failed "
                  "checksum validation (--allow-salvage serves the "
                  "recoverable prefix)\n",
                  dir.c_str(), stats.files_salvaged + stats.files_skipped,
-                 collated.files);
+                 opened.files.size());
     return 1;
   }
-  const analysis::CensusAnalyzer analyzer(vps, geo::world_index());
+  const CensusWorld& world = *opened.world;
+  const analysis::CensusAnalyzer analyzer(world.vps, geo::world_index());
   std::vector<analysis::TargetOutcome> outcomes =
-      analyzer.analyze(collated.data, hitlist, /*min_vps=*/2, pool);
-  out = serving::SnapshotView::build(std::move(collated.data),
-                                     std::move(outcomes), id, &hitlist);
+      analyzer.analyze(opened.data, world.hitlist, /*min_vps=*/2, pool);
+  out = serving::SnapshotView::build(std::move(opened.data),
+                                     std::move(outcomes), id, &world.hitlist);
   return 0;
+}
+
+/// Whether two manifests describe one world: the same world and platform
+/// flags, and the same hitlist.
+bool same_world(const census::CensusManifest& a,
+                const census::CensusManifest& b) {
+  for (const char* key : {"seed", "unicast", "vps", "hitlist-size",
+                          "hitlist-crc"}) {
+    if (a.at(key) != b.at(key)) return false;
+  }
+  return true;
 }
 
 int cmd_serve(const Flags& flags) {
@@ -802,25 +945,36 @@ int cmd_serve(const Flags& flags) {
     query_text = std::move(buffer).str();
   }
 
-  // Same world/platform parameters as at census time (as `analyze`).
-  const net::SimulatedInternet internet(world_config_from(flags));
-  const auto vps = platform_from(flags);
-  const census::Hitlist hitlist =
-      census::Hitlist::from_world(internet).without_dead();
+  CensusDir opened;
+  if (const int rc = open_census("serve", flags, *in_dir, opened)) return rc;
+  CensusDir baseline;
+  if (against.has_value()) {
+    if (const int rc = open_census("serve", flags, *against, baseline)) {
+      return rc;
+    }
+    if (!same_world(opened.world->manifest, baseline.world->manifest)) {
+      std::fprintf(stderr,
+                   "serve: refusing --against %s: %s and %s record different "
+                   "worlds\n",
+                   against->c_str(), manifest_path(*in_dir).c_str(),
+                   manifest_path(*against).c_str());
+      return 2;
+    }
+  }
   const census::DataPlaneConfig plane = data_plane_from(flags, *in_dir);
   if (const int rc = reject_unknown(flags)) return rc;
 
   serving::SnapshotView current;
-  if (const int rc = load_snapshot(plane, *in_dir, /*id=*/1, allow_salvage,
-                                   vps, hitlist, &pool, current)) {
+  if (const int rc = load_snapshot(plane, *in_dir, opened, /*id=*/1,
+                                   allow_salvage, &pool, current)) {
     return rc;
   }
   std::optional<serving::SnapshotView> previous;
   if (against.has_value()) {
     previous.emplace();
     if (const int rc = load_snapshot(data_plane_from(flags, *against),
-                                     *against, /*id=*/0, allow_salvage, vps,
-                                     hitlist, &pool, *previous)) {
+                                     *against, baseline, /*id=*/0,
+                                     allow_salvage, &pool, *previous)) {
       return rc;
     }
   }
@@ -1016,7 +1170,7 @@ int cmd_top(const Flags& flags) {
 
 int cmd_portscan(const Flags& flags) {
   const net::SimulatedInternet internet(world_config_from(flags));
-  const auto top = static_cast<std::size_t>(flags.get_int("top", 100));
+  const auto top = static_cast<std::size_t>(flags.get_int("top", 100, 0));
   (void)flags.get_int("threads", 0);  // accepted everywhere, unused here
   if (const int rc = reject_unknown(flags)) return rc;
   const portscan::PortScanner scanner(internet);
@@ -1132,26 +1286,17 @@ int cmd_report(const Flags& flags) {
     return 2;
   }
 
-  // Re-analyze the checkpoint directory, as `analyze` would.
-  const net::SimulatedInternet internet(world_config_from(flags));
-  const auto vps = platform_from(flags);
-  const census::Hitlist hitlist =
-      census::Hitlist::from_world(internet).without_dead();
-  concurrency::ThreadPool pool = pool_from(flags);
-  CollatedDir collated;
-  if (const int rc = collate_dir("report", *in_dir, hitlist.size(),
-                                 vps.size(), census::DataPlaneConfig{},
-                                 /*salvage=*/true, &pool, collated)) {
+  const auto journal_path = flags.get("journal");
+  const auto top = static_cast<std::size_t>(flags.get_int("top", 10, 0));
+  CensusDir opened;
+  if (const int rc = open_census("report", flags, *in_dir, opened)) {
     return rc;
   }
-  const analysis::CensusAnalyzer analyzer(vps, geo::world_index());
-  const analysis::CensusReport census_report(
-      internet,
-      analyzer.analyze(collated.data, hitlist, /*min_vps=*/2, &pool));
+  concurrency::ThreadPool pool = pool_from(flags);
+  if (const int rc = reject_unknown(flags)) return rc;
 
   analysis::JournalSummary journal_summary;
-  bool have_journal = false;
-  if (const auto journal_path = flags.get("journal")) {
+  if (journal_path.has_value()) {
     const auto text = slurp_text(*journal_path);
     if (!text.has_value()) {
       std::fprintf(stderr, "report: cannot read journal %s\n",
@@ -1160,14 +1305,22 @@ int cmd_report(const Flags& flags) {
     }
     journal_summary =
         analysis::summarize_journal(obs::journal_consistent_prefix(*text));
-    have_journal = true;
   }
-  const auto top = static_cast<std::size_t>(flags.get_int("top", 10));
-  if (const int rc = reject_unknown(flags)) return rc;
+
+  // Re-analyze the checkpoint directory, as `analyze` would.
+  if (const int rc = collate("report", *in_dir, census::DataPlaneConfig{},
+                             /*salvage=*/true, &pool, opened)) {
+    return rc;
+  }
+  const CensusWorld& world = *opened.world;
+  const analysis::CensusAnalyzer analyzer(world.vps, geo::world_index());
+  const analysis::CensusReport census_report(
+      world.internet, analyzer.analyze(opened.data, world.hitlist,
+                                       /*min_vps=*/2, &pool));
 
   analysis::RunReportInputs inputs;
   inputs.census = &census_report;
-  inputs.journal = have_journal ? &journal_summary : nullptr;
+  inputs.journal = journal_path.has_value() ? &journal_summary : nullptr;
   inputs.registry = &obs::metrics();
   inputs.top_ases = top;
   const std::string body = format == "json"

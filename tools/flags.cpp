@@ -1,8 +1,9 @@
 #include "flags.hpp"
 
 #include <algorithm>
+#include <charconv>
+#include <cmath>
 #include <cstdio>
-#include <cstdlib>
 
 namespace anycast::tools {
 
@@ -31,10 +32,16 @@ std::optional<Flags> Flags::parse(int argc, char** argv, int first) {
   return flags;
 }
 
+Flags Flags::of(std::map<std::string, std::string> values) {
+  Flags flags;
+  flags.values_ = std::move(values);
+  return flags;
+}
+
 std::optional<std::string> Flags::get(const std::string& name) const {
-  queried_[name] = true;
   const auto it = values_.find(name);
   if (it == values_.end()) return std::nullopt;
+  queried_[name] = it->second;
   return it->second;
 }
 
@@ -44,23 +51,64 @@ std::string Flags::get_or(const std::string& name,
   return value.has_value() ? *value : std::move(fallback);
 }
 
-std::int64_t Flags::get_int(const std::string& name,
-                            std::int64_t fallback) const {
+void Flags::refuse(const std::string& name, const std::string& value) const {
+  if (bad_.empty()) bad_ = "--" + name + " " + value;
+}
+
+namespace {
+
+/// Parses the whole of `text` into `out`; false on anything left over.
+template <typename T>
+bool parse_whole(const std::string& text, T& out) {
+  const char* end = text.data() + text.size();
+  const auto [at, ec] = std::from_chars(text.data(), end, out);
+  return ec == std::errc() && at == end;
+}
+
+}  // namespace
+
+std::int64_t Flags::get_int(const std::string& name, std::int64_t fallback,
+                            std::int64_t min, std::int64_t max) const {
+  std::int64_t parsed = fallback;
   const auto value = get(name);
-  if (!value.has_value()) return fallback;
-  return std::strtoll(value->c_str(), nullptr, 10);
+  if (value && !(parse_whole(*value, parsed) && parsed >= min &&
+                 parsed <= max)) {
+    refuse(name, *value);
+    parsed = fallback;
+  }
+  queried_[name] = std::to_string(parsed);
+  return parsed;
 }
 
 double Flags::get_double(const std::string& name, double fallback) const {
+  double parsed = fallback;
   const auto value = get(name);
-  if (!value.has_value()) return fallback;
-  return std::strtod(value->c_str(), nullptr);
+  if (value && !(parse_whole(*value, parsed) && std::isfinite(parsed))) {
+    refuse(name, *value);
+    parsed = fallback;
+  }
+  char text[32];
+  queried_[name].assign(text,
+                        std::to_chars(text, text + sizeof text, parsed).ptr);
+  return parsed;
 }
 
 bool Flags::get_bool(const std::string& name, bool fallback) const {
-  const auto value = get(name);
-  if (!value.has_value()) return fallback;
-  return !(*value == "false" || *value == "0" || *value == "no");
+  bool parsed = fallback;
+  if (const auto value = get(name)) {
+    parsed = *value == "true" || *value == "1" || *value == "yes";
+    if (!parsed && *value != "false" && *value != "0" && *value != "no") {
+      refuse(name, *value);
+      parsed = fallback;
+    }
+  }
+  queried_[name] = parsed ? "true" : "false";
+  return parsed;
+}
+
+void Flags::adopt_queries(const Flags& copy) const {
+  queried_.insert(copy.queried_.begin(), copy.queried_.end());
+  if (bad_.empty()) bad_ = copy.bad_;
 }
 
 void print_flag_help(std::FILE* out, std::span<const FlagHelp> flags) {

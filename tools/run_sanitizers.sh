@@ -10,7 +10,10 @@
 # tests/oracle code), the incremental-analysis tests (daemon_test: derived
 # rounds read the combine_min change record), the crash-point tests
 # (every *DurableWrite* test: the census, watch and spill runs killed at
-# each durable write), and runs them under that sanitizer. Run it from
+# each durable write), the flag parser (flags_test: strict numeric values
+# and the effective values a census manifest records), and the
+# file-format mutation loops (census manifests and .anc checkpoints,
+# in storage_test), and runs them under that sanitizer. Run it from
 # anywhere; build trees live in <repo>/build-<sanitizer> (gitignored).
 #
 #   tools/run_sanitizers.sh                 # thread, address, undefined
@@ -48,7 +51,8 @@ run_gate() {
   cmake --build "$build" -j "$(nproc)" \
     --target concurrency_test census_test fault_test integration_test \
              obs_test flight_recorder_test headline_test serving_test \
-             telemetry_test kernel_test storage_test sharded_test daemon_test
+             telemetry_test kernel_test storage_test sharded_test daemon_test \
+             flags_test
 
   # halt_on_error: a single finding fails the gate instead of scrolling
   # past. UBSAN reports are non-fatal by default, so ask for aborts too.
@@ -69,7 +73,7 @@ run_gate() {
     "${prefix[@]}" ctest --test-dir "$build" --output-on-failure "$@"
   else
     "${prefix[@]}" ctest --test-dir "$build" --output-on-failure \
-      -R 'ThreadPool|ShardRanges|Parallel|Census|Resume|Fault|Metrics|Trace|Headline|Journal|Progress|Serving|Telemetry|LatencyHisto|TimeSeries|Slo|Kernel|Storage|Sharded|IncrementalAnalysis|ChangeRecord|DurableWrite'
+      -R 'ThreadPool|ShardRanges|Parallel|Census|Resume|Fault|Metrics|Trace|Headline|Journal|Progress|Serving|Telemetry|LatencyHisto|TimeSeries|Slo|Kernel|Storage|Sharded|IncrementalAnalysis|ChangeRecord|DurableWrite|Flags|CensusManifest|FileFormatMutation'
   fi
   echo "$sanitizer sanitizer gate passed."
 }
