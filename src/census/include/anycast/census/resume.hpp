@@ -33,6 +33,16 @@ std::filesystem::path census_checkpoint_path(const std::filesystem::path& dir,
                                              std::uint32_t census_id,
                                              std::uint32_t vp_id);
 
+/// The existing `census_checkpoint_path(dir, census_id, vp.id)` of each
+/// VP in `vps` but not in `skip`, in platform order; nullopt, with
+/// `*error` naming the file, when one's header names another VP or
+/// census. A file whose header does not read is listed, for collation to
+/// salvage or skip.
+std::optional<std::vector<std::filesystem::path>> list_census_checkpoints(
+    const std::filesystem::path& dir, std::uint32_t census_id,
+    std::span<const net::VantagePoint> vps,
+    std::span<const std::uint32_t> skip, std::string* error);
+
 /// One VP's checkpointed walk: `run_fastping` over the `resolved` hitlist
 /// (under `faults`, when given; timed into `census_walk_us`),
 /// then the walk's checkpoint written to

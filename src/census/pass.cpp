@@ -5,6 +5,7 @@
 // file — and adds the resume accounting; everything else is shared.
 #include "anycast/census/resume.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <string>
 #include <utility>
@@ -260,6 +261,30 @@ std::filesystem::path census_checkpoint_path(const std::filesystem::path& dir,
                                              std::uint32_t vp_id) {
   return dir / ("census" + std::to_string(census_id) + "_vp" +
                 std::to_string(vp_id) + ".anc");
+}
+
+std::optional<std::vector<std::filesystem::path>> list_census_checkpoints(
+    const std::filesystem::path& dir, std::uint32_t census_id,
+    std::span<const net::VantagePoint> vps,
+    std::span<const std::uint32_t> skip, std::string* error) {
+  std::vector<std::filesystem::path> files;
+  for (const net::VantagePoint& vp : vps) {
+    std::filesystem::path file = census_checkpoint_path(dir, census_id, vp.id);
+    std::error_code ec;
+    if (std::find(skip.begin(), skip.end(), vp.id) != skip.end() ||
+        !std::filesystem::exists(file, ec)) {
+      continue;
+    }
+    const auto header = read_census_file_header(file);
+    if (header && (header->vp_id != vp.id || header->census_id != census_id)) {
+      *error = file.string() + ": it holds VP " +
+               std::to_string(header->vp_id) + " of census " +
+               std::to_string(header->census_id);
+      return std::nullopt;
+    }
+    files.push_back(std::move(file));
+  }
+  return files;
 }
 
 FastPingResult checkpointed_walk(

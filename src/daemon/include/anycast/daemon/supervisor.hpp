@@ -49,6 +49,8 @@ struct RoundVerdict {
   std::size_t active = 0;       // VPs up for the round (availability coin)
   std::size_t configured = 0;   // platform size
   int escalation = 0;           // level the round was probed at
+
+  bool operator==(const RoundVerdict&) const = default;
 };
 
 class Supervisor {

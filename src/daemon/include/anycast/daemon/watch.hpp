@@ -22,10 +22,8 @@
 //     bit-identical rows, so every dirty row is signal (chaos, churn, or
 //     an escalation-induced retry change), not per-round noise.
 //   - Progress is persisted to `watch.state` (obs::write_file_atomic:
-//     tmp + fsync + rename + directory fsync) after each round: verdict
-//     history (replayed to restore the escalation ladder), per-round
-//     quarantined VPs (so baseline matrices can be re-collated from
-//     checkpoints without re-probing), and the accumulated blacklist.
+//     tmp + fsync + rename + directory fsync) after each round, in the
+//     census manifest's checksummed key=value codec (WatchState).
 #pragma once
 
 #include <cstdint>
@@ -34,6 +32,8 @@
 #include <optional>
 #include <span>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "anycast/analysis/diff.hpp"
@@ -107,6 +107,29 @@ struct WatchConfig {
   serving::SnapshotStore* serve_store = nullptr;
 };
 
+/// What `watch.state` holds between rounds: the committed rounds'
+/// verdicts (replayed to restore the escalation ladder), each round's
+/// quarantined VPs (so its matrix can be re-collated from checkpoints
+/// without re-probing), and the accumulated blacklist.
+struct WatchState {
+  std::vector<RoundVerdict> verdicts;                   // round r at [r - 1]
+  std::vector<std::vector<std::uint32_t>> quarantined;  // round r at [r - 1]
+  std::vector<std::pair<std::uint32_t, net::ReplyKind>> blacklist;
+
+  bool operator==(const WatchState&) const = default;
+};
+
+/// `watch.state`'s text, in the census manifest codec: `rounds`,
+/// `verdict<r>` (health, coverage permille, completed, active, configured,
+/// escalation), `quarantined<r>` (VP ids) and `blacklist` (/24 and reply
+/// kind pairs), values separated by spaces.
+std::string encode_watch_state(const WatchState& state);
+
+/// The strict inverse: nullopt, with `*error` set, for a text the codec
+/// refuses, a missing or extra key, or a value out of range or not whole.
+std::optional<WatchState> decode_watch_state(std::string_view text,
+                                             std::string* error);
+
 /// Exit code the CLI maps a watchdog abort to (BSD EX_SOFTWARE).
 inline constexpr int kAbortedExitCode = 70;
 
@@ -143,15 +166,13 @@ class WatchDaemon {
   WatchResult run(concurrency::ThreadPool* pool = nullptr);
 
  private:
-  struct PersistedState;
-
   [[nodiscard]] std::optional<net::FaultPlan> plan_for_round(int round) const;
   void apply_churn(int round);
-  [[nodiscard]] census::ShardedCensusMatrix collate_round(
-      int round, std::span<const std::uint32_t> quarantined,
-      concurrency::ThreadPool* pool) const;
+  [[nodiscard]] std::shared_ptr<const census::ShardedCensusMatrix>
+  collate_round(int round, concurrency::ThreadPool* pool,
+                std::string* error) const;
   bool save_state(std::string* error) const;
-  bool load_state(PersistedState* state, std::string* error) const;
+  bool load_state(WatchState* state, std::string* error) const;
   void prune_checkpoints() const;
 
   net::SimulatedInternet& internet_;

@@ -1,10 +1,13 @@
 #include "anycast/daemon/watch.hpp"
 
 #include <algorithm>
+#include <array>
+#include <charconv>
 #include <chrono>
-#include <cinttypes>
-#include <cstdio>
-#include <cstring>
+#include <climits>
+#include <fstream>
+#include <iterator>
+#include <map>
 #include <string>
 
 #include "anycast/analysis/incremental.hpp"
@@ -21,7 +24,6 @@
 namespace anycast::daemon {
 namespace {
 
-constexpr std::string_view kStateMagic = "anycastd-watch v1";
 constexpr std::uint64_t kRoundSeedTag = 0xFA;
 
 std::filesystem::path state_path(const std::filesystem::path& dir) {
@@ -32,14 +34,112 @@ int coverage_permille(double coverage) {
   return static_cast<int>(coverage * 1000.0 + 0.5);
 }
 
+/// `values`, separated by single spaces.
+template <typename Values>
+std::string join(const Values& values) {
+  std::string out;
+  for (const auto value : values) {
+    out += (out.empty() ? "" : " ") + std::to_string(value);
+  }
+  return out;
+}
+
+/// The space-separated unsigned integers of `text`, each parsed whole
+/// with std::from_chars and at most `max`; nullopt on anything else.
+std::optional<std::vector<std::uint64_t>> parse_numbers(
+    std::optional<std::string_view> text, std::uint64_t max) {
+  if (!text.has_value()) return std::nullopt;
+  std::vector<std::uint64_t> out;
+  for (const char *at = text->data(), *end = at + text->size(); at != end;) {
+    if (!out.empty() && *at++ != ' ') return std::nullopt;
+    std::uint64_t value = 0;
+    const auto [next, ec] = std::from_chars(at, end, value);
+    if (ec != std::errc() || value > max) return std::nullopt;
+    out.push_back(value);
+    at = next;
+  }
+  return out;
+}
+
 }  // namespace
 
-struct WatchDaemon::PersistedState {
-  int rounds_completed = 0;
-  std::vector<RoundVerdict> verdicts;
-  std::vector<std::vector<std::uint32_t>> quarantined;  // [round - 1]
-  std::vector<std::pair<std::uint32_t, int>> blacklist;
-};
+std::string encode_watch_state(const WatchState& state) {
+  census::CensusManifest fields{{"rounds",
+                                 std::to_string(state.verdicts.size())}};
+  for (const RoundVerdict& v : state.verdicts) {
+    const std::string round = std::to_string(v.round);
+    fields["verdict" + round] =
+        std::string(to_string(v.health)) + ' ' +
+        join(std::array<std::uint64_t, 5>{
+            static_cast<std::uint64_t>(coverage_permille(v.coverage)),
+            v.completed, v.active, v.configured,
+            static_cast<std::uint64_t>(v.escalation)});
+    fields["quarantined" + round] = join(state.quarantined.at(v.round - 1));
+  }
+  std::vector<std::uint32_t> blacklist;
+  for (const auto& [slash24, kind] : state.blacklist) {
+    blacklist.insert(blacklist.end(),
+                     {slash24, static_cast<std::uint32_t>(kind)});
+  }
+  fields["blacklist"] = join(blacklist);
+  return census::encode_census_manifest(fields);
+}
+
+std::optional<WatchState> decode_watch_state(std::string_view text,
+                                             std::string* error) {
+  const auto fields = census::decode_census_manifest(text, error);
+  if (!fields.has_value()) return std::nullopt;
+  const auto value =
+      [&](const std::string& key) -> std::optional<std::string_view> {
+    const auto it = fields->find(key);
+    if (it == fields->end()) return std::nullopt;
+    return it->second;
+  };
+  const auto fail = [&](const std::string& what) {
+    *error = "missing or bad " + what;
+    return std::nullopt;
+  };
+  const auto rounds = parse_numbers(value("rounds"), INT_MAX);
+  if (!rounds.has_value() || rounds->size() != 1 ||
+      fields->size() != 2 + 2 * rounds->front()) {
+    return fail("rounds");
+  }
+  WatchState state;
+  for (int round = 1; round <= static_cast<int>(rounds->front()); ++round) {
+    const std::string r = std::to_string(round);
+    const std::string_view verdict = value("verdict" + r).value_or("");
+    const std::string_view health = verdict.substr(0, verdict.find(' '));
+    const auto counts = parse_numbers(
+        verdict.substr(std::min(verdict.size(), health.size() + 1)), INT_MAX);
+    const auto quarantined = parse_numbers(value("quarantined" + r), UINT32_MAX);
+    if ((health != "healthy" && health != "degraded") || !counts ||
+        counts->size() != 5 || (*counts)[0] > 1000 ||
+        (*counts)[1] > (*counts)[2] || (*counts)[2] > (*counts)[3] ||
+        !quarantined) {
+      return fail("round " + r);
+    }
+    state.verdicts.push_back(
+        {.round = round,
+         .health = health == "healthy" ? RoundHealth::kHealthy
+                                       : RoundHealth::kDegraded,
+         .coverage = static_cast<double>((*counts)[0]) / 1000.0,
+         .completed = (*counts)[1],
+         .active = (*counts)[2],
+         .configured = (*counts)[3],
+         .escalation = static_cast<int>((*counts)[4])});
+    state.quarantined.emplace_back(quarantined->begin(), quarantined->end());
+  }
+  const auto blacklist = parse_numbers(value("blacklist"), UINT32_MAX);
+  for (std::size_t i = 0; blacklist && i + 1 < blacklist->size(); i += 2) {
+    // Clamped into int first: ReplyKind's underlying type.
+    const auto kind = static_cast<net::ReplyKind>(
+        std::min<std::uint64_t>((*blacklist)[i + 1], INT_MAX));
+    if (!net::is_prohibited(kind)) return fail("blacklist");
+    state.blacklist.emplace_back((*blacklist)[i], kind);
+  }
+  if (!blacklist || blacklist->size() % 2 != 0) return fail("blacklist");
+  return state;
+}
 
 WatchDaemon::WatchDaemon(net::SimulatedInternet& internet,
                          std::span<const net::VantagePoint> vps,
@@ -124,134 +224,53 @@ void WatchDaemon::apply_churn(int round) {
   }
 }
 
-census::ShardedCensusMatrix WatchDaemon::collate_round(
-    int round, std::span<const std::uint32_t> quarantined,
-    concurrency::ThreadPool* pool) const {
+std::shared_ptr<const census::ShardedCensusMatrix> WatchDaemon::collate_round(
+    int round, concurrency::ThreadPool* pool, std::string* error) const {
   // A committed round's matrix is exactly the collation of its checkpoint
   // files minus the quarantined VPs' — the same reduction
   // resume_census_sharded performed when the round ran, so no re-probing
   // (and no fault-plan or blacklist-history replay) is needed to
   // reconstruct it.
-  std::vector<std::filesystem::path> paths;
-  paths.reserve(vps_.size());
-  for (const net::VantagePoint& vp : vps_) {
-    if (std::find(quarantined.begin(), quarantined.end(), vp.id) !=
-        quarantined.end()) {
-      continue;
-    }
-    auto path = census::census_checkpoint_path(
-        config_.out_dir, static_cast<std::uint32_t>(round), vp.id);
-    std::error_code ec;
-    if (std::filesystem::exists(path, ec)) paths.push_back(std::move(path));
+  const auto paths = census::list_census_checkpoints(
+      config_.out_dir, static_cast<std::uint32_t>(round), vps_,
+      quarantined_[static_cast<std::size_t>(round) - 1], error);
+  if (!paths.has_value()) {
+    *error = "refusing " + *error;
+    return nullptr;
   }
   census::CollateStats stats;
-  return census::collate_census_files_sharded(paths, hitlist_.size(),
-                                              config_.data_plane, &stats,
-                                              /*salvage=*/true, pool);
+  return std::make_shared<const census::ShardedCensusMatrix>(
+      census::collate_census_files_sharded(*paths, hitlist_.size(),
+                                           config_.data_plane, &stats,
+                                           /*salvage=*/true, pool));
 }
 
 bool WatchDaemon::save_state(std::string* error) const {
   // Rendered whole, then written durably (obs::write_file_atomic): a crash
   // leaves the previous state or this one, never a torn file load_state
   // rejects.
-  const auto field = [](auto value) { return " " + std::to_string(value); };
-  std::string body = std::string(kStateMagic) + "\n";
-  body += "rounds_completed" + field(verdicts_.size()) + "\n";
-  for (const RoundVerdict& v : verdicts_) {
-    body += "verdict" + field(v.round) + " " +
-            std::string(to_string(v.health)) +
-            field(coverage_permille(v.coverage)) + field(v.completed) +
-            field(v.active) + field(v.configured) + field(v.escalation) +
-            "\n";
-  }
-  for (std::size_t i = 0; i < quarantined_.size(); ++i) {
-    for (const std::uint32_t vp : quarantined_[i]) {
-      body += "quarantined" + field(i + 1) + field(vp) + "\n";
-    }
-  }
-  for (const auto& [slash24, kind] : blacklist_.entries()) {
-    body += "blacklist" + field(slash24) + field(static_cast<int>(kind)) +
-            "\n";
-  }
-  body += "end\n";
   const auto path = state_path(config_.out_dir);
-  if (const std::error_code ec = obs::write_file_atomic(path, body)) {
+  if (const std::error_code ec = obs::write_file_atomic(
+          path, encode_watch_state(
+                    {verdicts_, quarantined_, blacklist_.entries()}))) {
     *error = "cannot write " + path.string() + ": " + ec.message();
     return false;
   }
   return true;
 }
 
-bool WatchDaemon::load_state(PersistedState* state,
-                             std::string* error) const {
+bool WatchDaemon::load_state(WatchState* state, std::string* error) const {
   const auto path = state_path(config_.out_dir);
-  std::FILE* f = std::fopen(path.string().c_str(), "rb");
-  if (f == nullptr) return true;  // fresh campaign
-  char line[256];
-  bool saw_magic = false, saw_end = false;
-  while (std::fgets(line, sizeof line, f) != nullptr) {
-    const std::size_t len = std::strlen(line);
-    if (len > 0 && line[len - 1] == '\n') line[len - 1] = '\0';
-    if (!saw_magic) {
-      if (kStateMagic != line) {
-        *error = path.string() + ": not a watch state file";
-        std::fclose(f);
-        return false;
-      }
-      saw_magic = true;
-      continue;
-    }
-    int round = 0, permille = 0, escalation = 0, kind = 0;
-    std::size_t completed = 0, active = 0, configured = 0, qround = 0;
-    std::uint32_t vp = 0, slash24 = 0;
-    char health[16] = {};
-    if (std::sscanf(line, "rounds_completed %d", &round) == 1) {
-      state->rounds_completed = round;
-    } else if (std::sscanf(line, "verdict %d %15s %d %zu %zu %zu %d", &round,
-                           health, &permille, &completed, &active,
-                           &configured, &escalation) == 7) {
-      RoundVerdict v;
-      v.round = round;
-      v.health = std::string_view(health) == "degraded"
-                     ? RoundHealth::kDegraded
-                     : RoundHealth::kHealthy;
-      v.coverage = static_cast<double>(permille) / 1000.0;
-      v.completed = completed;
-      v.active = active;
-      v.configured = configured;
-      v.escalation = escalation;
-      state->verdicts.push_back(v);
-      state->quarantined.resize(state->verdicts.size());
-    } else if (std::sscanf(line, "quarantined %zu %" SCNu32, &qround, &vp) ==
-               2) {
-      if (qround == 0 || qround > state->quarantined.size()) {
-        *error = path.string() + ": quarantine entry for unknown round";
-        std::fclose(f);
-        return false;
-      }
-      state->quarantined[qround - 1].push_back(vp);
-    } else if (std::sscanf(line, "blacklist %" SCNu32 " %d", &slash24,
-                           &kind) == 2) {
-      state->blacklist.emplace_back(slash24, kind);
-    } else if (std::string_view(line) == "end") {
-      saw_end = true;
-      break;
-    } else {
-      *error = path.string() + ": unrecognised line: " + line;
-      std::fclose(f);
-      return false;
-    }
-  }
-  std::fclose(f);
-  if (!saw_end) {
-    *error = path.string() + ": truncated (missing end marker)";
+  std::ifstream in(path, std::ios::binary);
+  if (!in.is_open()) return true;  // fresh campaign
+  std::string why;
+  auto decoded = decode_watch_state(
+      std::string(std::istreambuf_iterator<char>(in), {}), &why);
+  if (!decoded.has_value()) {
+    *error = path.string() + ": " + why;
     return false;
   }
-  if (state->rounds_completed !=
-      static_cast<int>(state->verdicts.size())) {
-    *error = path.string() + ": verdict count disagrees with rounds_completed";
-    return false;
-  }
+  *state = std::move(*decoded);
   return true;
 }
 
@@ -276,7 +295,7 @@ WatchResult WatchDaemon::run(concurrency::ThreadPool* pool) {
   std::error_code ec;
   std::filesystem::create_directories(config_.out_dir, ec);
 
-  PersistedState state;
+  WatchState state;
   if (!load_state(&state, &result.error)) {
     result.exit_code = 1;
     return result;
@@ -285,10 +304,10 @@ WatchResult WatchDaemon::run(concurrency::ThreadPool* pool) {
   // Adopt the persisted campaign: blacklist, escalation ladder (verdict
   // replay), and the longitudinal anchors (previous round, drift
   // baseline, hijack reference) re-collated from kept checkpoints.
-  verdicts_ = state.verdicts;
-  quarantined_ = state.quarantined;
+  verdicts_ = std::move(state.verdicts);
+  quarantined_ = std::move(state.quarantined);
   for (const auto& [slash24, kind] : state.blacklist) {
-    blacklist_.add(slash24, static_cast<net::ReplyKind>(kind));
+    blacklist_.add(slash24, kind);
   }
   for (const RoundVerdict& v : verdicts_) {
     supervisor_.observe(v);
@@ -297,45 +316,41 @@ WatchResult WatchDaemon::run(concurrency::ThreadPool* pool) {
       baseline_round_ = v.round;
     }
   }
-  prev_round_ = state.rounds_completed;
+  // Each anchor round is re-collated once, however many roles it plays.
+  prev_round_ = static_cast<int>(verdicts_.size());
+  std::map<int, std::shared_ptr<const census::ShardedCensusMatrix>> kept;
+  for (const int round : {prev_round_, baseline_round_, reference_round_}) {
+    if (round == 0 || kept.contains(round)) continue;
+    kept[round] = collate_round(round, pool, &result.error);
+    if (kept[round] == nullptr) {
+      result.exit_code = 1;
+      return result;
+    }
+  }
   if (prev_round_ > 0) {
-    prev_matrix_ = std::make_shared<const census::ShardedCensusMatrix>(
-        collate_round(prev_round_, quarantined_[prev_round_ - 1], pool));
+    prev_matrix_ = kept[prev_round_];
     prev_outcomes_ =
         analyzer_.analyze(*prev_matrix_, hitlist_, config_.min_vps, pool);
   }
   if (baseline_round_ > 0) {
-    if (baseline_round_ == prev_round_) {
-      baseline_matrix_ = prev_matrix_;
-      baseline_snapshot_ = analysis::CensusSnapshot(prev_outcomes_);
-    } else {
-      baseline_matrix_ = std::make_shared<const census::ShardedCensusMatrix>(
-          collate_round(baseline_round_, quarantined_[baseline_round_ - 1],
-                        pool));
-      const auto outcomes = analyzer_.analyze(*baseline_matrix_, hitlist_,
-                                              config_.min_vps, pool);
-      baseline_snapshot_ = analysis::CensusSnapshot(outcomes);
-    }
+    baseline_matrix_ = kept[baseline_round_];
+    baseline_snapshot_ = analysis::CensusSnapshot(
+        baseline_round_ == prev_round_
+            ? prev_outcomes_
+            : analyzer_.analyze(*baseline_matrix_, hitlist_, config_.min_vps,
+                                pool));
   }
   if (reference_round_ > 0) {
-    if (reference_round_ == prev_round_) {
-      monitor_.set_reference(*prev_matrix_, hitlist_, config_.min_vps);
-    } else if (reference_round_ == baseline_round_) {
-      monitor_.set_reference(*baseline_matrix_, hitlist_, config_.min_vps);
-    } else {
-      const auto reference = collate_round(
-          reference_round_, quarantined_[reference_round_ - 1], pool);
-      monitor_.set_reference(reference, hitlist_, config_.min_vps);
-    }
+    monitor_.set_reference(*kept[reference_round_], hitlist_, config_.min_vps);
   }
-  result.rounds_completed = state.rounds_completed;
+  result.rounds_completed = prev_round_;
 
   obs::Journal& j = obs::journal();
   // Install (or clear) the campaign's SLO objectives. Burn windows are
   // process-local: a resumed campaign restarts them, exactly like the
   // escalation ladder replay restores supervisor state but not wall time.
   obs::telemetry().set_slo(config_.slo);
-  for (int round = state.rounds_completed + 1; round <= config_.rounds;
+  for (int round = prev_round_ + 1; round <= config_.rounds;
        ++round) {
     const auto round_start = std::chrono::steady_clock::now();
     const census::FastPingConfig cfg = supervisor_.tuned(config_.fastping);

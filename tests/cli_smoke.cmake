@@ -231,9 +231,13 @@ expect_exit2("census into another census's directory"
              --census-id 2)
 
 # Numeric flags must parse whole and in range: each bad value exits 2 and
-# is named, before any probing (no directory appears).
+# is named, before any probing (no directory appears). --threads is
+# bounded to 1024 lanes; `world` starts no pool, so it is checked first
+# and an unbounded --threads fails here without starting a thread.
+expect_exit2("world --threads 100000" "bad flag value: --threads 100000"
+             world --unicast 300 --threads 100000)
 foreach(bad "--vps;-3" "--vps;abc" "--vps;12x" "--vps;0" "--rate;nan"
-        "--availability;nan" "--unicast;-1")
+        "--availability;nan" "--unicast;-1" "--threads;100000")
   string(REPLACE ";" " " bad_text "${bad}")
   expect_exit2("census ${bad_text}" "bad flag value: ${bad_text}"
                census --out ${WORK_DIR}/c_badflag ${bad})
@@ -599,14 +603,60 @@ if(NOT out MATCHES "zero drift: [0-9]+ semantic events identical")
   message(FATAL_ERROR "watch drift diff output malformed: ${out}")
 endif()
 
-# A watch directory has no census manifest: analyze refuses it rather
-# than collating all its rounds as one census.
+# A watch directory's manifest records a campaign: analyze refuses it
+# rather than collating all its rounds as one census, and watch refuses
+# a census directory.
 expect_exit2("analyze of a watch directory"
-             "refusing ${WORK_DIR}/w2/census.manifest: cannot read it"
+             "refusing ${WORK_DIR}/w2/census.manifest: it records a watch campaign"
              analyze --in ${WORK_DIR}/w2)
+expect_exit2("watch of a census directory"
+             "refusing ${WORK_DIR}/c1/census.manifest: it records a census"
+             watch --out ${WORK_DIR}/c1)
+
+# Watch count flags parse whole and in range: each bad value exits 2 and
+# is named before any directory appears.
+foreach(bad "--rounds;-2" "--hijack-round;0" "--die-at-round;-1"
+        "--churn-seed;-1")
+  string(REPLACE ";" " " bad_text "${bad}")
+  expect_exit2("watch ${bad_text}" "bad flag value: ${bad_text}"
+               watch --out ${WORK_DIR}/w_badflag --vps 4 --unicast 300 ${bad})
+  if(EXISTS ${WORK_DIR}/w_badflag)
+    message(FATAL_ERROR "watch ${bad_text} created its directory")
+  endif()
+endforeach()
+
+# watch.state is checksummed: a changed byte, a truncation or the
+# pre-manifest format fails the restart with exit 1, naming the file; a
+# watch.state with no manifest beside it is refused with exit 2.
+file(READ ${WORK_DIR}/w2/watch.state state_text)
+string(REPLACE "verdict1=healthy" "verdict1=degraded" flipped_state
+       "${state_text}")
+string(SUBSTRING "${state_text}" 0 60 truncated_state)
+foreach(damage flipped truncated old)
+  set(d ${WORK_DIR}/w_${damage})
+  file(REMOVE_RECURSE ${d})
+  file(COPY ${WORK_DIR}/w2/ DESTINATION ${d})
+  if(damage STREQUAL "flipped")
+    file(WRITE ${d}/watch.state "${flipped_state}")
+  elseif(damage STREQUAL "truncated")
+    file(WRITE ${d}/watch.state "${truncated_state}")
+  else()
+    file(WRITE ${d}/watch.state "anycastd-watch v1\nrounds_completed 0\nend\n")
+  endif()
+  execute_process(COMMAND ${ANYCASTD} watch --out ${d} --rounds 4
+    RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+  if(NOT rc EQUAL 1 OR NOT err MATCHES "watch: ${d}/watch.state: ")
+    message(FATAL_ERROR "watch over a ${damage} watch.state: expected exit "
+            "1 naming it, got '${rc}': ${out}${err}")
+  endif()
+endforeach()
+file(REMOVE ${WORK_DIR}/w_old/census.manifest)
+expect_exit2("watch.state without a manifest"
+             "refusing ${WORK_DIR}/w_old: it holds a watch.state but no census.manifest"
+             watch --out ${WORK_DIR}/w_old --vps 12 --unicast 400)
 
 # Watchdog drill: the daemon aborts round 2 mid-walk with the dedicated
-# exit code, and a plain restart over the same directory resumes the
+# exit code, and a restart from the directory alone resumes the
 # half-done round and finishes the campaign.
 execute_process(
   COMMAND ${ANYCASTD} watch --out ${WORK_DIR}/w_drill --rounds 3 --vps 12
@@ -618,9 +668,17 @@ endif()
 if(NOT out MATCHES "watchdog abort drill fired")
   message(FATAL_ERROR "drill output missing abort notice: ${out}")
 endif()
+# The restart takes its world and campaign from w_drill/census.manifest:
+# a recorded flag exits 2 and names it instead of mixing two worlds.
+foreach(recorded "--seed;9" "--churn")
+  string(REPLACE ";" " " recorded_text "${recorded}")
+  string(REGEX REPLACE " .*" "" recorded_name "${recorded_text}")
+  expect_exit2("watch restart ${recorded_text}"
+               "${recorded_name} is recorded in ${WORK_DIR}/w_drill/census.manifest"
+               watch --out ${WORK_DIR}/w_drill --rounds 3 ${recorded})
+endforeach()
 execute_process(
-  COMMAND ${ANYCASTD} watch --out ${WORK_DIR}/w_drill --rounds 3 --vps 12
-          --unicast 400 --churn
+  COMMAND ${ANYCASTD} watch --out ${WORK_DIR}/w_drill --rounds 3
   RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
 if(NOT rc EQUAL 0)
   message(FATAL_ERROR "watch restart after drill failed (${rc}): "

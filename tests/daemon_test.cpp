@@ -5,6 +5,7 @@
 // element-identical to the full / uninterrupted / serial equivalent.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
@@ -14,6 +15,7 @@
 #include "anycast/analysis/incremental.hpp"
 #include "anycast/census/census.hpp"
 #include "anycast/census/resume.hpp"
+#include "anycast/census/storage.hpp"
 #include "anycast/concurrency/thread_pool.hpp"
 #include "anycast/daemon/supervisor.hpp"
 #include "anycast/daemon/watch.hpp"
@@ -24,6 +26,7 @@
 #include "anycast/obs/metrics.hpp"
 #include "anycast/obs/slo.hpp"
 #include "anycast/obs/telemetry.hpp"
+#include "file_mutation.hpp"
 
 namespace anycast {
 namespace {
@@ -723,6 +726,127 @@ TEST_F(WatchTest, CorruptStateFileFailsLoudly) {
   const auto result = run_watch(config);
   EXPECT_EQ(result.exit_code, 1);
   EXPECT_FALSE(result.error.empty());
+}
+
+TEST_F(WatchTest, RestartRefusesAMislabelledCheckpoint) {
+  // Round 2's file for VP 0 replaced by round 1's: the restart re-collates
+  // round 2 as its drift baseline and must refuse the file, not fold
+  // round 1's rows into round 2.
+  daemon::WatchConfig config = base_config(dir_);
+  config.rounds = 2;
+  ASSERT_EQ(run_watch(config).exit_code, 0);
+  const std::uint32_t vp = small_vps().front().id;
+  const fs::path round2 = census::census_checkpoint_path(dir_, 2, vp);
+  fs::copy_file(census::census_checkpoint_path(dir_, 1, vp), round2,
+                fs::copy_options::overwrite_existing);
+  config.rounds = 3;
+  const auto result = run_watch(config);
+  EXPECT_EQ(result.exit_code, 1);
+  EXPECT_NE(result.error.find(round2.string() + ": it holds VP"),
+            std::string::npos)
+      << result.error;
+}
+
+TEST(WatchState, OldFormatAndResignedBadValuesAreRefused) {
+  daemon::WatchState state;
+  daemon::RoundVerdict verdict;
+  verdict.round = 1;
+  verdict.coverage = 0.5;
+  verdict.completed = 5;
+  verdict.active = 10;
+  verdict.configured = 12;
+  verdict.escalation = 1;
+  state.verdicts.push_back(verdict);
+  state.quarantined.push_back({3, 7});
+  state.blacklist.emplace_back(42, net::ReplyKind::kHostProhibited);
+  std::string error;
+  const auto back =
+      daemon::decode_watch_state(daemon::encode_watch_state(state), &error);
+  ASSERT_TRUE(back.has_value()) << error;
+  EXPECT_EQ(*back, state);
+
+  const census::CensusManifest good = {
+      {"blacklist", "42 3"},  {"quarantined1", "3 7"},
+      {"rounds", "1"},        {"verdict1", "healthy 500 5 10 12 1"}};
+  ASSERT_TRUE(daemon::decode_watch_state(census::encode_census_manifest(good),
+                                         &error)
+                  .has_value())
+      << error;
+  const std::pair<const char*, const char*> bad[] = {
+      {"rounds", "2"},          {"rounds", "-1"},
+      {"rounds", "1x"},         {"verdict1", "fine 500 5 10 12 1"},
+      {"verdict1", "healthy 1001 5 10 12 1"},
+      {"verdict1", "healthy 500 11 10 12 1"},
+      {"verdict1", "healthy 500 5 10 12"},
+      {"verdict1", "healthy"},  {"verdict1", "healthy 500 5 10 12 1 "},
+      {"quarantined1", "3  7"}, {"quarantined1", "-3"},
+      {"quarantined1", "4294967296"},
+      {"blacklist", "42"},      {"blacklist", "42 0"},
+      {"blacklist", "42 9"},    {"verdict2", "healthy 500 5 10 12 1"}};
+  for (const auto& [key, value] : bad) {
+    census::CensusManifest edited = good;
+    edited[key] = value;
+    error.clear();
+    EXPECT_FALSE(daemon::decode_watch_state(
+                     census::encode_census_manifest(edited), &error)
+                     .has_value())
+        << key << "=" << value;
+    EXPECT_FALSE(error.empty()) << key << "=" << value;
+  }
+  // The format before the manifest codec: a magic line and an end marker.
+  EXPECT_FALSE(daemon::decode_watch_state(
+                   "anycastd-watch v1\nrounds_completed 0\nend\n", &error)
+                   .has_value());
+  EXPECT_FALSE(error.empty());
+}
+
+TEST(FileFormatMutation, WatchStateMutantsAreRefusedOrIntact) {
+  // A 3-round churned campaign whose quarantine drops flaky VPs, so the
+  // state carries verdicts, quarantine lists and a blacklist.
+  const fs::path dir = fs::temp_directory_path() /
+                       ("anycast_watch_state_mutants_" +
+                        std::to_string(::getpid()));
+  daemon::WatchConfig config;
+  config.out_dir = dir;
+  config.fastping = watch_fastping();
+  config.fastping.quarantine_drop_rate = 0.4;
+  config.rounds = 3;
+  config.churn = true;
+  config.chaos_enabled = true;
+  config.chaos.regional_rate = 0.9;
+  config.chaos.regional_fraction = 0.5;
+  config.chaos.regional_span = 0.6;
+  net::SimulatedInternet internet(small_world_config());
+  daemon::WatchDaemon watcher(internet, small_vps(), geo::world_index(),
+                              small_hitlist(), config);
+  ASSERT_EQ(watcher.run().exit_code, 0);
+  const std::string valid = [&] {
+    std::ifstream in(dir / "watch.state", std::ios::binary);
+    return std::string(std::istreambuf_iterator<char>(in), {});
+  }();
+  fs::remove_all(dir);
+
+  std::string error;
+  const auto original = daemon::decode_watch_state(valid, &error);
+  ASSERT_TRUE(original.has_value()) << error;
+  ASSERT_EQ(original->verdicts.size(), 3u);
+  EXPECT_FALSE(original->blacklist.empty());
+  EXPECT_TRUE(std::any_of(original->quarantined.begin(),
+                          original->quarantined.end(),
+                          [](const auto& vps) { return !vps.empty(); }));
+  EXPECT_EQ(daemon::encode_watch_state(*original), valid);
+  std::mt19937 rng(1618);
+  for (int i = 0; i < 3000; ++i) {
+    int kind = 0;
+    const std::string mutant = mutate(valid, rng, kind);
+    error.clear();
+    const auto decoded = daemon::decode_watch_state(mutant, &error);
+    if (decoded.has_value()) {
+      EXPECT_EQ(*decoded, *original) << "mutant " << i << " kind " << kind;
+    } else {
+      EXPECT_FALSE(error.empty()) << "mutant " << i << " kind " << kind;
+    }
+  }
 }
 
 }  // namespace

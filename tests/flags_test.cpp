@@ -32,6 +32,7 @@ TEST(Flags, Defaults) {
   EXPECT_EQ(flags.get_int("seed", 99), 99);
   EXPECT_DOUBLE_EQ(flags.get_double("rate", 1.5), 1.5);
   EXPECT_EQ(flags.get_or("name", "fallback"), "fallback");
+  EXPECT_EQ(flags.effective().at("name"), "fallback");
 }
 
 TEST(Flags, BooleanFlagBeforeAnotherFlagOrAtEnd) {

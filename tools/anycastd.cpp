@@ -15,6 +15,11 @@
 //       recover a killed census: the world and probe settings come from
 //       DIR's manifest; complete checkpoints are reused and only missing
 //       or crashed VPs re-run
+//   anycastd watch    --out DIR [--rounds N] [--churn] [--chaos SCENARIO]
+//       supervised multi-round campaign; a fresh one writes
+//       DIR/census.manifest (world, prober and campaign flags), and
+//       `watch --out DIR` alone restarts it (DIR/watch.state holds the
+//       committed rounds)
 //   anycastd analyze  --in DIR [--geojson FILE] [--top N]
 //       collate per-VP files (salvaging damaged ones), detect/enumerate/
 //       geolocate, print the characterisation; optionally export replicas
@@ -39,10 +44,12 @@
 //       per-second serving / per-round census series, SLO burn rates
 //
 // World flags (--seed, --unicast, --vps) and the probe and chaos knobs are
-// taken by world, census, watch, portscan and diff. resume, analyze, serve
-// and report read them from DIR/census.manifest instead: passing one
-// exits 2 and names the manifest, as does a DIR with no manifest or a
-// damaged one, and a checkpoint whose header names another VP or census.
+// taken by world, census, a fresh watch, portscan and diff. resume,
+// analyze, serve, report and a watch restart read them from
+// DIR/census.manifest instead: passing one exits 2 and names the
+// manifest, as does a DIR with no manifest, a damaged one or one of the
+// other kind (a campaign for a census reader, a census for watch), and a
+// checkpoint whose header names another VP or census.
 //
 // All commands are deterministic in --seed (and --chaos-seed). The
 // telemetry plane (--slo, --metrics-interval, the serve verbs
@@ -99,14 +106,15 @@ using tools::Flags;
 
 constexpr tools::FlagHelp kCommonFlags[] = {
     {"seed", "N",
-     "world/census seed (default 2015); world, census, watch, portscan "
-     "and diff only: the other commands read DIR/census.manifest"},
+     "world/census seed (default 2015); world, census, a fresh watch, "
+     "portscan and diff only: the other commands and a watch restart "
+     "read DIR/census.manifest"},
     {"unicast", "N",
      "unicast /24s per liveness class (default 6000); as --seed"},
     {"vps", "N", "PlanetLab vantage points, 1..65536 (default 200); as --seed"},
     {"threads", "N",
-     "worker threads for census/analyze/diff (default: all cores; "
-     "1 = serial; output is identical for any value)"},
+     "worker threads for census/analyze/diff, 0..1024 (default 0: all "
+     "cores; 1 = serial; output is identical for any value)"},
     {"metrics-out", "FILE",
      "write the telemetry document on exit (JSON metrics + latency + "
      "series + slo, or Prometheus text when FILE ends in .prom); FILE "
@@ -152,18 +160,20 @@ constexpr tools::FlagHelp kDataPlaneFlags[] = {
 };
 
 constexpr tools::FlagHelp kWatchFlags[] = {
-    {"rounds", "N", "census rounds the campaign should reach (default 3)"},
+    {"rounds", "N",
+     "census rounds the campaign should reach, >= 1 (default 3)"},
     {"chaos", "SCENARIO",
      "flaps|regional|hijack|outages|storm|churn|mixed, or bare --chaos "
      "for the classic per-VP faults"},
     {"coverage-floor", "F",
      "completed/active VP floor below which a round is degraded (0.8)"},
-    {"hijack-round", "N", "round a staged hijack starts (default 3)"},
+    {"hijack-round", "N", "round a staged hijack starts, >= 1 (default 3)"},
     {"churn", "", "grow/shrink/move one replica set between rounds"},
-    {"churn-seed", "N", "world-churn seed (default 77)"},
+    {"churn-seed", "N", "world-churn seed, >= 0 (default 77)"},
     {"die-at-round", "N",
      "watchdog drill: abort round N mid-way (half the platform "
-     "checkpointed, no state commit) and exit 70; restart resumes"},
+     "checkpointed, no state commit) and exit 70; restart resumes; "
+     "never recorded (0 = off)"},
     {"serve-queries", "FILE",
      "serve this query batch continuously during the campaign (each "
      "round's snapshot swapped in atomically) and print the final-round "
@@ -205,7 +215,9 @@ int usage() {
   tools::print_flag_help(stderr, kChaosFlags);
   std::fprintf(stderr, "  data plane (census / resume / watch / analyze):\n");
   tools::print_flag_help(stderr, kDataPlaneFlags);
-  std::fprintf(stderr, "  watch (supervised multi-round daemon):\n");
+  std::fprintf(stderr, "  watch (supervised multi-round daemon; recorded in "
+                       "DIR/census.manifest but\n  --rounds, --die-at-round "
+                       "and --serve-queries, so `watch --out DIR` restarts):\n");
   tools::print_flag_help(stderr, kWatchFlags);
   std::fprintf(stderr, "  top (dashboard over a --metrics-interval file):\n");
   tools::print_flag_help(stderr, kTopFlags);
@@ -245,11 +257,15 @@ std::vector<net::VantagePoint> platform_from(const Flags& flags) {
                0xF1E1D});
 }
 
+/// --threads, 0..1024: the pool starts one OS thread per lane.
+std::size_t threads_from(const Flags& flags) {
+  return static_cast<std::size_t>(flags.get_int("threads", 0, 0, 1024));
+}
+
 /// The --threads pool: default (0) uses every core; 1 is the exact
 /// serial path. Results never depend on the value (merge order is fixed).
 concurrency::ThreadPool pool_from(const Flags& flags) {
-  return concurrency::ThreadPool(
-      static_cast<std::size_t>(flags.get_int("threads", 0, 0)));
+  return concurrency::ThreadPool(threads_from(flags));
 }
 
 /// Attaches the --progress heartbeat to a pool for one phase and, on
@@ -309,7 +325,7 @@ int cmd_world(const Flags& flags) {
   for (const net::Deployment& deployment : internet.deployments()) {
     anycast_prefixes += deployment.prefixes.size();
   }
-  (void)flags.get_int("threads", 0);  // accepted everywhere, unused here
+  (void)threads_from(flags);  // accepted everywhere, unused here
   std::printf("world seed %lld: %zu routed /24 (%zu anycast in %zu ASes)\n",
               static_cast<long long>(flags.get_int("seed", 2015)),
               internet.targets().size(), anycast_prefixes,
@@ -383,20 +399,78 @@ std::optional<net::FaultPlan> fault_plan_from(const Flags& flags) {
   return net::FaultPlan(spec);
 }
 
-/// What a census directory's manifest pins, built from one Flags: the
-/// world, its platform and hitlist, the prober and fault settings, and
-/// the manifest: every flag the builders read, plus the hitlist's size
-/// and CRC.
+/// The watch campaign knobs: the --chaos scenario (with bare --chaos the
+/// classic per-VP faults) and its seed, world churn, the staged hijack
+/// round and the coverage floor. The hijack scenario's victims spread
+/// over a hitlist of `hitlist_size` targets.
+daemon::WatchConfig watch_config_from(const Flags& flags,
+                                      std::size_t hitlist_size) {
+  daemon::WatchConfig config;
+  config.supervisor.coverage_floor = flags.get_double("coverage-floor", 0.8);
+  config.hijack_from_round =
+      static_cast<int>(flags.get_int("hijack-round", 3, 1, INT_MAX));
+  config.churn = flags.get_bool("churn");
+  config.churn_seed =
+      static_cast<std::uint64_t>(flags.get_int("churn-seed", 77, 0));
+  const std::string chaos = flags.get_or("chaos", "false");
+  if (chaos == "false") return config;
+  net::FaultSpec spec;
+  spec.seed = static_cast<std::uint64_t>(flags.get_int("chaos-seed", 42));
+  config.chaos_enabled = true;
+  if (chaos == "true") {  // bare --chaos: the classic per-VP faults
+    spec = chaos_spec_from(flags);
+  } else if (chaos == "flaps") {
+    spec.flap_rate = 0.5;
+  } else if (chaos == "regional") {
+    spec.regional_rate = 0.9;
+    spec.regional_fraction = 0.35;
+    spec.regional_span = 0.5;
+  } else if (chaos == "hijack") {
+    spec.hijack_vp_fraction = 0.6;
+    // Eight victims spread across the hitlist; the monitor only alarms
+    // on the ones its reference round classified as unicast.
+    for (std::size_t i = 1; i <= 8 && hitlist_size > 9; ++i) {
+      spec.hijack_targets.push_back(
+          static_cast<std::uint32_t>(i * hitlist_size / 9));
+    }
+  } else if (chaos == "outages") {
+    spec.outage_rate = 0.30;
+    spec.crash_rate = 0.05;
+  } else if (chaos == "storm") {
+    spec.storm_rate = 0.40;
+  } else if (chaos == "churn") {
+    config.chaos_enabled = false;  // pure world churn, no probe faults
+    config.churn = true;
+  } else if (chaos == "mixed") {
+    spec.flap_rate = 0.25;
+    spec.outage_rate = 0.15;
+    spec.storm_rate = 0.15;
+    config.churn = true;
+  } else {
+    flags.refuse("chaos", chaos);
+  }
+  config.chaos = spec;
+  return config;
+}
+
+/// What a directory's manifest pins, built from one Flags: the world, its
+/// platform and hitlist, the prober settings, and a census's fault plan or
+/// a watch `campaign`'s knobs; and the manifest: every flag the builders
+/// read, plus the hitlist's size and CRC.
 struct CensusWorld {
-  explicit CensusWorld(const Flags& flags)
+  CensusWorld(const Flags& flags, bool campaign)
       : internet(world_config_from(flags)),
         vps(platform_from(flags)),
         hitlist(census::Hitlist::from_world(internet).without_dead()),
         fastping(fastping_config_from(flags)),
-        plan(fault_plan_from(flags)),
         census_id(static_cast<std::uint32_t>(
-            flags.get_int("census-id", 1, 0, UINT32_MAX))),
-        manifest(flags.effective()) {
+            flags.get_int("census-id", 1, 0, UINT32_MAX))) {
+    if (campaign) {
+      watch = watch_config_from(flags, hitlist.size());
+    } else {
+      plan = fault_plan_from(flags);
+    }
+    manifest = flags.effective();
     std::vector<std::uint8_t> addresses;
     for (const census::HitlistEntry& entry : hitlist.entries()) {
       for (int shift = 0; shift < 32; shift += 8) {
@@ -408,12 +482,13 @@ struct CensusWorld {
     manifest["hitlist-crc"] = std::to_string(census::crc32(addresses));
   }
 
-  net::SimulatedInternet internet;
+  net::SimulatedInternet internet;  // a watch campaign churns it
   std::vector<net::VantagePoint> vps;
   census::Hitlist hitlist;
   census::FastPingConfig fastping;
-  std::optional<net::FaultPlan> plan;
   std::uint32_t census_id;
+  std::optional<net::FaultPlan> plan;  // census only
+  daemon::WatchConfig watch;           // watch campaign only
   census::CensusManifest manifest;
 };
 
@@ -447,21 +522,33 @@ struct CensusDir {
   census::CollateStats stats;
 };
 
-/// Opens DIR through its manifest: refuses a flag in `flags` that the
-/// manifest records, rebuilds the world from the manifest alone and
-/// requires it to rebuild the same manifest (hitlist included), then lists
-/// `census_checkpoint_path(dir, census_id, vp.id)` for each platform VP
-/// whose file exists, refusing one whose header names another VP or
-/// census. Returns 0, or 2 after a diagnostic prefixed by `command`.
+/// Opens DIR through its manifest: refuses a manifest of the other kind
+/// (`watch` opens a campaign, which records its campaign knobs; the other
+/// commands a census) and a flag in `flags` that the manifest records,
+/// rebuilds the world from the manifest alone and requires it to rebuild
+/// the same manifest (hitlist included), then lists a census's
+/// checkpoints. A `fresh` DIR's world is built from a fresh copy of
+/// `flags` instead, so its manifest holds exactly the flags the builders
+/// read. Returns 0, or 2 after a diagnostic prefixed by `command`.
 int open_census(const char* command, const Flags& flags,
-                const std::string& dir, CensusDir& out) {
+                const std::string& dir, CensusDir& out, bool fresh = false) {
+  const bool campaign = std::string_view(command) == "watch";
+  if (fresh) {
+    const Flags recorded = flags.fresh();
+    out.world = std::make_unique<CensusWorld>(recorded, campaign);
+    flags.adopt_queries(recorded);
+    return 0;
+  }
   const fs::path path = manifest_path(dir);
   const auto text = slurp_text(path.string());
   std::string error = "cannot read it: not a census directory";
   const auto manifest =
       text.has_value() ? census::decode_census_manifest(*text, &error)
                        : std::nullopt;
-  if (manifest.has_value()) {
+  if (manifest.has_value() && manifest->contains("churn") != campaign) {
+    error = campaign ? "it records a census, not a watch campaign"
+                     : "it records a watch campaign, not a census";
+  } else if (manifest.has_value()) {
     for (const auto& [name, value] : *manifest) {
       if (flags.has(name)) {
         std::fprintf(stderr,
@@ -472,7 +559,7 @@ int open_census(const char* command, const Flags& flags,
       }
     }
     const Flags recorded = Flags::of(*manifest);
-    out.world = std::make_unique<CensusWorld>(recorded);
+    out.world = std::make_unique<CensusWorld>(recorded, campaign);
     error = recorded.bad().empty()
                 ? manifest_difference(*manifest, out.world->manifest)
                 : "bad value " + recorded.bad();
@@ -482,22 +569,42 @@ int open_census(const char* command, const Flags& flags,
                  error.c_str());
     return 2;
   }
-  const CensusWorld& world = *out.world;
-  for (const net::VantagePoint& vp : world.vps) {
-    fs::path file = census::census_checkpoint_path(dir, world.census_id, vp.id);
-    std::error_code ec;
-    if (!fs::exists(file, ec)) continue;
-    const auto header = census::read_census_file_header(file);
-    if (header.has_value() &&
-        (header->vp_id != vp.id || header->census_id != world.census_id)) {
-      std::fprintf(stderr,
-                   "%s: refusing %s: it holds VP %u of census %u, not VP %u "
-                   "of census %u\n",
-                   command, file.c_str(), header->vp_id, header->census_id,
-                   vp.id, world.census_id);
-      return 2;
-    }
-    out.files.push_back(std::move(file));
+  if (campaign) return 0;
+  auto files = census::list_census_checkpoints(dir, out.world->census_id,
+                                               out.world->vps, {}, &error);
+  if (!files.has_value()) {
+    std::fprintf(stderr, "%s: refusing %s\n", command, error.c_str());
+    return 2;
+  }
+  out.files = std::move(*files);
+  return 0;
+}
+
+/// A fresh directory for `world`: refuses (2) a DIR whose manifest records
+/// something else, then creates DIR and writes the manifest through
+/// obs::write_file_atomic (1 when it cannot). Returns 0 when written.
+int create_census_dir(const char* command, const std::string& dir,
+                      const CensusWorld& world) {
+  const fs::path path = manifest_path(dir);
+  const std::string text = census::encode_census_manifest(world.manifest);
+  if (const auto old = slurp_text(path.string()); old && *old != text) {
+    std::string why;
+    const auto recorded = census::decode_census_manifest(*old, &why);
+    if (recorded.has_value()) why = manifest_difference(*recorded, world.manifest);
+    std::fprintf(stderr,
+                 "%s: %s records another census (%s); use another --out, or "
+                 "`anycastd %s --out %s`\n",
+                 command, path.c_str(), why.c_str(),
+                 std::string_view(command) == "watch" ? "watch" : "resume",
+                 dir.c_str());
+    return 2;
+  }
+  std::error_code ec;
+  fs::create_directories(dir, ec);
+  if (const std::error_code write_ec = obs::write_file_atomic(path, text)) {
+    std::fprintf(stderr, "%s: cannot write %s: %s\n", command, path.c_str(),
+                 write_ec.message().c_str());
+    return 1;
   }
   return 0;
 }
@@ -532,14 +639,8 @@ int cmd_census(const Flags& flags, bool resume) {
     return 2;
   }
   CensusDir dir;
-  if (resume) {
-    if (const int rc = open_census(command, flags, *out_dir, dir)) return rc;
-  } else {
-    // Built from a fresh copy, so the manifest holds exactly the flags
-    // the builders read.
-    const Flags recorded = flags.fresh();
-    dir.world = std::make_unique<CensusWorld>(recorded);
-    flags.adopt_queries(recorded);
+  if (const int rc = open_census(command, flags, *out_dir, dir, !resume)) {
+    return rc;
   }
   const CensusWorld& world = *dir.world;
   const census::DataPlaneConfig plane = data_plane_from(flags, *out_dir);
@@ -549,27 +650,7 @@ int cmd_census(const Flags& flags, bool resume) {
   if (!resume) {
     // One directory holds one census: a manifest that records another is
     // refused rather than mixed with this one's checkpoints.
-    const fs::path path = manifest_path(*out_dir);
-    const std::string text = census::encode_census_manifest(world.manifest);
-    if (const auto old = slurp_text(path.string()); old && *old != text) {
-      std::string why;
-      const auto recorded = census::decode_census_manifest(*old, &why);
-      if (recorded.has_value()) {
-        why = manifest_difference(*recorded, world.manifest);
-      }
-      std::fprintf(stderr,
-                   "census: %s records another census (%s); use another "
-                   "--out, or `anycastd resume --out %s`\n",
-                   path.c_str(), why.c_str(), out_dir->c_str());
-      return 2;
-    }
-    std::error_code ec;
-    fs::create_directories(*out_dir, ec);
-    if (const std::error_code write_ec = obs::write_file_atomic(path, text)) {
-      std::fprintf(stderr, "census: cannot write %s: %s\n", path.c_str(),
-                   write_ec.message().c_str());
-      return 1;
-    }
+    if (const int rc = create_census_dir(command, *out_dir, world)) return rc;
     // A fresh census owns its checkpoints: drop leftovers so stale
     // complete files from an earlier run cannot masquerade as this one's.
     for (const net::VantagePoint& vp : world.vps) {
@@ -620,29 +701,35 @@ int cmd_census(const Flags& flags, bool resume) {
   return 0;
 }
 
+/// `watch` starts a campaign from the command line's flags, recording
+/// them in DIR/census.manifest, or restarts the campaign DIR's manifest
+/// records: then only the runtime flags (--rounds, --die-at-round,
+/// --serve-queries, --threads, data plane, observability) are taken.
 int cmd_watch(const Flags& flags) {
   const auto out_dir = flags.get("out");
   if (!out_dir.has_value()) {
     std::fprintf(stderr, "watch: --out DIR is required\n");
     return 2;
   }
-  // Non-const: watch-mode worlds churn replicas between rounds.
-  net::SimulatedInternet internet(world_config_from(flags));
-  const auto vps = platform_from(flags);
-  const census::Hitlist hitlist =
-      census::Hitlist::from_world(internet).without_dead();
-
-  daemon::WatchConfig config;
-  config.rounds = static_cast<int>(flags.get_int("rounds", 3));
+  std::error_code ec;
+  const bool restart = fs::exists(manifest_path(*out_dir), ec);
+  if (!restart && fs::exists(fs::path(*out_dir) / "watch.state", ec)) {
+    std::fprintf(stderr, "watch: refusing %s: it holds a watch.state but no "
+                 "census.manifest\n", out_dir->c_str());
+    return 2;
+  }
+  CensusDir dir;
+  if (const int rc = open_census("watch", flags, *out_dir, dir, !restart)) {
+    return rc;
+  }
+  CensusWorld& world = *dir.world;
+  daemon::WatchConfig config = world.watch;
+  config.rounds = static_cast<int>(flags.get_int("rounds", 3, 1, INT_MAX));
   config.out_dir = *out_dir;
-  config.fastping = fastping_config_from(flags);
-  config.supervisor.coverage_floor = flags.get_double("coverage-floor", 0.8);
-  config.hijack_from_round =
-      static_cast<int>(flags.get_int("hijack-round", 3));
-  config.die_at_round = static_cast<int>(flags.get_int("die-at-round", 0));
-  config.churn = flags.get_bool("churn");
-  config.churn_seed =
-      static_cast<std::uint64_t>(flags.get_int("churn-seed", 77));
+  config.fastping = world.fastping;
+  // A drill, never recorded: a recorded drill would fire on every restart.
+  config.die_at_round =
+      static_cast<int>(flags.get_int("die-at-round", 0, 0, INT_MAX));
   config.data_plane = data_plane_from(flags, *out_dir);
   if (const auto slo_spec = flags.get("slo")) {
     // Already validated in main (a bad spec exited before dispatch); the
@@ -652,47 +739,6 @@ int cmd_watch(const Flags& flags) {
     if (auto objectives = obs::parse_slo_spec(*slo_spec, &slo_error)) {
       config.slo = std::move(*objectives);
     }
-  }
-
-  if (const auto chaos = flags.get("chaos")) {
-    net::FaultSpec spec;
-    spec.seed = static_cast<std::uint64_t>(flags.get_int("chaos-seed", 42));
-    config.chaos_enabled = true;
-    if (*chaos == "true") {  // bare --chaos: the classic per-VP faults
-      spec = chaos_spec_from(flags);
-    } else if (*chaos == "flaps") {
-      spec.flap_rate = 0.5;
-    } else if (*chaos == "regional") {
-      spec.regional_rate = 0.9;
-      spec.regional_fraction = 0.35;
-      spec.regional_span = 0.5;
-    } else if (*chaos == "hijack") {
-      spec.hijack_vp_fraction = 0.6;
-      // Eight victims spread across the hitlist; the monitor only alarms
-      // on the ones its reference round classified as unicast.
-      for (std::size_t i = 1; i <= 8 && hitlist.size() > 9; ++i) {
-        spec.hijack_targets.push_back(
-            static_cast<std::uint32_t>(i * hitlist.size() / 9));
-      }
-    } else if (*chaos == "outages") {
-      spec.outage_rate = 0.30;
-      spec.crash_rate = 0.05;
-    } else if (*chaos == "storm") {
-      spec.storm_rate = 0.40;
-    } else if (*chaos == "churn") {
-      config.chaos_enabled = false;  // pure world churn, no probe faults
-      config.churn = true;
-    } else if (*chaos == "mixed") {
-      spec.flap_rate = 0.25;
-      spec.outage_rate = 0.15;
-      spec.storm_rate = 0.15;
-      config.churn = true;
-    } else {
-      std::fprintf(stderr, "watch: unknown --chaos scenario: %s\n",
-                   chaos->c_str());
-      return 2;
-    }
-    config.chaos = spec;
   }
   concurrency::ThreadPool pool = pool_from(flags);
 
@@ -712,12 +758,15 @@ int cmd_watch(const Flags& flags) {
     serve_text = *text;
   }
   if (const int rc = reject_unknown(flags)) return rc;
+  if (!restart) {
+    if (const int rc = create_census_dir("watch", *out_dir, world)) return rc;
+  }
 
   serving::SnapshotStore store;
   if (serve_queries.has_value()) config.serve_store = &store;
 
-  daemon::WatchDaemon watcher(internet, vps, geo::world_index(), hitlist,
-                              config);
+  daemon::WatchDaemon watcher(world.internet, world.vps, geo::world_index(),
+                              world.hitlist, config);
   std::atomic<bool> serve_stop{false};
   std::atomic<std::uint64_t> serve_batches{0};
   std::atomic<std::uint64_t> serve_swaps{0};
@@ -1171,7 +1220,7 @@ int cmd_top(const Flags& flags) {
 int cmd_portscan(const Flags& flags) {
   const net::SimulatedInternet internet(world_config_from(flags));
   const auto top = static_cast<std::size_t>(flags.get_int("top", 100, 0));
-  (void)flags.get_int("threads", 0);  // accepted everywhere, unused here
+  (void)threads_from(flags);  // accepted everywhere, unused here
   if (const int rc = reject_unknown(flags)) return rc;
   const portscan::PortScanner scanner(internet);
   const auto scans = scanner.scan_all(

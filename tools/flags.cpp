@@ -47,8 +47,9 @@ std::optional<std::string> Flags::get(const std::string& name) const {
 
 std::string Flags::get_or(const std::string& name,
                           std::string fallback) const {
-  const auto value = get(name);
-  return value.has_value() ? *value : std::move(fallback);
+  if (const auto value = get(name)) return *value;
+  queried_[name] = fallback;
+  return fallback;
 }
 
 void Flags::refuse(const std::string& name, const std::string& value) const {

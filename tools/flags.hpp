@@ -46,6 +46,8 @@ class Flags {
   }
 
   [[nodiscard]] std::optional<std::string> get(const std::string& name) const;
+  /// String flag; the fallback, when used, is stored as the effective
+  /// value.
   [[nodiscard]] std::string get_or(const std::string& name,
                                    std::string fallback) const;
   /// Integer flag. The whole value must parse as a base-10 integer inside
@@ -84,9 +86,11 @@ class Flags {
   /// `fresh()` copy of these flags.
   void adopt_queries(const Flags& copy) const;
 
- private:
+  /// Keeps "--name value" as `bad()` unless an earlier value was refused:
+  /// for a value that parsed but that the caller does not accept.
   void refuse(const std::string& name, const std::string& value) const;
 
+ private:
   std::map<std::string, std::string> values_;
   mutable std::map<std::string, std::string> queried_;
   mutable std::string bad_;
